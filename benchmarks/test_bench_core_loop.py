@@ -1,29 +1,22 @@
-"""Core per-event loop microbenchmark: the three execution tiers.
+"""Core per-event loop microbenchmark: the two execution tiers.
 
 Measures the per-event simulation core by running the same traces
-through every tier on fresh systems each time:
+through both tiers on fresh systems each time:
 
 * ``reference`` — the frozen seed loop (:mod:`repro.core.refpath`);
-* ``fast`` — the PR-2 allocation-free scalar loop;
-* ``batch`` — the hit-run engine (:mod:`repro.core.batch`).
+* ``fast`` — the allocation-free scalar loop.
 
-Workloads: ``hotspot`` (the L1-hit-dominated catalog kernel — the
-batch tier's home turf and its 3x acceptance gate), ``hot-loop``
-(synthetic hit-dominated sweep; warm-up-bound, so its floor is lower
-— the 512-block cold lap runs scalar and caps the ratio near 2x),
-plus ``lu`` and ``bc`` from the catalog (miss-heavy; the batch tier
-only has to hold parity with the scalar loop there).  Every cell is
-first checked bit-identical across tiers — a fast-but-wrong path must
-not win the benchmark.
+Workloads: ``lu`` and ``bc`` from the catalog, the cache-resident
+workloads where per-event overhead shows first.  Every cell is first
+checked bit-identical across tiers — a fast-but-wrong path must not
+win the benchmark.
 
 The measurement pass is shared with ``deact bench``
-(:mod:`repro.experiments.bench`) and always *appends* the census to
-the ``BENCH_core_loop.json`` trajectory (override the path with
-``REPRO_BENCH_JSON``) so future PRs can track the events/s trajectory
-per tier; regression gating against the committed baseline moved to
-``deact bench compare --against-baseline`` (the CI step), which
-scores every (benchmark, architecture, tier) cell instead of the old
-single batch-not-slower-than-fast smoke gate.
+(:mod:`repro.experiments.bench`).  Its census goes to a temporary
+trajectory file, or to ``REPRO_BENCH_JSON`` when that is set: running
+the suite never writes a tracked file.  Recording a trajectory point
+is ``deact bench``'s job, and regression gating against the committed
+baseline is ``deact bench compare --against-baseline`` (the CI step).
 
 Smoke mode (``REPRO_BENCH_CORE_SMOKE=1``, the CI microbenchmark step)
 shrinks the trace and skips the wall-clock ratio gates — sub-100ms
@@ -37,63 +30,39 @@ import pytest
 from repro.config.presets import default_config
 from repro.core.system import FamSystem
 from repro.experiments.bench import (
-    HOT_BENCH,
-    build_bench_traces,
     measure_core_loop,
     render_census,
     write_bench_json,
 )
-from repro.experiments.runner import RunSettings
+from repro.experiments.runner import RunSettings, build_traces
 
 SMOKE = os.environ.get("REPRO_BENCH_CORE_SMOKE", "") == "1"
 SETTINGS = RunSettings(n_events=4000 if SMOKE else 16000,
                        footprint_scale=0.06, seed=13)
 ARCHS = ("e-fam", "i-fam", "deact-w", "deact-n")
-#: The batch tier's acceptance workloads (hit-dominated) and the
-#: PR-2 catalog workloads (miss-heavy trajectory).
-HIT_BENCH = "hotspot"
-WARM_BENCH = HOT_BENCH
 HEADLINE_BENCH = "lu"
 SECONDARY_BENCH = "bc"
 #: Repeat floor per cell: the harness rotates tiers and tops up
 #: short-wall cells to a fixed sample budget (``bench.MIN_SAMPLE_S``),
-#: so 3 is the floor the long reference walls settle at, not the
-#: sample count the ratio gates ride on.
+#: so 3 is the floor the long reference walls settle at.
 REPEATS = 3
-#: Acceptance gates, tolerance-adjusted for host contention.  Quiet
-#: hosts measure the scalar fast loop at >= 2x the seed path on
-#: ``lu``, and the batch tier at 3.0-3.8x the fast loop on the
-#: hit-dominated ``hotspot`` kernel (the committed trajectory entry
-#: records 3.03x) and ~1.8x on the warm-up-bound ``hot-loop`` sweep.
-#: The gates back each target off ~20%: a contended host suppresses
-#: the bandwidth-bound batched NumPy passes disproportionately to the
-#: interpreter-bound scalar loop, so the *ratio* itself — not just
-#: its noise band — degrades under a noisy neighbor.
+#: Acceptance gate, tolerance-adjusted for host contention: quiet
+#: hosts measure the scalar fast loop at >= 2x the seed path on ``lu``.
 MIN_FAST_SPEEDUP = 2.0
-MIN_BATCH_SPEEDUP = 2.4
-MIN_BATCH_SPEEDUP_WARM = 1.5
 
 
 @pytest.fixture(scope="module")
 def core_loop_measurement(tmp_path_factory):
-    """One three-tier measurement pass shared by the assertions below;
-    always appended to the perf-trajectory JSON.
-
-    Only full-size runs may append to the committed repo-root baseline
-    — a smoke pass writes its census to a temp file (or wherever
-    ``REPRO_BENCH_JSON`` points) so running the CI command locally
-    cannot pollute the real trajectory with 4000-event jitter.
-    """
+    """One two-tier measurement pass shared by the assertions below,
+    written to a temporary trajectory file (or wherever
+    ``REPRO_BENCH_JSON`` points) so the suite leaves the committed
+    baseline untouched."""
     payload = measure_core_loop(
-        SETTINGS, (HIT_BENCH, WARM_BENCH, HEADLINE_BENCH,
-                   SECONDARY_BENCH), ARCHS,
+        SETTINGS, (HEADLINE_BENCH, SECONDARY_BENCH), ARCHS,
         repeats=REPEATS)
     payload["smoke"] = SMOKE
-    if SMOKE and not os.environ.get("REPRO_BENCH_JSON"):
-        out = str(tmp_path_factory.mktemp("bench") /
-                  "BENCH_core_loop.json")
-    else:
-        out = None  # default: $REPRO_BENCH_JSON or the repo-root baseline
+    out = os.environ.get("REPRO_BENCH_JSON") or str(
+        tmp_path_factory.mktemp("bench") / "BENCH_core_loop.json")
     path = write_bench_json(payload, out)
     # Always print the census — this is what the CI smoke step surfaces.
     print()
@@ -111,11 +80,9 @@ def test_all_tiers_bit_identical(core_loop_measurement):
 def test_bench_json_schema(core_loop_measurement):
     payload = core_loop_measurement
     tiers = {row["tier"] for row in payload["rows"]}
-    assert tiers == {"reference", "fast", "batch"}
-    for bench in (HIT_BENCH, WARM_BENCH, HEADLINE_BENCH,
-                  SECONDARY_BENCH):
+    assert tiers == {"reference", "fast"}
+    for bench in (HEADLINE_BENCH, SECONDARY_BENCH):
         aggregate = payload["aggregates"][bench]
-        assert "batch_speedup_vs_fast" in aggregate
         assert "fast_speedup_vs_reference" in aggregate
         assert all(rate > 0
                    for rate in aggregate["events_per_sec"].values())
@@ -143,34 +110,6 @@ def test_secondary_workload_speedup(core_loop_measurement):
     assert aggregate["fast_speedup_vs_reference"] >= 1.5
 
 
-def test_batch_tier_speedup_hit_dominated(core_loop_measurement):
-    """The batch acceptance gate: >= 3x the scalar fast loop,
-    aggregated over all four architectures, on the L1-hit-dominated
-    catalog kernel."""
-    if SMOKE:
-        pytest.skip("ratio gate needs full-size traces on a quiet "
-                    "machine; smoke mode prints the census only")
-    aggregate = core_loop_measurement["aggregates"][HIT_BENCH]
-    assert aggregate["batch_speedup_vs_fast"] >= MIN_BATCH_SPEEDUP, (
-        f"batch-vs-fast speedup "
-        f"{aggregate['batch_speedup_vs_fast']:.2f}x on {HIT_BENCH} "
-        f"fell below {MIN_BATCH_SPEEDUP}x")
-
-
-def test_batch_tier_speedup_warmup_bound(core_loop_measurement):
-    """``hot-loop`` is hit-dominated but warm-up-bound: its 512-block
-    cold lap runs scalar and caps the achievable ratio near 2x, so
-    its floor sits below the ``hotspot`` gate."""
-    if SMOKE:
-        pytest.skip("ratio gate needs full-size traces on a quiet "
-                    "machine; smoke mode prints the census only")
-    aggregate = core_loop_measurement["aggregates"][WARM_BENCH]
-    assert aggregate["batch_speedup_vs_fast"] >= MIN_BATCH_SPEEDUP_WARM, (
-        f"batch-vs-fast speedup "
-        f"{aggregate['batch_speedup_vs_fast']:.2f}x on {WARM_BENCH} "
-        f"fell below {MIN_BATCH_SPEEDUP_WARM}x")
-
-
 def test_bench_json_appends_trajectory_entry(core_loop_measurement,
                                              tmp_path):
     """Two writes to one path append two provenance-stamped entries —
@@ -189,8 +128,8 @@ def test_bench_json_appends_trajectory_entry(core_loop_measurement,
 
 
 def test_bench_core_loop_fast_path(benchmark):
-    """pytest-benchmark record of the production (batch) path."""
-    traces = build_bench_traces(HEADLINE_BENCH, SETTINGS)
+    """pytest-benchmark record of the production (fast) path."""
+    traces = build_traces(HEADLINE_BENCH, 1, SETTINGS)
     config = default_config()
 
     def run():

@@ -1,7 +1,7 @@
 """Static invariant checking for the ``repro`` source tree.
 
 The repo's correctness story rests on contracts that the expensive
-equivalence suites only catch *after* a violation ships: the three
+equivalence suites only catch *after* a violation ships: the two
 execution tiers must stay bit-identical, canonical cache/trajectory
 writes must be byte-deterministic across hosts, the ``*_fast`` probe
 paths must stay allocation-free, and everything crossing the sweep
@@ -23,7 +23,7 @@ Shipped rules (each a registered class in
 ========  ==========================================================
 DET001    no nondeterminism sources in canonical-write modules
 HOT001    no allocating constructs in ``@hot_path`` / ``*_fast`` code
-PAR001    tier-parity surfaces (fast/batch vs. refpath, CLI mirrors,
+PAR001    tier-parity surfaces (fast vs. refpath, CLI mirrors,
           ``NodeMetrics`` serialization round-trip)
 PKL001    pool submit sites take module-level callables only
 CFG001    config dataclasses frozen and fully annotated

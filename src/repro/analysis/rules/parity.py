@@ -1,10 +1,10 @@
 """PAR001 — tier-parity surfaces must stay in sync.
 
-The three execution tiers are only trustworthy because the white-box
-reference path (:mod:`repro.core.refpath`) re-derives every fast-path
-probe independently, and because a handful of deliberately duplicated
-literals (the CLI's mode choices, the hot-bench name, the
-``NodeMetrics`` serialization) mirror their single sources of truth.
+The fast tier is only trustworthy because the white-box reference
+path (:mod:`repro.core.refpath`) re-derives every fast-path probe
+independently, and because a handful of deliberately duplicated
+literals (the CLI's mode choices, the ``NodeMetrics`` serialization)
+mirror their single sources of truth.
 Nothing at runtime checks those mirrors — a renamed fast probe or a
 field added to ``NodeMetrics`` but not to ``_result_to_dict`` ships
 silently and only shows up as an equivalence-suite failure (or worse,
@@ -15,15 +15,8 @@ on every ``deact check``:
   counterpart (matched by sharing a name token of >= 4 chars, so
   ``walk_system_table_fast`` pairs with ``_ref_stu_walk`` via
   ``walk`` without hard-coding the pairing table);
-* every segment kind in ``repro.core.runplan.SEGMENT_KINDS`` must
-  have a ``_handle_<kind>`` consumer in :mod:`repro.core.batch`,
-  every ``_handle_*`` in the plan/consumer pair must name a declared
-  kind, and each handler body must call at least one probe whose name
-  token-matches a refpath function — the run-first parity surface is
-  the segment handlers, not just the ``*_fast`` probes they wrap;
-* the CLI's ``execution_modes`` tuple and ``hot_bench`` literal must
-  equal ``repro.core.system.EXECUTION_MODES`` and
-  ``repro.experiments.bench.HOT_BENCH``;
+* the CLI's ``execution_modes`` tuple must equal
+  ``repro.core.system.EXECUTION_MODES``;
 * ``DEFAULT_EXECUTION_MODE`` must be a member of ``EXECUTION_MODES``;
 * the ``NodeMetrics`` dataclass fields, the keyword arguments of the
   ``NodeMetrics(...)`` construction in ``Node.metrics``, and the
@@ -47,10 +40,7 @@ from repro.analysis.rules import Rule
 __all__ = ["TierParity"]
 
 REFPATH_MODULE = "repro.core.refpath"
-RUNPLAN_MODULE = "repro.core.runplan"
-BATCH_MODULE = "repro.core.batch"
 SYSTEM_MODULE = "repro.core.system"
-BENCH_MODULE = "repro.experiments.bench"
 CLI_MODULE = "repro.cli"
 RESULTS_MODULE = "repro.core.results"
 NODE_MODULE = "repro.core.node"
@@ -60,29 +50,12 @@ RUNNER_MODULE = "repro.experiments.runner"
 #: tokens ("l1", "to", "do") match everything and prove nothing.
 MIN_TOKEN = 4
 
-#: Segment-kind handlers are ``_handle_<kind>`` methods by convention
-#: (``runplan.SEGMENT_KINDS`` entries with ``-`` mapped to ``_``).
-SEGMENT_HANDLER_PREFIX = "_handle_"
-
 
 def _tokens(fast_name: str) -> Set[str]:
     stem = fast_name[:-len("_fast")] if fast_name.endswith("_fast") \
         else fast_name
     stem = stem.lstrip("_")
     return {t for t in stem.split("_") if len(t) >= MIN_TOKEN}
-
-
-def _call_tokens(func: ast.AST) -> Set[str]:
-    """Name tokens (>= MIN_TOKEN chars) of every call made inside
-    ``func``, resolved through attribute chains (``self.node.step_fast``
-    contributes ``step``)."""
-    out: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = astutil.dotted_name(node)
-            if name is not None:
-                out.update(_tokens(name.split(".")[-1]))
-    return out
 
 
 def _local_tuple(func: ast.AST, name: str) -> Optional[
@@ -95,18 +68,6 @@ def _local_tuple(func: ast.AST, name: str) -> Optional[
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id == name:
                     return value, node.lineno, node.col_offset
-    return None
-
-
-def _local_string(func: ast.AST, name: str) -> Optional[
-        Tuple[str, int, int]]:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node.value.value, node.lineno, node.col_offset
     return None
 
 
@@ -163,15 +124,13 @@ class TierParity(Rule):
     title = "tier-parity surface drifted between files"
     severity = "error"
     hint = ("update both sides of the mirror together: add the refpath "
-            "counterpart for a new *_fast probe, give every "
-            "SEGMENT_KINDS entry a _handle_<kind> consumer that calls a "
-            "refpath-matched probe, and keep the NodeMetrics fields / "
-            "Node.metrics() keywords / _result_to_dict keys identical")
+            "counterpart for a new *_fast probe, and keep the "
+            "NodeMetrics fields / Node.metrics() keywords / "
+            "_result_to_dict keys identical")
 
     def check_project(self, project) -> Iterable[Finding]:
         findings: List[Finding] = []
         findings.extend(self._check_fast_counterparts(project))
-        findings.extend(self._check_segment_handlers(project))
         findings.extend(self._check_cli_mirrors(project))
         findings.extend(self._check_metrics_roundtrip(project))
         return findings
@@ -205,84 +164,10 @@ class TierParity(Rule):
                     f"reference tier cannot cross-check it"))
         return findings
 
-    # -- segment kinds <-> _handle_<kind> consumers ----------------------
-    def _check_segment_handlers(self, project) -> Iterable[Finding]:
-        """The run-first parity surface.
-
-        ``repro.core.runplan.SEGMENT_KINDS`` is the single source of
-        truth for the segment taxonomy; the batch tier consumes plans
-        through one ``_handle_<kind>`` per kind.  Three mirrors to
-        hold: every kind has its consumer handler in
-        ``repro.core.batch``; every ``_handle_*`` in the plan/consumer
-        pair names a declared kind (a typo'd handler would silently
-        never dispatch); and every handler body reaches a probe the
-        reference tier can cross-check (a refpath-token-matched call,
-        same matching as the ``*_fast`` check).
-        """
-        runplan = project.modules.get(RUNPLAN_MODULE)
-        if runplan is None:
-            return []
-        findings: List[Finding] = []
-        kinds = astutil.assigned_string_tuples(
-            runplan.tree).get("SEGMENT_KINDS")
-        if kinds is None:
-            findings.append(self.finding(
-                runplan, 0, -1, "",
-                "SEGMENT_KINDS is not a module-level literal string "
-                "tuple; the segment-handler parity check cannot see "
-                "the kinds"))
-            return findings
-        handler_names = {kind: SEGMENT_HANDLER_PREFIX
-                         + kind.replace("-", "_") for kind in kinds}
-        valid = set(handler_names.values())
-
-        refpath = project.modules.get(REFPATH_MODULE)
-        ref_tokens: Set[str] = set()
-        if refpath is not None:
-            for qualname, _func in astutil.function_defs(refpath.tree):
-                ref_tokens.update(_tokens(qualname.rsplit(".", 1)[-1]))
-
-        batch = project.modules.get(BATCH_MODULE)
-        batch_handlers: Set[str] = set()
-        for module in (runplan, batch):
-            if module is None:
-                continue
-            for qualname, func in astutil.function_defs(module.tree):
-                short = qualname.rsplit(".", 1)[-1]
-                if not short.startswith(SEGMENT_HANDLER_PREFIX):
-                    continue
-                if short not in valid:
-                    findings.append(self.finding(
-                        module, func.lineno, func.col_offset, qualname,
-                        f"segment handler {short}() matches no kind in "
-                        f"{RUNPLAN_MODULE}.SEGMENT_KINDS {kinds!r}; it "
-                        f"would never dispatch"))
-                    continue
-                if module is batch:
-                    batch_handlers.add(short)
-                if ref_tokens and not (_call_tokens(func) & ref_tokens):
-                    findings.append(self.finding(
-                        module, func.lineno, func.col_offset, qualname,
-                        f"segment handler {short}() never calls a "
-                        f"{REFPATH_MODULE}-token-matched probe; the "
-                        f"reference tier cannot cross-check this "
-                        f"segment kind"))
-        if batch is not None:
-            for kind in kinds:
-                handler = handler_names[kind]
-                if handler not in batch_handlers:
-                    findings.append(self.finding(
-                        batch, 0, -1, "",
-                        f"segment kind {kind!r} has no {handler}() "
-                        f"consumer in {BATCH_MODULE}; plans emitting it "
-                        f"cannot be charged"))
-        return findings
-
     # -- CLI literal mirrors ---------------------------------------------
     def _check_cli_mirrors(self, project) -> Iterable[Finding]:
         cli = project.modules.get(CLI_MODULE)
         system = project.modules.get(SYSTEM_MODULE)
-        bench = project.modules.get(BENCH_MODULE)
         findings: List[Finding] = []
 
         modes: Optional[Tuple[str, ...]] = None
@@ -306,15 +191,6 @@ class TierParity(Rule):
                     cli, cli_modes[1], cli_modes[2], "",
                     f"CLI execution_modes {cli_modes[0]!r} != "
                     f"{SYSTEM_MODULE}.EXECUTION_MODES {modes!r}"))
-            cli_hot = _local_string(cli.tree, "hot_bench")
-            if cli_hot is not None and bench is not None:
-                hot = astutil.assigned_string_constants(
-                    bench.tree).get("HOT_BENCH")
-                if hot is not None and cli_hot[0] != hot:
-                    findings.append(self.finding(
-                        cli, cli_hot[1], cli_hot[2], "",
-                        f"CLI hot_bench {cli_hot[0]!r} != "
-                        f"{BENCH_MODULE}.HOT_BENCH {hot!r}"))
         return findings
 
     # -- NodeMetrics serialization round-trip ----------------------------

@@ -70,9 +70,7 @@ class SetAssociativeCache(Generic[V]):
 
     __slots__ = ("name", "n_sets", "associativity", "policy_name",
                  "_promote_on_hit", "_random_evict", "_rng", "_sets",
-                 "_mask", "hits", "misses", "evictions", "fills",
-                 "membership_stamp", "_journal", "_journal_floor",
-                 "_journal_cap", "_journal_live")
+                 "_mask", "hits", "misses", "evictions", "fills")
 
     def __init__(self, name: str, n_sets: int, associativity: int,
                  replacement: str = "lru", seed: int = 0) -> None:
@@ -99,28 +97,6 @@ class SetAssociativeCache(Generic[V]):
         self.misses = 0
         self.evictions = 0
         self.fills = 0
-        #: Monotone counter bumped whenever the *resident key set* may
-        #: have changed (new-key fill, eviction, invalidation, clear).
-        #: The batch tier (:mod:`repro.core.batch`) mirrors resident
-        #: keys into sorted NumPy arrays for vectorized membership
-        #: tests and uses this stamp to know when the mirror is stale.
-        #: Hits and replace-in-place fills do not bump it: they change
-        #: recency/dirtiness/payload, never membership.
-        self.membership_stamp = 0
-        # Membership delta journal (see :meth:`enable_journal`): None
-        # until a subscriber opts in, so the fill/invalidate paths pay
-        # one attribute test when nobody mirrors this store.
-        self._journal: Optional[List[Tuple[int, Any]]] = None
-        self._journal_floor = 0
-        self._journal_cap = 0
-        # The *armed* journal: the same list while recording, or None
-        # when recording is off — either because no subscriber enabled
-        # it, or because it overflowed and recording is pointless until
-        # a subscriber rebuilds (:meth:`journal_since` re-arms).  Call
-        # sites test this one attribute, so a store nobody mirrors and
-        # a store in a miss-heavy overflowed phase both pay a single
-        # ``is None`` per membership change.
-        self._journal_live: Optional[List[Tuple[int, Any]]] = None
 
     def _set_for(self, key: int) -> "OrderedDict[int, list]":
         mask = self._mask
@@ -184,11 +160,6 @@ class SetAssociativeCache(Generic[V]):
             evicted = (victim_key, victim[0], victim[1])
             self.evictions += 1
         lines[key] = [value, dirty]
-        self.membership_stamp += 1
-        if self._journal_live is not None:
-            if evicted is not None:
-                self._journal_note(evicted[0], None)
-            self._journal_note(key, value)
         return evicted
 
     def fill(self, key: int, value: V, dirty: bool = False) -> AccessResult[V]:
@@ -237,12 +208,7 @@ class SetAssociativeCache(Generic[V]):
 
     def invalidate(self, key: int) -> bool:
         """Drop ``key`` if present; returns whether it was present."""
-        present = self._set_for(key).pop(key, None) is not None
-        if present:
-            self.membership_stamp += 1
-            if self._journal_live is not None:
-                self._journal_note(key, None)
-        return present
+        return self._set_for(key).pop(key, None) is not None
 
     def invalidate_where(self, predicate) -> int:
         """Drop every entry whose ``(key, value)`` satisfies
@@ -255,141 +221,11 @@ class SetAssociativeCache(Generic[V]):
             for key in doomed:
                 del lines[key]
                 dropped += 1
-                if self._journal_live is not None:
-                    self._journal_note(key, None)
-        if dropped:
-            self.membership_stamp += 1
         return dropped
 
     def clear(self) -> None:
         for lines in self._sets:
             lines.clear()
-        self.membership_stamp += 1
-        if self._journal is not None:
-            # Wholesale membership change: cheaper to force subscribers
-            # through a full rebuild than to journal every resident key.
-            self._journal_floor += len(self._journal) + 1
-            self._journal.clear()
-
-    # ------------------------------------------------------------------
-    # Membership delta journal (repro.core.batch mirror maintenance)
-    # ------------------------------------------------------------------
-    def enable_journal(self, cap: int = 0) -> None:
-        """Start recording membership deltas for mirror subscribers.
-
-        Once enabled, every membership change (new-key fill, eviction,
-        invalidation) appends one ``(key, payload)`` record — payload
-        ``None`` marks a removal.  Recency promotions, hits and
-        replace-in-place fills are *not* journaled: they never change
-        the resident key set, exactly mirroring the
-        ``membership_stamp`` semantics.  The journal is bounded by
-        ``cap`` records (default: a quarter of the store's capacity);
-        on overflow (and on :meth:`clear`) the floor sequence number
-        jumps past the dropped history, which :meth:`journal_since`
-        reports as "full rebuild required", and recording disarms
-        until the next :meth:`journal_since` re-arms it.  Idempotent.
-        """
-        if self._journal is None:
-            self._journal = []
-            self._journal_live = self._journal
-            # Small default cap: the batch tier's mirror sync falls
-            # back to a from-scratch rebuild once a delta batch
-            # exceeds a small fraction of the mirror, so records much
-            # beyond that are history nobody will ever replay — and in
-            # miss-heavy phases every append between re-arm and
-            # overflow is pure overhead on the fill path.
-            self._journal_cap = cap if cap > 0 else max(
-                64, (self.n_sets * self.associativity) // 4)
-
-    def journal_seq(self) -> int:
-        """Current journal sequence number (records ever produced)."""
-        journal = self._journal
-        return self._journal_floor + (len(journal)
-                                      if journal is not None else 0)
-
-    def journal_since(self, seq: int):
-        """Membership deltas recorded after sequence ``seq``.
-
-        Returns ``(new_seq, deltas)`` where ``deltas`` is a list slice
-        of ``(key, payload)`` records (payload ``None`` = removal) to
-        replay in order, or ``None`` when ``seq`` predates the journal
-        floor (overflow/clear dropped history, or the journal was
-        never enabled at ``seq``) — the subscriber must rebuild from
-        the resident sets and resync at ``new_seq``.
-
-        Calling this re-arms an overflowed journal: recording resumes
-        for the next window now that the subscriber is rebuilding.
-        """
-        journal = self._journal
-        floor = self._journal_floor
-        if journal is None:
-            return floor, None
-        if self._journal_live is None:
-            # Overflowed: the floor already jumped past everything a
-            # subscriber could hold, so every caller lands in the
-            # rebuild branch.  Re-arm recording for the next window.
-            self._journal_live = journal
-            return floor, None
-        new_seq = floor + len(journal)
-        if seq < floor:
-            return new_seq, None
-        return new_seq, journal[seq - floor:]
-
-    def _journal_note(self, key: int, value) -> None:
-        journal = self._journal_live
-        if journal is None:
-            # The guard at the call site saw an armed journal, but an
-            # earlier note in the same operation (the eviction record
-            # of an evicting fill) overflowed and disarmed it.
-            return
-        if len(journal) >= self._journal_cap:
-            # Overflow: advance the floor past the dropped records so
-            # every subscriber behind it falls back to a full rebuild,
-            # and disarm recording until journal_since() re-arms it —
-            # a miss-heavy phase pays one ``is None`` test per fill
-            # instead of an append nobody will replay.
-            self._journal_floor += len(journal) + 1
-            journal.clear()
-            self._journal_live = None
-            return
-        journal.append((key, value))
-
-    # ------------------------------------------------------------------
-    # Batch hit-run interface (repro.core.batch)
-    # ------------------------------------------------------------------
-    def touch_run(self, n_hits: int, keys_by_last_touch) -> None:
-        """Apply the recency/statistics effect of a *hit-run*: ``n_hits``
-        consecutive :meth:`get_line` hits whose distinct keys, ordered
-        by each key's **last** occurrence in the run, are
-        ``keys_by_last_touch`` (a plain-int iterable; every key must be
-        resident).
-
-        Equivalence to per-event probes (the batch tier's contract;
-        see ``docs/batch-equivalence.md``):
-
-        * **lru** — each scalar hit does ``move_to_end(key)``.  During
-          a run nothing is inserted or evicted, so only each set's
-          *final* order is observable afterwards, and that order ranks
-          touched keys by last touch above untouched keys in their old
-          relative order.  Replaying one ``move_to_end`` per distinct
-          key in last-occurrence order reproduces it exactly.
-        * **fifo** / **random** — hits never reorder a set
-          (``_promote_on_hit`` is false) and draw no RNG (the random
-          policy's generator is consulted only on evicting fills), so
-          there is nothing to replay beyond the hit count.
-
-        Dirty bits are *not* handled here — write hits are idempotent
-        ``line[1] = True`` stores the caller applies per written key.
-        """
-        self.hits += n_hits
-        if not self._promote_on_hit:
-            return
-        sets = self._sets
-        mask = self._mask
-        n_sets = self.n_sets
-        for key in keys_by_last_touch:
-            lines = sets[key & mask if mask >= 0 else key % n_sets]
-            lines.move_to_end(key)
 
     # ------------------------------------------------------------------
     # Statistics

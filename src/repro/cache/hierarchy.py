@@ -149,33 +149,6 @@ class CacheHierarchy:
             self._l2.fill_line(l1_evicted[0], True, True)
         return writebacks
 
-    def l1_hit_run(self, n_hits: int, blocks_by_last_touch,
-                   written_blocks) -> None:
-        """Batch-apply a run of ``n_hits`` L1 data-cache hits.
-
-        The batch tier calls this only after proving every event in
-        the run hits L1 (membership is invariant during a run: hits
-        never fill or evict, so a block resident at the run's start
-        stays resident throughout).  Effects replayed:
-
-        * hit count and recency via
-          :meth:`~repro.cache.cache.SetAssociativeCache.touch_run`
-          (LRU: one promotion per distinct block in last-occurrence
-          order; FIFO/random: hits never reorder — see that method's
-          per-policy argument);
-        * dirty bits for ``written_blocks`` (each distinct block
-          written at least once in the run): scalar write hits do the
-          idempotent ``line[1] = True``, so order and multiplicity
-          within the run are immaterial.
-
-        L2/L3 are untouched, exactly as in the scalar path — an L1
-        hit never probes an outer level.
-        """
-        l1 = self._l1
-        l1.touch_run(n_hits, blocks_by_last_touch)
-        for block in written_blocks:
-            l1._set_for(block)[block][1] = True
-
     # ------------------------------------------------------------------
     def contains(self, addr: int) -> Optional[int]:
         """Innermost level holding ``addr`` (1-based), or ``None``."""

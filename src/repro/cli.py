@@ -13,8 +13,8 @@ Eight subcommands:
 * ``deact cache`` — ``merge`` shard caches into the canonical cache
   (conflict-aware), ``validate`` a cache against a sweep spec, and
   report coverage ``status``.
-* ``deact bench`` — measure the three execution tiers (reference /
-  scalar-fast / batch) and *append* a provenance-stamped entry to the
+* ``deact bench`` — measure the two execution tiers (reference /
+  fast) and *append* a provenance-stamped entry to the
   machine-readable perf trajectory (``BENCH_core_loop.json``);
   ``deact bench compare`` diffs two trajectories per (benchmark,
   architecture, tier) cell and exits non-zero on regression.
@@ -37,9 +37,9 @@ Examples::
     deact cache merge --cache results.json
     deact cache validate --cache results.json --benchmark mcf
     deact bench --events 8000 --out BENCH_core_loop.json
-    deact bench compare old.json new.json --tolerance batch=0.3
+    deact bench compare old.json new.json --tolerance fast=0.3
     deact bench compare --against-baseline /tmp/candidate.json
-    deact profile --benchmark lu --arch deact-n --mode batch --limit 15
+    deact profile --benchmark lu --arch deact-n --mode fast --limit 15
     deact check --json
     deact check --rule HOT001 --fix-hints
     deact figures --figure 12 --jobs 4
@@ -341,7 +341,6 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         return _cmd_bench_compare(args, parser)
     from repro.errors import BenchError
     from repro.experiments.bench import (
-        HOT_BENCH,
         default_json_path,
         measure_core_loop,
         render_census,
@@ -352,8 +351,7 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     settings = RunSettings(n_events=args.events,
                            footprint_scale=args.footprint_scale,
                            seed=args.seed)
-    benchmarks = args.benchmark or [HOT_BENCH, "hotspot", "lu",
-                                    "bc"]
+    benchmarks = args.benchmark or ["lu", "bc"]
     architectures = args.arch or sorted(ARCHITECTURES)
     payload = measure_core_loop(settings, benchmarks, architectures,
                                 repeats=args.repeats)
@@ -399,30 +397,10 @@ def _parse_tolerances(parser: argparse.ArgumentParser, specs) -> dict:
     return tolerances
 
 
-def _parse_batch_floors(parser: argparse.ArgumentParser, specs) -> dict:
-    """``--require-batch-floor BENCH[=MIN]`` flags into a mapping."""
-    floors = {}
-    for spec in specs or []:
-        benchmark, sep, value = spec.partition("=")
-        minimum = 1.0
-        if sep:
-            try:
-                minimum = float(value)
-            except ValueError:
-                parser.error(f"--require-batch-floor expects "
-                             f"BENCH[=MIN], got {spec!r}")
-        if not benchmark or minimum <= 0:
-            parser.error(f"--require-batch-floor expects a benchmark "
-                         f"and a positive floor, got {spec!r}")
-        floors[benchmark] = minimum
-    return floors
-
-
 def _cmd_bench_compare(args, parser: argparse.ArgumentParser) -> int:
     from repro.errors import BenchError
     from repro.experiments.bench import default_json_path
     from repro.experiments.trajectory import (
-        batch_floor_verdicts,
         compare_entries,
         latest_entry,
         load_trajectory,
@@ -431,7 +409,6 @@ def _cmd_bench_compare(args, parser: argparse.ArgumentParser) -> int:
     )
 
     tolerances = _parse_tolerances(parser, args.tolerance)
-    floors = _parse_batch_floors(parser, args.require_batch_floor)
     unpinned_tolerance = args.tolerance_unpinned
     if unpinned_tolerance is not None \
             and not 0.0 <= unpinned_tolerance < 1.0:
@@ -490,13 +467,7 @@ def _cmd_bench_compare(args, parser: argparse.ArgumentParser) -> int:
     if pinned_note:
         print(pinned_note)
     print(report.render())
-    floors_ok = True
-    if floors:
-        print("batch-over-fast floors (candidate, absolute):")
-        for verdict in batch_floor_verdicts(candidate, floors):
-            print(f"  {verdict.render()}")
-            floors_ok = floors_ok and verdict.ok
-    return 0 if report.ok and floors_ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_profile(args) -> int:
@@ -505,40 +476,24 @@ def _cmd_profile(args) -> int:
 
     from repro.config.presets import default_config
     from repro.core.system import FamSystem
-    from repro.experiments.bench import HOT_BENCH, build_bench_traces
-    from repro.experiments.runner import RunSettings
+    from repro.experiments.runner import RunSettings, build_traces
 
     settings = RunSettings(n_events=args.events,
                            footprint_scale=args.footprint_scale,
                            seed=args.seed)
     # Traces are built outside the profiled region: the subject is the
     # simulation hot path, not the NumPy trace generator.
-    if args.benchmark == HOT_BENCH:
-        traces = build_bench_traces(args.benchmark, settings)
-        if args.nodes != 1:
-            traces = traces * args.nodes
-    else:
-        from repro.experiments.runner import build_traces
-        traces = build_traces(args.benchmark, args.nodes, settings)
+    traces = build_traces(args.benchmark, args.nodes, settings)
     config = default_config(nodes=args.nodes)
     system = FamSystem(config, args.arch, seed=settings.seed * 31 + 5)
-    segment_timing = args.mode != "reference" and not args.no_segments
     profiler = cProfile.Profile()
     profiler.enable()
-    system.run(traces, benchmark=args.benchmark, mode=args.mode,
-               segment_timing=segment_timing)
+    system.run(traces, benchmark=args.benchmark, mode=args.mode)
     profiler.disable()
     print(f"profile: {args.benchmark} on {args.arch} "
           f"({args.events} events, {args.mode} tier)")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.limit)
-    if segment_timing and system.segment_stats is not None:
-        # Per-segment-kind census: how the run-plan layer classified
-        # the trace, and where the wall clock went — a miss-heavy
-        # workload regressing shows up here as scalar-segment
-        # dominance before any pstats spelunking.
-        print("segment census (per kind, with run-length histograms):")
-        print(system.segment_stats.render())
     return 0
 
 
@@ -696,22 +651,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status_parser.add_argument("--cache", required=True)
     _add_sweep_spec_args(status_parser)
 
-    # Literal mirrors of repro.core.system.EXECUTION_MODES and
-    # repro.experiments.bench.HOT_BENCH: spelling them out keeps the
-    # heavy experiment/bench stack un-imported for the other
-    # subcommands (tests pin the CLI choices to the real constants).
-    execution_modes = ("batch", "fast", "reference")
-    hot_bench = "hot-loop"
+    # Literal mirror of repro.core.system.EXECUTION_MODES: spelling it
+    # out keeps the heavy core stack un-imported for the other
+    # subcommands (tests pin the CLI choices to the real constant).
+    execution_modes = ("fast", "reference")
 
     bench_parser = sub.add_parser(
-        "bench", help="measure the reference/fast/batch execution "
-                      "tiers and append to the BENCH_core_loop.json "
-                      "trajectory; 'bench compare' diffs trajectories")
+        "bench", help="measure the reference/fast execution tiers and "
+                      "append to the BENCH_core_loop.json trajectory; "
+                      "'bench compare' diffs trajectories")
     bench_parser.set_defaults(bench_command=None)
     bench_parser.add_argument("--benchmark", action="append", default=[],
-                              choices=[hot_bench] + benchmark_names(),
-                              help=f"workload (repeatable; default "
-                                   f"{hot_bench}, hotspot, lu, bc)")
+                              choices=benchmark_names(),
+                              help="workload (repeatable; default lu, "
+                                   "bc)")
     bench_parser.add_argument("--arch", action="append", default=[],
                               choices=sorted(ARCHITECTURES),
                               help="architecture (repeatable; default all)")
@@ -749,8 +702,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                help="allowed fractional throughput loss "
                                     "before a cell regresses "
                                     "(repeatable; per-tier defaults "
-                                    "reference=0.20 fast=0.25 "
-                                    "batch=0.30)")
+                                    "reference=0.20 fast=0.25)")
     bench_compare.add_argument("--tolerance-unpinned", type=float,
                                default=None, metavar="FRACTION",
                                help="with --against-baseline: fallback "
@@ -760,18 +712,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                     "candidate's regime; once "
                                     "runner-pinned, the per-tier "
                                     "defaults gate instead")
-    bench_compare.add_argument("--require-batch-floor", action="append",
-                               default=[], metavar="BENCH[=MIN]",
-                               help="require the candidate's batch tier "
-                                    "to be at least MIN times the fast "
-                                    "tier on BENCH (repeatable; MIN "
-                                    "defaults to 1.0)")
 
     profile_parser = sub.add_parser(
         "profile", help="cProfile one job and print the hottest "
                         "functions")
     profile_parser.add_argument("--benchmark", required=True,
-                                choices=[hot_bench] + benchmark_names())
+                                choices=benchmark_names())
     profile_parser.add_argument("--arch", default="deact-n",
                                 choices=sorted(ARCHITECTURES))
     profile_parser.add_argument("--events", type=int, default=20_000)
@@ -779,19 +725,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 default=0.06)
     profile_parser.add_argument("--seed", type=int, default=13)
     profile_parser.add_argument("--nodes", type=int, default=1)
-    profile_parser.add_argument("--mode", default="batch",
+    profile_parser.add_argument("--mode", default="fast",
                                 choices=execution_modes,
                                 help="execution tier to profile "
-                                     "(default batch)")
+                                     "(default fast)")
     profile_parser.add_argument("--sort", default="cumulative",
                                 help="pstats sort key (default "
                                      "cumulative)")
     profile_parser.add_argument("--limit", type=int, default=25,
                                 help="rows to print (default 25)")
-    profile_parser.add_argument("--no-segments", action="store_true",
-                                help="skip the per-segment-kind census "
-                                     "(and its per-segment timing "
-                                     "overhead)")
 
     check_parser = sub.add_parser(
         "check", help="run the static invariant checker over src/repro")

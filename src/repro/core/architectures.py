@@ -69,15 +69,6 @@ class Architecture(ABC):
     #: Table I columns.
     secure: bool = True
     avoids_os_changes: bool = True
-    #: Whether the batch execution tier (:mod:`repro.core.batch`) may
-    #: collapse this architecture's L1-hit runs.  True for every
-    #: current architecture: a proved hit-run never reaches
-    #: :meth:`fam_access_fast` (hits are served entirely on-chip), so
-    #: the access procedure imposes no extra constraint.  An
-    #: architecture that adds per-event work *outside* the FAM access
-    #: path (e.g. a structure consulted even on L1 hits) must set this
-    #: False until the batch equivalence argument is extended to it.
-    supports_batch_runs: bool = True
 
     @abstractmethod
     def fam_access_fast(self, node: Node, npa: int, now: float,

@@ -17,12 +17,12 @@ and stall the core only when the trace marks them dependent (pointer
 chasing) or the window fills — reproducing memory-level parallelism
 without cycle-accurate out-of-order simulation.
 
-In the run-first pipeline (PR 10, :mod:`repro.core.runplan`) this
-module is the *scalar-segment drain*: :meth:`Node.step_fast` consumes
-a length-1 segment — the degenerate case — and
-:meth:`Node.run_decoded` / :meth:`Node.run_events` drain longer scalar
-stretches.  Boxed :class:`TraceEvent` objects survive only in
-:meth:`Node.step` and the :mod:`repro.core.refpath` oracle.
+The production path is the allocation-free fast loop:
+:meth:`Node.run_decoded` / :meth:`Node.run_events` drain a whole trace
+on a single node, and :meth:`Node.step_fast` advances one event under
+the multi-node interleaved driver.  Boxed :class:`TraceEvent` objects
+survive only in :meth:`Node.step` and the :mod:`repro.core.refpath`
+oracle.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ class Node:
 
         This is the boxed *reference* path (the seed per-event loop),
         the only production-adjacent surface still consuming
-        :class:`TraceEvent` objects; production runs drain typed
-        segments through :meth:`step_fast`, and the hot-path
+        :class:`TraceEvent` objects; production runs go through
+        :meth:`step_fast` / :meth:`run_events`, and the hot-path
         equivalence suite proves both produce bit-identical stats.
         """
         gap, vaddr, is_write, dependent = event
@@ -341,14 +341,11 @@ class Node:
     def run_decoded(self, decoded: "DecodedTrace", start: int = 0,
                     stop: Optional[int] = None) -> float:
         """Run a pre-decoded trace (or the window ``[start, stop)`` of
-        it) on this node via the inlined scalar loop — the drain for
-        multi-event scalar segments
-        (:class:`~repro.core.runplan.ScalarExecutor`).
+        it) on this node via the inlined scalar loop.
 
         Running a trace as any partition of windows is equivalent to
         one full run: the loop carries no state of its own beyond the
-        node's.  Segment scheduling relies on this property; so does
-        the windowed-interleave test suite.
+        node's.
         """
         events = zip(decoded.gaps, decoded.vpns, decoded.offsets,
                      decoded.blocks, decoded.writes, decoded.dependents)
@@ -366,9 +363,8 @@ class Node:
         attribute lookup hoisted into a local (multi-node runs
         interleave :meth:`step_fast` calls in global time order
         instead, where the heap dominates anyway).  Taking an iterator
-        lets the batch tier (:mod:`repro.core.batch`) feed each scalar
-        segment as a ``zip`` over sliced trace columns, so batched
-        events never materialize event tuples at all.  Counter
+        lets :meth:`run_decoded` feed a ``zip`` over the decoded trace
+        columns, so events never materialize as boxed objects.  Counter
         write-back happens in ``finally`` so a mid-trace access
         violation still leaves instruction/event counts sane.
         """

@@ -7,13 +7,11 @@ node with all nodes interleaved in global time order — so fabric-port
 and FAM-bank contention between nodes is applied in the same order
 real hardware would see (the mechanism behind Figure 16).
 
-Since PR 10 the driver is *run-first*: the non-reference tiers consume
-typed segment streams (see :mod:`repro.core.runplan`), and the
-interleaved multi-node driver schedules whole segments across nodes —
-proved runs pop whole (they touch no shared state), and cross-node
-serialization happens only at scalar-segment boundaries, one length-1
-segment at a time.  The scalar fast tier is the degenerate case where
-every segment is scalar.
+Every non-reference run goes through one scalar fast loop
+(:meth:`~repro.core.node.Node.run_decoded` for a single node,
+:meth:`~repro.core.node.Node.step_fast` per event under the
+interleaved multi-node driver); :mod:`repro.core.refpath` is the
+oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -24,24 +22,22 @@ from typing import List, Optional, Sequence, Union
 from repro.broker.broker import MemoryBroker
 from repro.config.system import SystemConfig
 from repro.core.architectures import Architecture, make_architecture
-from repro.core.batch import BatchExecutor, batch_supported
 from repro.core.node import Node
 from repro.core.results import RunResult
-from repro.core.runplan import ScalarExecutor, SegmentStats
 from repro.errors import ConfigError
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import NvmDevice
 from repro.pagetable.walker import PageTableWalker
 from repro.stu.stu import Stu
-from repro.workloads.trace import Trace
+from repro.workloads.trace import DecodedTrace, Trace
 
 __all__ = ["FamSystem", "EXECUTION_MODES", "DEFAULT_EXECUTION_MODE"]
 
-#: The three execution tiers, fastest first.  All are bit-identical
+#: The two execution tiers, fastest first.  Both are bit-identical
 #: (``tests/test_hot_path_equivalence.py``); they differ only in how
 #: much Python-level work each trace event costs.
-EXECUTION_MODES = ("batch", "fast", "reference")
-DEFAULT_EXECUTION_MODE = "batch"
+EXECUTION_MODES = ("fast", "reference")
+DEFAULT_EXECUTION_MODE = "fast"
 
 
 class FamSystem:
@@ -56,9 +52,6 @@ class FamSystem:
                                    acm_bits=config.stu.acm_bits)
         self.fabric = FabricNetwork(config.fabric)
         self.fam = NvmDevice(config.fam)
-        #: Per-segment-kind census of the last non-reference run
-        #: (``None`` after a reference run, which has no plan layer).
-        self.segment_stats: Optional[SegmentStats] = None
         self.nodes: List[Node] = []
         for node_id in range(config.nodes):
             self.broker.register_node(node_id)
@@ -84,8 +77,7 @@ class FamSystem:
     def run(self, traces: Union[Trace, Sequence[Trace]],
             benchmark: Optional[str] = None,
             reference: bool = False,
-            mode: Optional[str] = None,
-            segment_timing: bool = False) -> RunResult:
+            mode: Optional[str] = None) -> RunResult:
         """Run one trace per node to completion.
 
         A single trace is replicated across nodes with per-node seeds
@@ -96,32 +88,17 @@ class FamSystem:
         on the shared fabric port and FAM banks interleave
         deterministically.
 
-        ``mode`` selects the execution tier (all bit-identical, proved
-        by ``tests/test_hot_path_equivalence.py``):
+        ``mode`` selects the execution tier (bit-identical, proved by
+        ``tests/test_hot_path_equivalence.py``):
 
-        * ``"batch"`` (default) — a :class:`~repro.core.runplan
-          .RunPlanner` classifies the trace into typed segments
-          (proved hit-runs, L2-refill extensions, scalar stretches)
-          and :class:`~repro.core.batch.BatchExecutor` charges run
-          segments with array arithmetic.  Falls back to ``"fast"``
-          wholesale when the architecture or a node's
-          policies/geometry fall outside the proved equivalence
-          envelope (:func:`~repro.core.batch.batch_supported`).
-        * ``"fast"`` — the degenerate segment stream: every segment
-          is scalar, drained by the PR-2 allocation-free per-event
-          loop (:meth:`~repro.core.node.Node.run_decoded` /
-          :meth:`~repro.core.node.Node.step_fast`) via
-          :class:`~repro.core.runplan.ScalarExecutor`.
+        * ``"fast"`` (default) — the allocation-free per-event loop
+          over pre-decoded trace columns
+          (:meth:`~repro.core.node.Node.run_decoded` /
+          :meth:`~repro.core.node.Node.step_fast`).
         * ``"reference"`` — the boxed seed path preserved in
           :mod:`repro.core.refpath`, kept for the equivalence proof
           and the core-loop microbenchmark.  ``reference=True`` is the
-          backward-compatible alias.  The only tier still consuming
-          per-event :class:`TraceEvent` objects.
-
-        Non-reference runs leave a per-segment-kind census in
-        :attr:`segment_stats`; ``segment_timing=True`` additionally
-        attributes wall clock per kind (``deact profile``), at the
-        cost of two ``time.monotonic`` calls per segment.
+          backward-compatible alias.
         """
         if isinstance(traces, Trace):
             traces = [traces] * len(self.nodes)
@@ -134,14 +111,11 @@ class FamSystem:
             raise ConfigError(
                 f"unknown execution mode {resolved!r}; choose from "
                 f"{', '.join(EXECUTION_MODES)}")
-        if resolved == "batch" and not self.batch_capable():
-            resolved = "fast"
 
-        self.segment_stats = None
         if resolved == "reference":
             self._run_reference(traces)
         else:
-            self._run_segments(traces, resolved, segment_timing)
+            self._run_scalar(traces)
         for node in self.nodes:
             node.drain()
 
@@ -154,72 +128,41 @@ class FamSystem:
             fabric_counters=self.fabric.stats.snapshot(),
         )
 
-    def batch_capable(self) -> bool:
-        """Whether every node (and the architecture) sits inside the
-        batch tier's proved-equivalence envelope."""
-        return (self.architecture.supports_batch_runs
-                and all(batch_supported(node) for node in self.nodes))
-
-    def _run_segments(self, traces: Sequence[Trace], tier: str,
-                      segment_timing: bool) -> None:
-        """Run-first driver shared by the batch and fast tiers: build
-        one segment executor per node and consume the streams —
-        directly for a single node, through the interleaved scheduler
-        otherwise."""
+    def _run_scalar(self, traces: Sequence[Trace]) -> None:
+        """The fast tier: the inlined scalar loop for a single node,
+        the interleaved per-event driver otherwise."""
         page_bytes = self.config.page_bytes
         block_bytes = self.config.block_bytes
-        executors: List[Union[BatchExecutor, ScalarExecutor]]
-        if tier == "batch":
-            executors = [
-                BatchExecutor(node,
-                              trace.decoded(page_bytes, block_bytes),
-                              trace.decoded_arrays(page_bytes,
-                                                   block_bytes))
-                for node, trace in zip(self.nodes, traces)
-            ]
+        decoded = [trace.decoded(page_bytes, block_bytes)
+                   for trace in traces]
+        if len(decoded) == 1:
+            self.nodes[0].run_decoded(decoded[0])
         else:
-            executors = [
-                ScalarExecutor(node,
-                               trace.decoded(page_bytes, block_bytes))
-                for node, trace in zip(self.nodes, traces)
-            ]
-        if segment_timing:
-            for executor in executors:
-                executor.timed = True
-        lengths = [len(trace) for trace in traces]
-        if len(executors) == 1:
-            executors[0].run(0, lengths[0])
-        else:
-            self._run_interleaved(executors, lengths)
-        stats = SegmentStats()
-        for executor in executors:
-            stats.merge(executor.stats)
-        self.segment_stats = stats
+            self._run_interleaved(decoded)
 
-    def _run_interleaved(self,
-                         executors: Sequence[Union[BatchExecutor,
-                                                   ScalarExecutor]],
-                         lengths: Sequence[int]) -> None:
-        """Segment-scheduling interleaved driver: each heap pop hands
-        one node's executor a scheduling step — a whole proved run
-        (node-local by construction: hit-runs and their refill
-        extensions touch no fabric/FAM/broker state, so collapsing a
-        run cannot reorder any shared-resource access across nodes) or
-        exactly one scalar event, which re-enters the heap with the
-        same ``(core_time, node, cursor)`` key the seed per-event
-        driver would use.  Under the fast tier every step is the
-        scalar degenerate case, making this the per-event loop the
-        seed path defined."""
+    def _run_interleaved(self, decoded: Sequence[DecodedTrace]) -> None:
+        """Multi-node driver: each heap pop steps one event of the
+        node with the earliest core time (ties to the lower node
+        index), which re-enters the heap keyed by its new core time —
+        the seed per-event order, so fabric and FAM reservations
+        interleave exactly as the reference driver's."""
+        columns = [(node.step_fast, d.gaps, d.vpns, d.offsets, d.blocks,
+                    d.writes, d.dependents, len(d))
+                   for node, d in zip(self.nodes, decoded)]
         frontier = [(self.nodes[index].core_time_ns, index, 0)
-                    for index in range(len(executors))
-                    if lengths[index]]
+                    for index in range(len(columns))
+                    if columns[index][7]]
         heapq.heapify(frontier)
         push, pop = heapq.heappush, heapq.heappop
         while frontier:
             _t, index, cursor = pop(frontier)
-            cursor, node_time = executors[index].advance(cursor,
-                                                         lengths[index])
-            if cursor < lengths[index]:
+            step, gaps, vpns, offsets, blocks, writes, dependents, n = \
+                columns[index]
+            node_time = step(gaps[cursor], vpns[cursor], offsets[cursor],
+                             blocks[cursor], writes[cursor],
+                             dependents[cursor])
+            cursor += 1
+            if cursor < n:
                 push(frontier, (node_time, index, cursor))
 
     def _run_reference(self, traces: Sequence[Trace]) -> None:

@@ -171,10 +171,10 @@ class BenchTrajectoryError(BenchError):
 class BenchSettingsMismatch(BenchError):
     """Two bench entries were measured under different settings.
 
-    Comparing them would be meaningless: e.g. the hot-loop workload
-    halves its footprint below 8000 events, so events/s across
-    different ``--events`` values measure different regimes, not a
-    regression.  The compare path refuses rather than reporting a
+    Comparing them would be meaningless: e.g. a shorter trace spends
+    a larger share of its events warming the caches, so events/s
+    across different ``--events`` values measure different regimes,
+    not a regression.  The compare path refuses rather than reporting a
     bogus verdict.
     """
 

@@ -1,33 +1,19 @@
 """Core-loop tier measurement: the machine-readable perf trajectory.
 
-One measurement pass runs the same traces through all three execution
-tiers — ``reference`` (the frozen seed loop), ``fast`` (the PR-2
-allocation-free scalar loop) and ``batch`` (the segment consumer of
-:mod:`repro.core.batch` over :mod:`repro.core.runplan` plans) — on
-fresh systems, checks the tiers bit-identical, and reports events/s
-per (benchmark, architecture, tier), with each non-reference row
-carrying its per-segment-kind census (how the plan layer classified
-the trace).  Both the pytest microbenchmark
+One measurement pass runs the same traces through both execution
+tiers — ``reference`` (the frozen seed loop) and ``fast`` (the
+allocation-free scalar loop) — on fresh systems, checks the tiers
+bit-identical, and reports events/s per (benchmark, architecture,
+tier).  Both the pytest microbenchmark
 (``benchmarks/test_bench_core_loop.py``) and ``deact bench`` consume
-this module, and both *append* the result to the trajectory file
-``BENCH_core_loop.json`` (schema 2, provenance-stamped entries; see
-:mod:`repro.experiments.trajectory`) so successive PRs leave a
+this module; ``deact bench`` *appends* the result to the trajectory
+file ``BENCH_core_loop.json`` (schema 2, provenance-stamped entries;
+see :mod:`repro.experiments.trajectory`) so successive changes leave a
 comparable speed trail.
 
-The workload set:
-
-* ``hotspot`` — the catalog's L1-hit-dominated kernel (one hot page,
-  block-granular reuse, 20% writes): after ~64 compulsory misses
-  every access hits both L1 structures, which is the regime the batch
-  tier exists for — the 3x batch acceptance gate measures here.
-* ``hot-loop`` — a synthetic *hit-dominated* microworkload (sequential
-  sweep over an L1-resident footprint).  Hit-dominated but
-  warm-up-bound: its 512-block cold lap runs scalar and caps the
-  achievable batch-over-fast ratio near 2x, so it keeps a lower floor
-  and serves as the streaming-shaped trajectory point.
-* ``lu`` / ``bc`` — the PR-2 headline and secondary catalog workloads,
-  kept for tier-over-tier trajectory on miss-heavy traces (where the
-  batch tier's job is simply to not be slower than the scalar loop).
+``deact bench`` measures ``lu`` and ``bc`` by default: the
+cache-resident catalog workloads where per-event overhead on the hit
+path shows first.
 """
 
 from __future__ import annotations
@@ -44,52 +30,20 @@ from repro.experiments.runner import (
     _result_to_dict,
     build_traces,
 )
-from repro.workloads.synthetic import PatternSpec, generate_trace
 
-__all__ = ["TIERS", "HOT_BENCH", "hot_loop_trace", "build_bench_traces",
-           "measure_core_loop", "write_bench_json", "default_json_path"]
+__all__ = ["TIERS", "measure_core_loop", "write_bench_json",
+           "default_json_path"]
 
 #: Execution tiers measured, slowest first.
-TIERS = ("reference", "fast", "batch")
-
-#: Name of the synthetic hit-dominated workload (not a catalog entry).
-HOT_BENCH = "hot-loop"
-
-#: ``hot-loop`` geometry: 8 pages × 64 blocks = 512 blocks — exactly
-#: the Table II L1 capacity, so after the first lap the working set is
-#: L1-resident and every access is a provable hit.
-_HOT_PAGES = 8
+TIERS = ("reference", "fast")
 
 _SCHEMA = 1
 
 
-def hot_loop_trace(n_events: int, seed: int = 99) -> object:
-    """The hit-dominated microworkload trace (deterministic).
-
-    Short (smoke-scale) traces halve the footprint so the cold
-    warm-up lap stays a small fraction of the trace — the measurement
-    targets the steady hit-dominated phase, not first-touch misses.
-    """
-    pages = _HOT_PAGES if n_events >= 8000 else _HOT_PAGES // 2
-    return generate_trace(
-        HOT_BENCH, n_events, footprint_pages=pages,
-        patterns=(PatternSpec("sequential", 1.0),),
-        gap_mean=4.0, write_fraction=0.2, dependent_fraction=0.3,
-        seed=seed)
-
-
-def build_bench_traces(benchmark: str, settings: RunSettings) -> List:
-    """Single-node traces for a bench workload (catalog or hot-loop)."""
-    if benchmark == HOT_BENCH:
-        return [hot_loop_trace(settings.n_events, seed=settings.seed)]
-    return build_traces(benchmark, 1, settings)
-
-
 #: Wall-clock floor per measured cell.  A best-of-3 estimate is fine
-#: for a 200 ms reference wall but hopeless for a 4 ms batch wall on a
-#: shared host, where a single scheduler preemption is a 50% error —
-#: exactly the cells the batch-over-fast gates read.  Short-wall cells
-#: therefore keep repeating past ``repeats`` (up to
+#: for a 200 ms reference wall but hopeless for a 4 ms wall on a
+#: shared host, where a single scheduler preemption is a 50% error.
+#: Short-wall cells therefore keep repeating past ``repeats`` (up to
 #: :data:`MAX_REPEATS`) until this much total measurement has
 #: accumulated, equalizing noise rejection across cell scales.
 MIN_SAMPLE_S = 0.15
@@ -104,7 +58,7 @@ def _measure_cell(runs: "Dict[str, Callable]", repeats: int
     """Interleaved best-of-N walls for every tier of one cell.
 
     Tiers are timed in rotating rounds rather than back-to-back
-    blocks: the batch-over-fast gates are *ratios*, and on a shared
+    blocks: tier-over-tier speedups are *ratios*, and on a shared
     host a sustained slow stretch (noisy neighbor, frequency dip)
     that lands entirely inside one tier's block skews the ratio no
     matter how many repeats that block took.  Rotation puts each
@@ -129,7 +83,7 @@ def _measure_cell(runs: "Dict[str, Callable]", repeats: int
     # *per sample* is no better — a full collection returns arenas to
     # the OS, so the following sample pays thousands of page re-faults
     # inside its timed window, a cost that lands hardest on the
-    # shortest (batch) walls the ratio gates read.
+    # shortest walls.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -160,37 +114,18 @@ def measure_core_loop(settings: RunSettings,
 
     Returns the serializable payload: per-cell rows (wall seconds,
     events/s, bit-identity with the reference tier) plus per-benchmark
-    aggregates with the tier-over-tier speedups the acceptance gates
-    read.
+    aggregates with the tier-over-tier speedup.
     """
     config = default_config()
     seed = settings.seed * 31 + 5
     rows: List[Dict] = []
     for benchmark in benchmarks:
-        traces = build_bench_traces(benchmark, settings)
+        traces = build_traces(benchmark, 1, settings)
         for architecture in architectures:
-            # Per-segment-kind census of each tier's (deterministic)
-            # run plan, captured outside the timed wall: counting is
-            # always on in the executors, so reading it costs nothing,
-            # and per-segment *timing* stays off — walls must not pay
-            # two monotonic calls per segment.  Reference rows carry
-            # ``None`` (no plan layer).
-            censuses: Dict[str, Optional[Dict]] = {}
-
             def run(tier, architecture=architecture,
-                    benchmark=benchmark, traces=traces,
-                    censuses=censuses):
+                    benchmark=benchmark, traces=traces):
                 system = FamSystem(config, architecture, seed=seed)
-                if tier == "reference":
-                    result = system.run(traces, benchmark=benchmark,
-                                        reference=True)
-                else:
-                    result = system.run(traces, benchmark=benchmark,
-                                        mode=tier)
-                stats = system.segment_stats
-                censuses[tier] = (stats.as_dict()
-                                  if stats is not None else None)
-                return result
+                return system.run(traces, benchmark=benchmark, mode=tier)
 
             walls, results = _measure_cell(
                 {tier: (lambda tier=tier: run(tier)) for tier in tiers},
@@ -207,7 +142,6 @@ def measure_core_loop(settings: RunSettings,
                     "wall_s": walls[tier],
                     "events_per_sec": settings.n_events / walls[tier],
                     "identical_to_first_tier": serialized == baseline,
-                    "segments": censuses.get(tier),
                 })
     return {
         "schema": _SCHEMA,
@@ -253,9 +187,6 @@ def _aggregate(rows: Sequence[Dict], benchmarks: Sequence[str],
         if "fast" in per_tier and "reference" in per_tier:
             entry["fast_speedup_vs_reference"] = (
                 per_tier["reference"] / per_tier["fast"])
-        if "batch" in per_tier and "fast" in per_tier:
-            entry["batch_speedup_vs_fast"] = (
-                per_tier["fast"] / per_tier["batch"])
         aggregates[benchmark] = entry
     return aggregates
 
@@ -314,8 +245,5 @@ def render_census(payload: Dict) -> str:
         if "fast_speedup_vs_reference" in aggregate:
             notes.append(f"fast/ref="
                          f"{aggregate['fast_speedup_vs_reference']:.2f}x")
-        if "batch_speedup_vs_fast" in aggregate:
-            notes.append(f"batch/fast="
-                         f"{aggregate['batch_speedup_vs_fast']:.2f}x")
         lines.append(f"  {benchmark}: {'  '.join(notes)}")
     return "\n".join(lines)

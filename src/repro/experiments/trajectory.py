@@ -33,8 +33,8 @@ fingerprinted over everything that defines the measurement regime
 (trace-scale settings, repeats, and the sorted benchmark /
 architecture / tier sets).  Two entries compare per
 (benchmark, architecture, tier) cell only when their fingerprints
-match: the ``hot-loop`` workload halves its footprint below 8000
-events, so a 4000-event run and a 16000-event run measure different
+match: a 4000-event run and a 16000-event run spend different
+shares of their events warming the caches, so they measure different
 regimes and a throughput "regression" between them is noise by
 construction.  Mismatches raise
 :class:`~repro.errors.BenchSettingsMismatch` instead of producing a
@@ -65,9 +65,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "CellVerdict",
     "CompareReport",
-    "FloorVerdict",
     "append_entry",
-    "batch_floor_verdicts",
     "compare_entries",
     "describe_entry",
     "entry_from_payload",
@@ -89,7 +87,6 @@ TRAJECTORY_SCHEMA = 2
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "reference": 0.20,
     "fast": 0.25,
-    "batch": 0.30,
 }
 
 
@@ -99,8 +96,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 def settings_fingerprint(entry: Mapping[str, Any]) -> str:
     """SHA-256 over everything that defines a measurement regime.
 
-    Trace-scale settings (``n_events`` drives the hot-loop footprint
-    halving), best-of-N repeats, and the benchmark / architecture /
+    Trace-scale settings, best-of-N repeats, and the benchmark / architecture /
     tier sets — *sorted*, so two runs that listed the same
     architectures in different orders still compare.  Wall-clock
     numbers and provenance deliberately stay out: the fingerprint
@@ -352,60 +348,6 @@ class CompareReport:
             f"cell(s) regressed "
             f"(settings fingerprint {self.fingerprint[:12]}...)")
         return "\n".join(lines)
-
-
-@dataclasses.dataclass(frozen=True)
-class FloorVerdict:
-    """One benchmark's batch-over-fast speedup against a floor.
-
-    Unlike :class:`CellVerdict` this is absolute, not relative to a
-    baseline entry: the batch tier must *be* at least this much faster
-    than the fast tier in the candidate measurement itself, so a
-    regression cannot hide behind an equally-regressed baseline.
-    """
-
-    benchmark: str
-    min_speedup: float
-    speedup: Optional[float]
-
-    @property
-    def ok(self) -> bool:
-        return self.speedup is not None and \
-            self.speedup >= self.min_speedup
-
-    def render(self) -> str:
-        if self.speedup is None:
-            detail = "no batch/fast aggregate measured"
-        else:
-            detail = f"batch/fast {self.speedup:.2f}x " \
-                     f"(floor {self.min_speedup:.2f}x)"
-        verdict = "ok" if self.ok else "BELOW FLOOR"
-        return f"{self.benchmark:<10} {detail}  {verdict}"
-
-
-def batch_floor_verdicts(entry: Mapping[str, Any],
-                         floors: Mapping[str, float],
-                         ) -> Tuple[FloorVerdict, ...]:
-    """Per-benchmark batch-vs-fast floor verdicts for one entry.
-
-    ``floors`` maps benchmark name to the minimum acceptable
-    ``batch_speedup_vs_fast`` (1.0 = "batch at least matches fast").
-    A benchmark missing from the entry's aggregates — or measured
-    without both tiers — yields a failing verdict rather than a silent
-    skip: a gate that vanishes when the measurement shrinks is no
-    gate.
-    """
-    aggregates = entry.get("aggregates") or {}
-    verdicts: List[FloorVerdict] = []
-    for benchmark in sorted(floors):
-        aggregate = aggregates.get(benchmark) or {}
-        raw = aggregate.get("batch_speedup_vs_fast")
-        verdicts.append(FloorVerdict(
-            benchmark=benchmark,
-            min_speedup=float(floors[benchmark]),
-            speedup=float(raw) if raw is not None else None,
-        ))
-    return tuple(verdicts)
 
 
 def _cell_rates(entry: Mapping[str, Any],

@@ -141,19 +141,6 @@ class Mmu:
         tlb.install(vpn, walk.frame)
         return walk.frame, 0, tlb._l2_latency_ns, walk.steps
 
-    def translate_hit_run(self, n_hits: int, vpns_by_last_touch) -> None:
-        """Batch-account a run of ``n_hits`` translations that all hit
-        the L1 TLB (the batch tier's pre-proved hit-runs).
-
-        Scalar accounting per event is ``translations += 1`` plus the
-        L1 probe's hit/recency effect; nothing else in the MMU is
-        touched on an L1 hit (no walker, no installs, no L2 probe), so
-        the batched form is an exact replay — see
-        :meth:`~repro.tlb.tlb.TwoLevelTlb.hit_run_l1`.
-        """
-        self.translations += n_hits
-        self.tlb.hit_run_l1(n_hits, vpns_by_last_touch)
-
     def shootdown(self, vpn: int) -> None:
         """Invalidate one page everywhere the MMU caches it."""
         self.tlb.invalidate(vpn)

@@ -107,21 +107,6 @@ class TwoLevelTlb:
         return TlbLookup(level=level, frame=frame if level else None,
                          latency_ns=latency)
 
-    def hit_run_l1(self, n_hits: int, vpns_by_last_touch) -> None:
-        """Batch-apply a run of ``n_hits`` L1 TLB hits.
-
-        Used by the batch execution tier (:mod:`repro.core.batch`)
-        after it has *proved* every event in the run hits the L1 TLB
-        (resident-set membership cannot change during a run: hits
-        neither fill nor evict).  Both TLB levels are always LRU, so
-        the run's only state effect is L1 recency — replayed once per
-        distinct VPN in last-occurrence order, which
-        :meth:`~repro.cache.cache.SetAssociativeCache.touch_run` shows
-        is equivalent to per-event promotion.  L2 is untouched, as in
-        the scalar path (an L1 hit never probes L2).
-        """
-        self.l1.touch_run(n_hits, vpns_by_last_touch)
-
     def install(self, vpn: int, frame: int) -> None:
         """Insert a translation into both levels (walk refill)."""
         self.l2.fill_line(vpn, frame)

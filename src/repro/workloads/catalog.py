@@ -51,12 +51,9 @@ class BenchmarkProfile:
     dependent_fraction: float
     #: Temporal-clustering knobs (see
     #: :func:`repro.workloads.synthetic.generate_trace`): how often the
-    #: workload revisits a recently touched address, how far back, and
-    #: whether the revisit lands on the same page (fresh block) or the
-    #: exact same block address.
+    #: workload revisits a recently touched page, and how far back.
     reuse_fraction: float = 0.5
     reuse_window: int = 1024
-    reuse_granularity: str = "page"
     #: I-FAM slowdown wrt E-FAM stated or derivable from the paper's
     #: text/Figure 3 (None when the figure bar is unlabeled).
     paper_ifam_slowdown: Optional[float] = None
@@ -86,8 +83,7 @@ class BenchmarkProfile:
             dependent_fraction=self.dependent_fraction,
             seed=seed ^ _stable_hash(self.name),
             reuse_fraction=self.reuse_fraction,
-            reuse_window=self.reuse_window,
-            reuse_granularity=self.reuse_granularity)
+            reuse_window=self.reuse_window)
 
 
 def _stable_hash(text: str) -> int:
@@ -238,29 +234,12 @@ BENCHMARKS: Dict[str, BenchmarkProfile] = {
             write_fraction=0.35, dependent_fraction=0.25,
             reuse_fraction=0.9, reuse_window=500,
             description="Scalar penta-diagonal solver: streaming."),
-        # --------------------------------------------------- microkernel
-        BenchmarkProfile(
-            name="hotspot", suite="microkernel", paper_mpki=None,
-            footprint_mb=2, gap_mean=4.0,
-            patterns=(_hotcold(1.0, 1.0, 1),),
-            write_fraction=0.2, dependent_fraction=0.1,
-            reuse_fraction=0.35, reuse_window=96,
-            reuse_granularity="block",
-            description="L1-hit-dominated hot-set kernel (not from the "
-                        "paper): every access lands in one hot page "
-                        "(random blocks plus exact-block reuse, 20% "
-                        "writes), so after ~64 compulsory misses every "
-                        "event hits both L1 structures — the batch "
-                        "tier's headline regime in catalog form."),
     ]
 }
 
-#: Figure x-axis order used throughout the paper, plus the repo's own
-#: ``hotspot`` microkernel at the end (it has no paper counterpart and
-#: no published bars, like ``lu``'s missing Table III row).
+#: Figure x-axis order used throughout the paper.
 _FIGURE_ORDER = ["mcf", "cactus", "astar", "frqm", "canl", "bc", "cc",
-                 "ccsv", "sssp", "pf", "dc", "lu", "mg", "sp",
-                 "hotspot"]
+                 "ccsv", "sssp", "pf", "dc", "lu", "mg", "sp"]
 
 #: Suite groupings used by the sensitivity figures (13-15), which plot
 #: geomeans of SPEC / PARSEC / GAP plus pf and dc individually.

@@ -85,8 +85,7 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
                    patterns: Sequence[PatternSpec], gap_mean: float,
                    write_fraction: float, dependent_fraction: float,
                    seed: int = 0, reuse_fraction: float = 0.0,
-                   reuse_window: int = 512,
-                   reuse_granularity: str = "page") -> Trace:
+                   reuse_window: int = 512) -> Trace:
     """Generate a deterministic synthetic trace.
 
     Parameters
@@ -110,14 +109,6 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
         how effective capacity-limited translation structures (TLB,
         STU, ACM cache) are — real programs revisit recent pages far
         more than an i.i.d. popularity draw admits.
-    reuse_granularity:
-        ``"page"`` (default) revisits a recent *page* at a fresh
-        block — temporal locality for the translation structures while
-        the data caches still miss.  ``"block"`` revisits the exact
-        recent *address*, so the reuse stream hits in the L1 data
-        cache too — the regime where the batch tier's hit-run engine
-        does all the work (exercised by the ``hotspot`` catalog
-        preset).
     """
     if n_events <= 0:
         raise TraceError("trace needs at least one event")
@@ -184,10 +175,6 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
 
     vaddrs = _HEAP_BASE + pages * _PAGE + blocks * _BLOCK
 
-    if reuse_granularity not in ("page", "block"):
-        raise TraceError(
-            f"unknown reuse granularity {reuse_granularity!r} "
-            f"(expected 'page' or 'block')")
     if reuse_fraction > 0.0 and n_events > 1:
         if not 0.0 <= reuse_fraction <= 1.0:
             raise TraceError("reuse fraction must be within [0, 1]")
@@ -196,29 +183,18 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
         reuse_mask = rng.random(n_events) < reuse_fraction
         reuse_mask[0] = False
         distances = rng.integers(1, reuse_window + 1, size=n_events)
-        # Drawn unconditionally so the RNG stream (and therefore every
-        # existing page-granular trace) is independent of granularity.
         fresh_blocks = rng.integers(0, _BLOCKS_PER_PAGE, size=n_events)
-        # Page-granular reuse revisits a recent *page* at a fresh
-        # block: block-granular reuse would be absorbed by the data
-        # caches and never reach the translation structures, while
-        # page-granular reuse gives the TLB/STU/ACM stream its
-        # temporal locality while the cache hierarchy still misses.
-        # Block-granular reuse revisits the exact address — the
-        # L1-hit-dominated regime the batch tier is built for.
-        # Sequential resolution so reuse chains land on final values.
-        indices = np.flatnonzero(reuse_mask)
-        if reuse_granularity == "block":
-            for i in indices:
-                j = i - distances[i]
-                if j >= 0:
-                    vaddrs[i] = vaddrs[j]
-        else:
-            for i in indices:
-                j = i - distances[i]
-                if j >= 0:
-                    page_base = vaddrs[j] - (vaddrs[j] % _PAGE)
-                    vaddrs[i] = page_base + fresh_blocks[i] * _BLOCK
+        # Reuse revisits a recent *page* at a fresh block: block-
+        # granular reuse would be absorbed by the data caches and never
+        # reach the translation structures, while page-granular reuse
+        # gives the TLB/STU/ACM stream its temporal locality while the
+        # cache hierarchy still misses.  Sequential resolution so reuse
+        # chains land on final values.
+        for i in np.flatnonzero(reuse_mask):
+            j = i - distances[i]
+            if j >= 0:
+                page_base = vaddrs[j] - (vaddrs[j] % _PAGE)
+                vaddrs[i] = page_base + fresh_blocks[i] * _BLOCK
 
     if gap_mean > 0:
         # Geometric gaps with the requested mean, shifted to allow 0.

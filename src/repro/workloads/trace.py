@@ -26,10 +26,10 @@ import numpy as np
 from repro.errors import TraceError
 from repro.memo import BoundedMemo
 
-__all__ = ["TraceEvent", "Trace", "DecodedTrace", "DecodedArrays"]
+__all__ = ["TraceEvent", "Trace", "DecodedTrace"]
 
 #: Per-trace cap on memoized decodings.  Each entry is one (page size,
-#: block size, representation) triple; a run only ever uses one
+#: block size) pair; a run only ever uses one
 #: geometry, so a small LRU bound keeps long many-geometry sweeps from
 #: pinning every decode of every trace for the life of the process.
 DECODED_MEMO_CAP = 8
@@ -51,23 +51,6 @@ class DecodedTrace(NamedTuple):
     blocks: List[int]
     writes: List[bool]
     dependents: List[bool]
-
-    def __len__(self) -> int:
-        return len(self.gaps)
-
-
-class DecodedArrays(NamedTuple):
-    """The same per-event columns as :class:`DecodedTrace`, kept as
-    NumPy arrays for the batch execution tier (:mod:`repro.core.batch`),
-    which classifies and charges whole hit-runs with array arithmetic
-    instead of consuming one Python scalar per event."""
-
-    gaps: np.ndarray        # int64
-    vpns: np.ndarray        # int64
-    offsets: np.ndarray     # int64
-    blocks: np.ndarray      # int64
-    writes: np.ndarray      # bool
-    dependents: np.ndarray  # bool
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -138,22 +121,6 @@ class Trace:
                      writes=self.writes[start:stop],
                      dependents=self.dependents[start:stop])
 
-    def _decode_memo(self) -> BoundedMemo:
-        cache = self.__dict__.get("_decoded_cache")
-        if cache is None:
-            cache = BoundedMemo(DECODED_MEMO_CAP)
-            self._decoded_cache = cache
-        return cache
-
-    @staticmethod
-    def _check_geometry(page_bytes: int, block_bytes: int) -> None:
-        if page_bytes <= 0 or page_bytes & (page_bytes - 1):
-            raise TraceError(f"page size must be a power of two, "
-                             f"got {page_bytes}")
-        if block_bytes <= 0 or block_bytes & (block_bytes - 1):
-            raise TraceError(f"block size must be a power of two, "
-                             f"got {block_bytes}")
-
     def decoded(self, page_bytes: int = 4096,
                 block_bytes: int = 64) -> DecodedTrace:
         """Vectorized per-event decomposition (cached per geometry).
@@ -164,47 +131,29 @@ class Trace:
         ``DECODED_MEMO_CAP`` geometries), so repeated runs (sweeps
         re-using memoized traces) pay for decoding once.
         """
-        self._check_geometry(page_bytes, block_bytes)
-        cache = self._decode_memo()
-        key = (page_bytes, block_bytes, "lists")
+        if page_bytes <= 0 or page_bytes & (page_bytes - 1):
+            raise TraceError(f"page size must be a power of two, "
+                             f"got {page_bytes}")
+        if block_bytes <= 0 or block_bytes & (block_bytes - 1):
+            raise TraceError(f"block size must be a power of two, "
+                             f"got {block_bytes}")
+        cache = self.__dict__.get("_decoded_cache")
+        if cache is None:
+            cache = BoundedMemo(DECODED_MEMO_CAP)
+            self._decoded_cache = cache
+        key = (page_bytes, block_bytes)
         decoded = cache.get(key)
         if decoded is None:
-            arrays = self.decoded_arrays(page_bytes, block_bytes)
-            decoded = DecodedTrace(
-                gaps=self.gaps,
-                vpns=arrays.vpns.tolist(),
-                offsets=arrays.offsets.tolist(),
-                blocks=arrays.blocks.tolist(),
-                writes=self.writes,
-                dependents=self.dependents)
-            cache.put(key, decoded)
-        return decoded
-
-    def decoded_arrays(self, page_bytes: int = 4096,
-                       block_bytes: int = 64) -> DecodedArrays:
-        """The decoded columns as NumPy arrays (cached per geometry).
-
-        This is the batch tier's view of the trace: the run scanner in
-        :mod:`repro.core.batch` classifies hit-runs with whole-array
-        comparisons over these columns.  Shares the bounded per-trace
-        memo with :meth:`decoded` (the list view is derived from this
-        one, so asking for both costs one decode).
-        """
-        self._check_geometry(page_bytes, block_bytes)
-        cache = self._decode_memo()
-        key = (page_bytes, block_bytes, "arrays")
-        arrays = cache.get(key)
-        if arrays is None:
             vaddrs = np.asarray(self.vaddrs, dtype=np.int64)
             page_shift = page_bytes.bit_length() - 1
             block_shift = block_bytes.bit_length() - 1
             offsets = vaddrs & (page_bytes - 1)
-            arrays = DecodedArrays(
-                gaps=np.asarray(self.gaps, dtype=np.int64),
-                vpns=vaddrs >> page_shift,
-                offsets=offsets,
-                blocks=offsets >> block_shift,
-                writes=np.asarray(self.writes, dtype=bool),
-                dependents=np.asarray(self.dependents, dtype=bool))
-            cache.put(key, arrays)
-        return arrays
+            decoded = DecodedTrace(
+                gaps=self.gaps,
+                vpns=(vaddrs >> page_shift).tolist(),
+                offsets=offsets.tolist(),
+                blocks=(offsets >> block_shift).tolist(),
+                writes=self.writes,
+                dependents=self.dependents)
+            cache.put(key, decoded)
+        return decoded

@@ -1,4 +1,3 @@
 def main(argv):
-    execution_modes = ("batch", "fast")  # dropped the reference tier
-    hot_bench = "hot-loop"  # bench.py says spin-loop
-    return execution_modes, hot_bench
+    execution_modes = ("fast",)  # dropped the reference tier
+    return execution_modes

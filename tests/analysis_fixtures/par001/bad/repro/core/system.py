@@ -1,2 +1,2 @@
-EXECUTION_MODES = ("batch", "fast", "reference")
+EXECUTION_MODES = ("fast", "reference")
 DEFAULT_EXECUTION_MODE = "turbo"  # not a member of EXECUTION_MODES

@@ -1,4 +1,3 @@
 def main(argv):
-    execution_modes = ("batch", "fast", "reference")
-    hot_bench = "hot-loop"
-    return execution_modes, hot_bench
+    execution_modes = ("fast", "reference")
+    return execution_modes

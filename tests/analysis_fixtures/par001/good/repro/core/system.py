@@ -1,2 +1,2 @@
-EXECUTION_MODES = ("batch", "fast", "reference")
-DEFAULT_EXECUTION_MODE = "batch"
+EXECUTION_MODES = ("fast", "reference")
+DEFAULT_EXECUTION_MODE = "fast"

@@ -270,7 +270,8 @@ class TestCacheCommand:
 
 class TestBenchCommand:
     ARGS = ["bench", "--events", "800", "--repeats", "1",
-            "--benchmark", "hot-loop", "--arch", "deact-n"]
+            "--footprint-scale", "0.01", "--benchmark", "lu",
+            "--arch", "deact-n"]
 
     def test_bench_appends_census_and_provenance(self, capsys, tmp_path):
         out_path = tmp_path / "bench.json"
@@ -278,7 +279,7 @@ class TestBenchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "core-loop tiers" in out
-        assert "batch/fast=" in out
+        assert "fast/ref=" in out
         assert "appended entry" in out
         import json
 
@@ -286,10 +287,10 @@ class TestBenchCommand:
         assert trajectory["schema"] == 2
         (entry,) = trajectory["entries"]
         tiers = {row["tier"] for row in entry["rows"]}
-        assert tiers == {"reference", "fast", "batch"}
+        assert tiers == {"reference", "fast"}
         assert all(row["identical_to_first_tier"]
                    for row in entry["rows"])
-        assert "batch_speedup_vs_fast" in entry["aggregates"]["hot-loop"]
+        assert "fast_speedup_vs_reference" in entry["aggregates"]["lu"]
         assert entry["provenance"]["hostname"]
         assert entry["settings_fingerprint"]
 
@@ -364,7 +365,7 @@ class TestBenchCompareCommand:
         code = main(["bench", "compare", str(a), str(b)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "0 of 3 cell(s) regressed" in out
+        assert "0 of 2 cell(s) regressed" in out
 
     def test_compare_regression_exits_nonzero_with_table(self, capsys,
                                                          tmp_path):
@@ -375,7 +376,7 @@ class TestBenchCompareCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out
-        assert "3 of 3 cell(s) regressed" in out
+        assert "2 of 2 cell(s) regressed" in out
 
     def test_compare_tolerance_flag_relaxes_verdict(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -487,61 +488,23 @@ class TestBenchCompareCommand:
         assert "runner-pinned (>=2 same-host entries)" in out
         assert "REGRESSED" in out
 
-    @staticmethod
-    def _write_with_aggregates(path, aggregates):
-        from test_trajectory import make_payload
-
-        from repro.experiments.trajectory import append_entry
-
-        payload = make_payload(n_events=800)
-        payload["aggregates"] = aggregates
-        append_entry(str(path), payload)
-
-    def test_compare_batch_floor_gate(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self._write_with_aggregates(
-            a, {"hot-loop": {"batch_speedup_vs_fast": 3.5}})
-        self._write_with_aggregates(
-            b, {"hot-loop": {"batch_speedup_vs_fast": 3.5}})
-        assert main(["bench", "compare", str(a), str(b),
-                     "--require-batch-floor", "hot-loop=3.0"]) == 0
-        assert "batch/fast 3.50x" in capsys.readouterr().out
-        # Below the floor: regression-free cells no longer save it.
-        c = tmp_path / "c.json"
-        self._write_with_aggregates(
-            c, {"hot-loop": {"batch_speedup_vs_fast": 0.9}})
-        code = main(["bench", "compare", str(a), str(c),
-                     "--require-batch-floor", "hot-loop"])
-        assert code == 1
-        assert "BELOW FLOOR" in capsys.readouterr().out
-
-    def test_compare_rejects_bad_batch_floor(self, capsys, tmp_path):
-        a = tmp_path / "a.json"
-        self._write_trajectory(a)
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", str(a), str(a),
-                  "--require-batch-floor", "hot-loop=soon"])
-        assert "BENCH[=MIN]" in capsys.readouterr().err
-
-
     def test_cli_literals_match_real_constants(self):
-        # The parser spells these as literals to keep the heavy bench
-        # stack un-imported for other subcommands; pin them here.
+        # The parser spells the modes as a literal to keep the heavy
+        # core stack un-imported for other subcommands; pin it here.
         from repro.core.system import EXECUTION_MODES
-        from repro.experiments.bench import HOT_BENCH
 
-        assert EXECUTION_MODES == ("batch", "fast", "reference")
-        assert HOT_BENCH == "hot-loop"
+        assert EXECUTION_MODES == ("fast", "reference")
 
 
 class TestProfileCommand:
     def test_profile_prints_hot_functions(self, capsys):
-        code = main(["profile", "--benchmark", "hot-loop",
+        code = main(["profile", "--benchmark", "lu",
                      "--arch", "deact-n", "--events", "1500",
-                     "--mode", "batch", "--limit", "8"])
+                     "--footprint-scale", "0.01", "--limit", "8"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "profile: hot-loop on deact-n" in out
+        assert "profile: lu on deact-n" in out
+        assert "fast tier" in out
         assert "cumulative" in out
         assert "function calls" in out
 

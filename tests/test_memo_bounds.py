@@ -73,8 +73,6 @@ class TestDecodedCacheBound:
         trace = self._trace()
         decoded = trace.decoded(4096, 64)
         assert trace.decoded(4096, 64) is decoded
-        arrays = trace.decoded_arrays(4096, 64)
-        assert trace.decoded_arrays(4096, 64) is arrays
 
     def test_evicted_geometry_recomputes_identically(self):
         trace = self._trace()

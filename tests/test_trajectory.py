@@ -22,7 +22,6 @@ from repro.experiments.trajectory import (
     DEFAULT_TOLERANCES,
     TRAJECTORY_SCHEMA,
     append_entry,
-    batch_floor_verdicts,
     compare_entries,
     entry_from_payload,
     latest_entry,
@@ -34,9 +33,9 @@ from repro.experiments.trajectory import (
 )
 
 
-def make_payload(n_events=4000, benchmarks=("hot-loop",),
+def make_payload(n_events=4000, benchmarks=("lu",),
                  architectures=("deact-n",),
-                 tiers=("reference", "fast", "batch"), scale=1.0):
+                 tiers=("reference", "fast"), scale=1.0):
     """A structurally faithful measurement payload, no simulation."""
     rows = []
     for benchmark in benchmarks:
@@ -151,8 +150,8 @@ class TestFingerprint:
         assert settings_fingerprint(a) == settings_fingerprint(b)
 
     def test_sensitive_to_events(self):
-        # n_events drives the hot-loop footprint halving: different
-        # event counts are different measurement regimes.
+        # Different event counts are different measurement regimes
+        # (a shorter trace spends more of its events warming up).
         assert settings_fingerprint(make_payload(n_events=4000)) != \
             settings_fingerprint(make_payload(n_events=16000))
 
@@ -168,14 +167,14 @@ class TestCompare:
         report = compare_entries(base, cand)
         assert report.ok
         assert not report.regressions
-        assert "0 of 3 cell(s) regressed" in report.render()
+        assert "0 of 2 cell(s) regressed" in report.render()
 
     def test_slowdown_beyond_tolerance_regresses(self):
         base = entry_from_payload(make_payload(scale=1.0))
         cand = entry_from_payload(make_payload(scale=0.5))  # 2x slower
         report = compare_entries(base, cand)
         assert not report.ok
-        assert len(report.regressions) == 3  # every tier cell
+        assert len(report.regressions) == 2  # every tier cell
         assert "REGRESSED" in report.render()
 
     def test_slowdown_within_tolerance_is_ok(self):
@@ -359,43 +358,6 @@ class TestRunnerPinned:
         candidate = entry_from_payload(make_payload())
         assert not runner_pinned({"schema": 2, "entries": []},
                                  candidate, hostname="runner")
-
-
-class TestBatchFloor:
-    @staticmethod
-    def _entry(aggregates):
-        entry = entry_from_payload(make_payload())
-        entry["aggregates"] = aggregates
-        return entry
-
-    def test_floor_met(self):
-        entry = self._entry({"hot-loop": {"batch_speedup_vs_fast": 3.4}})
-        (verdict,) = batch_floor_verdicts(entry, {"hot-loop": 3.0})
-        assert verdict.ok
-        assert "ok" in verdict.render()
-
-    def test_floor_missed(self):
-        entry = self._entry({"hot-loop": {"batch_speedup_vs_fast": 0.8}})
-        (verdict,) = batch_floor_verdicts(entry, {"hot-loop": 1.0})
-        assert not verdict.ok
-        assert "BELOW FLOOR" in verdict.render()
-
-    def test_missing_aggregate_fails_not_skips(self):
-        # A gate that vanishes when the measurement shrinks is no
-        # gate: an unmeasured benchmark is a failing verdict.
-        entry = self._entry({})
-        (verdict,) = batch_floor_verdicts(entry, {"lu": 1.0})
-        assert not verdict.ok
-        assert verdict.speedup is None
-
-    def test_sorted_and_complete(self):
-        entry = self._entry({
-            "bc": {"batch_speedup_vs_fast": 1.2},
-            "lu": {"batch_speedup_vs_fast": 1.1},
-        })
-        verdicts = batch_floor_verdicts(entry, {"lu": 1.0, "bc": 1.0})
-        assert [v.benchmark for v in verdicts] == ["bc", "lu"]
-        assert all(v.ok for v in verdicts)
 
 
 class TestProvenanceRoundTrip:
