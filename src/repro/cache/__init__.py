@@ -4,8 +4,8 @@
   selection policies.
 * :mod:`repro.cache.cache` — a generic set-associative tag store used
   for data caches, TLBs, PTW caches, and the STU cache organizations.
-* :mod:`repro.cache.hierarchy` — the inclusive L1/L2/L3 stack of
-  Table II, returning the level that served each access and the on-chip
+* :mod:`repro.cache.hierarchy` — the L1/L2/L3 stack of Table II
+  (inclusive of L3 only; see its module docstring), returning the level that served each access and the on-chip
   latency incurred.
 """
 

@@ -6,15 +6,24 @@ organizations in :mod:`repro.stu`) the STU cache.  The store maps a
 tracks hit/miss/eviction statistics.  Timing is the caller's concern —
 this class is purely functional state.
 
-Implementation note: each set is an ``OrderedDict`` ordered from
-least- to most-recently-used; LRU promotion is ``move_to_end`` and
-eviction is ``popitem(last=False)``.  This sits on the simulator's
-hottest path (a dozen probes per trace event), so the line payload is
-a two-slot list ``[value, dirty]`` rather than an object, and hot
-callers use :meth:`get_line` / :meth:`fill_line` directly instead of
-the boxed :meth:`access` / :meth:`fill` wrappers (which allocate an
-:class:`AccessResult` per call).  Set selection memoizes a bitmask
-when the set count is a power of two (every Table II structure).
+Implementation note: each set is an ``OrderedDict`` mapping key ->
+payload directly, ordered from least- to most-recently-used; LRU
+promotion is ``move_to_end`` and eviction is ``popitem(last=False)``.
+There is no per-line container: a fill stores the payload itself, so
+it allocates nothing.  The TLBs store the frame, the walk and ACM
+caches ``True``, the translation caches the FAM page.  The data caches
+are the only stores that track dirtiness, so their payload *is* the
+dirty bit: a write probe (``get_line(key, write=True)``) sets it to
+``True`` and a victim's payload says whether it needs a write-back.
+``None`` means "absent" and is never a valid payload.
+
+This sits on the simulator's hottest path (a dozen probes per trace
+event), so hot callers use :meth:`get_line` / :meth:`fill_line`
+directly instead of the boxed :meth:`access` / :meth:`fill` wrappers
+(which allocate an :class:`AccessResult` per call), and the per-event
+loops inline the probes of their first levels outright.  Set selection
+memoizes a bitmask when the set count is a power of two (every
+Table II structure).
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Generic, List, Optional, Tuple, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.errors import ConfigError
 
@@ -44,8 +53,7 @@ class AccessResult(Generic[V]):
         Payload for the key after the operation.
     evicted_key / evicted_value:
         The entry displaced by a fill, if any (``None`` otherwise).
-    evicted_dirty:
-        True when the displaced entry had been written (write-back
+        For a data cache the value is the victim's dirty bit (write-back
         traffic must be generated by the caller).
     """
 
@@ -53,7 +61,6 @@ class AccessResult(Generic[V]):
     value: Optional[V] = None
     evicted_key: Optional[int] = None
     evicted_value: Optional[V] = None
-    evicted_dirty: bool = False
 
 
 class SetAssociativeCache(Generic[V]):
@@ -88,7 +95,7 @@ class SetAssociativeCache(Generic[V]):
         self._promote_on_hit = replacement == "lru"
         self._random_evict = replacement == "random"
         self._rng = random.Random(seed)
-        self._sets: List["OrderedDict[int, list]"] = [
+        self._sets: List["OrderedDict[int, V]"] = [
             OrderedDict() for _ in range(n_sets)]
         # Power-of-two set counts (all of Table II) index with a mask;
         # -1 marks the rare general case that needs a modulo.
@@ -98,37 +105,37 @@ class SetAssociativeCache(Generic[V]):
         self.evictions = 0
         self.fills = 0
 
-    def _set_for(self, key: int) -> "OrderedDict[int, list]":
+    def _set_for(self, key: int) -> "OrderedDict[int, V]":
         mask = self._mask
         return self._sets[key & mask if mask >= 0 else key % self.n_sets]
 
     # ------------------------------------------------------------------
     # Hot path
     # ------------------------------------------------------------------
-    def get_line(self, key: int, write: bool = False) -> Optional[list]:
-        """Probe ``key``; returns the mutable ``[value, dirty]`` line
-        on a hit (with recency updated) or ``None`` on a miss."""
+    def get_line(self, key: int, write: bool = False) -> Optional[V]:
+        """Probe ``key``; returns its payload on a hit (with recency
+        updated) or ``None`` on a miss.  ``write`` marks a data-cache
+        line dirty (its payload becomes ``True``)."""
         mask = self._mask
         lines = self._sets[key & mask if mask >= 0 else key % self.n_sets]
-        line = lines.get(key)
-        if line is None:
+        payload = lines.get(key)
+        if payload is None:
             self.misses += 1
             return None
         self.hits += 1
         if write:
-            line[1] = True
+            payload = lines[key] = True
         if self._promote_on_hit:
             lines.move_to_end(key)
-        return line
+        return payload
 
-    def fill_line(self, key: int, value: V,
-                  dirty: bool = False) -> Optional[Tuple[int, Any, bool]]:
+    def fill_line(self, key: int, value: V) -> Optional[Tuple[int, V]]:
         """Slim fill: insert ``key`` -> ``value``, evicting if needed.
 
         Returns ``None`` when nothing was displaced (replace-in-place
-        or free way), else ``(evicted_key, evicted_value,
-        evicted_dirty)``.  Shares all counters with :meth:`fill` but
-        allocates nothing on the common no-eviction path.
+        or free way), else ``(evicted_key, evicted_value)``.  Shares
+        all counters with :meth:`fill` and allocates nothing on the
+        common no-eviction path.
 
         Replace-in-place moves the line to the back except under FIFO,
         where it must keep its original insertion age (the aging
@@ -139,30 +146,31 @@ class SetAssociativeCache(Generic[V]):
         mask = self._mask
         lines = self._sets[key & mask if mask >= 0 else key % self.n_sets]
         self.fills += 1
-        line = lines.get(key)
-        if line is not None:
-            line[0] = value
-            if dirty:
-                line[1] = True
+        if key in lines:
+            lines[key] = value
             if self._promote_on_hit or self._random_evict:
                 lines.move_to_end(key)
             return None
         evicted = None
         if len(lines) >= self.associativity:
             if self._random_evict:
-                # Same underlying _randbelow draw as rng.choice(list),
-                # without materializing the key list per eviction.
-                index = self._rng.randrange(len(lines))
-                victim_key = next(islice(iter(lines), index, None))
-                victim = lines.pop(victim_key)
+                evicted = self.pop_random(lines)
             else:
-                victim_key, victim = lines.popitem(last=False)
-            evicted = (victim_key, victim[0], victim[1])
+                evicted = lines.popitem(last=False)
             self.evictions += 1
-        lines[key] = [value, dirty]
+        lines[key] = value
         return evicted
 
-    def fill(self, key: int, value: V, dirty: bool = False) -> AccessResult[V]:
+    def pop_random(self, lines: "OrderedDict[int, V]") -> Tuple[int, V]:
+        """Remove and return a seeded-random ``(key, payload)`` of the
+        set ``lines`` — the random policy's victim.  Same underlying
+        ``_randbelow`` draw as ``rng.choice(list(lines))``, without
+        materializing the key list per eviction."""
+        index = self._rng.randrange(len(lines))
+        victim_key = next(islice(iter(lines), index, None))
+        return victim_key, lines.pop(victim_key)
+
+    def fill(self, key: int, value: V) -> AccessResult[V]:
         """Insert ``key`` -> ``value``, evicting if the set is full.
 
         If the key is already present its payload is replaced in place
@@ -170,15 +178,14 @@ class SetAssociativeCache(Generic[V]):
         :meth:`fill_line` for non-hot callers.
         """
         present = key in self._set_for(key)
-        evicted = self.fill_line(key, value, dirty)
+        evicted = self.fill_line(key, value)
         if present:
             return AccessResult(hit=True, value=value)
         if evicted is None:
             return AccessResult(hit=False, value=value)
         return AccessResult(hit=False, value=value,
                             evicted_key=evicted[0],
-                            evicted_value=evicted[1],
-                            evicted_dirty=evicted[2])
+                            evicted_value=evicted[1])
 
     # ------------------------------------------------------------------
     # Boxed API (non-hot callers and tests)
@@ -190,15 +197,14 @@ class SetAssociativeCache(Generic[V]):
         need a multi-step walk before inserting; call :meth:`fill`
         once the payload is available.
         """
-        line = self.get_line(key, write)
-        if line is None:
+        payload = self.get_line(key, write)
+        if payload is None:
             return AccessResult(hit=False)
-        return AccessResult(hit=True, value=line[0])
+        return AccessResult(hit=True, value=payload)
 
     def probe(self, key: int) -> Optional[V]:
         """Look up ``key`` without updating statistics or recency."""
-        line = self._set_for(key).get(key)
-        return line[0] if line is not None else None
+        return self._set_for(key).get(key)
 
     def __contains__(self, key: int) -> bool:
         return key in self._set_for(key)
@@ -216,8 +222,8 @@ class SetAssociativeCache(Generic[V]):
         Returns the number of invalidated entries."""
         dropped = 0
         for lines in self._sets:
-            doomed = [key for key, line in lines.items()
-                      if predicate(key, line[0])]
+            doomed = [key for key, payload in lines.items()
+                      if predicate(key, payload)]
             for key in doomed:
                 del lines[key]
                 dropped += 1

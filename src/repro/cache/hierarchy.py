@@ -1,14 +1,27 @@
-"""The node's inclusive three-level data cache hierarchy (Table II).
+"""The node's three-level data cache hierarchy (Table II).
 
 The hierarchy is probed with *node physical* block addresses.  It
 returns which level served the access and the accumulated on-chip
 latency; on an LLC miss the caller sends the request down the memory
-path (local DRAM or the FAM translation machinery).
+path (local DRAM or the FAM translation machinery).  Each level's
+payload is the line's dirty bit.
 
-Inclusivity is enforced the way the paper assumes ("L1, L2, and L3
-caches are inclusive"): an L3 eviction back-invalidates the inner
-levels.  Write-backs of dirty LLC victims are surfaced to the caller so
-they generate real memory traffic.
+The paper assumes "L1, L2, and L3 caches are inclusive".  The model
+enforces that only partly:
+
+* an L3 eviction back-invalidates L1 and L2, and a full miss fills all
+  three levels, so L1 and L2 stay subsets of L3 across L3 evictions;
+* an L2 eviction does **not** back-invalidate L1, so L1 is not a
+  subset of L2: a line can stay in L1 after L2 dropped it;
+* on an L2-hit or L3-hit refill the victims the inner fills displace
+  are dropped unexamined, so a dirty L1 (or L2) victim loses its dirty
+  bit and its write-back never happens.  Only a full miss passes a
+  dirty inner victim to the next level out.
+
+Write-backs of dirty LLC victims are surfaced to the caller so they
+generate real memory traffic.  Fixing the two gaps above changes
+results, so it is a model change of its own (see ROADMAP.md), pinned
+until then by ``tests/test_cache_hierarchy.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +65,8 @@ class HierarchyResult:
 
 
 class CacheHierarchy:
-    """L1 -> L2 -> L3 inclusive lookup with LRU per level."""
+    """L1 -> L2 -> L3 lookup, inclusive of L3 (see the module
+    docstring), with each level's configured replacement policy."""
 
     def __init__(self, l1: CacheConfig, l2: CacheConfig, l3: CacheConfig,
                  name: str = "node") -> None:
@@ -100,11 +114,10 @@ class CacheHierarchy:
         l1 = self._l1
         mask = l1._mask
         lines = l1._sets[block & mask if mask >= 0 else block % l1.n_sets]
-        line = lines.get(block)
-        if line is not None:
+        if block in lines:
             l1.hits += 1
             if write:
-                line[1] = True
+                lines[block] = True
             if l1._promote_on_hit:
                 lines.move_to_end(block)
             return 1, self._lat1, _NO_WRITEBACKS
@@ -117,37 +130,92 @@ class CacheHierarchy:
             write: bool) -> Tuple[int, float, Tuple[int, ...]]:
         """:meth:`access_fast` continuation for callers that probed
         (and counted) L1 themselves — the fully inlined single-node
-        loop.  L2 onward is accounted here identically."""
-        if self._l2.get_line(block, write) is not None:
-            self._l1.fill_line(block, True, write)
-            return 2, self._lat12, _NO_WRITEBACKS
-        if self._l3.get_line(block, write) is not None:
-            self._l2.fill_line(block, True, write)
-            self._l1.fill_line(block, True, write)
-            return 3, self._lat123, _NO_WRITEBACKS
-        return 0, self._lat123, self._fill_all(block, write)
+        loop.
 
-    def _fill_all(self, block: int, write: bool) -> Tuple[int, ...]:
-        """Fill every level after a full miss; collect LLC write-backs
-        and enforce inclusivity on L3 evictions."""
-        writebacks: Tuple[int, ...] = _NO_WRITEBACKS
-        l3_evicted = self._l3.fill_line(block, True, write)
-        if l3_evicted is not None:
-            evicted = l3_evicted[0]
-            # Inclusive hierarchy: anything leaving L3 leaves L1/L2 too.
-            self._l1.invalidate(evicted)
-            self._l2.invalidate(evicted)
-            if l3_evicted[2]:
-                writebacks = (evicted * self.block_bytes,)
-        l2_evicted = self._l2.fill_line(block, True, write)
-        if l2_evicted is not None and l2_evicted[2]:
-            # Dirty inner victim is absorbed by the next level (it is
-            # still resident there under inclusion), not written back.
-            self._l3.fill_line(l2_evicted[0], True, True)
-        l1_evicted = self._l1.fill_line(block, True, write)
-        if l1_evicted is not None and l1_evicted[2]:
-            self._l2.fill_line(l1_evicted[0], True, True)
-        return writebacks
+        The L2 and L3 probes and the refill are one pass over the
+        levels' sets, with ``get_line``'s and ``fill_line``'s
+        accounting inlined.  ``block`` is absent from every level the
+        refill writes (each was just probed and missed), so the fills
+        skip the replace-in-place check.  A full miss (level 0) fills
+        L3, L2 and L1 in that order: an L3 victim is back-invalidated
+        from L1 and L2 and, if dirty, written back; a dirty L2 or L1
+        victim is absorbed by the next level out.  An L2 or L3 hit
+        refills the inner levels and drops their victims unexamined
+        (see the module docstring).
+        """
+        writebacks = _NO_WRITEBACKS
+        l2 = self._l2
+        mask = l2._mask
+        l2_lines = l2._sets[block & mask if mask >= 0
+                            else block % l2.n_sets]
+        if block in l2_lines:
+            l2.hits += 1
+            if write:
+                l2_lines[block] = True
+            if l2._promote_on_hit:
+                l2_lines.move_to_end(block)
+            level = 2
+            latency = self._lat12
+        else:
+            l2.misses += 1
+            l3 = self._l3
+            mask = l3._mask
+            l3_lines = l3._sets[block & mask if mask >= 0
+                                else block % l3.n_sets]
+            latency = self._lat123
+            if block in l3_lines:
+                l3.hits += 1
+                if write:
+                    l3_lines[block] = True
+                if l3._promote_on_hit:
+                    l3_lines.move_to_end(block)
+                level = 3
+            else:
+                l3.misses += 1
+                level = 0
+                l3.fills += 1
+                if len(l3_lines) >= l3.associativity:
+                    if l3._random_evict:
+                        victim, dirty = l3.pop_random(l3_lines)
+                    else:
+                        victim, dirty = l3_lines.popitem(False)
+                    l3.evictions += 1
+                    # Anything leaving L3 leaves L1 and L2 too.
+                    l1 = self._l1
+                    mask = l1._mask
+                    l1._sets[victim & mask if mask >= 0
+                             else victim % l1.n_sets].pop(victim, None)
+                    mask = l2._mask
+                    l2._sets[victim & mask if mask >= 0
+                             else victim % l2.n_sets].pop(victim, None)
+                    if dirty:
+                        writebacks = (victim * self.block_bytes,)
+                l3_lines[block] = write
+            l2.fills += 1
+            if len(l2_lines) >= l2.associativity:
+                if l2._random_evict:
+                    victim, dirty = l2.pop_random(l2_lines)
+                else:
+                    victim, dirty = l2_lines.popitem(False)
+                l2.evictions += 1
+                if dirty and not level:
+                    l3.fill_line(victim, True)
+            l2_lines[block] = write
+        l1 = self._l1
+        mask = l1._mask
+        l1_lines = l1._sets[block & mask if mask >= 0
+                            else block % l1.n_sets]
+        l1.fills += 1
+        if len(l1_lines) >= l1.associativity:
+            if l1._random_evict:
+                victim, dirty = l1.pop_random(l1_lines)
+            else:
+                victim, dirty = l1_lines.popitem(False)
+            l1.evictions += 1
+            if dirty and not level:
+                l2.fill_line(victim, True)
+        l1_lines[block] = write
+        return level, latency, writebacks
 
     # ------------------------------------------------------------------
     def contains(self, addr: int) -> Optional[int]:

@@ -19,8 +19,8 @@ statements are exempt from the contract — error paths may format
 f-strings because they execute at most once per run.
 
 Fill paths (:meth:`repro.cache.cache.SetAssociativeCache.fill_line`
-and friends) are deliberately *not* marked: a fill allocates its cache
-line by design, and only runs on misses.
+and friends) are deliberately *not* marked: a fill returns its victim
+as a tuple, and only runs on misses.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ The node runs an aggregate memory-instruction trace through:
    surviving steps are charged through the cache hierarchy and the
    memory path (page-table pages live in local DRAM or the FAM zone
    per the 20/80 placement policy, so walks can reach the FAM);
-2. the **cache hierarchy** — inclusive L1/L2/L3;
+2. the **cache hierarchy** — L1/L2/L3, inclusive of L3;
 3. the **memory path** — local DRAM for low node-physical addresses,
    or the architecture's FAM access procedure for the FAM zone.
 
@@ -17,18 +17,21 @@ and stall the core only when the trace marks them dependent (pointer
 chasing) or the window fills — reproducing memory-level parallelism
 without cycle-accurate out-of-order simulation.
 
-The production path is the allocation-free fast loop:
-:meth:`Node.run_decoded` / :meth:`Node.run_events` drain a whole trace
-on a single node, and :meth:`Node.step_fast` advances one event under
-the multi-node interleaved driver.  Boxed :class:`TraceEvent` objects
-survive only in :meth:`Node.step` and the :mod:`repro.core.refpath`
-oracle.
+The production path is the allocation-free fast loop
+:meth:`Node.run_events`.  :meth:`Node.run_decoded` drains a whole
+trace through it on a single node; the multi-node interleaved driver
+calls it with an ``until`` bound, the heap's next key, so each call
+runs the node for as long as the seed's per-event heap would have
+kept picking it.  :meth:`Node.step_fast` is a one-event
+``run_events``.  Boxed :class:`TraceEvent` objects survive only in
+:meth:`Node.step` and the :mod:`repro.core.refpath` oracle.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from itertools import islice
+from heapq import heappop
 from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.broker.broker import MemoryBroker
@@ -58,6 +61,8 @@ __all__ = ["Node"]
 _KIND_DATA = RequestKind.DATA
 _KIND_NODE_PTW = RequestKind.NODE_PTW
 _KIND_WRITEBACK = RequestKind.WRITEBACK
+
+_INF = math.inf
 
 
 class Node:
@@ -129,7 +134,7 @@ class Node:
         # --- hot-path shift memoization -------------------------------
         # Page/block geometry is fixed per run, so the per-event address
         # arithmetic reduces to shifts/ors over pre-decoded trace
-        # columns (see Trace.decoded / step_fast).
+        # columns (see Trace.decoded / run_events).
         self._page_shift = config.tlb.page_bytes.bit_length() - 1
         self._block_shift = self.caches.block_shift
         self._frame_block_shift = self._page_shift - self._block_shift
@@ -228,7 +233,7 @@ class Node:
         This is the boxed *reference* path (the seed per-event loop),
         the only production-adjacent surface still consuming
         :class:`TraceEvent` objects; production runs go through
-        :meth:`step_fast` / :meth:`run_events`, and the hot-path
+        :meth:`run_events`, and the hot-path
         equivalence suite proves both produce bit-identical stats.
         """
         gap, vaddr, is_write, dependent = event
@@ -281,61 +286,15 @@ class Node:
 
     def step_fast(self, gap: int, vpn: int, offset: int, blk: int,
                   is_write: bool, dependent: bool) -> float:
-        """Advance the core over one pre-decoded trace event.
+        """Advance the core over one pre-decoded trace event (a
+        one-event :meth:`run_events`); returns the new core time.
 
         ``vpn`` / ``offset`` / ``blk`` are the event's virtual page
-        number, page offset and block-within-page, decomposed once per
-        trace by :meth:`repro.workloads.trace.Trace.decoded` instead of
-        re-derived per event.  No result boxing anywhere downstream:
-        the TLB, hierarchy, translator and STU are all probed through
-        their tuple/scalar entry points.
+        number, page offset and block-within-page, as decomposed by
+        :meth:`repro.workloads.trace.Trace.decoded`.
         """
-        self.instructions += gap + 1
-        self.memory_events += 1
-        core_time = self.core_time_ns + gap * self._slot_ns
-        issue = self.window.admit(core_time)
-
-        # --- translate (TLB -> walker) --------------------------------
-        if vpn not in self._mapped_vpns:
-            self._handle_page_fault(vpn)
-        frame, tlb_level, tlb_latency, walk_steps = \
-            self.mmu.translate_fast(vpn)
-        t = issue + tlb_latency
-        if walk_steps:
-            shift = self._block_shift
-            for step in walk_steps:
-                addr = step[1]  # WalkStep.entry_addr
-                t = self._charge_block(addr >> shift, addr, t, False,
-                                       _KIND_NODE_PTW)
-
-        # --- reference the data block ---------------------------------
-        block = (frame << self._frame_block_shift) | blk
-        level, latency, writebacks = self.caches.access_fast(block, is_write)
-        t += latency
-        for wb_addr in writebacks:
-            self._memory_access_fast(wb_addr, t, True, _KIND_WRITEBACK)
-        if level:
-            completion = t
-        else:
-            npa = (frame << self._page_shift) | offset
-            completion = self._memory_access_fast(npa, t, is_write,
-                                                  _KIND_DATA)
-
-        # --- retire ---------------------------------------------------
-        if level:
-            self.core_time_ns = completion
-            return completion
-        self.window.record(completion)
-        if dependent and not is_write:
-            if completion < core_time:
-                completion = core_time
-            self.core_time_ns = completion
-            return completion
-        floor = issue + self._slot_ns
-        if floor < core_time:
-            floor = core_time
-        self.core_time_ns = floor
-        return floor
+        return self.run_events(((gap, vpn, offset, blk, is_write,
+                                 dependent),))
 
     @hot_path
     def run_decoded(self, decoded: "DecodedTrace", start: int = 0,
@@ -347,30 +306,34 @@ class Node:
         one full run: the loop carries no state of its own beyond the
         node's.
         """
-        events = zip(decoded.gaps, decoded.vpns, decoded.offsets,
-                     decoded.blocks, decoded.writes, decoded.dependents)
-        if start or stop is not None:
-            events = islice(events, start, stop)
-        return self.run_events(events)
+        return self.run_events(decoded.events(start, stop))
 
     @hot_path
-    def run_events(self, events: "Iterable[Tuple]") -> float:
+    def run_events(self, events: "Iterable[Tuple]",
+                   until: float = _INF) -> float:
         """Drain ``events`` — an iterable of pre-decoded
         ``(gap, vpn, offset, block, is_write, dependent)`` tuples —
-        through the single-node fast loop.
+        through the fast loop; returns the core time.
 
-        This is :meth:`step_fast`'s body inlined with every per-event
-        attribute lookup hoisted into a local (multi-node runs
-        interleave :meth:`step_fast` calls in global time order
-        instead, where the heap dominates anyway).  Taking an iterator
+        The loop stops early, right after the first event that leaves
+        the core time above ``until``; when ``events`` is an iterator,
+        the events not yet taken stay in it.  The multi-node driver passes its heap's next
+        key here, so one call runs a node for as long as the per-event
+        heap would have kept picking it.
+
+        Every per-event attribute lookup is hoisted into a local, and
+        the L1 TLB probe, the L1 data-cache probe and the core
+        window's not-full ``admit`` are inlined.  Taking an iterator
         lets :meth:`run_decoded` feed a ``zip`` over the decoded trace
-        columns, so events never materialize as boxed objects.  Counter
-        write-back happens in ``finally`` so a mid-trace access
+        columns, so events never materialize as boxed objects.
+        Counter write-back happens in ``finally`` so a mid-trace access
         violation still leaves instruction/event counts sane.
         """
         window = self.window
         admit = window.admit
         record = window.record
+        completions = window._completions
+        capacity = window.capacity
         mmu = self.mmu
         translate_l1_missed = mmu.translate_after_l1_miss
         tlb_l1 = mmu.tlb.l1
@@ -395,6 +358,7 @@ class Node:
         page_shift = self._page_shift
         core_time = self.core_time_ns
         instructions = self.instructions
+        admitted = 0
         translations = 0
         tlb_l1_hits = 0
         data_l1_hits = 0
@@ -404,7 +368,15 @@ class Node:
                 consumed += 1
                 instructions += gap + 1
                 core_time += gap * slot_ns
-                issue = admit(core_time)
+
+                # --- issue: the window's not-full admit inlined ------
+                while completions and completions[0] <= core_time:
+                    heappop(completions)
+                if len(completions) < capacity:
+                    admitted += 1
+                    issue = core_time
+                else:
+                    issue = admit(core_time)
 
                 # --- translate: L1 TLB probe inlined (always LRU) ----
                 if vpn not in mapped_vpns:
@@ -412,11 +384,10 @@ class Node:
                 translations += 1
                 lines = tlb_l1_sets[vpn & tlb_l1_mask if tlb_l1_mask >= 0
                                     else vpn % tlb_l1_n_sets]
-                line = lines.get(vpn)
-                if line is not None:
+                frame = lines.get(vpn)
+                if frame is not None:
                     tlb_l1_hits += 1
                     lines.move_to_end(vpn)
-                    frame = line[0]
                     t = issue  # + 0.0 ns L1 latency
                 else:
                     tlb_l1.misses += 1
@@ -434,38 +405,42 @@ class Node:
                 lines = data_l1_sets[block & data_l1_mask
                                      if data_l1_mask >= 0
                                      else block % data_l1_n_sets]
-                line = lines.get(block)
-                if line is not None:
+                if block in lines:
                     data_l1_hits += 1
                     if is_write:
-                        line[1] = True
+                        lines[block] = True
                     if data_l1_promote:
                         lines.move_to_end(block)
                     core_time = t + lat1
-                    continue
-                data_l1.misses += 1
-                level, latency, writebacks = hier_l1_missed(block, is_write)
-                t += latency
-                if writebacks:
-                    for wb_addr in writebacks:
-                        memory_access(wb_addr, t, True, _KIND_WRITEBACK)
-                if level:
-                    core_time = t
-                    continue
-                completion = memory_access((frame << page_shift) | offset,
-                                           t, is_write, _KIND_DATA)
-                record(completion)
-                if dependent and not is_write:
-                    if completion > core_time:
-                        core_time = completion
                 else:
-                    floor = issue + slot_ns
-                    if floor > core_time:
-                        core_time = floor
+                    data_l1.misses += 1
+                    level, latency, writebacks = hier_l1_missed(block,
+                                                                is_write)
+                    t += latency
+                    if writebacks:
+                        for wb_addr in writebacks:
+                            memory_access(wb_addr, t, True, _KIND_WRITEBACK)
+                    if level:
+                        core_time = t
+                    else:
+                        completion = memory_access(
+                            (frame << page_shift) | offset, t, is_write,
+                            _KIND_DATA)
+                        record(completion)
+                        if dependent and not is_write:
+                            if completion > core_time:
+                                core_time = completion
+                        else:
+                            floor = issue + slot_ns
+                            if floor > core_time:
+                                core_time = floor
+                if core_time > until:
+                    break
         finally:
             self.core_time_ns = core_time
             self.instructions = instructions
             self.memory_events += consumed
+            window.admissions += admitted
             mmu.translations += translations
             tlb_l1.hits += tlb_l1_hits
             data_l1.hits += data_l1_hits

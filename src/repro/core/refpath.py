@@ -1,6 +1,6 @@
 """The seed per-event simulation path, kept as a frozen reference.
 
-The production hot path (``Trace.decoded`` + ``Node.step_fast`` and
+The production hot path (``Trace.decoded`` + ``Node.run_events`` and
 the allocation-free probe entry points underneath it) replaced the
 seed implementation, which boxed every intermediate outcome into a
 dataclass (``AccessResult`` per fill, ``TlbLookup`` per TLB probe,
@@ -24,6 +24,11 @@ semantics (otherwise the equivalence proof would enshrine the bugs):
 * random replacement draws the same ``_randbelow`` deviate whether the
   victim is picked by ``rng.choice(list(...))`` (here, as the seed
   did) or by ``rng.randrange`` + ``islice`` (production).
+
+The tag stores' sets are shared with production, so the mirror here
+uses their representation: key -> payload, with a data cache's payload
+its dirty bit (the seed stored a ``[value, dirty]`` list per line).
+The fill algorithm is the seed's.
 
 This module reaches into private attributes of the components it
 mirrors (``_sets``, ``_rng``, ``_levels`` ...); that is intentional —
@@ -67,35 +72,33 @@ _NO_WRITEBACKS: Tuple[int, ...] = ()
 # ----------------------------------------------------------------------
 # Tag store (seed fill: one AccessResult per fill)
 # ----------------------------------------------------------------------
-def _ref_fill(cache: SetAssociativeCache, key: int, value,
-              dirty: bool = False) -> AccessResult:
+def _ref_fill(cache: SetAssociativeCache, key: int, value) -> AccessResult:
+    """The seed fill over the store's key -> payload sets.  For a data
+    cache ``value`` is the dirty bit; the hierarchy only ever refills a
+    resident line with ``True``, so replacing the payload is the seed's
+    dirty-bit OR."""
     lines = cache._sets[key % cache.n_sets]
     cache.fills += 1
-    line = lines.get(key)
-    if line is not None:
-        line[0] = value
-        line[1] = line[1] or dirty
+    if key in lines:
+        lines[key] = value
         # Bugfix semantics: only FIFO skips the move (insertion age);
         # LRU and random keep the seed's unconditional move_to_end.
         if cache._promote_on_hit or cache._random_evict:
             lines.move_to_end(key)
         return AccessResult(hit=True, value=value)
     evicted_key = evicted_value = None
-    evicted_dirty = False
     if len(lines) >= cache.associativity:
         if cache._random_evict:
             victim_key = cache._rng.choice(list(lines))
             victim = lines.pop(victim_key)
         else:
             victim_key, victim = lines.popitem(last=False)
-        evicted_key, evicted_value = victim_key, victim[0]
-        evicted_dirty = victim[1]
+        evicted_key, evicted_value = victim_key, victim
         cache.evictions += 1
-    lines[key] = [value, dirty]
+    lines[key] = value
     return AccessResult(hit=False, value=value,
                         evicted_key=evicted_key,
-                        evicted_value=evicted_value,
-                        evicted_dirty=evicted_dirty)
+                        evicted_value=evicted_value)
 
 
 # ----------------------------------------------------------------------
@@ -104,19 +107,19 @@ def _ref_fill(cache: SetAssociativeCache, key: int, value,
 def _ref_hier_fill_all(hierarchy: CacheHierarchy, block: int,
                        write: bool) -> Tuple[int, ...]:
     writebacks: Tuple[int, ...] = _NO_WRITEBACKS
-    l3_result = _ref_fill(hierarchy._l3, block, True, dirty=write)
+    l3_result = _ref_fill(hierarchy._l3, block, write)
     if l3_result.evicted_key is not None:
         evicted = l3_result.evicted_key
         hierarchy._l1.invalidate(evicted)
         hierarchy._l2.invalidate(evicted)
-        if l3_result.evicted_dirty:
+        if l3_result.evicted_value:
             writebacks = (evicted * hierarchy.block_bytes,)
-    l2_result = _ref_fill(hierarchy._l2, block, True, dirty=write)
-    if l2_result.evicted_key is not None and l2_result.evicted_dirty:
-        _ref_fill(hierarchy._l3, l2_result.evicted_key, True, dirty=True)
-    l1_result = _ref_fill(hierarchy._l1, block, True, dirty=write)
-    if l1_result.evicted_key is not None and l1_result.evicted_dirty:
-        _ref_fill(hierarchy._l2, l1_result.evicted_key, True, dirty=True)
+    l2_result = _ref_fill(hierarchy._l2, block, write)
+    if l2_result.evicted_key is not None and l2_result.evicted_value:
+        _ref_fill(hierarchy._l3, l2_result.evicted_key, True)
+    l1_result = _ref_fill(hierarchy._l1, block, write)
+    if l1_result.evicted_key is not None and l1_result.evicted_value:
+        _ref_fill(hierarchy._l2, l1_result.evicted_key, True)
     return writebacks
 
 
@@ -126,11 +129,11 @@ def _ref_hier_access(hierarchy: CacheHierarchy, addr: int,
     if hierarchy._l1.get_line(block, write) is not None:
         return HierarchyResult(1, hierarchy._lat1)
     if hierarchy._l2.get_line(block, write) is not None:
-        _ref_fill(hierarchy._l1, block, True, dirty=write)
+        _ref_fill(hierarchy._l1, block, write)
         return HierarchyResult(2, hierarchy._lat12)
     if hierarchy._l3.get_line(block, write) is not None:
-        _ref_fill(hierarchy._l2, block, True, dirty=write)
-        _ref_fill(hierarchy._l1, block, True, dirty=write)
+        _ref_fill(hierarchy._l2, block, write)
+        _ref_fill(hierarchy._l1, block, write)
         return HierarchyResult(3, hierarchy._lat123)
     writebacks = _ref_hier_fill_all(hierarchy, block, write)
     return HierarchyResult(0, hierarchy._lat123, writebacks)
@@ -140,13 +143,13 @@ def _ref_hier_access(hierarchy: CacheHierarchy, addr: int,
 # TLB + walker + MMU (seed: TlbLookup / WalkResult / TranslationOutcome)
 # ----------------------------------------------------------------------
 def _ref_tlb_lookup(tlb: TwoLevelTlb, vpn: int) -> TlbLookup:
-    line = tlb.l1.get_line(vpn)
-    if line is not None:
-        return TlbLookup(level=1, frame=line[0], latency_ns=0.0)
-    line = tlb.l2.get_line(vpn)
-    if line is not None:
-        _ref_fill(tlb.l1, vpn, line[0])
-        return TlbLookup(level=2, frame=line[0],
+    frame = tlb.l1.get_line(vpn)
+    if frame is not None:
+        return TlbLookup(level=1, frame=frame, latency_ns=0.0)
+    frame = tlb.l2.get_line(vpn)
+    if frame is not None:
+        _ref_fill(tlb.l1, vpn, frame)
+        return TlbLookup(level=2, frame=frame,
                          latency_ns=tlb.config.l2_latency_ns)
     return TlbLookup(level=0, latency_ns=tlb.config.l2_latency_ns)
 

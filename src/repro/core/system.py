@@ -7,16 +7,19 @@ node with all nodes interleaved in global time order — so fabric-port
 and FAM-bank contention between nodes is applied in the same order
 real hardware would see (the mechanism behind Figure 16).
 
-Every non-reference run goes through one scalar fast loop
-(:meth:`~repro.core.node.Node.run_decoded` for a single node,
-:meth:`~repro.core.node.Node.step_fast` per event under the
-interleaved multi-node driver); :mod:`repro.core.refpath` is the
-oracle it is checked against.
+Every non-reference run goes through one scalar fast loop,
+:meth:`~repro.core.node.Node.run_events`: over the whole trace for a
+single node (:meth:`~repro.core.node.Node.run_decoded`), and under the
+interleaved multi-node driver in runs bounded by the heap's next key —
+each run lasts as long as the seed's per-event heap would have kept
+picking that node.  :mod:`repro.core.refpath` is the oracle it is
+checked against.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import List, Optional, Sequence, Union
 
 from repro.broker.broker import MemoryBroker
@@ -93,8 +96,7 @@ class FamSystem:
 
         * ``"fast"`` (default) — the allocation-free per-event loop
           over pre-decoded trace columns
-          (:meth:`~repro.core.node.Node.run_decoded` /
-          :meth:`~repro.core.node.Node.step_fast`).
+          (:meth:`~repro.core.node.Node.run_events`).
         * ``"reference"`` — the boxed seed path preserved in
           :mod:`repro.core.refpath`, kept for the equivalence proof
           and the core-loop microbenchmark.  ``reference=True`` is the
@@ -130,7 +132,7 @@ class FamSystem:
 
     def _run_scalar(self, traces: Sequence[Trace]) -> None:
         """The fast tier: the inlined scalar loop for a single node,
-        the interleaved per-event driver otherwise."""
+        the interleaved driver otherwise."""
         page_bytes = self.config.page_bytes
         block_bytes = self.config.block_bytes
         decoded = [trace.decoded(page_bytes, block_bytes)
@@ -141,29 +143,45 @@ class FamSystem:
             self._run_interleaved(decoded)
 
     def _run_interleaved(self, decoded: Sequence[DecodedTrace]) -> None:
-        """Multi-node driver: each heap pop steps one event of the
-        node with the earliest core time (ties to the lower node
-        index), which re-enters the heap keyed by its new core time —
-        the seed per-event order, so fabric and FAM reservations
-        interleave exactly as the reference driver's."""
-        columns = [(node.step_fast, d.gaps, d.vpns, d.offsets, d.blocks,
-                    d.writes, d.dependents, len(d))
-                   for node, d in zip(self.nodes, decoded)]
-        frontier = [(self.nodes[index].core_time_ns, index, 0)
-                    for index in range(len(columns))
-                    if columns[index][7]]
+        """Multi-node driver in the seed per-event order: the next
+        event always belongs to the node with the earliest
+        ``(core_time, index)`` key, so fabric and FAM reservations
+        interleave exactly as the reference driver's.
+
+        Rather than one heap pop and push per event, the node at the
+        top of the heap runs :meth:`~repro.core.node.Node.run_events`
+        until its key reaches or passes the heap's next key
+        ``(t_next, j)``: up to ``t_next`` inclusive when its index is
+        below ``j`` (it wins the tie), else up to just below
+        ``t_next``.  Then one ``heapreplace`` re-keys it.  Each node
+        keeps one ``zip`` iterator over its trace columns throughout.
+        """
+        nodes = self.nodes
+        runs = [node.run_events for node in nodes]
+        events = [d.events() for d in decoded]
+        left = [len(d) for d in decoded]
+        frontier = [(nodes[index].core_time_ns, index)
+                    for index in range(len(nodes)) if left[index]]
         heapq.heapify(frontier)
-        push, pop = heapq.heappush, heapq.heappop
+        replace, pop = heapq.heapreplace, heapq.heappop
         while frontier:
-            _t, index, cursor = pop(frontier)
-            step, gaps, vpns, offsets, blocks, writes, dependents, n = \
-                columns[index]
-            node_time = step(gaps[cursor], vpns[cursor], offsets[cursor],
-                             blocks[cursor], writes[cursor],
-                             dependents[cursor])
-            cursor += 1
-            if cursor < n:
-                push(frontier, (node_time, index, cursor))
+            index = frontier[0][1]
+            node = nodes[index]
+            if len(frontier) == 1:
+                runs[index](events[index])
+                return
+            t_next, j = frontier[1]
+            if len(frontier) > 2 and frontier[2] < frontier[1]:
+                t_next, j = frontier[2]
+            before = node.memory_events
+            node_time = runs[index](
+                events[index],
+                t_next if index < j else math.nextafter(t_next, -math.inf))
+            left[index] -= node.memory_events - before
+            if left[index]:
+                replace(frontier, (node_time, index))
+            else:
+                pop(frontier)
 
     def _run_reference(self, traces: Sequence[Trace]) -> None:
         """The seed per-event loop: boxed TraceEvents through

@@ -101,9 +101,10 @@ class FourLevelPageTable:
         # Per-VPN memo of (walk steps, leaf entry): the radix descent
         # for a VPN is invariant until that VPN is remapped/unmapped
         # (interior tables are never freed), so the hot walker resolves
-        # warm VPNs with one dict probe.  Invalidated per-VPN by
-        # map()/unmap(); LRU-bounded so long many-trace sweeps cannot
-        # grow it without limit (eviction only costs a re-walk).
+        # warm VPNs with one dict probe.  map() seeds a VPN's entry
+        # with the descent it just made (replacing any stale one) and
+        # unmap() drops it; LRU-bounded so long many-trace sweeps
+        # cannot grow it without limit (eviction only costs a re-walk).
         self._walk_memo: BoundedMemo = BoundedMemo(WALK_MEMO_CAP)
 
     # ------------------------------------------------------------------
@@ -134,21 +135,29 @@ class FourLevelPageTable:
         existing page replaces its entry (as an OS would on COW etc.).
         """
         indices = self.split_vpn(vpn)
+        steps: List[WalkStep] = []
         table = self._root
         for level in range(3):
-            child = table.slots.get(indices[level])
+            index = indices[level]
+            steps.append(WalkStep(level, table.entry_addr(index),
+                                  table.base_addr))
+            child = table.slots.get(index)
             if child is None:
                 child = _Table(self._allocate_frame())
-                table.slots[indices[level]] = child
+                table.slots[index] = child
                 self.table_pages += 1
             assert isinstance(child, _Table)
             table = child
         leaf_index = indices[3]
+        steps.append(WalkStep(3, table.entry_addr(leaf_index),
+                              table.base_addr))
         if leaf_index not in table.slots:
             self.mapped_pages += 1
         entry = PageTableEntry(frame=frame, flags=flags)
         table.slots[leaf_index] = entry
-        self._walk_memo.pop(vpn, None)
+        # The descent just taken is the walk: seed the memo with it
+        # (a remap replaces the stale entry).
+        self._walk_memo.put(vpn, (steps, entry))
         return entry
 
     def unmap(self, vpn: int) -> bool:

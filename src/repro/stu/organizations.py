@@ -50,8 +50,7 @@ class IFamStuCache:
         A hit delivers translation *and* access control at once — the
         coupled design whose capacity limit DeACT attacks.
         """
-        line = self._cache.get_line(node_page)
-        return line[0] if line is not None else None
+        return self._cache.get_line(node_page)
 
     def install(self, node_page: int, fam_page: int) -> None:
         """Insert a mapping after a system-page-table walk."""

@@ -129,13 +129,30 @@ class Mmu:
         single-node loop.  ``translations`` and the L1 hit/miss census
         are the caller's responsibility; everything downstream (L2,
         walker, installs) is accounted here identically.
+
+        An L2 hit refills L1 in one pass, with ``get_line``'s and
+        ``fill_line``'s accounting inlined: both levels are LRU, and
+        ``vpn`` is absent from L1 (the caller just missed there), so
+        the refill skips the replace-in-place check.
         """
         tlb = self.tlb
-        line = tlb.l2.get_line(vpn)
-        if line is not None:
-            frame = line[0]
-            tlb.l1.fill_line(vpn, frame)
+        l2 = tlb.l2
+        mask = l2._mask
+        lines = l2._sets[vpn & mask if mask >= 0 else vpn % l2.n_sets]
+        frame = lines.get(vpn)
+        if frame is not None:
+            l2.hits += 1
+            lines.move_to_end(vpn)
+            l1 = tlb.l1
+            mask = l1._mask
+            lines = l1._sets[vpn & mask if mask >= 0 else vpn % l1.n_sets]
+            l1.fills += 1
+            if len(lines) >= l1.associativity:
+                lines.popitem(False)
+                l1.evictions += 1
+            lines[vpn] = frame
             return frame, 2, tlb._l2_latency_ns, self._NO_STEPS
+        l2.misses += 1
         self.walks += 1
         walk = self.walker.walk(vpn)
         tlb.install(vpn, walk.frame)

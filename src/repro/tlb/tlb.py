@@ -88,15 +88,14 @@ class TwoLevelTlb:
         l1 = self.l1
         mask = l1._mask
         lines = l1._sets[vpn & mask if mask >= 0 else vpn % l1.n_sets]
-        line = lines.get(vpn)
-        if line is not None:
+        frame = lines.get(vpn)
+        if frame is not None:
             l1.hits += 1
             lines.move_to_end(vpn)
-            return 1, line[0], 0.0
+            return 1, frame, 0.0
         l1.misses += 1
-        line = self.l2.get_line(vpn)
-        if line is not None:
-            frame = line[0]
+        frame = self.l2.get_line(vpn)
+        if frame is not None:
             self.l1.fill_line(vpn, frame)
             return 2, frame, self._l2_latency_ns
         return 0, -1, self._l2_latency_ns

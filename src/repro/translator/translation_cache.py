@@ -55,10 +55,10 @@ class TranslationCache:
     def lookup(self, node_page: int) -> Optional[int]:
         """Probe for a mapping; the four tags of the fetched row are
         compared concurrently (one cycle of comparators, Figure 7b)."""
-        line = self._cache.get_line(node_page)
-        if line is not None:
+        fam_page = self._cache.get_line(node_page)
+        if fam_page is not None:
             self._hits += 1
-            return line[0]
+            return fam_page
         self._misses += 1
         return None
 

@@ -135,18 +135,22 @@ class TestRandomReplacement:
 
 
 class TestDirtyTracking:
+    """Stores that track dirtiness (the data caches) keep the dirty bit
+    as the line's payload."""
+
     def test_write_marks_dirty(self):
         cache = SetAssociativeCache("c", 1, 1)
-        cache.fill(1, True, dirty=False)
+        cache.fill(1, False)
         cache.access(1, write=True)
-        result = cache.fill(2, True)
-        assert result.evicted_dirty is True
+        result = cache.fill(2, False)
+        assert result.evicted_value is True
 
     def test_clean_eviction(self):
         cache = SetAssociativeCache("c", 1, 1)
-        cache.fill(1, True)
-        result = cache.fill(2, True)
-        assert result.evicted_dirty is False
+        cache.fill(1, False)
+        result = cache.fill(2, False)
+        assert result.evicted_key == 1
+        assert result.evicted_value is False
 
 
 class TestInvalidateWhere:

@@ -1,4 +1,4 @@
-"""Tests for the inclusive three-level cache hierarchy."""
+"""Tests for the three-level data cache hierarchy."""
 
 import pytest
 
@@ -102,6 +102,62 @@ class TestWritebacks:
             addr += 64 * l3.n_sets
             writebacks += hierarchy.access(addr).writebacks
         assert 0 not in writebacks
+
+
+class TestRefillVictims:
+    """Characterization of today's refill behaviour, which falls short
+    of the paper's inclusive hierarchy (see the module docstring of
+    ``repro.cache.hierarchy``).  Fixing it changes results, so it is a
+    model change of its own; until then these tests pin it."""
+
+    B = 64  # block bytes
+
+    def _dirty_only_in_l1(self):
+        """Block 2 written while resident, so only its L1 copy is
+        dirty; L1 set 0 then holds {2 (dirty), 6}."""
+        hierarchy = tiny_hierarchy()  # L1 2x2, L2 4x2, L3 8x2 blocks
+        for block, write in ((0, False), (2, False), (2, True), (6, False)):
+            hierarchy.access(block * self.B, write=write)
+        l1, l2, l3 = hierarchy.levels
+        assert l1.probe(2) is True
+        assert l2.probe(2) is False and l3.probe(2) is False
+        return hierarchy
+
+    def test_full_miss_passes_dirty_l1_victim_to_l2(self):
+        hierarchy = self._dirty_only_in_l1()
+        result = hierarchy.access(4 * self.B)  # full miss, evicts L1's 2
+        assert result.level == 0
+        l1, l2, _l3 = hierarchy.levels
+        assert l1.probe(2) is None
+        assert l2.probe(2) is True
+
+    def test_l2_hit_refill_drops_dirty_l1_victim(self):
+        hierarchy = self._dirty_only_in_l1()
+        result = hierarchy.access(0)  # L2 hit, refill evicts L1's 2
+        assert result.level == 2
+        l1, l2, l3 = hierarchy.levels
+        assert l1.probe(2) is None
+        # The write to block 2 is gone: no level holds it dirty ...
+        assert l2.probe(2) is False and l3.probe(2) is False
+        # ... so evicting it from L3 writes nothing back.
+        writebacks = []
+        for block in (10, 18):  # L3 set 2
+            writebacks += hierarchy.access(block * self.B).writebacks
+        assert l3.probe(2) is None
+        assert 2 * self.B not in writebacks
+
+    def test_l2_eviction_leaves_l1_copy(self):
+        hierarchy = CacheHierarchy(
+            CacheConfig("L1", 256, associativity=4, latency_ns=1.0),
+            CacheConfig("L2", 512, associativity=1, latency_ns=3.0),
+            CacheConfig("L3", 2048, associativity=2, latency_ns=10.0))
+        hierarchy.access(0)
+        hierarchy.access(8 * self.B)  # same direct-mapped L2 set as 0
+        l1, l2, l3 = hierarchy.levels
+        assert l2.probe(0) is None
+        # L1 is not a subset of L2: block 0 stays in L1 (and L3).
+        assert l1.probe(0) is False and l3.probe(0) is False
+        assert hierarchy.access(0).level == 1
 
 
 class TestStats:

@@ -106,6 +106,24 @@ class TestNvmDevice:
         fam.access(64, 0.0, node_id=3)
         assert fam.snapshot()["node.3.accesses"] == 2
 
+    def test_snapshot_keys_order_and_counts(self):
+        # RequestKind hashes by identity; the census it keys must keep
+        # the declaration order of the kinds and count each exactly.
+        fam = NvmDevice(FamConfig(capacity_bytes=GIB))
+        kinds = (RequestKind.ACM, RequestKind.DATA, RequestKind.DATA,
+                 RequestKind.WRITEBACK, RequestKind.FAM_PTW,
+                 RequestKind.DATA, RequestKind.NODE_PTW, RequestKind.ACM)
+        for index, kind in enumerate(kinds):
+            fam.access(64 * index, 0.0, is_write=kind is RequestKind.WRITEBACK,
+                       kind=kind, node_id=index % 2)
+        assert list(fam.snapshot().items()) == [
+            ("accesses", 8.0), ("reads", 7.0), ("writes", 1.0),
+            ("at_accesses", 4.0), ("non_at_accesses", 4.0),
+            ("kind.data", 3.0), ("kind.node_ptw", 1.0),
+            ("kind.fam_ptw", 1.0), ("kind.acm", 2.0),
+            ("kind.writeback", 1.0),
+            ("node.0.accesses", 4.0), ("node.1.accesses", 4.0)]
+
     def test_reset(self):
         fam = NvmDevice(FamConfig(capacity_bytes=GIB))
         fam.access(0, 0.0)
@@ -121,6 +139,16 @@ class TestRequestKinds:
         assert RequestKind.ACM.is_translation
         assert not RequestKind.DATA.is_translation
         assert not RequestKind.WRITEBACK.is_translation
+
+    def test_identity_hash(self):
+        # Members are singletons, so the identity hash is exact and
+        # every kind still finds its own dict slot.
+        counts = {kind: 0 for kind in RequestKind}
+        for kind in RequestKind:
+            assert hash(kind) == object.__hash__(kind)
+            counts[kind] += 1
+        assert list(counts) == list(RequestKind)
+        assert set(counts.values()) == {1}
 
     def test_request_ids_monotonic(self):
         a = MemoryRequest(addr=0)

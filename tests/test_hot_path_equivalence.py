@@ -17,6 +17,7 @@ which the nightly CI job does.
 """
 
 import dataclasses
+import heapq
 import os
 import random
 
@@ -116,7 +117,7 @@ class TestCatalogEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_multi_node_interleaved_driver(self, policy):
         # nodes > 1 goes through the heap-interleaved driver, which
-        # pops one Node.step_fast per event.
+        # runs each node until its key reaches the heap's next key.
         config = _with_data_cache_policy(
             with_nodes(default_config(), 3), policy)
         fast, reference = _run_both("dc", "deact-n", config)
@@ -148,6 +149,73 @@ class TestCatalogEquivalence:
         other = FamSystem(default_config(), "deact-n", seed=2).run(
             traces, benchmark="mcf")
         assert _result_to_dict(base) != _result_to_dict(other)
+
+
+#: Short traces for the multi-node ordering cases (8 nodes x 2 tiers).
+SHORT = RunSettings(n_events=600, footprint_scale=0.01, seed=5)
+
+#: Architecture per node count, so the ordering cases cover all four.
+NODE_ARCH = {2: "e-fam", 3: "i-fam", 8: "deact-n"}
+
+
+def _run_traces_both(traces, architecture, bench):
+    """Fast and reference runs of explicit per-node ``traces``."""
+    config = with_nodes(default_config(), len(traces))
+    fast = FamSystem(config, architecture, seed=11).run(
+        traces, benchmark=bench)
+    reference = FamSystem(config, architecture, seed=11).run(
+        traces, benchmark=bench, reference=True)
+    return _result_to_dict(fast), _result_to_dict(reference)
+
+
+class TestMultiNodeOrdering:
+    """The interleaved driver runs each node until its
+    ``(core_time, index)`` key reaches the heap's next key; these cases
+    stress the boundary of that rule against the reference driver's
+    one-pop-per-event order."""
+
+    @pytest.mark.parametrize("nodes", sorted(NODE_ARCH))
+    @pytest.mark.parametrize("bench", ("lu", "dc"))
+    def test_identical_traces_tie_keys(self, bench, nodes, monkeypatch):
+        # The same trace on every node: every key ties at t=0, and some
+        # tie again later, so the index tie-break decides the order.
+        pops = []
+        real_pop = heapq.heappop
+
+        def spy(heap):
+            item = real_pop(heap)
+            if type(item) is tuple and heap:
+                pops.append((item[0], heap[0][0]))
+            return item
+
+        monkeypatch.setattr(heapq, "heappop", spy)
+        trace = build_traces(bench, 1, SHORT)[0]
+        fast, reference = _run_traces_both([trace] * nodes,
+                                           NODE_ARCH[nodes], bench)
+        assert fast == reference
+        ties = [popped for popped, top in pops if popped == top]
+        assert ties.count(0.0) == nodes - 1
+        assert len(ties) > nodes - 1, "no tie after t=0"
+
+    @pytest.mark.parametrize("nodes", sorted(NODE_ARCH))
+    def test_uneven_trace_lengths(self, nodes):
+        # Node 0 gets the shortest trace and finishes first; the others
+        # keep running with one node fewer in the heap.
+        traces = build_traces("dc", nodes, SHORT)
+        traces = [trace.slice(0, len(trace) * (index + 1) // nodes)
+                  for index, trace in enumerate(traces)]
+        fast, reference = _run_traces_both(traces, NODE_ARCH[nodes], "dc")
+        assert fast == reference
+        lengths = [node["memory_accesses"] for node in fast["nodes"]]
+        assert lengths == [len(trace) for trace in traces]
+
+    @pytest.mark.parametrize("nodes", sorted(NODE_ARCH))
+    def test_empty_trace_on_one_node(self, nodes):
+        traces = build_traces("canl", nodes, SHORT)
+        traces[1] = traces[1].slice(0, 0)
+        fast, reference = _run_traces_both(traces, "deact-w", "canl")
+        assert fast == reference
+        assert fast["nodes"][1]["memory_accesses"] == 0
 
 
 class TestDecodedFrontEnd:
@@ -214,18 +282,20 @@ class TestTagStoreEquivalence:
             key = rng.randrange(64)
             op = rng.random()
             if op < 0.5:
-                fast_line = fast.get_line(key, write=op < 0.1)
-                ref_line = reference.get_line(key, write=op < 0.1)
-                assert (fast_line is None) == (ref_line is None)
+                fast_payload = fast.get_line(key, write=op < 0.1)
+                ref_payload = reference.get_line(key, write=op < 0.1)
+                assert fast_payload == ref_payload
             elif op < 0.9:
-                evicted = fast.fill_line(key, key * 3, dirty=op > 0.8)
-                boxed = _ref_fill(reference, key, key * 3, dirty=op > 0.8)
+                # Dirty-bit payloads, as in the data caches: a clean
+                # line's payload is False and must still count as
+                # resident.
+                evicted = fast.fill_line(key, op > 0.8)
+                boxed = _ref_fill(reference, key, op > 0.8)
                 if evicted is None:
                     assert boxed.evicted_key is None
                 else:
                     assert evicted == (boxed.evicted_key,
-                                       boxed.evicted_value,
-                                       boxed.evicted_dirty)
+                                       boxed.evicted_value)
             else:
                 assert fast.invalidate(key) == reference.invalidate(key)
         assert fast._sets == reference._sets

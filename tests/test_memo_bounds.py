@@ -111,9 +111,40 @@ class TestWalkMemoBound:
         table.map(7, 1234)
         _steps, entry = table.walk_entries_cached(7)
         assert entry.frame == 1234
-        table.map(7, 4321)                 # remap must invalidate
+        table.map(7, 4321)                 # remap must replace the entry
         _steps, entry = table.walk_entries_cached(7)
         assert entry.frame == 4321
+
+    def test_map_seeds_memo_with_the_walk(self):
+        table = self._table()
+        installed = table.map(0x12345, 99)
+        assert 0x12345 in table._walk_memo
+        steps, entry = table.walk_entries_cached(0x12345)
+        fresh_steps, fresh_entry = table.walk_entries(0x12345)
+        assert steps == fresh_steps
+        assert [step.level for step in steps] == [0, 1, 2, 3]
+        assert entry is fresh_entry is installed
+
+    def test_remap_seeds_memo_with_the_new_entry(self):
+        table = self._table()
+        table.map(0x12345, 99)
+        table.walk_entries_cached(0x12345)
+        remapped = table.map(0x12345, 100)
+        steps, entry = table.walk_entries_cached(0x12345)
+        fresh_steps, fresh_entry = table.walk_entries(0x12345)
+        assert steps == fresh_steps
+        assert entry is fresh_entry is remapped
+        assert entry.frame == 100
+
+    def test_map_alone_respects_cap(self):
+        table = self._table()
+        table._walk_memo = BoundedMemo(8)
+        for vpn in range(40):
+            table.map(vpn << 18, vpn)      # new interior tables too
+        assert len(table._walk_memo) == 8
+        for vpn in range(40):
+            steps, entry = table.walk_entries_cached(vpn << 18)
+            assert (steps, entry) == table.walk_entries(vpn << 18)
 
     def test_unmap_invalidates_memo_entry(self):
         from repro.errors import TranslationFault
@@ -122,5 +153,6 @@ class TestWalkMemoBound:
         table.map(9, 77)
         table.walk_entries_cached(9)
         assert table.unmap(9)
+        assert 9 not in table._walk_memo
         with pytest.raises(TranslationFault):
             table.walk_entries_cached(9)

@@ -117,8 +117,12 @@ class TestFifoFillInPlaceRegression:
         assert result.evicted_key == 11
 
     def test_replace_in_place_keeps_dirty_bit(self):
+        # A data cache's payload is the line's dirty bit.  The
+        # hierarchy refills a resident line only to absorb a dirty
+        # victim (payload True), so a dirty line stays dirty, and the
+        # refill keeps its FIFO age.
         cache = self._filled("fifo")
-        cache.fill(10, "a2", dirty=True)
-        cache.fill(10, "a3", dirty=False)
+        cache.fill(10, True)
+        cache.fill(10, True)
         evicted = cache.fill_line(13, "d")
-        assert evicted == (10, "a3", True)
+        assert evicted == (10, True)
