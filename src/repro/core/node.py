@@ -291,22 +291,18 @@ class Node:
 
         ``vpn`` / ``offset`` / ``blk`` are the event's virtual page
         number, page offset and block-within-page, as decomposed by
-        :meth:`repro.workloads.trace.Trace.decoded`.
+        :meth:`repro.workloads.trace.Trace.decoded`.  No simulator
+        path calls this; it stays as the named one-event entry point
+        that ``perfbench/layers.py`` wraps.
         """
         return self.run_events(((gap, vpn, offset, blk, is_write,
                                  dependent),))
 
     @hot_path
-    def run_decoded(self, decoded: "DecodedTrace", start: int = 0,
-                    stop: Optional[int] = None) -> float:
-        """Run a pre-decoded trace (or the window ``[start, stop)`` of
-        it) on this node via the inlined scalar loop.
-
-        Running a trace as any partition of windows is equivalent to
-        one full run: the loop carries no state of its own beyond the
-        node's.
-        """
-        return self.run_events(decoded.events(start, stop))
+    def run_decoded(self, decoded: "DecodedTrace") -> float:
+        """Run a whole pre-decoded trace on this node via the inlined
+        scalar loop; returns the core time."""
+        return self.run_events(decoded.events())
 
     @hot_path
     def run_events(self, events: "Iterable[Tuple]",
@@ -317,9 +313,10 @@ class Node:
 
         The loop stops early, right after the first event that leaves
         the core time above ``until``; when ``events`` is an iterator,
-        the events not yet taken stay in it.  The multi-node driver passes its heap's next
-        key here, so one call runs a node for as long as the per-event
-        heap would have kept picking it.
+        the events not yet taken stay in it.  The multi-node driver
+        derives ``until`` from its heap's next key, so one call runs a
+        node for as long as the per-event heap would have kept picking
+        it.
 
         Every per-event attribute lookup is hoisted into a local, and
         the L1 TLB probe, the L1 data-cache probe and the core

@@ -110,7 +110,9 @@ class Mmu:
         ``walk_steps`` is empty on TLB hits and otherwise lists the
         page-table reads the caller must charge through the memory
         system.  Accounting (translation/walk counters, TLB fills) is
-        identical to :meth:`translate`.
+        identical to :meth:`translate`.  The per-event loop probes the
+        L1 TLB itself and calls :meth:`translate_after_l1_miss`; this
+        entry point stays because ``perfbench/layers.py`` wraps it.
         """
         self.translations += 1
         level, frame, latency = self.tlb.lookup_fast(vpn)

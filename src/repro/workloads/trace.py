@@ -19,8 +19,7 @@ items, so the loop consumes lists).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -56,17 +55,12 @@ class DecodedTrace(NamedTuple):
     def __len__(self) -> int:
         return len(self.gaps)
 
-    def events(self, start: int = 0,
-               stop: Optional[int] = None) -> Iterator[Tuple]:
+    def events(self) -> Iterator[Tuple]:
         """An iterator of per-event ``(gap, vpn, offset, block,
-        is_write, dependent)`` tuples over the window
-        ``[start, stop)`` — the input of
+        is_write, dependent)`` tuples — the input of
         :meth:`repro.core.node.Node.run_events`."""
-        events = zip(self.gaps, self.vpns, self.offsets, self.blocks,
-                     self.writes, self.dependents)
-        if start or stop is not None:
-            events = islice(events, start, stop)
-        return events
+        return zip(self.gaps, self.vpns, self.offsets, self.blocks,
+                   self.writes, self.dependents)
 
 
 class TraceEvent(NamedTuple):

@@ -2,7 +2,7 @@
 
 The production execution tier — the scalar fast path (vectorized
 ``Trace.decoded`` front-end plus the allocation-free probe entry
-points behind ``Node.step_fast`` / ``Node.run_decoded``) — must
+points behind ``Node.run_events``) — must
 produce **bit-identical** run stats to the seed implementation
 preserved in :mod:`repro.core.refpath`.  This
 suite pins that down across every catalog benchmark, every
@@ -218,6 +218,24 @@ class TestMultiNodeOrdering:
         assert fast["nodes"][1]["memory_accesses"] == 0
 
 
+class TestStepFast:
+    def test_step_fast_is_a_one_event_run(self):
+        # Node.step_fast per event must leave a node exactly as one
+        # run_events over the whole trace does.
+        trace = build_traces("mcf", 1, SHORT)[0]
+        decoded = trace.decoded()
+        whole = FamSystem(default_config(), "deact-n", seed=3)
+        whole.nodes[0].run_decoded(decoded)
+        stepped = FamSystem(default_config(), "deact-n", seed=3)
+        node = stepped.nodes[0]
+        for event in decoded.events():
+            assert node.step_fast(*event) == node.core_time_ns
+        for system in (whole, stepped):
+            system.nodes[0].drain()
+        assert whole.nodes[0].metrics() == stepped.nodes[0].metrics()
+        assert whole.fam.snapshot() == stepped.fam.snapshot()
+
+
 class TestDecodedFrontEnd:
     """The vectorized decode must agree with per-event derivation."""
 
@@ -231,7 +249,7 @@ class TestDecodedFrontEnd:
             assert vpn == vaddr // 4096
             assert offset == vaddr % 4096
             assert block == (vaddr % 4096) // 64
-            # Physical-block recomposition identity used by step_fast.
+            # Physical-block recomposition identity used by run_events.
             for frame in (0, 7, 123456):
                 npa = (frame << 12) | offset
                 assert npa // 64 == (frame << 6) | block
