@@ -10,6 +10,15 @@ fetches, which the caller times).
 The store enforces the threat model's invariant at the lowest level:
 a page with no entry belongs to nobody and every access to it fails
 verification.
+
+:meth:`AcmStore.check` runs on every verified FAM access, so it is a
+``@hot_path`` with its helpers inlined: one usable-range check (a
+metadata-region address still raises ``ConfigError`` through
+:meth:`~repro.acm.layout.FamLayout._check_usable`), one dict probe, an
+owner compare against the shared marker hoisted at construction, and a
+permission test against a precomputed ``(class, rights)`` table.  The
+composed seed body (``page_number`` -> ``is_shared`` ->
+``perm_code_allows``) is kept in :mod:`repro.core.refpath`.
 """
 
 from __future__ import annotations
@@ -24,9 +33,18 @@ from repro.acm.metadata import (
     perm_code_allows,
     shared_owner_marker,
 )
+from repro.core.hotpath import hot_path
 from repro.errors import AccessViolationError
 
 __all__ = ["AcmStore"]
+
+#: ``_PERMITS[code][needed]``: whether permission class ``code`` grants
+#: every right in the ``needed`` mask (0..7).  Indexing by the
+#: ``Permission`` itself skips ``IntFlag``'s Python-level ``.value``.
+_PERMITS = tuple(
+    tuple(perm_code_allows(code, Permission(needed))
+          for needed in range(8))
+    for code in range(4))
 
 
 class AcmStore:
@@ -36,6 +54,10 @@ class AcmStore:
         self.layout = layout
         self._entries: Dict[int, AcmEntry] = {}
         self._bitmaps: Dict[int, SharedPageBitmap] = {}
+        # Layout geometry and the shared marker, hoisted for check().
+        self._usable_end = layout.metadata_base
+        self._page_bytes = layout.page_bytes
+        self._shared_marker = shared_owner_marker(layout.acm_bits)
 
     # ------------------------------------------------------------------
     # Broker-side mutation
@@ -56,10 +78,10 @@ class AcmStore:
         The paper sets *all* 4 KB sub-page entries of a shared 1 GB
         page to the marker; callers iterate the page range.
         """
-        marker = shared_owner_marker(self.layout.acm_bits)
         current = self._entries.get(fam_page)
         perm = current.perm_code if current else 0
-        self._entries[fam_page] = AcmEntry(owner=marker, perm_code=perm)
+        self._entries[fam_page] = AcmEntry(owner=self._shared_marker,
+                                           perm_code=perm)
 
     def bitmap_for_region(self, region: int) -> SharedPageBitmap:
         """The region's bitmap, created lazily (the physical 8 KB is
@@ -93,6 +115,7 @@ class AcmStore:
     # ------------------------------------------------------------------
     # Verification (the actual access-control decision)
     # ------------------------------------------------------------------
+    @hot_path
     def check(self, node_id: int, fam_addr: int,
               needed: Permission) -> Tuple[bool, bool]:
         """Verify an access without raising.
@@ -100,18 +123,26 @@ class AcmStore:
         Returns ``(allowed, consulted_bitmap)`` — the second element
         tells the timing model whether a bitmap block fetch was needed
         (only for shared pages).
+
+        Raises
+        ------
+        ConfigError
+            When ``fam_addr`` lies outside the usable region (the
+            metadata and bitmap regions are never application pages).
         """
-        fam_page = self.layout.page_number(fam_addr)
-        entry = self._entries.get(fam_page)
+        if not 0 <= fam_addr < self._usable_end:
+            self.layout._check_usable(fam_addr)
+        entry = self._entries.get(fam_addr // self._page_bytes)
         if entry is None:
             return False, False
-        if entry.is_shared(self.layout.acm_bits):
+        owner = entry.owner
+        if owner == self._shared_marker:
             region = self.layout.region_of(fam_addr)
             bitmap = self.bitmap_for_region(region)
             return bitmap.allows(node_id, needed), True
-        if entry.owner != node_id:
+        if owner != node_id:
             return False, False
-        return perm_code_allows(entry.perm_code, needed), False
+        return _PERMITS[entry.perm_code & 0x3][needed], False
 
     def verify(self, node_id: int, fam_addr: int,
                needed: Permission) -> bool:

@@ -210,14 +210,16 @@ class _DeactBase(Architecture):
             # Verified-flag path: node supplies the FAM address; the
             # STU only checks access control.
             fam_addr = (fam_page << _PAGE_SHIFT) | offset
-            if not is_write:
-                translator.register_response_mapping(
-                    _fresh_request_id(), fam_addr, npa)
             t = node.fabric.node_to_stu_arrival(lookup_done)
             if skip_verification:
                 node._stat_counters["stu.reads_unverified"] += 1.0
             else:
                 t = stu.verify_access_fast(fam_addr, t, needed=needed)
+            # Registered only once verification passed: a denied read
+            # gets no response to re-address.
+            if not is_write:
+                translator.register_response_mapping(
+                    _fresh_request_id(), fam_addr, npa)
         else:
             # V=0 path: the STU walks the system page table on behalf
             # of the FAM translator, then verifies.

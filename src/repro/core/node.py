@@ -106,9 +106,6 @@ class Node:
         self._rng = random.Random(seed)
         self.page_table = FourLevelPageTable(self._allocate_os_frame,
                                              name=f"{self.name}.pt")
-        # Mirror of the page table's mapped VPNs for the per-event
-        # demand-paging check (O(1) vs a radix traversal).
-        self._mapped_vpns = set()
         self.mmu = Mmu(self.page_table, config.tlb, config.ptw,
                        name=f"{self.name}.mmu")
 
@@ -168,7 +165,6 @@ class Node:
         """First touch of a virtual page: allocate and map a frame."""
         frame_addr = self._allocate_os_frame()
         self.page_table.map(vpn, frame_addr // PAGE_BYTES)
-        self._mapped_vpns.add(vpn)
         self.stats.incr("page_faults")
 
     # ------------------------------------------------------------------
@@ -214,7 +210,7 @@ class Node:
         read — the paper's Figure 1 walk behaviour.
         """
         vpn = self.mmu.vpn_of(vaddr)
-        if vpn not in self._mapped_vpns:
+        if vpn not in self.page_table:
             self._handle_page_fault(vpn)
         outcome = self.mmu.translate(vaddr)
         t = now + outcome.tlb_latency_ns
@@ -345,7 +341,7 @@ class Node:
         data_l1_n_sets = data_l1.n_sets
         data_l1_promote = data_l1._promote_on_hit
         lat1 = caches._lat1
-        mapped_vpns = self._mapped_vpns
+        mapped = self.page_table._leaves  # demand-paging check
         page_fault = self._handle_page_fault
         charge_block = self._charge_block
         memory_access = self._memory_access_fast
@@ -376,7 +372,7 @@ class Node:
                     issue = admit(core_time)
 
                 # --- translate: L1 TLB probe inlined (always LRU) ----
-                if vpn not in mapped_vpns:
+                if vpn not in mapped:
                     page_fault(vpn)
                 translations += 1
                 lines = tlb_l1_sets[vpn & tlb_l1_mask if tlb_l1_mask >= 0

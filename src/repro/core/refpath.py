@@ -25,6 +25,19 @@ semantics (otherwise the equivalence proof would enshrine the bugs):
   victim is picked by ``rng.choice(list(...))`` (here, as the seed
   did) or by ``rng.randrange`` + ``islice`` (production).
 
+A third bugfix came later: a DeACT read registers its outstanding
+mapping only once verification has passed, so a denied read leaves no
+entry behind (request ids and the list's counters are not part of a
+run's results).
+
+The production leaves of the FAM access chain — ``NvmDevice.access``,
+``DramDevice.access``, ``AcmStore.check`` and ``PageTableWalker.walk``
+— inline the primitives they compose.  Their seed compositions live
+here (``_ref_nvm_access``, ``_ref_dram_access``, ``_ref_acm_check``,
+``_ref_walker_walk``) and every procedure in this module calls them,
+so the equivalence suite compares the fused leaves against the
+composed ones instead of against themselves.
+
 The tag stores' sets are shared with production, so the mirror here
 uses their representation: key -> payload, with a data cache's payload
 its dirty bit (the seed stored a ``[value, dirty]`` list per line).
@@ -37,8 +50,10 @@ it is a white-box reference, not an API.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
+from repro.acm.metadata import Permission, perm_code_allows
+from repro.acm.store import AcmStore
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 from repro.config.system import PAGE_BYTES
@@ -51,6 +66,7 @@ from repro.core.architectures import (
 )
 from repro.core.node import Node
 from repro.errors import AccessViolationError, ProtocolError
+from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
 from repro.pagetable.walker import PageTableWalker, WalkResult, _BITS_PER_LEVEL
 from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache
@@ -99,6 +115,59 @@ def _ref_fill(cache: SetAssociativeCache, key: int, value) -> AccessResult:
     return AccessResult(hit=False, value=value,
                         evicted_key=evicted_key,
                         evicted_value=evicted_value)
+
+
+# ----------------------------------------------------------------------
+# Memory devices and the ACM decision (seed compositions)
+# ----------------------------------------------------------------------
+def _ref_nvm_access(fam: NvmDevice, addr: int, now: float,
+                    is_write: bool, kind: RequestKind,
+                    node_id: Optional[int] = None) -> float:
+    """The seed ``NvmDevice.access``: ``window.admit`` ->
+    ``banks.reserve`` -> ``window.record``."""
+    if is_write:
+        fam.writes += 1
+    else:
+        fam.reads += 1
+    fam.kind_counts[kind] += 1
+    if kind.is_translation:
+        fam.at_accesses += 1
+    if node_id is not None:
+        fam.node_counts[node_id] = fam.node_counts.get(node_id, 0) + 1
+    issue = fam.window.admit(now)
+    service = fam._write_ns if is_write else fam._read_ns
+    completion = fam.banks.reserve(addr, issue, service)
+    fam.window.record(completion)
+    return completion
+
+
+def _ref_dram_access(dram: DramDevice, addr: int, now: float,
+                     is_write: bool, kind: RequestKind) -> float:
+    """The seed ``DramDevice.access``: counters, then
+    ``banks.reserve``."""
+    if is_write:
+        dram.writes += 1
+    else:
+        dram.reads += 1
+    if kind.is_translation:
+        dram.at_accesses += 1
+    return dram.banks.reserve(addr, now, dram._access_ns)
+
+
+def _ref_acm_check(store: AcmStore, node_id: int, fam_addr: int,
+                   needed: Permission) -> Tuple[bool, bool]:
+    """The seed ``AcmStore.check``: ``page_number`` -> ``is_shared``
+    -> ``perm_code_allows``."""
+    layout = store.layout
+    entry = store.entry_of(layout.page_number(fam_addr))
+    if entry is None:
+        return False, False
+    if entry.is_shared(layout.acm_bits):
+        bitmap = store.bitmap_for_region(layout.region_of(fam_addr))
+        return bitmap.allows(node_id, needed), True
+    if entry.owner != node_id:
+        return False, False
+    return perm_code_allows(entry.perm_code, needed), False
 
 
 # ----------------------------------------------------------------------
@@ -163,18 +232,18 @@ def _ref_walker_walk(walker: PageTableWalker, vpn: int) -> WalkResult:
     walker.walks += 1
     all_steps, entry = walker.table.walk_entries(vpn)
     skipped = 0
-    if walker._levels:
+    if walker._caches:
         for depth in (3, 2, 1):
             key = vpn >> (_BITS_PER_LEVEL * (4 - depth))
-            if walker._levels[depth - 1].cache.get_line(key) is not None:
+            if walker._caches[depth - 1].get_line(key) is not None:
                 skipped = depth
                 break
     needed = all_steps[skipped:]
-    if walker._levels:
+    if walker._caches:
         for step in needed[:-1]:
             depth = step.level + 1
             key = vpn >> (_BITS_PER_LEVEL * (4 - depth))
-            _ref_fill(walker._levels[depth - 1].cache, key, True)
+            _ref_fill(walker._caches[depth - 1], key, True)
     walker.memory_accesses += len(needed)
     entry.touch(write=False)
     return WalkResult(steps=needed, skipped_levels=skipped,
@@ -204,9 +273,9 @@ def _ref_mmu_translate(mmu: Mmu, vaddr: int) -> TranslationOutcome:
 # ----------------------------------------------------------------------
 def _ref_translator_lookup(translator: FamTranslator, node_page: int,
                            now: float) -> TranslatorLookup:
-    served = translator.dram.access(translator.row_address(node_page), now,
-                                    is_write=False,
-                                    kind=RequestKind.NODE_PTW)
+    served = _ref_dram_access(translator.dram,
+                              translator.row_address(node_page), now,
+                              False, RequestKind.NODE_PTW)
     t = served + _TAG_MATCH_NS
     fam_page = translator.cache.lookup(node_page)
     if fam_page is None:
@@ -220,10 +289,10 @@ def _ref_translator_lookup(translator: FamTranslator, node_page: int,
 def _ref_translator_install(translator: FamTranslator, node_page: int,
                             fam_page: int, now: float) -> float:
     row = translator.row_address(node_page)
-    read_done = translator.dram.access(row, now, is_write=False,
-                                       kind=RequestKind.NODE_PTW)
-    write_done = translator.dram.access(row, read_done, is_write=True,
-                                        kind=RequestKind.NODE_PTW)
+    read_done = _ref_dram_access(translator.dram, row, now, False,
+                                 RequestKind.NODE_PTW)
+    write_done = _ref_dram_access(translator.dram, row, read_done, True,
+                                  RequestKind.NODE_PTW)
     _ref_fill(translator.cache._cache, node_page, fam_page)
     translator.cache.stats.incr("installs")
     translator.stats.incr("updates")
@@ -237,9 +306,8 @@ def _ref_stu_walk(stu: Stu, node_page: int, now: float) -> WalkTiming:
         stu.stats.incr("ptw_queue_time", t - now)
     for step in result.steps:
         depart = stu.fabric.stu_to_fam_arrival(t)
-        served = stu.fam.access(step.entry_addr, depart, is_write=False,
-                                kind=RequestKind.FAM_PTW,
-                                node_id=stu.node_id)
+        served = _ref_nvm_access(stu.fam, step.entry_addr, depart, False,
+                                 RequestKind.FAM_PTW, stu.node_id)
         t = stu.fabric.fam_to_stu_arrival(served)
     stu._ptw_busy_until = t
     stu.stats.incr("walks")
@@ -262,21 +330,21 @@ def _ref_stu_verify(stu: Stu, fam_addr: int, now: float,
         stu.stats.incr("acm.misses")
         block_addr = layout.acm_block_addr(fam_addr)
         depart = stu.fabric.stu_to_fam_arrival(t)
-        served = stu.fam.access(block_addr, depart, is_write=False,
-                                kind=RequestKind.ACM, node_id=stu.node_id)
+        served = _ref_nvm_access(stu.fam, block_addr, depart, False,
+                                 RequestKind.ACM, stu.node_id)
         t = stu.fabric.fam_to_stu_arrival(served)
         if isinstance(organization, DeactWAcmCache):
             _ref_fill(organization._cache,
                       organization._group(fam_page), True)
         else:
             _ref_fill(organization._cache, fam_page, True)
-    allowed, consulted_bitmap = stu.acm_store.check(stu.node_id, fam_addr,
-                                                    needed)
+    allowed, consulted_bitmap = _ref_acm_check(stu.acm_store, stu.node_id,
+                                               fam_addr, needed)
     if consulted_bitmap:
         bitmap_addr = layout.bitmap_block_addr(fam_addr, stu.node_id)
         depart = stu.fabric.stu_to_fam_arrival(t)
-        served = stu.fam.access(bitmap_addr, depart, is_write=False,
-                                kind=RequestKind.ACM, node_id=stu.node_id)
+        served = _ref_nvm_access(stu.fam, bitmap_addr, depart, False,
+                                 RequestKind.ACM, stu.node_id)
         t = stu.fabric.fam_to_stu_arrival(served)
         stu.stats.incr("bitmap_fetches")
     if not allowed:
@@ -313,8 +381,8 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
     if isinstance(architecture, EFam):
         fam_addr = architecture._fam_address(node, npa)
         depart = node.fabric.node_to_fam_arrival(now)
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        served = _ref_nvm_access(node.fam, fam_addr, depart, is_write,
+                                 kind, node.node_id)
         if is_write:
             return served
         return node.fabric.fam_to_node_arrival(served)
@@ -328,11 +396,16 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
         node.stats.incr("stu.translation_hits" if hit
                         else "stu.translation_misses")
         fam_addr = fam_page * PAGE_BYTES + (npa % PAGE_BYTES)
-        node.broker.acm.verify(node.node_id, fam_addr,
-                               architecture._needed_permission(is_write))
+        needed = architecture._needed_permission(is_write)
+        allowed, _bitmap = _ref_acm_check(node.broker.acm, node.node_id,
+                                          fam_addr, needed)
+        if not allowed:
+            raise AccessViolationError(
+                f"node {node.node_id} denied {needed!r} at FAM "
+                f"{fam_addr:#x}", node_id=node.node_id, fam_addr=fam_addr)
         depart = node.fabric.stu_to_fam_arrival(t)
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        served = _ref_nvm_access(node.fam, fam_addr, depart, is_write,
+                                 kind, node.node_id)
         if is_write:
             return served
         return node.fabric.fam_to_node_arrival(served)
@@ -351,9 +424,6 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
     lookup = _ref_translator_lookup(translator, node_page, now)
     if lookup.hit:
         fam_addr = lookup.fam_page * PAGE_BYTES + offset
-        if not is_write:
-            translator.register_response_mapping(
-                _fresh_request_id(), fam_addr, npa)
         t = node.fabric.node_to_stu_arrival(lookup.completion_ns)
         if skip_verification:
             node.stats.incr("stu.reads_unverified")
@@ -361,6 +431,9 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
             verification = _ref_stu_verify(node.stu, fam_addr, t,
                                            needed=needed)
             t = verification.completion_ns
+        if not is_write:
+            translator.register_response_mapping(
+                _fresh_request_id(), fam_addr, npa)
     else:
         t = node.fabric.node_to_stu_arrival(lookup.completion_ns)
         walk = _ref_stu_walk(node.stu, node_page, t)
@@ -380,8 +453,8 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
             translator.register_response_mapping(
                 _fresh_request_id(), fam_addr, npa)
     depart = node.fabric.stu_to_fam_arrival(t)
-    served = node.fam.access(fam_addr, depart, is_write=is_write,
-                             kind=kind, node_id=node.node_id)
+    served = _ref_nvm_access(node.fam, fam_addr, depart, is_write, kind,
+                             node.node_id)
     if is_write:
         return served
     arrival = node.fabric.fam_to_node_arrival(served)
@@ -396,7 +469,7 @@ def _ref_memory_access(node: Node, npa: int, now: float, is_write: bool,
                        kind: RequestKind) -> float:
     if npa < node.fam_zone_base:
         node.stats.incr("mem.local")
-        return node.dram.access(npa, now, is_write=is_write, kind=kind)
+        return _ref_dram_access(node.dram, npa, now, is_write, kind)
     node.stats.incr("mem.fam")
     if kind == RequestKind.DATA:
         node.stats.incr("mem.fam_data")
@@ -417,7 +490,7 @@ def _ref_cached_access(node: Node, npa: int, now: float, is_write: bool,
 def _ref_node_access(node: Node, vaddr: int, is_write: bool,
                      now: float) -> Tuple[float, int]:
     vpn = node.mmu.vpn_of(vaddr)
-    if vpn not in node._mapped_vpns:
+    if vpn not in node.page_table:
         node._handle_page_fault(vpn)
     outcome = _ref_mmu_translate(node.mmu, vaddr)
     t = now + outcome.tlb_latency_ns

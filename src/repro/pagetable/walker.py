@@ -8,14 +8,22 @@ PTE level is never walk-cached (that is the TLB's job), so a best-case
 cached walk still performs exactly one memory access, matching the
 paper's model where DeACT is applied "only to the last level of the
 page table".
+
+:meth:`PageTableWalker.walk` runs on every TLB miss (and every STU
+walk), so it is a ``@hot_path`` that reads the table's walk memo
+directly and probes the walk caches in line, with
+:meth:`~repro.cache.cache.SetAssociativeCache.get_line`'s body and
+counters; only walk-cache fills call ``fill_line``.  The composed
+seed body is :func:`repro.core.refpath._ref_walker_walk`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.cache.cache import SetAssociativeCache
+from repro.core.hotpath import hot_path
 from repro.pagetable.x86 import FourLevelPageTable, WalkStep
 
 __all__ = ["PageTableWalker", "WalkResult"]
@@ -48,14 +56,6 @@ class WalkResult:
         return len(self.steps)
 
 
-@dataclass
-class _WalkCacheLevel:
-    """One walk cache: maps a VPN prefix to 'this subtree is resolved'."""
-
-    cache: SetAssociativeCache
-    prefix_shift: int = 0
-
-
 class PageTableWalker:
     """Walks a :class:`FourLevelPageTable` through walk caches.
 
@@ -70,23 +70,29 @@ class PageTableWalker:
         self.name = name
         self.walks = 0
         self.memory_accesses = 0
-        self._levels: List[_WalkCacheLevel] = []
+        # _caches[depth - 1] caches the entries resolving ``depth``
+        # interior levels (depth 1: PGD entries .. depth 3: PMD).
+        caches: List[SetAssociativeCache] = []
         if cache_entries > 0:
             per_level = max(1, cache_entries // 3)
             for depth in range(1, 4):
-                # depth 1: caches PGD entries (prefix = top 9 bits), ...
-                shift = _BITS_PER_LEVEL * (3 - (depth - 1)) - _BITS_PER_LEVEL * 0
-                cache = SetAssociativeCache(
+                caches.append(SetAssociativeCache(
                     f"{name}.wc{depth}", n_sets=max(1, per_level // 4),
-                    associativity=min(4, per_level), replacement="lru")
-                self._levels.append(_WalkCacheLevel(cache, shift))
+                    associativity=min(4, per_level), replacement="lru"))
+        self._caches: Tuple[SetAssociativeCache, ...] = tuple(caches)
+        # Completing interior level L (0: PGD .. 2: PMD) resolves depth
+        # L + 1, cached in caches[L] under the key vpn >> 9 * (3 - L).
+        fills = tuple((cache, _BITS_PER_LEVEL * (3 - level))
+                      for level, cache in enumerate(caches))
+        # Probes run deepest first, as (cache, key shift, depth).
+        self._probes = tuple((cache, shift, level + 1) for level,
+                             (cache, shift) in enumerate(fills))[::-1]
+        # _fills_from[skipped]: the levels a walk that skipped
+        # ``skipped`` of them still traverses.
+        self._fills_from = tuple(fills[skipped:] for skipped in range(4))
 
     # ------------------------------------------------------------------
-    def _prefix(self, vpn: int, depth: int) -> int:
-        """VPN prefix identifying the subtree resolved at ``depth``
-        interior levels (depth 1 == PGD entry known, etc.)."""
-        return vpn >> (_BITS_PER_LEVEL * (4 - depth) - _BITS_PER_LEVEL)
-
+    @hot_path
     def walk(self, vpn: int) -> WalkResult:
         """Resolve ``vpn``, returning only the steps that touch memory.
 
@@ -94,34 +100,46 @@ class PageTableWalker:
         walk does traverse is installed into its cache.
         """
         self.walks += 1
-        all_steps, entry = self.table.walk_entries_cached(vpn)
+        table = self.table
+        memo = table._walk_memo._entries
+        hit = memo.get(vpn)
+        if hit is None:
+            all_steps, entry = table.walk_entries_cached(vpn)
+        else:
+            memo.move_to_end(vpn)
+            all_steps, entry = hit
 
+        # Deepest interior level first: a PMD hit (depth 3) jumps
+        # straight to the PTE access.
         skipped = 0
-        if self._levels:
-            # Deepest interior level first: PMD (depth 3) lets us jump
-            # straight to the PTE access.
-            for depth in (3, 2, 1):
-                key = vpn >> (_BITS_PER_LEVEL * (4 - depth))
-                if self._levels[depth - 1].cache.get_line(key) is not None:
-                    skipped = depth
-                    break
+        for cache, shift, depth in self._probes:
+            key = vpn >> shift
+            mask = cache._mask
+            lines = cache._sets[key & mask if mask >= 0
+                                else key % cache.n_sets]
+            if lines.get(key) is None:
+                cache.misses += 1
+                continue
+            cache.hits += 1
+            if cache._promote_on_hit:
+                lines.move_to_end(key)
+            skipped = depth
+            break
+        # Install the interior levels the walk traversed.
+        for cache, shift in self._fills_from[skipped]:
+            cache.fill_line(vpn >> shift, True)
+        # A fresh list: the memo's step list is never handed out.
         needed = all_steps[skipped:]
-        # Install the interior levels we traversed.
-        if self._levels:
-            for step in needed[:-1]:
-                depth = step.level + 1  # completing level L resolves depth L+1
-                key = vpn >> (_BITS_PER_LEVEL * (4 - depth))
-                self._levels[depth - 1].cache.fill_line(key, True)
         self.memory_accesses += len(needed)
-        entry.touch(write=False)
+        entry.accessed = True
         return WalkResult(steps=needed, skipped_levels=skipped,
                           frame=entry.frame, entry_flags=entry.flags)
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Flush all walk caches (TLB-shootdown side effect)."""
-        for level in self._levels:
-            level.cache.clear()
+        for cache in self._caches:
+            cache.clear()
 
     @property
     def average_accesses_per_walk(self) -> float:
@@ -130,4 +148,4 @@ class PageTableWalker:
     @property
     def cache_probes(self) -> int:
         """Total walk-cache tag probes (telemetry)."""
-        return sum(level.cache.accesses for level in self._levels)
+        return sum(cache.accesses for cache in self._caches)

@@ -5,6 +5,13 @@ split into a 12-bit page offset and four 9-bit level indices.  Interior
 tables are allocated lazily from a frame-allocator callback, so the
 *addresses* of the entries touched during a walk are real simulated
 physical addresses — the walker charges memory accesses against them.
+
+Besides the radix tree the table keeps a leaf index, ``vpn ->
+PageTableEntry``, maintained by :meth:`FourLevelPageTable.map` and
+:meth:`FourLevelPageTable.unmap`, so :meth:`~FourLevelPageTable.lookup`
+and ``in`` are one dict probe (the broker translates through it on
+every E-FAM access, and a node checks it for demand paging on every
+event).  Walks still descend the tree, memoized per VPN.
 """
 
 from __future__ import annotations
@@ -96,8 +103,10 @@ class FourLevelPageTable:
         self.name = name
         self._allocate_frame = frame_allocator
         self._root = _Table(self._allocate_frame())
-        self.mapped_pages = 0
         self.table_pages = 1
+        # Leaf index: every mapped VPN's entry, the same objects the
+        # tree's leaf slots hold.
+        self._leaves: Dict[int, PageTableEntry] = {}
         # Per-VPN memo of (walk steps, leaf entry): the radix descent
         # for a VPN is invariant until that VPN is remapped/unmapped
         # (interior tables are never freed), so the hot walker resolves
@@ -118,6 +127,11 @@ class FourLevelPageTable:
                 (vpn >> _SHIFT_L1) & _INDEX_MASK,
                 (vpn >> _SHIFT_L2) & _INDEX_MASK,
                 vpn & _INDEX_MASK]
+
+    @property
+    def mapped_pages(self) -> int:
+        """Number of mapped VPNs."""
+        return len(self._leaves)
 
     @property
     def root_base(self) -> int:
@@ -151,10 +165,9 @@ class FourLevelPageTable:
         leaf_index = indices[3]
         steps.append(WalkStep(3, table.entry_addr(leaf_index),
                               table.base_addr))
-        if leaf_index not in table.slots:
-            self.mapped_pages += 1
         entry = PageTableEntry(frame=frame, flags=flags)
         table.slots[leaf_index] = entry
+        self._leaves[vpn] = entry
         # The descent just taken is the walk: seed the memo with it
         # (a remap replaces the stale entry).
         self._walk_memo.put(vpn, (steps, entry))
@@ -175,25 +188,17 @@ class FourLevelPageTable:
             table = child
         if indices[3] in table.slots:
             del table.slots[indices[3]]
-            self.mapped_pages -= 1
+            del self._leaves[vpn]
             self._walk_memo.pop(vpn, None)
             return True
         return False
 
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         """The leaf entry for ``vpn``, or ``None`` when unmapped."""
-        indices = self.split_vpn(vpn)
-        table = self._root
-        for level in range(3):
-            child = table.slots.get(indices[level])
-            if not isinstance(child, _Table):
-                return None
-            table = child
-        entry = table.slots.get(indices[3])
-        return entry if isinstance(entry, PageTableEntry) else None
+        return self._leaves.get(vpn)
 
     def __contains__(self, vpn: int) -> bool:
-        return self.lookup(vpn) is not None
+        return vpn in self._leaves
 
     # ------------------------------------------------------------------
     # Walking

@@ -16,6 +16,16 @@ Three flavours are provided:
   (models DRAM/NVM banks).
 * :class:`OutstandingWindow` — a bounded set of in-flight completions
   (models miss-status registers / a core's outstanding-request limit).
+
+The per-access callers inline the cheap parts of the last two: the
+memory devices pick the bank themselves (the arithmetic of
+:meth:`BankedResource.reserve`) and call the chosen bank's
+:meth:`TimedResource.reserve`; :meth:`repro.mem.device.NvmDevice.access`
+and :meth:`repro.core.node.Node.run_events` drain their window and
+admit into a not-full one in line, calling :meth:`OutstandingWindow.admit`
+only when it is full.  Those callers hold aliases of ``_banks`` and
+``_completions``, so ``reset`` clears both in place and nothing
+rebinds them.
 """
 
 from __future__ import annotations

@@ -80,6 +80,9 @@ class Stu:
         self._org_is_deact = isinstance(organization,
                                         (DeactWAcmCache, DeactNAcmCache))
         self._lookup_ns = config.lookup_ns
+        # FAM layout geometry for the inline page derivation.
+        self._usable_end = acm_store.layout.metadata_base
+        self._page_bytes = acm_store.layout.page_bytes
         # The STU has a single FAM-PTW unit (Figure 6): concurrent
         # translation misses from one node serialize behind it.  This
         # is the mechanism that lets translation misses destroy
@@ -180,7 +183,9 @@ class Stu:
             raise ProtocolError(
                 f"{self.name}: verify_access needs a DeACT ACM cache")
         layout = self.acm_store.layout
-        fam_page = layout.page_number(fam_addr)
+        if not 0 <= fam_addr < self._usable_end:
+            layout._check_usable(fam_addr)
+        fam_page = fam_addr // self._page_bytes
         t = now + self._lookup_ns
         acm_hit = self.organization.lookup(fam_page)
         if acm_hit:

@@ -1,0 +1,352 @@
+"""The fused FAM access chain against its composed seed bodies.
+
+``NvmDevice.access``, ``DramDevice.access``, ``AcmStore.check`` and
+``PageTableWalker.walk`` inline the primitives they compose, and the
+page table answers ``lookup`` / ``in`` from a leaf index.  The catalog
+equivalence suite covers what the benchmark workloads reach; this file
+covers the branches they never take (a full FAM window, odd bank
+counts, metadata-region addresses, shared pages, memo misses) by
+running each fused leaf next to its composition in
+:mod:`repro.core.refpath` on twin state.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from repro.acm.layout import FamLayout
+from repro.acm.metadata import PERM_RO, PERM_RW, PERM_RWX, PERM_RX, Permission
+from repro.acm.store import AcmStore
+from repro.broker.broker import MemoryBroker
+from repro.config.presets import small_config, with_nodes
+from repro.config.system import (
+    GIB,
+    AllocationConfig,
+    FamConfig,
+    LocalMemoryConfig,
+)
+from repro.core.refpath import (
+    _ref_acm_check,
+    _ref_dram_access,
+    _ref_fam_access,
+    _ref_nvm_access,
+    _ref_walker_walk,
+)
+from repro.core.system import FamSystem
+from repro.errors import AccessViolationError, ConfigError
+from repro.mem.device import DramDevice, NvmDevice
+from repro.mem.request import RequestKind
+from repro.memo import BoundedMemo
+from repro.pagetable.walker import PageTableWalker
+from repro.pagetable.x86 import FourLevelPageTable
+
+PAGE = 4096
+KINDS = tuple(RequestKind)
+PERMISSIONS = tuple(Permission(mask) for mask in range(1, 8))
+
+
+# ----------------------------------------------------------------------
+# Memory devices
+# ----------------------------------------------------------------------
+def _nvm_state(fam):
+    window = fam.window
+    return (fam.reads, fam.writes, fam.at_accesses, dict(fam.kind_counts),
+            dict(fam.node_counts), sorted(window._completions),
+            window.admissions, window.stall_time,
+            [(bank.busy_until, bank.reservations, bank.busy_time)
+             for bank in fam.banks._banks])
+
+
+def _dram_state(dram):
+    return (dram.reads, dram.writes, dram.at_accesses,
+            [(bank.busy_until, bank.reservations, bank.busy_time)
+             for bank in dram.banks._banks])
+
+
+def _requests(seed, count, burst):
+    """``count`` FAM requests arriving ``burst`` at a time on a slow
+    clock, so a small outstanding window fills."""
+    rng = random.Random(seed)
+    now = 0.0
+    for index in range(count):
+        if index % burst == 0:
+            now += rng.choice((0.0, 5.0, 40.0, 400.0))
+        yield (rng.randrange(1 << 24) * 64, now, rng.random() < 0.3,
+               rng.choice(KINDS), rng.choice((None, 0, 1, 5)))
+
+
+def _run_nvm_twins(config, requests):
+    fused, composed = NvmDevice(config), NvmDevice(config)
+    for addr, now, is_write, kind, node_id in requests:
+        got = fused.access(addr, now, is_write, kind, node_id)
+        want = _ref_nvm_access(composed, addr, now, is_write, kind, node_id)
+        assert got == want
+    return fused, composed
+
+
+class TestNvmDevice:
+    def test_full_window_matches_composed_primitives(self):
+        config = FamConfig(capacity_bytes=GIB, max_outstanding=4)
+        fused, composed = _run_nvm_twins(config, _requests(1, 600, 9))
+        assert _nvm_state(fused) == _nvm_state(composed)
+        # The full-window branch really ran: requests waited.
+        assert fused.window.stall_time > 0.0
+        assert fused.window.admissions == 600
+
+    def test_non_power_of_two_banks(self):
+        config = FamConfig(capacity_bytes=GIB, banks=3, max_outstanding=8)
+        fused, composed = _run_nvm_twins(config, _requests(2, 400, 5))
+        assert _nvm_state(fused) == _nvm_state(composed)
+        assert all(bank.reservations for bank in fused.banks._banks)
+
+    def test_reset_keeps_hoisted_aliases(self):
+        config = FamConfig(capacity_bytes=GIB, banks=6, max_outstanding=4)
+        fused, composed = _run_nvm_twins(config, _requests(3, 200, 7))
+        fused.reset()
+        composed.reset()
+        assert fused._completions is fused.window._completions
+        assert fused._banks is fused.banks._banks
+        for addr, now, is_write, kind, node_id in _requests(4, 300, 7):
+            assert (fused.access(addr, now, is_write, kind, node_id)
+                    == _ref_nvm_access(composed, addr, now, is_write, kind,
+                                       node_id))
+        assert _nvm_state(fused) == _nvm_state(composed)
+        assert fused.window.admissions == 300
+
+
+class TestDramDevice:
+    @pytest.mark.parametrize("banks", [8, 5])
+    def test_matches_composed_primitives(self, banks):
+        config = LocalMemoryConfig(banks=banks)
+        fused, composed = DramDevice(config), DramDevice(config)
+        for addr, now, is_write, kind, _node in _requests(banks, 400, 4):
+            assert (fused.access(addr, now, is_write, kind)
+                    == _ref_dram_access(composed, addr, now, is_write, kind))
+        assert _dram_state(fused) == _dram_state(composed)
+
+    def test_reset_keeps_hoisted_aliases(self):
+        config = LocalMemoryConfig(banks=3)
+        fused, composed = DramDevice(config), DramDevice(config)
+        for round_seed in (5, 6):
+            for addr, now, is_write, kind, _node in _requests(round_seed,
+                                                              100, 3):
+                assert (fused.access(addr, now, is_write, kind)
+                        == _ref_dram_access(composed, addr, now, is_write,
+                                            kind))
+            assert _dram_state(fused) == _dram_state(composed)
+            fused.reset()
+            composed.reset()
+        assert fused._banks is fused.banks._banks
+
+
+# ----------------------------------------------------------------------
+# ACM decision
+# ----------------------------------------------------------------------
+def _populated_broker():
+    """A broker with owned pages of every permission class, a shared
+    segment with mixed grants, and a released page."""
+    broker = MemoryBroker(FamConfig(capacity_bytes=GIB),
+                          AllocationConfig(), acm_bits=16)
+    for node_id in range(3):
+        broker.register_node(node_id)
+    owned = [broker.allocate_for_node(0, 0x100 + code, perm_code=code)
+             for code in (PERM_RO, PERM_RW, PERM_RX, PERM_RWX)]
+    owned.append(broker.allocate_for_node(1, 0x200))
+    released = broker.allocate_for_node(1, 0x201)
+    broker.release_page(1, 0x201)
+    segment = broker.create_shared_segment({0: PERM_RW, 1: PERM_RO},
+                                           n_pages=2)
+    return broker, owned, released, segment
+
+
+class TestAcmCheck:
+    def test_matches_composed_check_everywhere(self):
+        broker, owned, released, segment = _populated_broker()
+        pages = owned + [released, 12345] + list(segment.fam_pages)
+        for fam_page, node_id, needed in itertools.product(
+                pages, range(3), PERMISSIONS):
+            addr = fam_page * PAGE + 0x88
+            assert (broker.acm.check(node_id, addr, needed)
+                    == _ref_acm_check(broker.acm, node_id, addr, needed))
+
+    def test_shared_page_consults_bitmap(self):
+        broker, _owned, _released, segment = _populated_broker()
+        addr = segment.fam_pages[0] * PAGE
+        check = broker.acm.check
+        assert check(0, addr, Permission.WRITE) == (True, True)
+        assert check(1, addr, Permission.READ) == (True, True)
+        assert check(1, addr, Permission.WRITE) == (False, True)
+        assert check(2, addr, Permission.READ) == (False, True)
+
+    @pytest.mark.parametrize("where", ["metadata", "bitmap", "end",
+                                       "negative"])
+    def test_non_usable_address_raises(self, where):
+        layout = FamLayout(GIB)
+        addr = {"metadata": layout.metadata_base,
+                "bitmap": layout.bitmap_base,
+                "end": layout.capacity_bytes - 1,
+                "negative": -PAGE}[where]
+        store = AcmStore(layout)
+        with pytest.raises(ConfigError):
+            store.check(0, addr, Permission.READ)
+        with pytest.raises(ConfigError):
+            _ref_acm_check(store, 0, addr, Permission.READ)
+
+    def test_stu_verify_rejects_metadata_address(self):
+        system = FamSystem(small_config(), "deact-n", seed=7)
+        stu = system.nodes[0].stu
+        layout = system.broker.layout
+        misses = stu.stats.get("acm.misses")
+        with pytest.raises(ConfigError):
+            stu.verify_access_fast(layout.metadata_base, 0.0)
+        with pytest.raises(ConfigError):
+            stu.verify_access_fast(layout.bitmap_base + 64, 0.0)
+        # Rejected before the ACM cache or the FAM is touched.
+        assert stu.stats.get("acm.misses") == misses
+        assert system.fam.accesses == 0
+
+
+# ----------------------------------------------------------------------
+# Denied DeACT reads
+# ----------------------------------------------------------------------
+class TestDeniedReadsLeaveNoMapping:
+    @pytest.mark.parametrize("arch", ["deact-w", "deact-n"])
+    @pytest.mark.parametrize("path", ["fast", "reference"])
+    def test_denied_reads_register_nothing(self, arch, path):
+        """A node whose translator still holds a released page is
+        denied on every read, and no read leaves an outstanding
+        mapping (the list holds 128; the 129th would overflow)."""
+        system = FamSystem(with_nodes(small_config(), 2), arch, seed=7)
+        node = system.nodes[0]
+        node_page = node.fam_zone_base // PAGE + 3
+        fam_page = system.broker.allocate_for_node(0, node_page)
+        node.fam_translator.install(node_page, fam_page, now=0.0)
+        system.broker.release_page(0, node_page)
+        access = (node.architecture.fam_access_fast if path == "fast"
+                  else _ref_fam_access)
+        outstanding = node.fam_translator.outstanding
+        now = 0.0
+        for _ in range(200):
+            with pytest.raises(AccessViolationError):
+                access(node, node_page * PAGE + 64, now, False,
+                       RequestKind.DATA)
+            now += 1000.0
+        assert len(outstanding) == 0
+        assert outstanding.registered == 0
+        assert node.stu.stats.get("violations") == 200
+
+
+# ----------------------------------------------------------------------
+# Page-table walker
+# ----------------------------------------------------------------------
+def _table():
+    frames = itertools.count(1)
+    return FourLevelPageTable(lambda: next(frames) * PAGE)
+
+
+def _walker_state(walker):
+    return (walker.walks, walker.memory_accesses, walker.cache_probes,
+            [(cache.hits, cache.misses, cache.fills, cache.evictions,
+              [list(lines.items()) for lines in cache._sets])
+             for cache in walker._caches])
+
+
+def _walk_outcome(result):
+    return (list(result.steps), result.skipped_levels, result.frame,
+            result.entry_flags)
+
+
+class TestWalker:
+    @pytest.mark.parametrize("cache_entries", [0, 32, 7])
+    @pytest.mark.parametrize("memo_cap", [None, 6])
+    def test_matches_composed_walk(self, cache_entries, memo_cap):
+        rng = random.Random(cache_entries * 31 + (memo_cap or 0))
+        vpns = sorted({rng.randrange(1 << 30) for _ in range(24)} |
+                      {0x700 + i for i in range(8)})
+        fused_table, composed_table = _table(), _table()
+        for vpn in vpns:
+            fused_table.map(vpn, vpn ^ 0x5A5)
+            composed_table.map(vpn, vpn ^ 0x5A5)
+        if memo_cap is not None:  # force walk-memo misses
+            fused_table._walk_memo = BoundedMemo(memo_cap)
+        fused = PageTableWalker(fused_table, cache_entries=cache_entries)
+        composed = PageTableWalker(composed_table,
+                                   cache_entries=cache_entries)
+        for step in range(400):
+            vpn = rng.choice(vpns)
+            got = fused.walk(vpn)
+            want = _ref_walker_walk(composed, vpn)
+            assert _walk_outcome(got) == _walk_outcome(want)
+            if step % 97 == 96:
+                fused.invalidate()
+                composed.invalidate()
+        assert _walker_state(fused) == _walker_state(composed)
+        assert fused.cache_probes == composed.cache_probes
+        if cache_entries:
+            assert fused.cache_probes > 0
+        for vpn in vpns:
+            assert fused_table.lookup(vpn).accessed
+            assert (fused_table.lookup(vpn).accessed
+                    == composed_table.lookup(vpn).accessed)
+
+    def test_returned_steps_never_alias_the_memo(self):
+        table = _table()
+        table.map(0x777, 5)
+        walker = PageTableWalker(table, cache_entries=0)
+        first = walker.walk(0x777)
+        expected = list(first.steps)
+        first.steps.clear()
+        second = walker.walk(0x777)
+        assert second.steps == expected
+        second.steps.append(second.steps[0])
+        assert walker.walk(0x777).steps == expected
+        assert len(table.walk_entries_cached(0x777)[0]) == 4
+
+
+# ----------------------------------------------------------------------
+# Page-table leaf index
+# ----------------------------------------------------------------------
+def _assert_index_matches_tree(table, also_absent=()):
+    tree = dict(table.iter_mappings())
+    assert table._leaves.keys() == tree.keys()
+    for vpn, entry in tree.items():
+        assert table.lookup(vpn) is entry
+        assert vpn in table
+    assert table.mapped_pages == len(tree)
+    for vpn in also_absent:
+        assert vpn not in table
+        assert table.lookup(vpn) is None
+
+
+class TestLeafIndex:
+    def test_map_remap_unmap(self):
+        table = _table()
+        vpns = [0x0, 0x1, 0x1FF, 0x200, 0x12345, (1 << 36) - 1]
+        for vpn in vpns:
+            table.map(vpn, vpn + 1)
+        _assert_index_matches_tree(table, also_absent=(0x2, 0x12346))
+        remapped = table.map(0x1FF, 77)
+        assert table.lookup(0x1FF) is remapped
+        assert table.lookup(0x1FF).frame == 77
+        _assert_index_matches_tree(table)
+        assert table.unmap(0x200)
+        assert not table.unmap(0x200)
+        assert not table.unmap(0x7654321)
+        _assert_index_matches_tree(table, also_absent=(0x200,))
+
+    def test_broker_release_and_migration(self):
+        broker, _owned, _released, segment = _populated_broker()
+        broker.map_shared_into_node(0, 0x900, segment)
+        broker.release_page(0, 0x101)
+        for node_id in range(3):
+            _assert_index_matches_tree(broker.system_table(node_id))
+        assert 0x101 not in broker.system_table(0)
+        broker.migrate_node_pages(0, 2)
+        for node_id in range(3):
+            _assert_index_matches_tree(broker.system_table(node_id))
+        # Owned pages moved; the shared mapping stayed with node 0.
+        assert sorted(broker.system_table(0)._leaves) == [0x900, 0x901]
+        assert 0x100 in broker.system_table(2)
+        assert broker.translate(2, 0x100) == \
+            broker.system_table(2).lookup(0x100).frame

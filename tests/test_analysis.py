@@ -394,11 +394,16 @@ class TestRepoTreeIsClean:
         assert baseline.entries == ()
 
     def test_hot_surface_is_marked(self):
+        from repro.acm.store import AcmStore
         from repro.cache.hierarchy import CacheHierarchy
         from repro.core.node import Node
+        from repro.mem.device import DramDevice, NvmDevice
+        from repro.pagetable.walker import PageTableWalker
         from repro.tlb.mmu import Mmu
 
         for func in (Node.run_events, Node.run_decoded,
                      Node._charge_block, Mmu.translate_after_l1_miss,
-                     CacheHierarchy.access_after_l1_miss):
+                     CacheHierarchy.access_after_l1_miss,
+                     NvmDevice.access, DramDevice.access, AcmStore.check,
+                     PageTableWalker.walk):
             assert is_hot_path(func), func
