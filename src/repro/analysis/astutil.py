@@ -48,8 +48,8 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 def qualname_map(tree: ast.Module) -> Dict[int, str]:
     """Map ``id(node)`` of every node to its enclosing dotted qualname.
 
-    Module-level nodes map to ``''``; a statement inside
-    ``class Node: def step(...)`` maps to ``'Node.step'``.  Function
+    Module-level nodes map to ``''``; a statement inside ``class Node:
+    def run_events(...)`` maps to ``'Node.run_events'``.  Function
     and class *definition nodes themselves* map to their own qualname
     (a finding on ``def foo`` should read ``symbol=foo``).
     """

@@ -9,8 +9,8 @@
   latency incurred.
 """
 
-from repro.cache.cache import AccessResult, SetAssociativeCache
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
+from repro.cache.cache import SetAssociativeCache
+from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.replacement import (
     FifoPolicy,
     LruPolicy,
@@ -21,9 +21,7 @@ from repro.cache.replacement import (
 
 __all__ = [
     "SetAssociativeCache",
-    "AccessResult",
     "CacheHierarchy",
-    "HierarchyResult",
     "ReplacementPolicy",
     "LruPolicy",
     "FifoPolicy",

@@ -18,49 +18,25 @@ dirty bit: a write probe (``get_line(key, write=True)``) sets it to
 ``None`` means "absent" and is never a valid payload.
 
 This sits on the simulator's hottest path (a dozen probes per trace
-event), so hot callers use :meth:`get_line` / :meth:`fill_line`
-directly instead of the boxed :meth:`access` / :meth:`fill` wrappers
-(which allocate an :class:`AccessResult` per call), and the per-event
-loops inline the probes of their first levels outright.  Set selection
-memoizes a bitmask when the set count is a power of two (every
-Table II structure).
+event), so the store's probe and fill, :meth:`get_line` and
+:meth:`fill_line`, return plain payloads and allocate nothing, and the
+per-event loops inline the probes of their first levels outright.  Set
+selection memoizes a bitmask when the set count is a power of two
+(every Table II structure).
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import islice
 from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.errors import ConfigError
 
-__all__ = ["SetAssociativeCache", "AccessResult"]
+__all__ = ["SetAssociativeCache"]
 
 V = TypeVar("V")
-
-
-@dataclass
-class AccessResult(Generic[V]):
-    """Outcome of a cache probe-and-fill operation.
-
-    Attributes
-    ----------
-    hit:
-        Whether the key was present.
-    value:
-        Payload for the key after the operation.
-    evicted_key / evicted_value:
-        The entry displaced by a fill, if any (``None`` otherwise).
-        For a data cache the value is the victim's dirty bit (write-back
-        traffic must be generated by the caller).
-    """
-
-    hit: bool
-    value: Optional[V] = None
-    evicted_key: Optional[int] = None
-    evicted_value: Optional[V] = None
 
 
 class SetAssociativeCache(Generic[V]):
@@ -130,12 +106,14 @@ class SetAssociativeCache(Generic[V]):
         return payload
 
     def fill_line(self, key: int, value: V) -> Optional[Tuple[int, V]]:
-        """Slim fill: insert ``key`` -> ``value``, evicting if needed.
+        """Insert ``key`` -> ``value``, evicting if the set is full.
 
         Returns ``None`` when nothing was displaced (replace-in-place
-        or free way), else ``(evicted_key, evicted_value)``.  Shares
-        all counters with :meth:`fill` and allocates nothing on the
-        common no-eviction path.
+        or free way), else ``(evicted_key, evicted_value)``; for a data
+        cache the victim's payload is its dirty bit, and the caller
+        generates the write-back.  A present key has its payload
+        replaced in place, counted as a fill, not a hit.  Allocates
+        nothing on the common no-eviction path.
 
         Replace-in-place moves the line to the back except under FIFO,
         where it must keep its original insertion age (the aging
@@ -170,38 +148,9 @@ class SetAssociativeCache(Generic[V]):
         victim_key = next(islice(iter(lines), index, None))
         return victim_key, lines.pop(victim_key)
 
-    def fill(self, key: int, value: V) -> AccessResult[V]:
-        """Insert ``key`` -> ``value``, evicting if the set is full.
-
-        If the key is already present its payload is replaced in place
-        (counted as a fill, not a hit).  Boxed wrapper over
-        :meth:`fill_line` for non-hot callers.
-        """
-        present = key in self._set_for(key)
-        evicted = self.fill_line(key, value)
-        if present:
-            return AccessResult(hit=True, value=value)
-        if evicted is None:
-            return AccessResult(hit=False, value=value)
-        return AccessResult(hit=False, value=value,
-                            evicted_key=evicted[0],
-                            evicted_value=evicted[1])
-
     # ------------------------------------------------------------------
-    # Boxed API (non-hot callers and tests)
+    # Inspection and maintenance
     # ------------------------------------------------------------------
-    def access(self, key: int, write: bool = False) -> AccessResult[V]:
-        """Probe ``key``; on a hit update recency (and dirtiness).
-
-        Misses are *not* auto-filled — translation structures often
-        need a multi-step walk before inserting; call :meth:`fill`
-        once the payload is available.
-        """
-        payload = self.get_line(key, write)
-        if payload is None:
-            return AccessResult(hit=False)
-        return AccessResult(hit=True, value=payload)
-
     def probe(self, key: int) -> Optional[V]:
         """Look up ``key`` without updating statistics or recency."""
         return self._set_for(key).get(key)

@@ -83,12 +83,6 @@ class Architecture(ABC):
         pins the two to identical accounting.
         """
 
-    def fam_access(self, node: Node, npa: int, now: float,
-                   is_write: bool, kind: RequestKind) -> float:
-        """Compatibility alias for :meth:`fam_access_fast` (non-hot
-        callers and tests)."""
-        return self.fam_access_fast(node, npa, now, is_write, kind)
-
     def make_stu_organization(self, config: StuConfig) -> Union[
             IFamStuCache, DeactWAcmCache, DeactNAcmCache, None]:
         """The STU cache organization this architecture uses."""
@@ -101,19 +95,6 @@ class Architecture(ABC):
     def acm_hit_rate(self, node: Node) -> float:
         """ACM hit rate (Figure 9) for this node."""
         return 1.0
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fam_address(node: Node, npa: int) -> int:
-        """Functional system translation (what the hardware's table
-        lookup would produce) — timing is charged by callers."""
-        node_page = npa // PAGE_BYTES
-        fam_page = node.broker.translate(node.node_id, node_page)
-        return fam_page * PAGE_BYTES + (npa % PAGE_BYTES)
-
-    @staticmethod
-    def _needed_permission(is_write: bool) -> Permission:
-        return Permission.WRITE if is_write else Permission.READ
 
 
 class EFam(Architecture):

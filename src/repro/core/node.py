@@ -23,8 +23,8 @@ trace through it on a single node; the multi-node interleaved driver
 calls it with an ``until`` bound, the heap's next key, so each call
 runs the node for as long as the seed's per-event heap would have
 kept picking it.  :meth:`Node.step_fast` is a one-event
-``run_events``.  Boxed :class:`TraceEvent` objects survive only in
-:meth:`Node.step` and the :mod:`repro.core.refpath` oracle.
+``run_events``.  Boxed :class:`~repro.workloads.trace.TraceEvent`
+objects survive only in the :mod:`repro.core.refpath` oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.sim.resource import OutstandingWindow
 from repro.sim.stats import Stats
 from repro.tlb.mmu import Mmu
 from repro.translator.fam_translator import FamTranslator
-from repro.workloads.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.architectures import Architecture
@@ -168,96 +167,12 @@ class Node:
         self.stats.incr("page_faults")
 
     # ------------------------------------------------------------------
-    # Memory path
-    # ------------------------------------------------------------------
-    def in_fam_zone(self, npa: int) -> bool:
-        return npa >= self.fam_zone_base
-
-    def memory_access(self, npa: int, now: float, is_write: bool,
-                      kind: RequestKind) -> float:
-        """LLC-miss path: local DRAM or the architecture's FAM access."""
-        if npa < self.fam_zone_base:
-            self.stats.incr("mem.local")
-            return self.dram.access(npa, now, is_write=is_write, kind=kind)
-        self.stats.incr("mem.fam")
-        if kind == RequestKind.DATA:
-            self.stats.incr("mem.fam_data")
-        return self.architecture.fam_access(self, npa, now, is_write, kind)
-
-    def cached_access(self, npa: int, now: float, is_write: bool,
-                      kind: RequestKind) -> Tuple[float, int]:
-        """Access through the cache hierarchy, falling through to the
-        memory path on a full miss.
-
-        Returns ``(completion_ns, level)`` with ``level`` 0 on a miss
-        (served by memory) and 1..3 for cache hits.  Dirty write-backs
-        are charged against memory bandwidth off the critical path.
-        """
-        result = self.caches.access(npa, write=is_write)
-        t = now + result.latency_ns
-        for wb_addr in result.writebacks:
-            self.memory_access(wb_addr, t, True, RequestKind.WRITEBACK)
-        if result.hit:
-            return t, result.level
-        return self.memory_access(npa, t, is_write, kind), 0
-
-    def access(self, vaddr: int, is_write: bool,
-               now: float) -> Tuple[float, int]:
-        """One full virtual-address access: translate, then reference.
-
-        Page-walk reads are serial (each level's address depends on
-        the previous) and traverse the data caches like any other
-        read — the paper's Figure 1 walk behaviour.
-        """
-        vpn = self.mmu.vpn_of(vaddr)
-        if vpn not in self.page_table:
-            self._handle_page_fault(vpn)
-        outcome = self.mmu.translate(vaddr)
-        t = now + outcome.tlb_latency_ns
-        for step in outcome.walk_steps:
-            t, _level = self.cached_access(step.entry_addr, t, False,
-                                           RequestKind.NODE_PTW)
-        npa = self.mmu.physical_address(outcome.frame, vaddr)
-        return self.cached_access(npa, t, is_write, RequestKind.DATA)
-
-    # ------------------------------------------------------------------
-    # Core timing
-    # ------------------------------------------------------------------
-    def step(self, event: TraceEvent) -> float:
-        """Advance the core over one trace event; returns core time.
-
-        This is the boxed *reference* path (the seed per-event loop),
-        the only production-adjacent surface still consuming
-        :class:`TraceEvent` objects; production runs go through
-        :meth:`run_events`, and the hot-path
-        equivalence suite proves both produce bit-identical stats.
-        """
-        gap, vaddr, is_write, dependent = event
-        self.instructions += gap + 1
-        self.memory_events += 1
-        self.core_time_ns += gap * self._slot_ns
-
-        issue = self.window.admit(self.core_time_ns)
-        completion, level = self.access(vaddr, is_write, issue)
-        if level:
-            # On-chip hit: a short, effectively blocking latency.
-            self.core_time_ns = completion
-        else:
-            self.window.record(completion)
-            if dependent and not is_write:
-                self.core_time_ns = max(self.core_time_ns, completion)
-            else:
-                self.core_time_ns = max(self.core_time_ns,
-                                        issue + self._slot_ns)
-        return self.core_time_ns
-
-    # ------------------------------------------------------------------
-    # Allocation-free per-event path
+    # Per-event path
     # ------------------------------------------------------------------
     def _memory_access_fast(self, npa: int, now: float, is_write: bool,
                             kind: RequestKind) -> float:
-        """Slim :meth:`memory_access` routing FAM-zone traffic through
-        the architecture's allocation-free access procedure."""
+        """LLC-miss path: local DRAM below :attr:`fam_zone_base`, the
+        architecture's FAM access procedure from it on."""
         if npa < self.fam_zone_base:
             self._stat_counters["mem.local"] += 1.0
             return self.dram.access(npa, now, is_write=is_write, kind=kind)

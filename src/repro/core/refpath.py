@@ -6,9 +6,10 @@ seed implementation, which boxed every intermediate outcome into a
 dataclass (``AccessResult`` per fill, ``TlbLookup`` per TLB probe,
 ``TranslationOutcome`` per translation, ``HierarchyResult`` per cache
 access, ``TranslatorLookup`` / ``WalkTiming`` / ``VerificationResult``
-per FAM access).  This module preserves that implementation verbatim —
-operating on the *same* component instances, so the two paths can be
-run against identical state — for two purposes:
+per FAM access).  This module preserves that implementation verbatim,
+boxes included (only ``VerificationResult`` lives on, in ``repro.stu``),
+operating on the *same* component instances so the two paths can be
+run against identical state.  It serves two purposes:
 
 * the hot-path equivalence suite (``tests/test_hot_path_equivalence``)
   proves the reworked path produces **bit-identical** run stats;
@@ -50,12 +51,13 @@ it is a white-box reference, not an API.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, List, Optional, Tuple
 
 from repro.acm.metadata import Permission, perm_code_allows
 from repro.acm.store import AcmStore
-from repro.cache.cache import AccessResult, SetAssociativeCache
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
+from repro.cache.cache import SetAssociativeCache
+from repro.cache.hierarchy import CacheHierarchy
 from repro.config.system import PAGE_BYTES
 from repro.core.architectures import (
     EFam,
@@ -69,20 +71,91 @@ from repro.errors import AccessViolationError, ProtocolError
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
 from repro.pagetable.walker import PageTableWalker, WalkResult, _BITS_PER_LEVEL
+from repro.pagetable.x86 import WalkStep
 from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache
-from repro.stu.stu import Stu, VerificationResult, WalkTiming
-from repro.tlb.mmu import Mmu, TranslationOutcome
-from repro.tlb.tlb import TlbLookup, TwoLevelTlb
-from repro.translator.fam_translator import (
-    _TAG_MATCH_NS,
-    FamTranslator,
-    TranslatorLookup,
-)
+from repro.stu.stu import Stu, VerificationResult
+from repro.tlb.mmu import Mmu
+from repro.tlb.tlb import TwoLevelTlb
+from repro.translator.fam_translator import _TAG_MATCH_NS, FamTranslator
 from repro.workloads.trace import TraceEvent
 
 __all__ = ["reference_step"]
 
 _NO_WRITEBACKS: Tuple[int, ...] = ()
+
+
+# ----------------------------------------------------------------------
+# Seed result boxes (one allocation per outcome, as the seed made them)
+# ----------------------------------------------------------------------
+@dataclass
+class AccessResult:
+    """A tag-store fill and the line it displaced, if any."""
+
+    hit: bool
+    value: Any = None
+    evicted_key: Optional[int] = None
+    evicted_value: Any = None
+
+
+@dataclass
+class HierarchyResult:
+    """A hierarchy access: serving ``level`` (0 on a full miss)."""
+
+    level: int
+    latency_ns: float
+    writebacks: Tuple[int, ...] = _NO_WRITEBACKS
+
+    @property
+    def hit(self) -> bool:
+        return self.level != 0
+
+
+@dataclass
+class TlbLookup:
+    """A two-level TLB probe: ``level`` 1 or 2 on a hit, 0 on a miss."""
+
+    level: int
+    frame: Optional[int] = None
+    latency_ns: float = 0.0
+
+    @property
+    def hit(self) -> bool:
+        return self.level != 0
+
+
+@dataclass
+class TranslationOutcome:
+    """An MMU translation, with the page-table reads a miss leaves."""
+
+    vpn: int
+    frame: int
+    tlb_level: int
+    tlb_latency_ns: float = 0.0
+    walk_steps: List[WalkStep] = field(default_factory=list)
+    walk_cache_skips: int = 0
+
+
+@dataclass
+class TranslatorLookup:
+    """A FAM-translator lookup; ``fam_page`` is ``None`` on a miss."""
+
+    node_page: int
+    fam_page: Optional[int]
+    completion_ns: float
+
+    @property
+    def hit(self) -> bool:
+        return self.fam_page is not None
+
+
+@dataclass
+class WalkTiming:
+    """An STU system-page-table walk."""
+
+    fam_page: int
+    completion_ns: float
+    memory_accesses: int
+    skipped_levels: int
 
 
 # ----------------------------------------------------------------------
@@ -375,11 +448,22 @@ def _ref_ifam_translate(stu: Stu, node_page: int,
 # ----------------------------------------------------------------------
 # Architecture access procedures (seed bodies)
 # ----------------------------------------------------------------------
+def _fam_address(node: Node, npa: int) -> int:
+    """Functional system translation (what the hardware's table lookup
+    would produce) — timing is charged by callers."""
+    fam_page = node.broker.translate(node.node_id, npa // PAGE_BYTES)
+    return fam_page * PAGE_BYTES + (npa % PAGE_BYTES)
+
+
+def _needed_permission(is_write: bool) -> Permission:
+    return Permission.WRITE if is_write else Permission.READ
+
+
 def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
                     kind: RequestKind) -> float:
     architecture = node.architecture
     if isinstance(architecture, EFam):
-        fam_addr = architecture._fam_address(node, npa)
+        fam_addr = _fam_address(node, npa)
         depart = node.fabric.node_to_fam_arrival(now)
         served = _ref_nvm_access(node.fam, fam_addr, depart, is_write,
                                  kind, node.node_id)
@@ -396,7 +480,7 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
         node.stats.incr("stu.translation_hits" if hit
                         else "stu.translation_misses")
         fam_addr = fam_page * PAGE_BYTES + (npa % PAGE_BYTES)
-        needed = architecture._needed_permission(is_write)
+        needed = _needed_permission(is_write)
         allowed, _bitmap = _ref_acm_check(node.broker.acm, node.node_id,
                                           fam_addr, needed)
         if not allowed:
@@ -418,7 +502,7 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
     translator = node.fam_translator
     node_page = npa // PAGE_BYTES
     offset = npa % PAGE_BYTES
-    needed = architecture._needed_permission(is_write)
+    needed = _needed_permission(is_write)
     skip_verification = (node.stu.config.encrypted_memory_mode
                          and not is_write)
     lookup = _ref_translator_lookup(translator, node_page, now)

@@ -9,12 +9,16 @@ The unit exposes three timed operations used by the architecture
 strategies in :mod:`repro.core.architectures`:
 
 * :meth:`ifam_translate` — the I-FAM combined lookup/walk.
-* :meth:`walk_system_table` — a FAM page-table walk on behalf of a
-  DeACT FAM-translator miss (serial FAM round trips per level).
-* :meth:`verify_access` — the DeACT verification step: ACM cache
+* :meth:`walk_system_table_fast` — a FAM page-table walk on behalf of
+  a DeACT FAM-translator miss (serial FAM round trips per level).
+* :meth:`verify_access_fast` — the DeACT verification step: ACM cache
   lookup, metadata-block fetch from FAM on a miss, shared-page bitmap
   consultation, and the actual allow/deny decision against the
   authoritative :class:`~repro.acm.store.AcmStore`.
+
+:meth:`verify_access` runs the same verification and also reports its
+outcome as a :class:`VerificationResult`, for callers outside the
+simulation loop.
 """
 
 from __future__ import annotations
@@ -33,17 +37,7 @@ from repro.pagetable.walker import PageTableWalker
 from repro.sim.stats import Stats
 from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache, IFamStuCache
 
-__all__ = ["Stu", "WalkTiming", "VerificationResult"]
-
-
-@dataclass
-class WalkTiming:
-    """Outcome of a system-page-table walk performed by the STU."""
-
-    fam_page: int
-    completion_ns: float
-    memory_accesses: int
-    skipped_levels: int
+__all__ = ["Stu", "VerificationResult"]
 
 
 @dataclass
@@ -89,9 +83,6 @@ class Stu:
         # memory-level parallelism in I-FAM — the core can overlap 32
         # data misses, but their walks form a queue at the STU.
         self._ptw_busy_until = 0.0
-        # Outcome flags of the most recent verification, for the boxed
-        # verify_access wrapper.
-        self._last_verification = (True, False, False)
 
     # ------------------------------------------------------------------
     # I-FAM combined path
@@ -121,12 +112,13 @@ class Stu:
     # ------------------------------------------------------------------
     # System page-table walking (shared by I-FAM and DeACT misses)
     # ------------------------------------------------------------------
-    def _walk_core(self, node_page: int, now: float):
-        """Timed system-table walk shared by the boxed and fast APIs.
+    def walk_system_table_fast(self, node_page: int,
+                               now: float) -> Tuple[int, float]:
+        """Walk the broker-maintained system page table; returns
+        ``(fam_page, completion_ns)``.
 
         Each surviving level (after the STU's walk caches) is a
         dependent FAM read: router -> FAM port -> NVM bank -> router.
-        Returns ``(walk_result, completion_ns)``.
         """
         result = self.walker.walk(node_page)
         # Queue behind any walk already in flight at this STU's PTW
@@ -144,21 +136,7 @@ class Stu:
         self._ptw_busy_until = t
         self._counters["walks"] += 1.0
         self._counters["walk_accesses"] += float(len(result.steps))
-        return result, t
-
-    def walk_system_table_fast(self, node_page: int,
-                               now: float) -> Tuple[int, float]:
-        """Allocation-free system-table walk: ``(fam_page,
-        completion_ns)`` — the per-miss hot path."""
-        result, t = self._walk_core(node_page, now)
         return result.frame, t
-
-    def walk_system_table(self, node_page: int, now: float) -> WalkTiming:
-        """Walk the broker-maintained system page table (boxed)."""
-        result, t = self._walk_core(node_page, now)
-        return WalkTiming(fam_page=result.frame, completion_ns=t,
-                          memory_accesses=len(result.steps),
-                          skipped_levels=result.skipped_levels)
 
     # ------------------------------------------------------------------
     # DeACT verification path
@@ -168,8 +146,7 @@ class Stu:
                            enforce: bool = True) -> float:
         """Verify that this STU's node may access ``fam_addr``.
 
-        Allocation-free hot path: returns the completion time only
-        (the common case — verification passed).  Timing: an ACM-cache
+        Returns the completion time only.  Timing: an ACM-cache
         lookup; on a miss, one FAM round trip to fetch the 64 B
         metadata block (installed for reuse); for shared pages, one
         further FAM round trip for the bitmap block.
@@ -220,22 +197,26 @@ class Stu:
                     f"{self.name}: node {self.node_id} denied {needed!r} "
                     f"at FAM {fam_addr:#x}",
                     node_id=self.node_id, fam_addr=fam_addr)
-            # Denied-but-unenforced callers need the full outcome; the
-            # boxed API reconstructs it below.
-        self._last_verification = (allowed, acm_hit, consulted_bitmap)
         return t
 
     def verify_access(self, fam_addr: int, now: float,
                       needed: Permission = Permission.READ,
                       enforce: bool = True) -> VerificationResult:
-        """Boxed :meth:`verify_access_fast` (reference path, tests,
-        and callers that inspect hit/bitmap outcomes)."""
+        """:meth:`verify_access_fast` with its outcome, read off the
+        counters it bumps (for callers that inspect the ACM-cache and
+        bitmap outcomes, or a denied access with ``enforce`` off)."""
+        counters = self._counters
+        violations = counters.get("violations", 0.0)
+        acm_hits = counters.get("acm.hits", 0.0)
+        bitmap_fetches = counters.get("bitmap_fetches", 0.0)
         t = self.verify_access_fast(fam_addr, now, needed=needed,
                                     enforce=enforce)
-        allowed, acm_hit, bitmap_fetched = self._last_verification
-        return VerificationResult(allowed=allowed, completion_ns=t,
-                                  acm_hit=acm_hit,
-                                  bitmap_fetched=bitmap_fetched)
+        return VerificationResult(
+            allowed=counters.get("violations", 0.0) == violations,
+            completion_ns=t,
+            acm_hit=counters.get("acm.hits", 0.0) != acm_hits,
+            bitmap_fetched=counters.get("bitmap_fetches", 0.0)
+            != bitmap_fetches)
 
     # ------------------------------------------------------------------
     # Shootdown hooks (job migration, Section VI)

@@ -6,7 +6,7 @@
   through walk caches on a miss (the Samba-equivalent in our model).
 """
 
-from repro.tlb.tlb import TlbLookup, TwoLevelTlb
-from repro.tlb.mmu import Mmu, TranslationOutcome
+from repro.tlb.tlb import TwoLevelTlb
+from repro.tlb.mmu import Mmu
 
-__all__ = ["TwoLevelTlb", "TlbLookup", "Mmu", "TranslationOutcome"]
+__all__ = ["TwoLevelTlb", "Mmu"]

@@ -3,38 +3,22 @@
 L1 misses probe L2; an L2 hit refills L1.  Both levels cache full
 VPN -> frame leaf translations (4 KB pages, as throughout the paper).
 
-The per-event path is :meth:`TwoLevelTlb.lookup_fast`, which returns a
-plain tuple; :meth:`lookup` boxes the same probe into a
-:class:`TlbLookup` for non-hot callers and tests.
+The per-event loop probes the L1 TLB itself and hands misses to
+:meth:`repro.tlb.mmu.Mmu.translate_after_l1_miss`, which probes L2 and
+refills.  :meth:`TwoLevelTlb.lookup_fast` is the whole two-level probe
+as one call, returning a plain ``(level, frame, latency_ns)`` tuple;
+:meth:`repro.tlb.mmu.Mmu.translate_fast` is its caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config.system import TlbConfig
 from repro.errors import ConfigError
 
-__all__ = ["TwoLevelTlb", "TlbLookup"]
-
-
-@dataclass
-class TlbLookup:
-    """Result of a TLB probe.
-
-    ``level`` is 1 or 2 for hits, 0 for a full miss; ``frame`` is the
-    translated physical frame on a hit.
-    """
-
-    level: int
-    frame: Optional[int] = None
-    latency_ns: float = 0.0
-
-    @property
-    def hit(self) -> bool:
-        return self.level != 0
+__all__ = ["TwoLevelTlb"]
 
 
 def _level_geometry(name: str, entries: int, associativity: int) -> int:
@@ -77,13 +61,14 @@ class TwoLevelTlb:
         self._l2_latency_ns = config.l2_latency_ns
 
     def lookup_fast(self, vpn: int) -> Tuple[int, int, float]:
-        """Allocation-free probe: ``(level, frame, latency_ns)``.
+        """Probe L1 then L2: ``(level, frame, latency_ns)``.
 
         ``level`` is 1/2 for hits (with ``frame`` valid) and 0 for a
-        full miss (``frame`` is -1 and must not be used).  L2 hits
-        refill L1, as in :meth:`lookup`.  The L1 probe is inlined
-        (``get_line``'s body, LRU promotion unconditional — both TLB
-        levels are always LRU) because most translations end there.
+        full miss (``frame`` is -1 and must not be used).  An L2 hit
+        refills L1; ``latency_ns`` is the L2 probe cost on an L1 miss.
+        The L1 probe is inlined (``get_line``'s body, LRU promotion
+        unconditional — both TLB levels are always LRU) because most
+        translations end there.
         """
         l1 = self.l1
         mask = l1._mask
@@ -99,12 +84,6 @@ class TwoLevelTlb:
             self.l1.fill_line(vpn, frame)
             return 2, frame, self._l2_latency_ns
         return 0, -1, self._l2_latency_ns
-
-    def lookup(self, vpn: int) -> TlbLookup:
-        """Probe L1 then L2; refill L1 from an L2 hit."""
-        level, frame, latency = self.lookup_fast(vpn)
-        return TlbLookup(level=level, frame=frame if level else None,
-                         latency_ns=latency)
 
     def install(self, vpn: int, frame: int) -> None:
         """Insert a translation into both levels (walk refill)."""

@@ -16,7 +16,7 @@ every FAM access.
   DRAM-access timing.
 """
 
-from repro.translator.fam_translator import FamTranslator, TranslatorLookup
+from repro.translator.fam_translator import FamTranslator
 from repro.translator.outstanding import OutstandingMappingList
 from repro.translator.translation_cache import TranslationCache
 
@@ -24,5 +24,4 @@ __all__ = [
     "TranslationCache",
     "OutstandingMappingList",
     "FamTranslator",
-    "TranslatorLookup",
 ]

@@ -15,7 +15,6 @@ for the translation").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.config.system import TranslationCacheConfig
@@ -25,27 +24,10 @@ from repro.sim.stats import Stats
 from repro.translator.outstanding import OutstandingMappingList
 from repro.translator.translation_cache import TranslationCache
 
-__all__ = ["FamTranslator", "TranslatorLookup"]
+__all__ = ["FamTranslator"]
 
 #: One-cycle concurrent tag match (four comparators + mux, Figure 7b).
 _TAG_MATCH_NS = 0.5
-
-
-@dataclass
-class TranslatorLookup:
-    """Outcome of a FAM-translator lookup for one FAM-bound request.
-
-    ``fam_page`` is ``None`` on a miss — the caller must forward the
-    request to the STU with ``V=0`` for a system-page-table walk.
-    """
-
-    node_page: int
-    fam_page: Optional[int]
-    completion_ns: float
-
-    @property
-    def hit(self) -> bool:
-        return self.fam_page is not None
 
 
 class FamTranslator:
@@ -79,11 +61,12 @@ class FamTranslator:
     # ------------------------------------------------------------------
     def lookup_fast(self, node_page: int,
                     now: float) -> Tuple[Optional[int], float]:
-        """Allocation-free lookup: ``(fam_page_or_None, completion_ns)``.
+        """Translate ``node_page``: one DRAM row fetch + tag match.
 
-        Same DRAM row fetch, tag match and accounting as
-        :meth:`lookup`, without the :class:`TranslatorLookup` box —
-        this runs once per FAM-bound request on the hot path.
+        Returns ``(fam_page, completion_ns)``.  ``fam_page`` is
+        ``None`` on a miss — the caller must forward the request to
+        the STU with ``V=0`` for a system-page-table walk.  This runs
+        once per FAM-bound DeACT request.
         """
         row = self.region_base + (node_page % self._n_rows) * self._row_bytes
         served = self.dram.access(row, now, is_write=False,
@@ -95,12 +78,6 @@ class FamTranslator:
         else:
             self._stat_counters["hits"] += 1.0
         return fam_page, t
-
-    def lookup(self, node_page: int, now: float) -> TranslatorLookup:
-        """Translate ``node_page``: one DRAM row fetch + tag match."""
-        fam_page, t = self.lookup_fast(node_page, now)
-        return TranslatorLookup(node_page=node_page, fam_page=fam_page,
-                                completion_ns=t)
 
     def install(self, node_page: int, fam_page: int, now: float) -> float:
         """Apply a mapping response: read-modify-write of the row.

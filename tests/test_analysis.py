@@ -407,3 +407,43 @@ class TestRepoTreeIsClean:
                      NvmDevice.access, DramDevice.access, AcmStore.check,
                      PageTableWalker.walk):
             assert is_hot_path(func), func
+
+    def test_seed_boxes_live_only_in_refpath(self):
+        # The seed's per-outcome result boxes belong to the refpath
+        # oracle alone, and the boxed production twins that built them
+        # stay deleted: each layer keeps one production entry point.
+        import ast
+
+        boxes = {"AccessResult", "HierarchyResult", "TlbLookup",
+                 "TranslationOutcome", "TranslatorLookup", "WalkTiming"}
+        deleted = {
+            "Node": {"step", "access", "cached_access", "memory_access",
+                     "in_fam_zone"},
+            "Architecture": {"fam_access", "_fam_address",
+                             "_needed_permission"},
+            "CacheHierarchy": {"access", "block_address"},
+            "SetAssociativeCache": {"access", "fill"},
+            "Mmu": {"translate"},
+            "TwoLevelTlb": {"lookup"},
+            "FamTranslator": {"lookup"},
+            "Stu": {"walk_system_table", "_walk_core"},
+        }
+        defined, built, revived = {}, set(), []
+        for module in scan_project().modules.values():
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ClassDef):
+                    if node.name in boxes:
+                        defined[node.name] = module.rel
+                    revived += [
+                        f"{module.rel}: {node.name}.{stmt.name}"
+                        for stmt in node.body
+                        if isinstance(stmt, ast.FunctionDef)
+                        and stmt.name in deleted.get(node.name, ())]
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in boxes:
+                        built.add(module.rel)
+        assert defined == dict.fromkeys(boxes, "repro/core/refpath.py")
+        assert built == {"repro/core/refpath.py"}
+        assert revived == []

@@ -1,4 +1,8 @@
-"""Tests for the architecture strategies (E-FAM / I-FAM / DeACT)."""
+"""Tests for the architecture strategies (E-FAM / I-FAM / DeACT).
+
+Accesses go through :meth:`Node.step_fast` as dependent reads, so the
+returned core time is the access's completion time.
+"""
 
 import pytest
 
@@ -30,6 +34,13 @@ def system_for(arch, local_fraction=0.0):
         allocation=replace(config.allocation,
                            local_fraction=local_fraction))
     return FamSystem(config, arch, seed=3)
+
+
+def read(vaddr, gap=0):
+    """A dependent read of ``vaddr`` as :meth:`Node.step_fast`
+    arguments (64 B blocks)."""
+    offset = vaddr % PAGE
+    return gap, vaddr // PAGE, offset, offset // 64, False, True
 
 
 class TestRegistry:
@@ -68,7 +79,7 @@ class TestEFamPath:
     def test_no_translation_traffic_at_fam(self):
         system = system_for("e-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        node.step_fast(*read(0x5000_0000))
         snap = system.fam.snapshot()
         # Node PTW traffic may reach FAM (PT pages live there), but no
         # STU walks or ACM fetches exist in E-FAM.
@@ -78,8 +89,8 @@ class TestEFamPath:
     def test_round_trip_latency(self):
         system = system_for("e-fam")
         node = system.nodes[0]
-        completion, level = node.access(0x5000_0000, False, 0.0)
-        assert level == 0
+        completion = node.step_fast(*read(0x5000_0000))
+        assert node.stats.get("mem.fam_data") == 1  # missed every level
         assert completion >= 1000.0  # two 500ns one-way hops minimum
 
 
@@ -87,15 +98,15 @@ class TestIFamPath:
     def test_miss_walks_system_table(self):
         system = system_for("i-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        node.step_fast(*read(0x5000_0000))
         assert system.fam.snapshot()["kind.fam_ptw"] >= 4
 
     def test_hit_skips_walk(self):
         system = system_for("i-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        node.step_fast(*read(0x5000_0000))
         walks_before = node.stu.stats.get("walks")
-        node.access(0x5000_0000 + 64, False, 50_000.0)
+        node.step_fast(*read(0x5000_0000 + 64))
         # Same page: STU mapping cached; no new walk for the data
         # access (TLB also hits so no node PTW either).
         assert node.stu.stats.get("walks") == walks_before
@@ -103,8 +114,8 @@ class TestIFamPath:
     def test_translation_hit_rate_reported(self):
         system = system_for("i-fam")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
-        node.access(0x5000_0000 + 64, False, 50_000.0)
+        node.step_fast(*read(0x5000_0000))
+        node.step_fast(*read(0x5000_0000 + 64))
         arch = system.architecture
         assert 0.0 < arch.translation_hit_rate(node) <= 1.0
         assert arch.acm_hit_rate(node) == arch.translation_hit_rate(node)
@@ -114,7 +125,7 @@ class TestDeactPath:
     def test_translation_miss_uses_stu_walk_then_caches(self):
         system = system_for("deact-n")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        node.step_fast(*read(0x5000_0000))
         assert node.fam_translator.cache.misses >= 1
         assert system.fam.snapshot()["kind.fam_ptw"] >= 4
         # The mapping response installed the translation.
@@ -125,18 +136,18 @@ class TestDeactPath:
     def test_acm_fetches_reach_fam(self):
         system = system_for("deact-n")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        node.step_fast(*read(0x5000_0000))
         assert system.fam.snapshot()["kind.acm"] >= 1
 
     def test_hit_path_accesses_local_dram(self):
         system = system_for("deact-n")
         node = system.nodes[0]
-        node.access(0x5000_0000, False, 0.0)
+        node.step_fast(*read(0x5000_0000))
         dram_before = node.dram.accesses
-        node.access(0x5000_0000 + 64, False, 100_000.0)
+        node.step_fast(*read(0x5000_0000 + 64))
         # L1/2/3 may hit for the same block; use a different block in
         # the same page to force a FAM access with a translator lookup.
-        node.access(0x5000_0000 + 128, False, 200_000.0)
+        node.step_fast(*read(0x5000_0000 + 128))
         assert node.dram.accesses > dram_before
 
     def test_deact_w_and_n_differ_only_in_acm_cache(self):
@@ -151,8 +162,7 @@ class TestDeactPath:
         system = system_for("deact-n")
         node = system.nodes[0]
         for block in range(4):
-            node.access(0x5000_0000 + block * 64, False,
-                        block * 100_000.0)
+            node.step_fast(*read(0x5000_0000 + block * 64))
         arch = system.architecture
         assert 0.0 <= arch.translation_hit_rate(node) <= 1.0
         assert 0.0 <= arch.acm_hit_rate(node) <= 1.0
@@ -161,14 +171,14 @@ class TestDeactPath:
 class TestCrossArchitectureOrdering:
     def test_efam_fastest_for_translation_heavy_access(self):
         """One cold FAM access: E-FAM completes before I-FAM (which
-        walks) and DeACT (which walks + verifies)."""
+        walks) and both DeACT variants (which walk + verify)."""
         completions = {}
-        for arch in ("e-fam", "i-fam", "deact-n"):
+        for arch in ("e-fam", "i-fam", "deact-w", "deact-n"):
             system = system_for(arch)
             node = system.nodes[0]
-            completion, _ = node.access(0x5000_0000, False, 0.0)
-            completions[arch] = completion
+            completions[arch] = node.step_fast(*read(0x5000_0000))
         assert completions["e-fam"] < completions["i-fam"]
+        assert completions["e-fam"] < completions["deact-w"]
         assert completions["e-fam"] < completions["deact-n"]
 
     def test_warm_deact_beats_warm_ifam_after_stu_thrash(self):
@@ -180,13 +190,11 @@ class TestCrossArchitectureOrdering:
         def warm_then_probe(arch):
             system = system_for(arch)
             node = system.nodes[0]
-            t = 0.0
             for page in range(thrash_pages):
-                completion, _ = node.access(0x5000_0000 + page * PAGE,
-                                            False, t)
-                t = completion + 1000.0
-            start = t + 1_000_000.0
-            completion, _ = node.access(0x5000_0000 + 64, False, start)
+                # The gap idles the core between reads (1000 ns).
+                node.step_fast(*read(0x5000_0000 + page * PAGE, gap=16_000))
+            start = node.core_time_ns
+            completion = node.step_fast(*read(0x5000_0000 + 64))
             return completion - start
 
         assert warm_then_probe("deact-n") < warm_then_probe("i-fam")

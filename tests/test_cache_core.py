@@ -10,15 +10,13 @@ from repro.errors import ConfigError
 class TestBasicOperation:
     def test_miss_then_fill_then_hit(self):
         cache = SetAssociativeCache("c", 4, 2)
-        assert not cache.access(5).hit
-        cache.fill(5, "payload")
-        result = cache.access(5)
-        assert result.hit
-        assert result.value == "payload"
+        assert cache.get_line(5) is None
+        assert cache.fill_line(5, "payload") is None
+        assert cache.get_line(5) == "payload"
 
     def test_probe_does_not_count(self):
         cache = SetAssociativeCache("c", 4, 2)
-        cache.fill(5, True)
+        cache.fill_line(5, True)
         cache.probe(5)
         cache.probe(6)
         assert cache.hits == 0
@@ -26,26 +24,26 @@ class TestBasicOperation:
 
     def test_contains(self):
         cache = SetAssociativeCache("c", 4, 2)
-        cache.fill(8, 1)
+        cache.fill_line(8, 1)
         assert 8 in cache
         assert 9 not in cache
 
     def test_len_counts_lines(self):
         cache = SetAssociativeCache("c", 4, 2)
         for key in range(5):
-            cache.fill(key, key)
+            cache.fill_line(key, key)
         assert len(cache) == 5
 
     def test_refill_replaces_in_place(self):
         cache = SetAssociativeCache("c", 4, 2)
-        cache.fill(3, "old")
-        cache.fill(3, "new")
-        assert cache.access(3).value == "new"
+        cache.fill_line(3, "old")
+        cache.fill_line(3, "new")
+        assert cache.get_line(3) == "new"
         assert len(cache) == 1
 
     def test_invalidate(self):
         cache = SetAssociativeCache("c", 4, 2)
-        cache.fill(3, 1)
+        cache.fill_line(3, 1)
         assert cache.invalidate(3) is True
         assert cache.invalidate(3) is False
         assert 3 not in cache
@@ -53,7 +51,7 @@ class TestBasicOperation:
     def test_clear(self):
         cache = SetAssociativeCache("c", 4, 2)
         for key in range(8):
-            cache.fill(key, key)
+            cache.fill_line(key, key)
         cache.clear()
         assert len(cache) == 0
 
@@ -69,51 +67,47 @@ class TestBasicOperation:
 class TestSetMapping:
     def test_keys_map_to_sets_by_modulo(self):
         cache = SetAssociativeCache("c", 4, 1)
-        cache.fill(0, "a")
-        cache.fill(4, "b")  # same set as 0, 1-way: evicts
+        cache.fill_line(0, "a")
+        cache.fill_line(4, "b")  # same set as 0, 1-way: evicts
         assert 0 not in cache
         assert 4 in cache
 
     def test_different_sets_do_not_conflict(self):
         cache = SetAssociativeCache("c", 4, 1)
-        cache.fill(0, "a")
-        cache.fill(1, "b")
+        cache.fill_line(0, "a")
+        cache.fill_line(1, "b")
         assert 0 in cache and 1 in cache
 
 
 class TestLruReplacement:
     def test_evicts_least_recently_used(self):
         cache = SetAssociativeCache("c", 1, 2)
-        cache.fill(1, "a")
-        cache.fill(2, "b")
-        cache.access(1)  # promote 1
-        result = cache.fill(3, "c")
-        assert result.evicted_key == 2
+        cache.fill_line(1, "a")
+        cache.fill_line(2, "b")
+        cache.get_line(1)  # promote 1
+        assert cache.fill_line(3, "c") == (2, "b")
 
     def test_fill_promotes(self):
         cache = SetAssociativeCache("c", 1, 2)
-        cache.fill(1, "a")
-        cache.fill(2, "b")
-        cache.fill(1, "a2")  # refill promotes 1
-        result = cache.fill(3, "c")
-        assert result.evicted_key == 2
+        cache.fill_line(1, "a")
+        cache.fill_line(2, "b")
+        assert cache.fill_line(1, "a2") is None  # refill promotes 1
+        assert cache.fill_line(3, "c") == (2, "b")
 
     def test_eviction_reports_payload(self):
         cache = SetAssociativeCache("c", 1, 1)
-        cache.fill(1, "victim")
-        result = cache.fill(2, "new")
-        assert result.evicted_value == "victim"
+        cache.fill_line(1, "victim")
+        assert cache.fill_line(2, "new") == (1, "victim")
         assert cache.evictions == 1
 
 
 class TestFifoReplacement:
     def test_hits_do_not_promote(self):
         cache = SetAssociativeCache("c", 1, 2, replacement="fifo")
-        cache.fill(1, "a")
-        cache.fill(2, "b")
-        cache.access(1)  # FIFO ignores the touch
-        result = cache.fill(3, "c")
-        assert result.evicted_key == 1
+        cache.fill_line(1, "a")
+        cache.fill_line(2, "b")
+        cache.get_line(1)  # FIFO ignores the touch
+        assert cache.fill_line(3, "c") == (1, "a")
 
 
 class TestRandomReplacement:
@@ -122,16 +116,15 @@ class TestRandomReplacement:
             cache = SetAssociativeCache("c", 1, 4, replacement="random",
                                         seed=seed)
             for key in range(10):
-                cache.fill(key, key)
+                cache.fill_line(key, key)
             return sorted(k for k in range(10) if k in cache)
         assert run(1) == run(1)
 
     def test_evicts_some_resident_line(self):
         cache = SetAssociativeCache("c", 1, 2, replacement="random", seed=3)
-        cache.fill(1, "a")
-        cache.fill(2, "b")
-        result = cache.fill(3, "c")
-        assert result.evicted_key in (1, 2)
+        cache.fill_line(1, "a")
+        cache.fill_line(2, "b")
+        assert cache.fill_line(3, "c") in ((1, "a"), (2, "b"))
 
 
 class TestDirtyTracking:
@@ -140,24 +133,23 @@ class TestDirtyTracking:
 
     def test_write_marks_dirty(self):
         cache = SetAssociativeCache("c", 1, 1)
-        cache.fill(1, False)
-        cache.access(1, write=True)
-        result = cache.fill(2, False)
-        assert result.evicted_value is True
+        cache.fill_line(1, False)
+        assert cache.get_line(1, write=True) is True
+        assert cache.fill_line(2, False) == (1, True)
 
     def test_clean_eviction(self):
         cache = SetAssociativeCache("c", 1, 1)
-        cache.fill(1, False)
-        result = cache.fill(2, False)
-        assert result.evicted_key == 1
-        assert result.evicted_value is False
+        cache.fill_line(1, False)
+        victim_key, victim_dirty = cache.fill_line(2, False)
+        assert victim_key == 1
+        assert victim_dirty is False
 
 
 class TestInvalidateWhere:
     def test_predicate_invalidation(self):
         cache = SetAssociativeCache("c", 4, 4)
         for key in range(8):
-            cache.fill(key, key * 10)
+            cache.fill_line(key, key * 10)
         dropped = cache.invalidate_where(lambda k, v: k % 2 == 0)
         assert dropped == 4
         assert len(cache) == 4
@@ -167,15 +159,15 @@ class TestInvalidateWhere:
 class TestStatistics:
     def test_hit_rate(self):
         cache = SetAssociativeCache("c", 4, 2)
-        cache.fill(1, True)
-        cache.access(1)
-        cache.access(2)
+        cache.fill_line(1, True)
+        cache.get_line(1)
+        cache.get_line(2)
         assert cache.hit_rate == 0.5
 
     def test_reset_stats_keeps_contents(self):
         cache = SetAssociativeCache("c", 4, 2)
-        cache.fill(1, True)
-        cache.access(1)
+        cache.fill_line(1, True)
+        cache.get_line(1)
         cache.reset_stats()
         assert cache.hits == 0
         assert 1 in cache
@@ -191,7 +183,7 @@ class TestCapacityInvariants:
         """Invariant: each set holds at most ``associativity`` lines."""
         cache = SetAssociativeCache("c", n_sets, assoc)
         for key in keys:
-            cache.fill(key, key)
+            cache.fill_line(key, key)
         assert len(cache) <= n_sets * assoc
         for lines in cache._sets:
             assert len(lines) <= assoc
@@ -203,7 +195,7 @@ class TestCapacityInvariants:
         """Invariant: the line just filled is never the one evicted."""
         cache = SetAssociativeCache("c", 2, 2)
         for key in keys:
-            cache.fill(key, key)
+            cache.fill_line(key, key)
             assert key in cache
 
     @given(st.lists(st.integers(min_value=0, max_value=30),
@@ -212,6 +204,6 @@ class TestCapacityInvariants:
     def test_hits_plus_misses_equals_accesses(self, keys):
         cache = SetAssociativeCache("c", 2, 4)
         for key in keys:
-            if not cache.access(key).hit:
-                cache.fill(key, key)
+            if cache.get_line(key) is None:
+                cache.fill_line(key, key)
         assert cache.hits + cache.misses == len(keys)

@@ -76,7 +76,7 @@ class TestFactory:
 
 
 class TestFifoFillInPlaceRegression:
-    """Regression for the FIFO aging bug: ``fill`` on an
+    """Regression for the FIFO aging bug: a fill on an
     already-present key used to ``move_to_end`` unconditionally,
     refreshing the line's insertion age under FIFO — replace-in-place
     must preserve insertion order."""
@@ -86,16 +86,16 @@ class TestFifoFillInPlaceRegression:
 
         cache = SetAssociativeCache("t", n_sets=1, associativity=3,
                                     replacement=policy)
-        cache.fill(10, "a")
-        cache.fill(11, "b")
-        cache.fill(12, "c")
+        cache.fill_line(10, "a")
+        cache.fill_line(11, "b")
+        cache.fill_line(12, "c")
         return cache
 
     def test_fifo_replace_in_place_preserves_age(self):
         cache = self._filled("fifo")
-        cache.fill(10, "a2")  # replace in place — age must not refresh
-        result = cache.fill(13, "d")
-        assert result.evicted_key == 10  # 10 is still the oldest
+        cache.fill_line(10, "a2")  # replace in place — age must not refresh
+        # 10 is still the oldest, and carries the replaced payload.
+        assert cache.fill_line(13, "d") == (10, "a2")
 
     def test_fifo_fill_line_preserves_age(self):
         cache = self._filled("fifo")
@@ -106,15 +106,13 @@ class TestFifoFillInPlaceRegression:
     def test_fifo_hits_still_do_not_promote(self):
         cache = self._filled("fifo")
         cache.get_line(10)
-        result = cache.fill(13, "d")
-        assert result.evicted_key == 10
+        assert cache.fill_line(13, "d") == (10, "a")
 
     def test_lru_replace_in_place_does_promote(self):
         # LRU semantics are unchanged: a fill is a touch.
         cache = self._filled("lru")
-        cache.fill(10, "a2")
-        result = cache.fill(13, "d")
-        assert result.evicted_key == 11
+        cache.fill_line(10, "a2")
+        assert cache.fill_line(13, "d") == (11, "b")
 
     def test_replace_in_place_keeps_dirty_bit(self):
         # A data cache's payload is the line's dirty bit.  The
@@ -122,7 +120,7 @@ class TestFifoFillInPlaceRegression:
         # victim (payload True), so a dirty line stays dirty, and the
         # refill keeps its FIFO age.
         cache = self._filled("fifo")
-        cache.fill(10, True)
-        cache.fill(10, True)
+        cache.fill_line(10, True)
+        cache.fill_line(10, True)
         evicted = cache.fill_line(13, "d")
         assert evicted == (10, True)

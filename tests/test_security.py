@@ -142,8 +142,8 @@ class TestIFamEnforcement:
         system.broker.system_table(1).map(0x60, victim_page)
         node = system.nodes[1]
         with pytest.raises(AccessViolationError):
-            node.architecture.fam_access(node, 0x60 * PAGE, 0.0, False,
-                                         RequestKind.DATA)
+            node.architecture.fam_access_fast(node, 0x60 * PAGE, 0.0,
+                                              False, RequestKind.DATA)
 
 
 class TestHonestWorkloadsNeverViolate:

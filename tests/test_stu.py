@@ -123,20 +123,20 @@ class TestStuWalks:
     def test_walk_returns_mapping_and_serial_time(self):
         stu, _store, table = build_stu(IFamStuCache(small_stu_config()))
         table.map(0x42, 777)
-        timing = stu.walk_system_table(0x42, now=0.0)
-        assert timing.fam_page == 777
-        assert timing.memory_accesses == 4
+        fam_page, completion = stu.walk_system_table_fast(0x42, now=0.0)
+        assert fam_page == 777
+        assert stu.stats.get("walk_accesses") == 4
         # Four serial FAM round trips: > 4 * (400 + 60 + 400).
-        assert timing.completion_ns > 4 * 860
+        assert completion > 4 * 860
 
     def test_concurrent_walks_serialize_at_ptw_unit(self):
         stu, _store, table = build_stu(IFamStuCache(small_stu_config()))
         table.map(0x1, 1)
         table.map(0x2, 2)
-        first = stu.walk_system_table(0x1, now=0.0)
-        second = stu.walk_system_table(0x2, now=0.0)
+        _page, first_done = stu.walk_system_table_fast(0x1, now=0.0)
+        _page, second_done = stu.walk_system_table_fast(0x2, now=0.0)
         # The second walk queues behind the first.
-        assert second.completion_ns >= first.completion_ns + 4 * 860
+        assert second_done >= first_done + 4 * 860
 
     def test_ifam_translate_hit_skips_walk(self):
         stu, _store, table = build_stu(IFamStuCache(small_stu_config()))
@@ -202,6 +202,21 @@ class TestStuVerification:
         assert result.allowed
         assert result.bitmap_fetched
         assert stu.stats.get("bitmap_fetches") == 1
+
+    def test_denied_shared_read_reports_bitmap_outcome(self):
+        stu, store, _table = build_stu(DeactNAcmCache(small_stu_config()))
+        store.mark_shared(10)
+        store.bitmap_for_region(0).grant(1, PERM_RW)  # not node 0
+        first = stu.verify_access(10 * 4096, now=0.0, enforce=False)
+        assert not first.allowed
+        assert first.bitmap_fetched
+        assert not first.acm_hit  # cold cache: fetched from FAM
+        repeat = stu.verify_access(10 * 4096, now=10_000.0, enforce=False)
+        assert not repeat.allowed
+        assert repeat.bitmap_fetched
+        assert repeat.acm_hit
+        assert stu.stats.get("violations") == 2
+        assert stu.stats.get("bitmap_fetches") == 2
 
     def test_verify_needs_deact_cache(self):
         stu, _store, _table = build_stu(IFamStuCache(small_stu_config()))
