@@ -299,12 +299,11 @@ class Node:
                     t = issue  # + 0.0 ns L1 latency
                 else:
                     tlb_l1.misses += 1
-                    frame, _lvl, tlb_latency, walk_steps = \
+                    frame, _lvl, tlb_latency, walk_addrs = \
                         translate_l1_missed(vpn)
                     t = issue + tlb_latency
-                    if walk_steps:
-                        for step in walk_steps:
-                            addr = step[1]  # WalkStep.entry_addr
+                    if walk_addrs:
+                        for addr in walk_addrs:
                             t = charge_block(addr >> block_shift, addr, t,
                                              False, _KIND_NODE_PTW)
 

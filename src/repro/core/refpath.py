@@ -4,12 +4,13 @@ The production hot path (``Trace.decoded`` + ``Node.run_events`` and
 the allocation-free probe entry points underneath it) replaced the
 seed implementation, which boxed every intermediate outcome into a
 dataclass (``AccessResult`` per fill, ``TlbLookup`` per TLB probe,
-``TranslationOutcome`` per translation, ``HierarchyResult`` per cache
-access, ``TranslatorLookup`` / ``WalkTiming`` / ``VerificationResult``
-per FAM access).  This module preserves that implementation verbatim,
-boxes included (only ``VerificationResult`` lives on, in ``repro.stu``),
-operating on the *same* component instances so the two paths can be
-run against identical state.  It serves two purposes:
+``WalkResult`` per page walk, ``TranslationOutcome`` per translation,
+``HierarchyResult`` per cache access, ``TranslatorLookup`` /
+``WalkTiming`` / ``VerificationResult`` per FAM access).  This module
+preserves that implementation verbatim, boxes included (only
+``VerificationResult`` lives on, in ``repro.stu``), operating on the
+*same* component instances so the two paths can be run against
+identical state.  It serves two purposes:
 
 * the hot-path equivalence suite (``tests/test_hot_path_equivalence``)
   proves the reworked path produces **bit-identical** run stats;
@@ -37,7 +38,10 @@ The production leaves of the FAM access chain — ``NvmDevice.access``,
 here (``_ref_nvm_access``, ``_ref_dram_access``, ``_ref_acm_check``,
 ``_ref_walker_walk``) and every procedure in this module calls them,
 so the equivalence suite compares the fused leaves against the
-composed ones instead of against themselves.
+composed ones instead of against themselves.  In particular the
+production walker reads entry addresses from the page table's walk
+store, while ``_ref_walker_walk`` descends the radix tree through
+``FourLevelPageTable.walk_entries``.
 
 The tag stores' sets are shared with production, so the mirror here
 uses their representation: key -> payload, with a data cache's payload
@@ -70,7 +74,7 @@ from repro.core.node import Node
 from repro.errors import AccessViolationError, ProtocolError
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
-from repro.pagetable.walker import PageTableWalker, WalkResult, _BITS_PER_LEVEL
+from repro.pagetable.walker import PageTableWalker, _BITS_PER_LEVEL
 from repro.pagetable.x86 import WalkStep
 from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache
 from repro.stu.stu import Stu, VerificationResult
@@ -121,6 +125,21 @@ class TlbLookup:
     @property
     def hit(self) -> bool:
         return self.level != 0
+
+
+@dataclass
+class WalkResult:
+    """A page walk: the steps left after walk-cache filtering.
+
+    ``steps`` are the :class:`WalkStep` levels that touch memory, root
+    to leaf, always ending with the PTE level; ``skipped_levels``
+    interior levels (0..3) were served by walk caches.
+    """
+
+    steps: List[WalkStep]
+    skipped_levels: int
+    frame: int
+    entry_flags: int = 0
 
 
 @dataclass

@@ -1,13 +1,10 @@
-"""A small bounded LRU memo used by the hot-path caches.
+"""A small bounded LRU memo.
 
-PR 2 introduced two pure memoization layers on the simulation hot
-path: the per-geometry decoded-trace cache on :class:`Trace` and the
-per-VPN page-walk decomposition memo on :class:`FourLevelPageTable`.
-Both were unbounded — harmless for a single run, but a long
-many-trace sweep (or a sweep over many page/block geometries) keeps
-every entry alive for the life of the process.  :class:`BoundedMemo`
-caps them: an ``OrderedDict`` in least- to most-recently-used order,
-evicting the coldest entry when full.
+It caps the per-geometry decoded-trace cache on :class:`Trace`, so a
+long many-trace sweep (or a sweep over many page/block geometries)
+cannot keep every decoded trace alive for the life of the process.
+:class:`BoundedMemo` is an ``OrderedDict`` in least- to
+most-recently-used order that evicts the coldest entry when full.
 
 This is a *memo*, not a simulated structure: eviction only costs a
 recompute and can never change simulation results (everything stored

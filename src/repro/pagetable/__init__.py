@@ -17,7 +17,7 @@ show up at the FAM in Figures 4 and 11.
 
 from repro.pagetable.entry import PageTableEntry, PTE_PRESENT, PTE_WRITE, PTE_EXEC
 from repro.pagetable.x86 import FourLevelPageTable, LEVEL_NAMES, WalkStep
-from repro.pagetable.walker import PageTableWalker, WalkResult
+from repro.pagetable.walker import PageTableWalker
 
 __all__ = [
     "PageTableEntry",
@@ -28,5 +28,4 @@ __all__ = [
     "WalkStep",
     "LEVEL_NAMES",
     "PageTableWalker",
-    "WalkResult",
 ]

@@ -10,50 +10,28 @@ paper's model where DeACT is applied "only to the last level of the
 page table".
 
 :meth:`PageTableWalker.walk` runs on every TLB miss (and every STU
-walk), so it is a ``@hot_path`` that reads the table's walk memo
-directly and probes the walk caches in line, with
+walk), so it is a ``@hot_path``: one probe of the table's walk store
+yields the leaf entry and the four entry addresses, and the walk
+caches are probed in line, with
 :meth:`~repro.cache.cache.SetAssociativeCache.get_line`'s body and
-counters; only walk-cache fills call ``fill_line``.  The composed
-seed body is :func:`repro.core.refpath._ref_walker_walk`.
+counters; only walk-cache fills call ``fill_line``.  It returns
+``(frame, addrs)``, where ``addrs`` is the tuple of entry addresses
+the walk must still read, root to leaf.  The composed seed body,
+which descends the tree, is
+:func:`repro.core.refpath._ref_walker_walk`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.core.hotpath import hot_path
-from repro.pagetable.x86 import FourLevelPageTable, WalkStep
+from repro.pagetable.x86 import FourLevelPageTable
 
-__all__ = ["PageTableWalker", "WalkResult"]
+__all__ = ["PageTableWalker"]
 
 _BITS_PER_LEVEL = 9
-
-
-@dataclass
-class WalkResult:
-    """Memory accesses a walk must perform after walk-cache filtering.
-
-    Attributes
-    ----------
-    steps:
-        The :class:`WalkStep` levels that must actually touch memory,
-        ordered root-to-leaf.  Always ends with the PTE-level step.
-    skipped_levels:
-        Number of interior levels served by walk caches (0..3).
-    frame:
-        The translated physical frame number.
-    """
-
-    steps: List[WalkStep]
-    skipped_levels: int
-    frame: int
-    entry_flags: int = 0
-
-    @property
-    def memory_accesses(self) -> int:
-        return len(self.steps)
 
 
 class PageTableWalker:
@@ -93,21 +71,25 @@ class PageTableWalker:
 
     # ------------------------------------------------------------------
     @hot_path
-    def walk(self, vpn: int) -> WalkResult:
-        """Resolve ``vpn``, returning only the steps that touch memory.
+    def walk(self, vpn: int) -> Tuple[int, Tuple[int, ...]]:
+        """Resolve ``vpn``; returns ``(frame, addrs)``, where ``addrs``
+        holds the entry addresses that touch memory, root to leaf.
 
         Walk caches are probed deepest-first; every interior level the
         walk does traverse is installed into its cache.
+
+        Raises
+        ------
+        TranslationFault
+            If ``vpn`` is unmapped.
         """
         self.walks += 1
-        table = self.table
-        memo = table._walk_memo._entries
-        hit = memo.get(vpn)
-        if hit is None:
-            all_steps, entry = table.walk_entries_cached(vpn)
-        else:
-            memo.move_to_end(vpn)
-            all_steps, entry = hit
+        try:
+            entry, addrs = self.table._walks[vpn]
+        except KeyError:
+            # Unmapped: the tree descent raises TranslationFault.
+            self.table.walk_entries(vpn)
+            raise
 
         # Deepest interior level first: a PMD hit (depth 3) jumps
         # straight to the PTE access.
@@ -128,12 +110,9 @@ class PageTableWalker:
         # Install the interior levels the walk traversed.
         for cache, shift in self._fills_from[skipped]:
             cache.fill_line(vpn >> shift, True)
-        # A fresh list: the memo's step list is never handed out.
-        needed = all_steps[skipped:]
-        self.memory_accesses += len(needed)
+        self.memory_accesses += 4 - skipped
         entry.accessed = True
-        return WalkResult(steps=needed, skipped_levels=skipped,
-                          frame=entry.frame, entry_flags=entry.flags)
+        return entry.frame, addrs[skipped:]
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:

@@ -6,12 +6,23 @@ tables are allocated lazily from a frame-allocator callback, so the
 *addresses* of the entries touched during a walk are real simulated
 physical addresses — the walker charges memory accesses against them.
 
-Besides the radix tree the table keeps a leaf index, ``vpn ->
-PageTableEntry``, maintained by :meth:`FourLevelPageTable.map` and
-:meth:`FourLevelPageTable.unmap`, so :meth:`~FourLevelPageTable.lookup`
-and ``in`` are one dict probe (the broker translates through it on
-every E-FAM access, and a node checks it for demand paging on every
-event).  Walks still descend the tree, memoized per VPN.
+Besides the radix tree the table keeps two exact indexes, both
+maintained by :meth:`FourLevelPageTable.map` and
+:meth:`FourLevelPageTable.unmap`:
+
+* a leaf index, ``vpn -> PageTableEntry``, so
+  :meth:`~FourLevelPageTable.lookup` and ``in`` are one dict probe (the
+  broker translates through it on every E-FAM access, and a node
+  checks it for demand paging on every event);
+* a walk store, ``vpn -> (PageTableEntry, (a0, a1, a2, a3))``, where
+  ``a0``..``a3`` are the byte addresses of the PGD, PUD, PMD and PTE
+  entries a walk reads.  :meth:`map` records them during its descent,
+  so :class:`~repro.pagetable.walker.PageTableWalker` resolves every
+  walk with one dict probe.
+
+:meth:`~FourLevelPageTable.walk_entries` still descends the tree and
+returns :class:`WalkStep` records; the reference path
+(:mod:`repro.core.refpath`) walks through it.
 """
 
 from __future__ import annotations
@@ -19,17 +30,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import TranslationFault
-from repro.memo import BoundedMemo
 from repro.pagetable.entry import PageTableEntry, PTE_PRESENT, PTE_WRITE
 
-__all__ = ["FourLevelPageTable", "WalkStep", "LEVEL_NAMES",
-           "WALK_MEMO_CAP"]
-
-#: Cap on the per-table walk-decomposition memo.  One entry per warm
-#: VPN; 64 Ki entries cover a 256 MB working set of 4 KB pages — far
-#: beyond any scaled harness trace — while bounding what a long
-#: many-trace sweep can pin (each entry is ~5 small objects).
-WALK_MEMO_CAP = 1 << 16
+__all__ = ["FourLevelPageTable", "WalkStep", "LEVEL_NAMES"]
 
 #: Names of the levels from root to leaf, as in the paper's Figure 1.
 LEVEL_NAMES = ("PGD", "PUD", "PMD", "PTE")
@@ -39,9 +42,9 @@ _ENTRIES_PER_TABLE = 1 << _BITS_PER_LEVEL
 _ENTRY_BYTES = 8
 _PAGE_SHIFT = 12
 
-#: Derived shift/mask constants for the unrolled hot-path VPN split —
-#: pinned to _BITS_PER_LEVEL so a level-geometry change cannot desync
-#: the fast decomposition from walk_entries and the walker's keys.
+#: Derived shift/mask constants for the unrolled VPN split — pinned to
+#: _BITS_PER_LEVEL so a level-geometry change cannot desync map()'s
+#: descent from walk_entries and the walker's keys.
 _INDEX_MASK = _ENTRIES_PER_TABLE - 1
 _SHIFT_L0 = 3 * _BITS_PER_LEVEL
 _SHIFT_L1 = 2 * _BITS_PER_LEVEL
@@ -107,14 +110,12 @@ class FourLevelPageTable:
         # Leaf index: every mapped VPN's entry, the same objects the
         # tree's leaf slots hold.
         self._leaves: Dict[int, PageTableEntry] = {}
-        # Per-VPN memo of (walk steps, leaf entry): the radix descent
-        # for a VPN is invariant until that VPN is remapped/unmapped
-        # (interior tables are never freed), so the hot walker resolves
-        # warm VPNs with one dict probe.  map() seeds a VPN's entry
-        # with the descent it just made (replacing any stale one) and
-        # unmap() drops it; LRU-bounded so long many-trace sweeps
-        # cannot grow it without limit (eviction only costs a re-walk).
-        self._walk_memo: BoundedMemo = BoundedMemo(WALK_MEMO_CAP)
+        # Walk store: every mapped VPN's leaf entry and the addresses of
+        # the four entries its walk reads.  Interior tables are never
+        # freed, so those addresses hold until the VPN is remapped
+        # (map() replaces them) or unmapped (unmap() drops them).
+        self._walks: Dict[int, Tuple[PageTableEntry,
+                                     Tuple[int, int, int, int]]] = {}
 
     # ------------------------------------------------------------------
     # Index math
@@ -122,7 +123,6 @@ class FourLevelPageTable:
     @staticmethod
     def split_vpn(vpn: int) -> List[int]:
         """Split a virtual page number into the four level indices."""
-        # Unrolled: this runs once per page walk on the hot path.
         return [(vpn >> _SHIFT_L0) & _INDEX_MASK,
                 (vpn >> _SHIFT_L1) & _INDEX_MASK,
                 (vpn >> _SHIFT_L2) & _INDEX_MASK,
@@ -148,29 +148,32 @@ class FourLevelPageTable:
         Returns the installed :class:`PageTableEntry`.  Remapping an
         existing page replaces its entry (as an OS would on COW etc.).
         """
-        indices = self.split_vpn(vpn)
-        steps: List[WalkStep] = []
-        table = self._root
-        for level in range(3):
-            index = indices[level]
-            steps.append(WalkStep(level, table.entry_addr(index),
-                                  table.base_addr))
-            child = table.slots.get(index)
-            if child is None:
-                child = _Table(self._allocate_frame())
-                table.slots[index] = child
-                self.table_pages += 1
-            assert isinstance(child, _Table)
-            table = child
-        leaf_index = indices[3]
-        steps.append(WalkStep(3, table.entry_addr(leaf_index),
-                              table.base_addr))
+        # Unrolled descent: interior tables are allocated root to leaf,
+        # and the entry address read at each level goes to the store.
+        root = self._root
+        i0 = (vpn >> _SHIFT_L0) & _INDEX_MASK
+        i1 = (vpn >> _SHIFT_L1) & _INDEX_MASK
+        i2 = (vpn >> _SHIFT_L2) & _INDEX_MASK
+        i3 = vpn & _INDEX_MASK
+        pud = root.slots.get(i0)
+        if pud is None:
+            pud = root.slots[i0] = _Table(self._allocate_frame())
+            self.table_pages += 1
+        pmd = pud.slots.get(i1)
+        if pmd is None:
+            pmd = pud.slots[i1] = _Table(self._allocate_frame())
+            self.table_pages += 1
+        pte = pmd.slots.get(i2)
+        if pte is None:
+            pte = pmd.slots[i2] = _Table(self._allocate_frame())
+            self.table_pages += 1
         entry = PageTableEntry(frame=frame, flags=flags)
-        table.slots[leaf_index] = entry
+        pte.slots[i3] = entry
         self._leaves[vpn] = entry
-        # The descent just taken is the walk: seed the memo with it
-        # (a remap replaces the stale entry).
-        self._walk_memo.put(vpn, (steps, entry))
+        self._walks[vpn] = (entry, (root.base_addr + i0 * _ENTRY_BYTES,
+                                    pud.base_addr + i1 * _ENTRY_BYTES,
+                                    pmd.base_addr + i2 * _ENTRY_BYTES,
+                                    pte.base_addr + i3 * _ENTRY_BYTES))
         return entry
 
     def unmap(self, vpn: int) -> bool:
@@ -179,19 +182,15 @@ class FourLevelPageTable:
         Interior tables are retained (real OSes rarely free them
         either); only the leaf entry is dropped.
         """
+        if self._leaves.pop(vpn, None) is None:
+            return False
+        del self._walks[vpn]
         indices = self.split_vpn(vpn)
         table = self._root
-        for level in range(3):
-            child = table.slots.get(indices[level])
-            if not isinstance(child, _Table):
-                return False
-            table = child
-        if indices[3] in table.slots:
-            del table.slots[indices[3]]
-            del self._leaves[vpn]
-            self._walk_memo.pop(vpn, None)
-            return True
-        return False
+        for index in indices[:3]:
+            table = table.slots[index]
+        del table.slots[indices[3]]
+        return True
 
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         """The leaf entry for ``vpn``, or ``None`` when unmapped."""
@@ -203,8 +202,9 @@ class FourLevelPageTable:
     # ------------------------------------------------------------------
     # Walking
     # ------------------------------------------------------------------
-    def walk(self, vpn: int) -> List[WalkStep]:
-        """The four :class:`WalkStep` reads a hardware walker performs.
+    def walk_entries(self, vpn: int) -> Tuple[List[WalkStep], PageTableEntry]:
+        """Descend the tree for ``vpn``: the four :class:`WalkStep`
+        reads a hardware walker performs, and the leaf entry.
 
         Raises
         ------
@@ -212,39 +212,6 @@ class FourLevelPageTable:
             If any level is unmapped (a page fault the simulated OS
             failed to resolve before the access).
         """
-        indices = self.split_vpn(vpn)
-        steps: List[WalkStep] = []
-        table = self._root
-        for level in range(3):
-            steps.append(WalkStep(level, table.entry_addr(indices[level]),
-                                  table.base_addr))
-            child = table.slots.get(indices[level])
-            if not isinstance(child, _Table):
-                raise TranslationFault(
-                    f"{self.name}: vpn {vpn:#x} unmapped at level "
-                    f"{LEVEL_NAMES[level]}")
-            table = child
-        steps.append(WalkStep(3, table.entry_addr(indices[3]),
-                              table.base_addr))
-        if indices[3] not in table.slots:
-            raise TranslationFault(f"{self.name}: vpn {vpn:#x} has no PTE")
-        return steps
-
-    def walk_entries_cached(
-            self, vpn: int) -> Tuple[List[WalkStep], PageTableEntry]:
-        """Memoized :meth:`walk_entries` (the hot walker's entry point).
-
-        Callers must not mutate the returned step list.
-        """
-        hit = self._walk_memo.get(vpn)
-        if hit is None:
-            hit = self.walk_entries(vpn)
-            self._walk_memo.put(vpn, hit)
-        return hit
-
-    def walk_entries(self, vpn: int) -> Tuple[List[WalkStep], PageTableEntry]:
-        """One-pass variant of :meth:`walk` that also returns the leaf
-        entry (avoids a second traversal)."""
         indices = self.split_vpn(vpn)
         steps: List[WalkStep] = []
         table = self._root

@@ -10,7 +10,8 @@ strategies in :mod:`repro.core.architectures`:
 
 * :meth:`ifam_translate` — the I-FAM combined lookup/walk.
 * :meth:`walk_system_table_fast` — a FAM page-table walk on behalf of
-  a DeACT FAM-translator miss (serial FAM round trips per level).
+  a DeACT FAM-translator miss (serial FAM round trips per level, one
+  per entry address the walker returns).
 * :meth:`verify_access_fast` — the DeACT verification step: ACM cache
   lookup, metadata-block fetch from FAM on a miss, shared-page bitmap
   consultation, and the actual allow/deny decision against the
@@ -117,26 +118,26 @@ class Stu:
         """Walk the broker-maintained system page table; returns
         ``(fam_page, completion_ns)``.
 
-        Each surviving level (after the STU's walk caches) is a
-        dependent FAM read: router -> FAM port -> NVM bank -> router.
+        The walker hands back the entry addresses that survive the
+        STU's walk caches; each is a dependent FAM read: router -> FAM
+        port -> NVM bank -> router.
         """
-        result = self.walker.walk(node_page)
+        fam_page, addrs = self.walker.walk(node_page)
         # Queue behind any walk already in flight at this STU's PTW
         # unit, then hold the unit for the whole walk.
         t = now if now > self._ptw_busy_until else self._ptw_busy_until
         if t > now:
             self.stats.incr("ptw_queue_time", t - now)
-        for step in result.steps:
+        for addr in addrs:
             depart = self.fabric.stu_to_fam_arrival(t)
-            served = self.fam.access(step.entry_addr, depart,
-                                     is_write=False,
+            served = self.fam.access(addr, depart, is_write=False,
                                      kind=RequestKind.FAM_PTW,
                                      node_id=self.node_id)
             t = self.fabric.fam_to_stu_arrival(served)
         self._ptw_busy_until = t
         self._counters["walks"] += 1.0
-        self._counters["walk_accesses"] += float(len(result.steps))
-        return result.frame, t
+        self._counters["walk_accesses"] += float(len(addrs))
+        return fam_page, t
 
     # ------------------------------------------------------------------
     # DeACT verification path

@@ -2,24 +2,26 @@
 
 Ties the two-level TLB to the page-table walker: a translation request
 either hits a TLB level (no memory traffic) or triggers a walk whose
-surviving steps (after walk-cache filtering) are returned so the node
-can charge them through its cache hierarchy and memory path — page
-walks are ordinary memory reads to wherever the table pages live.
+surviving entry addresses (after walk-cache filtering) are returned so
+the node can charge them through its cache hierarchy and memory path —
+page walks are ordinary memory reads to wherever the table pages live.
 
 The per-event loop probes the L1 TLB itself and calls
 :meth:`Mmu.translate_after_l1_miss` on a miss; :meth:`Mmu.translate_fast`
 is the same translation as one call.  Both return a plain
-``(frame, tlb_level, tlb_latency_ns, walk_steps)`` tuple.
+``(frame, tlb_level, tlb_latency_ns, walk_addrs)`` tuple, where
+``walk_addrs`` is a tuple of page-table entry addresses (empty on a
+TLB hit).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.config.system import PtwConfig, TlbConfig
 from repro.core.hotpath import hot_path
 from repro.pagetable.walker import PageTableWalker
-from repro.pagetable.x86 import FourLevelPageTable, WalkStep
+from repro.pagetable.x86 import FourLevelPageTable
 from repro.tlb.tlb import TwoLevelTlb
 
 __all__ = ["Mmu"]
@@ -47,19 +49,20 @@ class Mmu:
         offset = vaddr & (self.page_bytes - 1)
         return (frame << self._page_shift) | offset
 
-    _NO_STEPS: Tuple = ()
+    _NO_ADDRS: Tuple[int, ...] = ()
 
     def translate_fast(
-            self, vpn: int) -> Tuple[int, int, float, Sequence[WalkStep]]:
+            self, vpn: int) -> Tuple[int, int, float, Tuple[int, ...]]:
         """Translate a pre-decoded VPN; walk the page table on a TLB
         miss.
 
-        Returns ``(frame, tlb_level, tlb_latency_ns, walk_steps)``:
+        Returns ``(frame, tlb_level, tlb_latency_ns, walk_addrs)``:
         ``tlb_level`` is 1 or 2 on a TLB hit and 0 when a walk was
         required; ``tlb_latency_ns`` is the on-chip lookup latency (the
-        L2 probe cost on an L1 miss); ``walk_steps`` is empty on TLB
-        hits and otherwise lists the page-table reads the caller must
-        charge through the memory system.  Walks install the leaf
+        L2 probe cost on an L1 miss); ``walk_addrs`` is empty on TLB
+        hits and otherwise holds the addresses of the page-table
+        entries the caller must charge through the memory system, root
+        to leaf.  Walks install the leaf
         translation into both TLB levels before returning, as hardware
         does.  The per-event loop probes the L1 TLB itself and calls
         :meth:`translate_after_l1_miss`; this entry point stays because
@@ -68,15 +71,15 @@ class Mmu:
         self.translations += 1
         level, frame, latency = self.tlb.lookup_fast(vpn)
         if level:
-            return frame, level, latency, self._NO_STEPS
+            return frame, level, latency, self._NO_ADDRS
         self.walks += 1
-        walk = self.walker.walk(vpn)
-        self.tlb.install(vpn, walk.frame)
-        return walk.frame, 0, latency, walk.steps
+        frame, walk_addrs = self.walker.walk(vpn)
+        self.tlb.install(vpn, frame)
+        return frame, 0, latency, walk_addrs
 
     @hot_path
     def translate_after_l1_miss(
-            self, vpn: int) -> Tuple[int, int, float, Sequence[WalkStep]]:
+            self, vpn: int) -> Tuple[int, int, float, Tuple[int, ...]]:
         """:meth:`translate_fast` continuation for callers that probed
         (and counted) the L1 TLB themselves — the fully inlined
         single-node loop.  ``translations`` and the L1 hit/miss census
@@ -104,12 +107,12 @@ class Mmu:
                 lines.popitem(False)
                 l1.evictions += 1
             lines[vpn] = frame
-            return frame, 2, tlb._l2_latency_ns, self._NO_STEPS
+            return frame, 2, tlb._l2_latency_ns, self._NO_ADDRS
         l2.misses += 1
         self.walks += 1
-        walk = self.walker.walk(vpn)
-        tlb.install(vpn, walk.frame)
-        return walk.frame, 0, tlb._l2_latency_ns, walk.steps
+        frame, walk_addrs = self.walker.walk(vpn)
+        tlb.install(vpn, frame)
+        return frame, 0, tlb._l2_latency_ns, walk_addrs
 
     def shootdown(self, vpn: int) -> None:
         """Invalidate one page everywhere the MMU caches it."""

@@ -2,12 +2,12 @@
 
 ``NvmDevice.access``, ``DramDevice.access``, ``AcmStore.check`` and
 ``PageTableWalker.walk`` inline the primitives they compose, and the
-page table answers ``lookup`` / ``in`` from a leaf index.  The catalog
-equivalence suite covers what the benchmark workloads reach; this file
-covers the branches they never take (a full FAM window, odd bank
-counts, metadata-region addresses, shared pages, memo misses) by
-running each fused leaf next to its composition in
-:mod:`repro.core.refpath` on twin state.
+page table answers ``lookup`` / ``in`` from a leaf index and walks
+from a walk store.  The catalog equivalence suite covers what the
+benchmark workloads reach; this file covers the branches they never
+take (a full FAM window, odd bank counts, metadata-region addresses,
+shared pages, remaps between walks) by running each fused leaf next
+to its composition in :mod:`repro.core.refpath` on twin state.
 """
 
 import itertools
@@ -37,7 +37,6 @@ from repro.core.system import FamSystem
 from repro.errors import AccessViolationError, ConfigError
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
-from repro.memo import BoundedMemo
 from repro.pagetable.walker import PageTableWalker
 from repro.pagetable.x86 import FourLevelPageTable
 
@@ -252,32 +251,48 @@ def _walker_state(walker):
              for cache in walker._caches])
 
 
-def _walk_outcome(result):
-    return (list(result.steps), result.skipped_levels, result.frame,
-            result.entry_flags)
+def _ref_outcome(walker, vpn):
+    """``_ref_walker_walk`` in the production walker's shape."""
+    want = _ref_walker_walk(walker, vpn)
+    return want.frame, tuple(step.entry_addr for step in want.steps)
 
 
 class TestWalker:
     @pytest.mark.parametrize("cache_entries", [0, 32, 7])
-    @pytest.mark.parametrize("memo_cap", [None, 6])
-    def test_matches_composed_walk(self, cache_entries, memo_cap):
-        rng = random.Random(cache_entries * 31 + (memo_cap or 0))
+    @pytest.mark.parametrize("remap_every", [None, 6])
+    def test_matches_composed_walk(self, cache_entries, remap_every):
+        rng = random.Random(cache_entries * 31 + (remap_every or 0))
         vpns = sorted({rng.randrange(1 << 30) for _ in range(24)} |
                       {0x700 + i for i in range(8)})
         fused_table, composed_table = _table(), _table()
         for vpn in vpns:
             fused_table.map(vpn, vpn ^ 0x5A5)
             composed_table.map(vpn, vpn ^ 0x5A5)
-        if memo_cap is not None:  # force walk-memo misses
-            fused_table._walk_memo = BoundedMemo(memo_cap)
         fused = PageTableWalker(fused_table, cache_entries=cache_entries)
         composed = PageTableWalker(composed_table,
                                    cache_entries=cache_entries)
         for step in range(400):
             vpn = rng.choice(vpns)
-            got = fused.walk(vpn)
-            want = _ref_walker_walk(composed, vpn)
-            assert _walk_outcome(got) == _walk_outcome(want)
+            assert fused.walk(vpn) == _ref_outcome(composed, vpn)
+            assert (fused_table.lookup(vpn).accessed
+                    is composed_table.lookup(vpn).accessed is True)
+            if remap_every and step % remap_every == remap_every - 1:
+                # Remap a page (fresh, unaccessed entry), or unmap one
+                # and map a new VPN that may need new interior tables.
+                victim = rng.choice(vpns)
+                if step // remap_every % 2:
+                    frame = rng.randrange(1 << 20)
+                    fused_table.map(victim, frame)
+                    composed_table.map(victim, frame)
+                else:
+                    assert fused_table.unmap(victim)
+                    assert composed_table.unmap(victim)
+                    vpns.remove(victim)
+                    fresh = rng.randrange(1 << 30)
+                    if fresh not in vpns:
+                        vpns.append(fresh)
+                    fused_table.map(fresh, fresh & 0xFFFF)
+                    composed_table.map(fresh, fresh & 0xFFFF)
             if step % 97 == 96:
                 fused.invalidate()
                 composed.invalidate()
@@ -285,23 +300,24 @@ class TestWalker:
         assert fused.cache_probes == composed.cache_probes
         if cache_entries:
             assert fused.cache_probes > 0
+        assert fused_table.table_pages == composed_table.table_pages
         for vpn in vpns:
-            assert fused_table.lookup(vpn).accessed
             assert (fused_table.lookup(vpn).accessed
                     == composed_table.lookup(vpn).accessed)
 
-    def test_returned_steps_never_alias_the_memo(self):
-        table = _table()
+    def test_returned_addrs_are_read_only(self):
+        table, twin = _table(), _table()
         table.map(0x777, 5)
+        twin.map(0x777, 5)
         walker = PageTableWalker(table, cache_entries=0)
-        first = walker.walk(0x777)
-        expected = list(first.steps)
-        first.steps.clear()
-        second = walker.walk(0x777)
-        assert second.steps == expected
-        second.steps.append(second.steps[0])
-        assert walker.walk(0x777).steps == expected
-        assert len(table.walk_entries_cached(0x777)[0]) == 4
+        composed = PageTableWalker(twin, cache_entries=0)
+        frame, addrs = walker.walk(0x777)
+        assert type(addrs) is tuple and len(addrs) == 4
+        assert (frame, addrs) == _ref_outcome(composed, 0x777)
+        with pytest.raises(TypeError):
+            addrs[0] = 0
+        assert walker.walk(0x777) == (frame, addrs)
+        assert table.lookup(0x777).accessed and twin.lookup(0x777).accessed
 
 
 # ----------------------------------------------------------------------
@@ -350,3 +366,36 @@ class TestLeafIndex:
         assert 0x100 in broker.system_table(2)
         assert broker.translate(2, 0x100) == \
             broker.system_table(2).lookup(0x100).frame
+
+
+def _assert_walk_store_matches_tree(table):
+    tree = dict(table.iter_mappings())
+    assert table._walks.keys() == tree.keys()
+    for vpn, leaf in tree.items():
+        entry, addrs = table._walks[vpn]
+        steps, descended = table.walk_entries(vpn)
+        assert entry is descended is leaf
+        assert addrs == tuple(step.entry_addr for step in steps)
+
+
+class TestWalkStoreAfterMigration:
+    def test_source_and_destination_stores_match_descents(self):
+        broker, _owned, _released, segment = _populated_broker()
+        broker.map_shared_into_node(0, 0x900, segment)
+        for node_id in range(3):
+            _assert_walk_store_matches_tree(broker.system_table(node_id))
+        before = dict(broker.system_table(0)._walks)
+        report = broker.migrate_node_pages(0, 2)
+        assert report.pages_moved == 4
+        src, dst = broker.system_table(0), broker.system_table(2)
+        _assert_walk_store_matches_tree(src)
+        _assert_walk_store_matches_tree(dst)
+        # Moved pages now resolve through the destination's own tree;
+        # the shared mapping kept its source entry and addresses.
+        for vpn in range(0x100, 0x104):
+            assert vpn not in src._walks
+            assert dst._walks[vpn][0].frame == before[vpn][0].frame
+            assert dst._walks[vpn][1] != before[vpn][1]
+        assert src._walks[0x900] == before[0x900]
+        walker = PageTableWalker(dst, cache_entries=0)
+        assert walker.walk(0x100)[0] == before[0x100][0].frame

@@ -415,7 +415,8 @@ class TestRepoTreeIsClean:
         import ast
 
         boxes = {"AccessResult", "HierarchyResult", "TlbLookup",
-                 "TranslationOutcome", "TranslatorLookup", "WalkTiming"}
+                 "TranslationOutcome", "TranslatorLookup", "WalkTiming",
+                 "WalkResult"}
         deleted = {
             "Node": {"step", "access", "cached_access", "memory_access",
                      "in_fam_zone"},
@@ -427,6 +428,7 @@ class TestRepoTreeIsClean:
             "TwoLevelTlb": {"lookup"},
             "FamTranslator": {"lookup"},
             "Stu": {"walk_system_table", "_walk_core"},
+            "FourLevelPageTable": {"walk_entries_cached", "walk"},
         }
         defined, built, revived = {}, set(), []
         for module in scan_project().modules.values():
