@@ -2,7 +2,7 @@
 
 The paper applies DeACT only to the PTE level and lets the STU walk
 the whole system table on misses ("four memory accesses during PTW").
-This bench compares a cacheless STU walker against a Bhargava-style
+This benchmark compares a cacheless STU walker against a Bhargava-style
 32-entry walk cache: walk caching shortens I-FAM's miss penalty, so
 DeACT's speedup over I-FAM must be at least as large without it.
 """

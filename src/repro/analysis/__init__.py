@@ -1,14 +1,14 @@
 """Static invariant checking for the ``repro`` source tree.
 
 The repo's correctness story rests on contracts that the expensive
-equivalence suites only catch *after* a violation ships: the two
-execution tiers must stay bit-identical, canonical cache/trajectory
-writes must be byte-deterministic across hosts, the ``*_fast`` probe
-paths must stay allocation-free, and everything crossing the sweep
-pool boundary must pickle.  This package enforces those contracts at
-diff time by walking the :mod:`ast` of every module under
-``src/repro`` — the same way sanitizer/lint wiring protects production
-simulator stacks.
+equivalence suites only catch *after* a violation ships: the
+production path must stay bit-identical to its refpath oracle,
+canonical cache writes must be byte-deterministic across hosts, the
+``*_fast`` probe paths must stay allocation-free, and everything
+crossing the sweep pool boundary must pickle.  This package enforces
+those contracts at diff time by walking the :mod:`ast` of every
+module under ``src/repro`` — the same way sanitizer/lint wiring
+protects production simulator stacks.
 
 Entry point: ``deact check`` (see :mod:`repro.cli`), or
 :func:`run_check` programmatically::
@@ -23,8 +23,8 @@ Shipped rules (each a registered class in
 ========  ==========================================================
 DET001    no nondeterminism sources in canonical-write modules
 HOT001    no allocating constructs in ``@hot_path`` / ``*_fast`` code
-PAR001    tier-parity surfaces (fast vs. refpath, CLI mirrors,
-          ``NodeMetrics`` serialization round-trip)
+PAR001    tier-parity surfaces (fast vs. refpath, ``NodeMetrics``
+          serialization round-trip)
 PKL001    pool submit sites take module-level callables only
 CFG001    config dataclasses frozen and fully annotated
 DEF001    no mutable default arguments

@@ -18,7 +18,6 @@ __all__ = [
     "function_defs",
     "has_double_star",
     "keyword_map",
-    "literal_tuple_of_strings",
     "qualname_map",
     "walk_excluding",
 ]
@@ -109,47 +108,6 @@ def has_double_star(call: ast.Call) -> bool:
 
 def call_positional_count(call: ast.Call) -> int:
     return len(call.args)
-
-
-def literal_tuple_of_strings(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """The value of a tuple/list display whose elements are all string
-    constants, else ``None``."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    values: List[str] = []
-    for element in node.elts:
-        if not (isinstance(element, ast.Constant)
-                and isinstance(element.value, str)):
-            return None
-        values.append(element.value)
-    return tuple(values)
-
-
-def assigned_string_tuples(tree: ast.Module) -> Dict[str, Tuple[str, ...]]:
-    """Module-level ``NAME = ("a", "b", ...)`` assignments."""
-    out: Dict[str, Tuple[str, ...]] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            value = literal_tuple_of_strings(node.value)
-            if value is None:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = value
-    return out
-
-
-def assigned_string_constants(tree: ast.Module) -> Dict[str, str]:
-    """Module-level ``NAME = "literal"`` assignments."""
-    out: Dict[str, str] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = node.value.value
-    return out
 
 
 def local_string_assignments(func: ast.AST) -> Dict[str, str]:

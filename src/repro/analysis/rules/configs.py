@@ -1,7 +1,7 @@
 """CFG001 — config dataclasses must be frozen and fully annotated.
 
 Configs flow through settings fingerprints (SHA-256 over their
-serialized form) into cache keys and the bench trajectory.  A mutable
+serialized form) into cache keys and shard manifests.  A mutable
 config invites in-place edits *after* fingerprinting — the cache then
 files results under a stale key; an unannotated class attribute is
 silently shared class state instead of a dataclass field, so it never

@@ -1,16 +1,15 @@
 """DET001 — no nondeterminism sources in canonical-write modules.
 
-The result cache, the bench trajectory, and everything under
-``repro.core`` promise *byte-identical* output for identical inputs:
-cache merges treat differing payloads for the same run key as
-corruption (:class:`repro.errors.CacheMergeConflict`), and the
-committed trajectory is diffed across hosts.  A single
-``time.time()`` or unseeded ``random.random()`` feeding those writes
-breaks the promise silently, often only surfacing weeks later as an
-unexplained merge conflict.
+The result cache and everything under ``repro.core`` promise
+*byte-identical* output for identical inputs: cache merges treat
+differing payloads for the same run key as corruption
+(:class:`repro.errors.CacheMergeConflict`).  A single ``time.time()``
+or unseeded ``random.random()`` feeding those writes breaks the
+promise silently, often only surfacing weeks later as an unexplained
+merge conflict.
 
-In scope: ``repro.core.*`` plus the two canonical-write experiment
-modules (``repro.experiments.cachefile``, ``repro.experiments.trajectory``).
+In scope: ``repro.core.*`` plus the canonical-write experiment module
+``repro.experiments.cachefile``.
 Flagged inside those modules:
 
 * wall-clock reads: ``time.time``/``time.time_ns``,
@@ -55,7 +54,6 @@ BANNED_CALLS = frozenset({
 
 IN_SCOPE_MODULES = frozenset({
     "repro.experiments.cachefile",
-    "repro.experiments.trajectory",
 })
 IN_SCOPE_PREFIX = "repro.core"
 

@@ -1,10 +1,9 @@
 """PAR001 — tier-parity surfaces must stay in sync.
 
-The fast tier is only trustworthy because the white-box reference
-path (:mod:`repro.core.refpath`) re-derives every fast-path probe
-independently, and because a handful of deliberately duplicated
-literals (the CLI's mode choices, the ``NodeMetrics`` serialization)
-mirror their single sources of truth.
+The production path is only trustworthy because the white-box
+reference path (:mod:`repro.core.refpath`) re-derives every fast-path
+probe independently, and because the deliberately duplicated
+``NodeMetrics`` serialization mirrors its single source of truth.
 Nothing at runtime checks those mirrors — a renamed fast probe or a
 field added to ``NodeMetrics`` but not to ``_result_to_dict`` ships
 silently and only shows up as an equivalence-suite failure (or worse,
@@ -15,9 +14,6 @@ on every ``deact check``:
   counterpart (matched by sharing a name token of >= 4 chars, so
   ``walk_system_table_fast`` pairs with ``_ref_stu_walk`` via
   ``walk`` without hard-coding the pairing table);
-* the CLI's ``execution_modes`` tuple must equal
-  ``repro.core.system.EXECUTION_MODES``;
-* ``DEFAULT_EXECUTION_MODE`` must be a member of ``EXECUTION_MODES``;
 * the ``NodeMetrics`` dataclass fields, the keyword arguments of the
   ``NodeMetrics(...)`` construction in ``Node.metrics``, and the
   per-node dict keys in ``runner._result_to_dict`` must be the same
@@ -40,8 +36,6 @@ from repro.analysis.rules import Rule
 __all__ = ["TierParity"]
 
 REFPATH_MODULE = "repro.core.refpath"
-SYSTEM_MODULE = "repro.core.system"
-CLI_MODULE = "repro.cli"
 RESULTS_MODULE = "repro.core.results"
 NODE_MODULE = "repro.core.node"
 RUNNER_MODULE = "repro.experiments.runner"
@@ -56,19 +50,6 @@ def _tokens(fast_name: str) -> Set[str]:
         else fast_name
     stem = stem.lstrip("_")
     return {t for t in stem.split("_") if len(t) >= MIN_TOKEN}
-
-
-def _local_tuple(func: ast.AST, name: str) -> Optional[
-        Tuple[Tuple[str, ...], int, int]]:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            value = astutil.literal_tuple_of_strings(node.value)
-            if value is None:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return value, node.lineno, node.col_offset
-    return None
 
 
 def _dataclass_fields(tree: ast.Module, class_name: str) -> Optional[
@@ -131,7 +112,6 @@ class TierParity(Rule):
     def check_project(self, project) -> Iterable[Finding]:
         findings: List[Finding] = []
         findings.extend(self._check_fast_counterparts(project))
-        findings.extend(self._check_cli_mirrors(project))
         findings.extend(self._check_metrics_roundtrip(project))
         return findings
 
@@ -162,35 +142,6 @@ class TierParity(Rule):
                     f"fast-path probe {short}() has no counterpart in "
                     f"{REFPATH_MODULE} (no shared name token); the "
                     f"reference tier cannot cross-check it"))
-        return findings
-
-    # -- CLI literal mirrors ---------------------------------------------
-    def _check_cli_mirrors(self, project) -> Iterable[Finding]:
-        cli = project.modules.get(CLI_MODULE)
-        system = project.modules.get(SYSTEM_MODULE)
-        findings: List[Finding] = []
-
-        modes: Optional[Tuple[str, ...]] = None
-        if system is not None:
-            tuples = astutil.assigned_string_tuples(system.tree)
-            modes = tuples.get("EXECUTION_MODES")
-            constants = astutil.assigned_string_constants(system.tree)
-            default = constants.get("DEFAULT_EXECUTION_MODE")
-            if modes is not None and default is not None \
-                    and default not in modes:
-                findings.append(self.finding(
-                    system, 0, -1, "",
-                    f"DEFAULT_EXECUTION_MODE {default!r} is not in "
-                    f"EXECUTION_MODES {modes!r}"))
-
-        if cli is not None:
-            cli_modes = _local_tuple(cli.tree, "execution_modes")
-            if cli_modes is not None and modes is not None \
-                    and cli_modes[0] != modes:
-                findings.append(self.finding(
-                    cli, cli_modes[1], cli_modes[2], "",
-                    f"CLI execution_modes {cli_modes[0]!r} != "
-                    f"{SYSTEM_MODULE}.EXECUTION_MODES {modes!r}"))
         return findings
 
     # -- NodeMetrics serialization round-trip ----------------------------

@@ -1,6 +1,6 @@
 """The ``deact`` command-line interface.
 
-Eight subcommands:
+Seven subcommands:
 
 * ``deact run`` — run one benchmark on one architecture and print the
   headline metrics.
@@ -13,13 +13,9 @@ Eight subcommands:
 * ``deact cache`` — ``merge`` shard caches into the canonical cache
   (conflict-aware), ``validate`` a cache against a sweep spec, and
   report coverage ``status``.
-* ``deact bench`` — measure the two execution tiers (reference /
-  fast) and *append* a provenance-stamped entry to the
-  machine-readable perf trajectory (``BENCH_core_loop.json``);
-  ``deact bench compare`` diffs two trajectories per (benchmark,
-  architecture, tier) cell and exits non-zero on regression.
-* ``deact profile`` — cProfile one job and print the hottest
-  functions (hot-path regression triage without ad-hoc scripts).
+* ``deact profile`` — cProfile one job on the production path and
+  print the hottest functions (hot-path triage without ad-hoc
+  scripts; host speed itself is judged by ``perfbench/``).
 * ``deact check`` — statically verify the source tree's determinism,
   hot-path, tier-parity, pickle-safety, and config invariants
   (:mod:`repro.analysis`); exits 1 on findings, 2 on internal error,
@@ -36,10 +32,7 @@ Examples::
     deact sweep --benchmark mcf --cache results.json --shard 1/2
     deact cache merge --cache results.json
     deact cache validate --cache results.json --benchmark mcf
-    deact bench --events 8000 --out BENCH_core_loop.json
-    deact bench compare old.json new.json --tolerance fast=0.3
-    deact bench compare --against-baseline /tmp/candidate.json
-    deact profile --benchmark lu --arch deact-n --mode fast --limit 15
+    deact profile --benchmark lu --arch deact-n --limit 15
     deact check --json
     deact check --rule HOT001 --fix-hints
     deact figures --figure 12 --jobs 4
@@ -336,140 +329,6 @@ def _cmd_cache(args, parser: argparse.ArgumentParser) -> int:
     return 0 if report.passes(strict=args.strict) else 1
 
 
-def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
-    if getattr(args, "bench_command", None) == "compare":
-        return _cmd_bench_compare(args, parser)
-    from repro.errors import BenchError
-    from repro.experiments.bench import (
-        default_json_path,
-        measure_core_loop,
-        render_census,
-    )
-    from repro.experiments.runner import RunSettings
-    from repro.experiments.trajectory import append_entry, describe_entry
-
-    settings = RunSettings(n_events=args.events,
-                           footprint_scale=args.footprint_scale,
-                           seed=args.seed)
-    benchmarks = args.benchmark or ["lu", "bc"]
-    architectures = args.arch or sorted(ARCHITECTURES)
-    payload = measure_core_loop(settings, benchmarks, architectures,
-                                repeats=args.repeats)
-    print(render_census(payload))
-    diverged = [row for row in payload["rows"]
-                if not row["identical_to_first_tier"]]
-    if diverged and not args.no_verify:
-        # A diverged tier means a fast-but-wrong loop: its timings are
-        # not a valid trajectory point, so nothing is appended.
-        print(f"ERROR: {len(diverged)} cell(s) diverged from the "
-              f"reference tier (see census above); not appending to "
-              f"the trajectory (--no-verify records it anyway)",
-              file=sys.stderr)
-        return 1
-    path = args.out or default_json_path()
-    try:
-        entry = append_entry(path, payload)
-    except BenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"appended entry to {path} ({describe_entry(entry)})")
-    if diverged:
-        print(f"WARNING: {len(diverged)} diverged cell(s) recorded "
-              f"under --no-verify", file=sys.stderr)
-    return 0
-
-
-def _parse_tolerances(parser: argparse.ArgumentParser, specs) -> dict:
-    """``--tolerance [tier=]fraction`` flags into a tier mapping."""
-    tolerances = {}
-    for spec in specs or []:
-        tier, sep, value = spec.partition("=")
-        if not sep:
-            tier, value = "default", spec
-        try:
-            fraction = float(value)
-        except ValueError:
-            parser.error(f"--tolerance expects [TIER=]FRACTION, "
-                         f"got {spec!r}")
-        if not 0.0 <= fraction < 1.0:
-            parser.error(f"--tolerance must be in [0, 1), got {fraction}")
-        tolerances[tier] = fraction
-    return tolerances
-
-
-def _cmd_bench_compare(args, parser: argparse.ArgumentParser) -> int:
-    from repro.errors import BenchError
-    from repro.experiments.bench import default_json_path
-    from repro.experiments.trajectory import (
-        compare_entries,
-        latest_entry,
-        load_trajectory,
-        runner_pinned,
-        select_comparable,
-    )
-
-    tolerances = _parse_tolerances(parser, args.tolerance)
-    unpinned_tolerance = args.tolerance_unpinned
-    if unpinned_tolerance is not None \
-            and not 0.0 <= unpinned_tolerance < 1.0:
-        parser.error(f"--tolerance-unpinned must be in [0, 1), "
-                     f"got {unpinned_tolerance}")
-    if unpinned_tolerance is not None and not args.against_baseline:
-        parser.error("--tolerance-unpinned only applies with "
-                     "--against-baseline (it keys off the baseline "
-                     "trajectory's runner provenance)")
-    if args.against_baseline and len(args.paths) != 1:
-        parser.error("bench compare --against-baseline takes exactly one "
-                     "candidate trajectory")
-    if not args.against_baseline and len(args.paths) != 2:
-        parser.error("bench compare takes BASELINE CANDIDATE (or one "
-                     "candidate with --against-baseline)")
-    pinned_note = None
-    try:
-        if args.against_baseline:
-            candidate_path = args.paths[0]
-            baseline_path = args.baseline or default_json_path()
-            candidate = latest_entry(load_trajectory(candidate_path))
-            if candidate is None:
-                raise BenchError(f"{candidate_path} has no entries")
-            baseline_trajectory = load_trajectory(baseline_path)
-            baseline = select_comparable(baseline_trajectory,
-                                         candidate, baseline_path)
-            if unpinned_tolerance is not None:
-                # Runner pinning: once this host has repeatable
-                # same-regime history in the baseline trajectory, the
-                # honest per-tier defaults gate; until then the loose
-                # cross-host fallback applies.
-                if runner_pinned(baseline_trajectory, candidate):
-                    pinned_note = ("baseline runner-pinned (>=2 "
-                                   "same-host entries): per-tier "
-                                   "default tolerances apply")
-                else:
-                    tolerances.setdefault("default", unpinned_tolerance)
-                    pinned_note = (f"baseline not runner-pinned on "
-                                   f"this host: cross-host tolerance "
-                                   f"{unpinned_tolerance} applies")
-        else:
-            baseline_path, candidate_path = args.paths
-            baseline = latest_entry(load_trajectory(baseline_path))
-            candidate = latest_entry(load_trajectory(candidate_path))
-            if baseline is None:
-                raise BenchError(f"{baseline_path} has no entries")
-            if candidate is None:
-                raise BenchError(f"{candidate_path} has no entries")
-        report = compare_entries(baseline, candidate,
-                                 tolerances=tolerances)
-    except BenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"baseline : {baseline_path}")
-    print(f"candidate: {candidate_path}")
-    if pinned_note:
-        print(pinned_note)
-    print(report.render())
-    return 0 if report.ok else 1
-
-
 def _cmd_profile(args) -> int:
     import cProfile
     import pstats
@@ -488,10 +347,10 @@ def _cmd_profile(args) -> int:
     system = FamSystem(config, args.arch, seed=settings.seed * 31 + 5)
     profiler = cProfile.Profile()
     profiler.enable()
-    system.run(traces, benchmark=args.benchmark, mode=args.mode)
+    system.run(traces, benchmark=args.benchmark)
     profiler.disable()
     print(f"profile: {args.benchmark} on {args.arch} "
-          f"({args.events} events, {args.mode} tier)")
+          f"({args.events} events)")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.limit)
     return 0
@@ -651,68 +510,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status_parser.add_argument("--cache", required=True)
     _add_sweep_spec_args(status_parser)
 
-    # Literal mirror of repro.core.system.EXECUTION_MODES: spelling it
-    # out keeps the heavy core stack un-imported for the other
-    # subcommands (tests pin the CLI choices to the real constant).
-    execution_modes = ("fast", "reference")
-
-    bench_parser = sub.add_parser(
-        "bench", help="measure the reference/fast execution tiers and "
-                      "append to the BENCH_core_loop.json trajectory; "
-                      "'bench compare' diffs trajectories")
-    bench_parser.set_defaults(bench_command=None)
-    bench_parser.add_argument("--benchmark", action="append", default=[],
-                              choices=benchmark_names(),
-                              help="workload (repeatable; default lu, "
-                                   "bc)")
-    bench_parser.add_argument("--arch", action="append", default=[],
-                              choices=sorted(ARCHITECTURES),
-                              help="architecture (repeatable; default all)")
-    bench_parser.add_argument("--events", type=int, default=8000)
-    bench_parser.add_argument("--footprint-scale", type=float, default=0.06)
-    bench_parser.add_argument("--seed", type=int, default=13)
-    bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="best-of-N timing (default 3)")
-    bench_parser.add_argument("--out", default=None,
-                              help="trajectory JSON path (default "
-                                   "BENCH_core_loop.json at the git "
-                                   "toplevel, or $REPRO_BENCH_JSON)")
-    bench_parser.add_argument("--no-verify", action="store_true",
-                              help="append even when a tier diverges "
-                                   "from the reference (default: "
-                                   "refuse and exit non-zero)")
-    bench_sub = bench_parser.add_subparsers(dest="bench_command")
-    bench_compare = bench_sub.add_parser(
-        "compare", help="diff two trajectories per (benchmark, arch, "
-                        "tier) cell and emit a regression verdict")
-    bench_compare.add_argument("paths", nargs="+", metavar="TRAJECTORY",
-                               help="BASELINE CANDIDATE files, or one "
-                                    "candidate with --against-baseline")
-    bench_compare.add_argument("--against-baseline", action="store_true",
-                               help="compare the candidate's newest "
-                                    "entry against the committed "
-                                    "baseline trajectory")
-    bench_compare.add_argument("--baseline", default=None,
-                               help="baseline trajectory for "
-                                    "--against-baseline (default "
-                                    "BENCH_core_loop.json at the git "
-                                    "toplevel, or $REPRO_BENCH_JSON)")
-    bench_compare.add_argument("--tolerance", action="append", default=[],
-                               metavar="[TIER=]FRACTION",
-                               help="allowed fractional throughput loss "
-                                    "before a cell regresses "
-                                    "(repeatable; per-tier defaults "
-                                    "reference=0.20 fast=0.25)")
-    bench_compare.add_argument("--tolerance-unpinned", type=float,
-                               default=None, metavar="FRACTION",
-                               help="with --against-baseline: fallback "
-                                    "default tolerance applied only "
-                                    "while the baseline lacks >=2 "
-                                    "same-host entries for the "
-                                    "candidate's regime; once "
-                                    "runner-pinned, the per-tier "
-                                    "defaults gate instead")
-
     profile_parser = sub.add_parser(
         "profile", help="cProfile one job and print the hottest "
                         "functions")
@@ -725,10 +522,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 default=0.06)
     profile_parser.add_argument("--seed", type=int, default=13)
     profile_parser.add_argument("--nodes", type=int, default=1)
-    profile_parser.add_argument("--mode", default="fast",
-                                choices=execution_modes,
-                                help="execution tier to profile "
-                                     "(default fast)")
     profile_parser.add_argument("--sort", default="cumulative",
                                 help="pstats sort key (default "
                                      "cumulative)")
@@ -771,8 +564,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             require_jobs(args.jobs, flag="--jobs")
         except ConfigError as exc:
             parser.error(str(exc))
-    if getattr(args, "repeats", 1) < 1:
-        parser.error(f"--repeats must be >= 1, got {args.repeats}")
     if getattr(args, "retries", 0) < 0:
         parser.error(f"--retries must be >= 0, got {args.retries}")
     if getattr(args, "job_timeout", None) is not None \
@@ -789,8 +580,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_sweep(args, parser)
     if args.command == "cache":
         return _cmd_cache(args, parser)
-    if args.command == "bench":
-        return _cmd_bench(args, parser)
     if args.command == "profile":
         return _cmd_profile(args)
     if args.command == "check":

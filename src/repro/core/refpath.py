@@ -10,12 +10,11 @@ dataclass (``AccessResult`` per fill, ``TlbLookup`` per TLB probe,
 preserves that implementation verbatim, boxes included (only
 ``VerificationResult`` lives on, in ``repro.stu``), operating on the
 *same* component instances so the two paths can be run against
-identical state.  It serves two purposes:
-
-* the hot-path equivalence suite (``tests/test_hot_path_equivalence``)
-  proves the reworked path produces **bit-identical** run stats;
-* the core-loop microbenchmark (``benchmarks/test_bench_core_loop``)
-  measures the rework's speedup against the true seed cost profile.
+identical state.  It is the one oracle (``FamSystem.run(reference=
+True)``): the hot-path equivalence suite
+(``tests/test_hot_path_equivalence``) and perfbench's prefix check
+prove the production path produces **bit-identical** run stats
+against it.
 
 Two deliberate departures from the seed, both accounting *bugfixes*
 shipped in the same change and therefore part of the reference

@@ -7,13 +7,13 @@ node with all nodes interleaved in global time order — so fabric-port
 and FAM-bank contention between nodes is applied in the same order
 real hardware would see (the mechanism behind Figure 16).
 
-Every non-reference run goes through one scalar fast loop,
+:meth:`FamSystem.run` has one production path, the scalar fast loop
 :meth:`~repro.core.node.Node.run_events`: over the whole trace for a
 single node (:meth:`~repro.core.node.Node.run_decoded`), and under the
 interleaved multi-node driver in runs bounded by the heap's next key —
 each run lasts as long as the seed's per-event heap would have kept
-picking that node.  :mod:`repro.core.refpath` is the oracle it is
-checked against.
+picking that node.  ``run(reference=True)`` runs
+:mod:`repro.core.refpath`, the one oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ from repro.pagetable.walker import PageTableWalker
 from repro.stu.stu import Stu
 from repro.workloads.trace import DecodedTrace, Trace
 
-__all__ = ["FamSystem", "EXECUTION_MODES", "DEFAULT_EXECUTION_MODE"]
-
-#: The two execution tiers, fastest first.  Both are bit-identical
-#: (``tests/test_hot_path_equivalence.py``); they differ only in how
-#: much Python-level work each trace event costs.
-EXECUTION_MODES = ("fast", "reference")
-DEFAULT_EXECUTION_MODE = "fast"
+__all__ = ["FamSystem"]
 
 
 class FamSystem:
@@ -79,8 +73,7 @@ class FamSystem:
     # ------------------------------------------------------------------
     def run(self, traces: Union[Trace, Sequence[Trace]],
             benchmark: Optional[str] = None,
-            reference: bool = False,
-            mode: Optional[str] = None) -> RunResult:
+            reference: bool = False) -> RunResult:
         """Run one trace per node to completion.
 
         A single trace is replicated across nodes with per-node seeds
@@ -91,30 +84,20 @@ class FamSystem:
         on the shared fabric port and FAM banks interleave
         deterministically.
 
-        ``mode`` selects the execution tier (bit-identical, proved by
-        ``tests/test_hot_path_equivalence.py``):
-
-        * ``"fast"`` (default) — the allocation-free per-event loop
-          over pre-decoded trace columns
-          (:meth:`~repro.core.node.Node.run_events`).
-        * ``"reference"`` — the boxed seed path preserved in
-          :mod:`repro.core.refpath`, kept for the equivalence proof
-          and the core-loop microbenchmark.  ``reference=True`` is the
-          backward-compatible alias.
+        By default the production path runs: the allocation-free
+        per-event loop over pre-decoded trace columns
+        (:meth:`~repro.core.node.Node.run_events`).  ``reference=True``
+        runs the boxed seed path preserved in :mod:`repro.core.refpath`
+        instead — the oracle the production path is proved
+        bit-identical against (``tests/test_hot_path_equivalence.py``).
         """
         if isinstance(traces, Trace):
             traces = [traces] * len(self.nodes)
         if len(traces) != len(self.nodes):
             raise ConfigError(
                 f"got {len(traces)} traces for {len(self.nodes)} nodes")
-        resolved = "reference" if reference else (
-            mode or DEFAULT_EXECUTION_MODE)
-        if resolved not in EXECUTION_MODES:
-            raise ConfigError(
-                f"unknown execution mode {resolved!r}; choose from "
-                f"{', '.join(EXECUTION_MODES)}")
 
-        if resolved == "reference":
+        if reference:
             self._run_reference(traces)
         else:
             self._run_scalar(traces)
@@ -131,8 +114,8 @@ class FamSystem:
         )
 
     def _run_scalar(self, traces: Sequence[Trace]) -> None:
-        """The fast tier: the inlined scalar loop for a single node,
-        the interleaved driver otherwise."""
+        """The production path: the inlined scalar loop for a single
+        node, the interleaved driver otherwise."""
         page_bytes = self.config.page_bytes
         block_bytes = self.config.block_bytes
         decoded = [trace.decoded(page_bytes, block_bytes)
@@ -185,8 +168,8 @@ class FamSystem:
 
     def _run_reference(self, traces: Sequence[Trace]) -> None:
         """The seed per-event loop: boxed TraceEvents through
-        :func:`repro.core.refpath.reference_step` (kept for the
-        equivalence proof and the core-loop microbenchmark)."""
+        :func:`repro.core.refpath.reference_step`, the oracle the
+        production path is checked against."""
         from repro.core.refpath import reference_step  # avoid cycle
 
         iterators = [iter(trace) for trace in traces]

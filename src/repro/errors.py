@@ -23,9 +23,6 @@ __all__ = [
     "FaultInjected",
     "SweepFailure",
     "SweepInterrupted",
-    "BenchError",
-    "BenchTrajectoryError",
-    "BenchSettingsMismatch",
     "AnalysisError",
 ]
 
@@ -152,31 +149,6 @@ class SweepInterrupted(ReproError):
     def __init__(self, message: str, payloads: dict | None = None) -> None:
         super().__init__(message)
         self.payloads = dict(payloads or {})
-
-
-class BenchError(ReproError):
-    """The perf-trajectory machinery could not do what was asked."""
-
-
-class BenchTrajectoryError(BenchError):
-    """A bench trajectory file is unreadable or structurally invalid.
-
-    Unlike the result cache (whose entries can always be recomputed),
-    the committed trajectory is an irreplaceable historical record —
-    a corrupt file is an error to surface, never something to
-    silently treat as empty and then overwrite on append.
-    """
-
-
-class BenchSettingsMismatch(BenchError):
-    """Two bench entries were measured under different settings.
-
-    Comparing them would be meaningless: e.g. a shorter trace spends
-    a larger share of its events warming the caches, so events/s
-    across different ``--events`` values measure different regimes,
-    not a regression.  The compare path refuses rather than reporting a
-    bogus verdict.
-    """
 
 
 class AnalysisError(ReproError):

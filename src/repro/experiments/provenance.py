@@ -1,17 +1,15 @@
-"""Execution provenance shared by shard manifests and the bench trajectory.
+"""Execution provenance stamped on shard manifests.
 
-Both the shard-manifest pipeline (:mod:`repro.experiments.shardfile`)
-and the perf-trajectory file (:mod:`repro.experiments.trajectory`)
-stamp their artifacts with *who produced this, where, and from what
-tree*: an operator debugging a fleet merge and a reviewer reading a
-bench regression both need to know which host and which commit a
-number came from.  This module is the single definition of that
-record so the two never drift apart.
+The shard-manifest pipeline (:mod:`repro.experiments.shardfile`)
+stamps each manifest with *who produced this, where, and from what
+tree*: an operator debugging a fleet merge needs to know which host
+and process produced a shard, and when.  This module is the single
+definition of that record.
 
 Everything here degrades gracefully: outside a git checkout the git
 fields are ``None``, and a missing NumPy (impossible in this repo,
 but the record format should not assume it) reports ``None`` rather
-than crashing the measurement that asked for provenance.
+than crashing the caller that asked for provenance.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ import subprocess
 import time
 from typing import Dict, Optional, Sequence, Tuple
 
-__all__ = ["PROVENANCE_FIELDS", "collect_provenance", "git_toplevel"]
+__all__ = ["PROVENANCE_FIELDS", "collect_provenance"]
 
-#: Every key a provenance block carries, in one place so the
-#: round-trip tests for manifests and trajectory entries pin the same
-#: contract.
+#: Every key a provenance block carries, in one place so the tests
+#: pin one contract.
 PROVENANCE_FIELDS = (
     "hostname",
     "pid",
@@ -52,12 +49,6 @@ def _run_git(args: Sequence[str], cwd: Optional[str]) -> Optional[str]:
     return out.stdout.decode("utf-8", "replace").strip()
 
 
-def git_toplevel(cwd: Optional[str] = None) -> Optional[str]:
-    """The repository root containing ``cwd``, or ``None`` outside git."""
-    top = _run_git(["rev-parse", "--show-toplevel"], cwd)
-    return top or None
-
-
 def _git_state(cwd: Optional[str]) -> Tuple[Optional[str], Optional[bool]]:
     """``(commit hash, dirty flag)`` — both ``None`` outside a repo."""
     commit = _run_git(["rev-parse", "HEAD"], cwd)
@@ -79,10 +70,8 @@ def collect_provenance(cwd: Optional[str] = None) -> Dict[str, object]:
     """The provenance block for an artifact produced *right now, here*.
 
     ``cwd`` anchors the git queries (defaults to the process cwd): a
-    bench run invoked from inside the checkout records the commit its
-    numbers were measured against, plus whether the tree was dirty —
-    a dirty-tree measurement is a valid trajectory point but not a
-    citable baseline.
+    caller inside the checkout records the commit it ran against,
+    plus whether the tree was dirty.
     """
     commit, dirty = _git_state(cwd)
     return {

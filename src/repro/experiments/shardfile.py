@@ -162,9 +162,8 @@ def build_manifest(spec, settings, index: int, count: int,
     full variant-config expansion."""
     all_cells = spec.jobs(settings) if cells is None else cells
     covered = spec.shard(index, count, settings, cells=all_cells)
-    # Provenance comes from the shared collector (also stamped on
-    # bench-trajectory entries); the manifest keeps its original
-    # field subset for schema stability.
+    # Provenance comes from the shared collector; the manifest keeps
+    # its original field subset for schema stability.
     provenance = collect_provenance()
     return ShardManifest(
         fingerprint=fingerprint_keys(

@@ -268,234 +268,6 @@ class TestCacheCommand:
             main(["cache"])
 
 
-class TestBenchCommand:
-    ARGS = ["bench", "--events", "800", "--repeats", "1",
-            "--footprint-scale", "0.01", "--benchmark", "lu",
-            "--arch", "deact-n"]
-
-    def test_bench_appends_census_and_provenance(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        code = main(self.ARGS + ["--out", str(out_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "core-loop tiers" in out
-        assert "fast/ref=" in out
-        assert "appended entry" in out
-        import json
-
-        trajectory = json.loads(out_path.read_text())
-        assert trajectory["schema"] == 2
-        (entry,) = trajectory["entries"]
-        tiers = {row["tier"] for row in entry["rows"]}
-        assert tiers == {"reference", "fast"}
-        assert all(row["identical_to_first_tier"]
-                   for row in entry["rows"])
-        assert "fast_speedup_vs_reference" in entry["aggregates"]["lu"]
-        assert entry["provenance"]["hostname"]
-        assert entry["settings_fingerprint"]
-
-    def test_bench_twice_appends_two_entries(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert main(self.ARGS + ["--out", str(out_path)]) == 0
-        assert main(self.ARGS + ["--out", str(out_path)]) == 0
-        import json
-
-        trajectory = json.loads(out_path.read_text())
-        assert len(trajectory["entries"]) == 2
-
-    def test_bench_refuses_diverged_tiers(self, capsys, tmp_path,
-                                          monkeypatch):
-        # A diverged tier must not be silently serialized: exit
-        # non-zero without touching the trajectory, unless the
-        # operator explicitly records it with --no-verify.
-        import json
-
-        from repro.experiments import bench as bench_mod
-
-        real = bench_mod.measure_core_loop
-
-        def diverged(*args, **kwargs):
-            payload = real(*args, **kwargs)
-            payload["rows"][-1]["identical_to_first_tier"] = False
-            return payload
-
-        monkeypatch.setattr(bench_mod, "measure_core_loop", diverged)
-        out_path = tmp_path / "bench.json"
-        code = main(self.ARGS + ["--out", str(out_path)])
-        assert code == 1
-        assert "diverged" in capsys.readouterr().err
-        assert not out_path.exists()
-
-        code = main(self.ARGS + ["--out", str(out_path), "--no-verify"])
-        assert code == 0
-        assert "--no-verify" in capsys.readouterr().err
-        assert len(json.loads(out_path.read_text())["entries"]) == 1
-
-    def test_bench_accepts_catalog_benchmarks(self, capsys, tmp_path):
-        code = main(["bench", "--events", "600", "--repeats", "1",
-                     "--benchmark", "mg", "--arch", "e-fam",
-                     "--out", str(tmp_path / "b.json")])
-        assert code == 0
-        assert "mg" in capsys.readouterr().out
-
-    def test_bench_rejects_zero_repeats(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--repeats", "0"])
-
-    def test_bench_rejects_unknown_benchmark(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--benchmark", "doom"])
-
-
-class TestBenchCompareCommand:
-    @staticmethod
-    def _write_trajectory(path, scale=1.0, n_events=800):
-        # tests/ is on sys.path under pytest's default import mode.
-        from test_trajectory import make_payload
-
-        from repro.experiments.trajectory import append_entry
-
-        append_entry(str(path), make_payload(n_events=n_events,
-                                             scale=scale))
-
-    def test_compare_parity_exits_zero(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self._write_trajectory(a)
-        self._write_trajectory(b)
-        code = main(["bench", "compare", str(a), str(b)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0 of 2 cell(s) regressed" in out
-
-    def test_compare_regression_exits_nonzero_with_table(self, capsys,
-                                                         tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self._write_trajectory(a, scale=1.0)
-        self._write_trajectory(b, scale=0.4)
-        code = main(["bench", "compare", str(a), str(b)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert "2 of 2 cell(s) regressed" in out
-
-    def test_compare_tolerance_flag_relaxes_verdict(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self._write_trajectory(a, scale=1.0)
-        self._write_trajectory(b, scale=0.4)
-        assert main(["bench", "compare", str(a), str(b),
-                     "--tolerance", "0.7"]) == 0
-
-    def test_compare_refuses_mismatched_settings(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self._write_trajectory(a, n_events=800)
-        self._write_trajectory(b, n_events=9000)
-        code = main(["bench", "compare", str(a), str(b)])
-        assert code == 2
-        assert "refusing" in capsys.readouterr().err
-
-    def test_compare_against_baseline(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        candidate = tmp_path / "candidate.json"
-        self._write_trajectory(baseline, scale=1.0)
-        self._write_trajectory(candidate, scale=1.0)
-        assert main(["bench", "compare", "--against-baseline",
-                     str(candidate), "--baseline", str(baseline)]) == 0
-        # An injected slowdown flips the exit code.
-        slow = tmp_path / "slow.json"
-        self._write_trajectory(slow, scale=0.3)
-        assert main(["bench", "compare", "--against-baseline",
-                     str(slow), "--baseline", str(baseline)]) == 1
-
-    def test_compare_baseline_env_override(self, capsys, tmp_path,
-                                           monkeypatch):
-        baseline = tmp_path / "baseline.json"
-        candidate = tmp_path / "candidate.json"
-        self._write_trajectory(baseline)
-        self._write_trajectory(candidate)
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(baseline))
-        assert main(["bench", "compare", "--against-baseline",
-                     str(candidate)]) == 0
-
-    def test_compare_missing_entries_fails_cleanly(self, capsys,
-                                                   tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self._write_trajectory(a)
-        code = main(["bench", "compare", str(a), str(b)])
-        assert code == 2
-        assert "no entries" in capsys.readouterr().err
-
-    def test_compare_wrong_arity_rejected(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", "only-one.json"])
-        assert "BASELINE CANDIDATE" in capsys.readouterr().err
-
-    def test_compare_rejects_bad_tolerance(self, capsys, tmp_path):
-        a = tmp_path / "a.json"
-        self._write_trajectory(a)
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", str(a), str(a),
-                  "--tolerance", "batch=lots"])
-        assert "FRACTION" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", str(a), str(a),
-                  "--tolerance", "1.5"])
-
-    def test_tolerance_unpinned_requires_against_baseline(self, capsys,
-                                                          tmp_path):
-        a = tmp_path / "a.json"
-        self._write_trajectory(a)
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", str(a), str(a),
-                  "--tolerance-unpinned", "0.75"])
-        assert "--against-baseline" in capsys.readouterr().err
-
-    def test_tolerance_unpinned_rejects_out_of_range(self, capsys,
-                                                     tmp_path):
-        a = tmp_path / "a.json"
-        self._write_trajectory(a)
-        with pytest.raises(SystemExit):
-            main(["bench", "compare", "--against-baseline", str(a),
-                  "--baseline", str(a), "--tolerance-unpinned", "1.5"])
-        assert "[0, 1)" in capsys.readouterr().err
-
-    def test_unpinned_baseline_applies_fallback_tolerance(self, capsys,
-                                                          tmp_path):
-        # One baseline entry: this runner is not pinned yet, so the
-        # loose cross-host tolerance gates and a 60% slowdown passes.
-        baseline = tmp_path / "baseline.json"
-        slow = tmp_path / "slow.json"
-        self._write_trajectory(baseline, scale=1.0)
-        self._write_trajectory(slow, scale=0.4)
-        assert main(["bench", "compare", "--against-baseline",
-                     str(slow), "--baseline", str(baseline),
-                     "--tolerance-unpinned", "0.75"]) == 0
-        assert "not runner-pinned" in capsys.readouterr().out
-
-    def test_pinned_baseline_gates_at_per_tier_defaults(self, capsys,
-                                                        tmp_path):
-        # Two same-host baseline entries pin the runner: the fallback
-        # tolerance is dropped and the same 60% slowdown regresses
-        # against the per-tier defaults.
-        baseline = tmp_path / "baseline.json"
-        slow = tmp_path / "slow.json"
-        self._write_trajectory(baseline, scale=1.0)
-        self._write_trajectory(baseline, scale=1.0)
-        self._write_trajectory(slow, scale=0.4)
-        assert main(["bench", "compare", "--against-baseline",
-                     str(slow), "--baseline", str(baseline),
-                     "--tolerance-unpinned", "0.75"]) == 1
-        out = capsys.readouterr().out
-        assert "runner-pinned (>=2 same-host entries)" in out
-        assert "REGRESSED" in out
-
-    def test_cli_literals_match_real_constants(self):
-        # The parser spells the modes as a literal to keep the heavy
-        # core stack un-imported for other subcommands; pin it here.
-        from repro.core.system import EXECUTION_MODES
-
-        assert EXECUTION_MODES == ("fast", "reference")
-
-
 class TestProfileCommand:
     def test_profile_prints_hot_functions(self, capsys):
         code = main(["profile", "--benchmark", "lu",
@@ -503,26 +275,20 @@ class TestProfileCommand:
                      "--footprint-scale", "0.01", "--limit", "8"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "profile: lu on deact-n" in out
-        assert "fast tier" in out
+        assert "profile: lu on deact-n (1500 events)" in out
         assert "cumulative" in out
         assert "function calls" in out
 
-    @pytest.mark.parametrize("mode", ("fast", "reference"))
-    def test_profile_other_tiers(self, capsys, mode):
+    def test_profile_other_benchmark_and_arch(self, capsys):
         code = main(["profile", "--benchmark", "mg", "--arch", "e-fam",
                      "--events", "800", "--footprint-scale", "0.01",
-                     "--mode", mode, "--limit", "5"])
+                     "--limit", "5"])
         assert code == 0
         assert "function calls" in capsys.readouterr().out
 
     def test_profile_requires_benchmark(self):
         with pytest.raises(SystemExit):
             main(["profile", "--arch", "e-fam"])
-
-    def test_profile_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "--benchmark", "mg", "--mode", "warp"])
 
 
 class TestFiguresCommand:
@@ -549,3 +315,10 @@ class TestArgumentValidation:
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bench_is_not_a_command(self, capsys):
+        # Host speed is judged by perfbench/ alone; there is no
+        # core-loop bench subcommand.
+        with pytest.raises(SystemExit):
+            main(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

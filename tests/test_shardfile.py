@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import CacheError, CacheMergeConflict, ConfigError
 from repro.experiments.cachefile import load_cache, merge_into_cache
+from repro.experiments.provenance import PROVENANCE_FIELDS, collect_provenance
 from repro.experiments.runner import RunSettings, fingerprint_keys, job_key
 from repro.experiments.shardfile import (
     ShardManifest,
@@ -196,12 +197,10 @@ class TestManifest:
         with pytest.raises(CacheError, match="required"):
             load_manifest(str(path))
 
-    def test_provenance_shared_with_bench_trajectory(self, tmp_path):
-        # Manifests and bench-trajectory entries draw provenance from
-        # the same collector: the manifest's host fields must round-
-        # trip and agree with what a trajectory entry would record.
-        from repro.experiments.provenance import collect_provenance
-
+    def test_manifest_provenance_matches_collector(self, tmp_path):
+        # Manifests draw provenance from the shared collector: the
+        # manifest's host fields must round-trip and agree with what
+        # the collector records.
         manifest = build_manifest(_spec(), FAST, 1, 2)
         path = str(tmp_path / "r.shard-1-of-2.manifest.json")
         write_manifest(path, manifest)
@@ -210,6 +209,27 @@ class TestManifest:
         assert loaded.hostname == provenance["hostname"]
         assert loaded.pid == provenance["pid"]
         assert loaded.created_unix <= provenance["created_unix"]
+
+
+class TestProvenance:
+    def test_collect_provenance_contract(self):
+        prov = collect_provenance()
+        assert set(prov) == set(PROVENANCE_FIELDS)
+        assert prov["pid"] == os.getpid()
+        assert prov["python"].count(".") == 2
+        assert prov["numpy"]
+
+    def test_git_fields_inside_this_checkout(self):
+        prov = collect_provenance(os.path.dirname(__file__))
+        if prov["git_commit"] is not None:  # tolerate exported trees
+            assert len(prov["git_commit"]) == 40
+            assert isinstance(prov["git_dirty"], bool)
+
+    def test_git_fields_none_outside_git(self, tmp_path):
+        prov = collect_provenance(str(tmp_path))
+        assert prov["git_commit"] is None
+        assert prov["git_dirty"] is None
+        assert prov["hostname"]  # host facts survive without git
 
 
 class TestMergeShards:

@@ -41,11 +41,6 @@ class TestSingleNodeRuns:
         assert a.fam_counters == b.fam_counters
         assert a.nodes[0].runtime_ns == b.nodes[0].runtime_ns
 
-    def test_unknown_execution_mode_rejected(self):
-        system = FamSystem(small_config(), "deact-n", seed=9)
-        with pytest.raises(ConfigError, match="choose from fast, reference"):
-            system.run(quick_trace(), benchmark="it", mode="batch")
-
     def test_efam_fastest_overall(self):
         results = {}
         for arch in ("e-fam", "i-fam", "deact-n"):
