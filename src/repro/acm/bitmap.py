@@ -10,7 +10,7 @@ for nodes sharing a page" (some nodes read-write, others read-only).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.acm.metadata import Permission, perm_code_allows
 from repro.errors import ConfigError
@@ -46,10 +46,6 @@ class SharedPageBitmap:
     def revoke(self, node_id: int) -> bool:
         """Remove a node's grant; returns whether one existed."""
         return self._grants.pop(node_id, None) is not None
-
-    def perm_code_of(self, node_id: int) -> Optional[int]:
-        """The node's permission class, or ``None`` if not granted."""
-        return self._grants.get(node_id)
 
     def allows(self, node_id: int, needed: Permission) -> bool:
         """Whether ``node_id`` holds every right in ``needed``."""

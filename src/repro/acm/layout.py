@@ -115,10 +115,6 @@ class FamLayout:
         entry = self.acm_entry_addr(fam_addr)
         return entry - (entry % self.block_bytes)
 
-    def acm_block_key(self, fam_addr: int) -> int:
-        """Stable key identifying the metadata block (block index)."""
-        return self.page_number(fam_addr) // self.pages_per_block
-
     def region_of(self, fam_addr: int) -> int:
         """1 GB region index of ``fam_addr``."""
         self._check_usable(fam_addr)
@@ -138,10 +134,6 @@ class FamLayout:
             raise ConfigError(
                 f"FAM address {fam_addr:#x} outside usable region "
                 f"[0, {self.metadata_base:#x})")
-
-    def is_metadata_address(self, fam_addr: int) -> bool:
-        """Whether ``fam_addr`` falls inside the protected regions."""
-        return self.metadata_base <= fam_addr < self.capacity_bytes
 
 
 def _round_up(value: int, multiple: int) -> int:

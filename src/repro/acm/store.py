@@ -98,20 +98,6 @@ class AcmStore:
     def entry_of(self, fam_page: int) -> Optional[AcmEntry]:
         return self._entries.get(fam_page)
 
-    def read_block(self, fam_page: int) -> Dict[int, AcmEntry]:
-        """All entries in the 64 B metadata block covering
-        ``fam_page`` — the unit an ACM fetch brings into the STU cache
-        (32 pages for 16-bit entries: the spatial locality DeACT-W
-        banks on)."""
-        per_block = self.layout.pages_per_block
-        first = (fam_page // per_block) * per_block
-        block = {}
-        for page in range(first, first + per_block):
-            entry = self._entries.get(page)
-            if entry is not None:
-                block[page] = entry
-        return block
-
     # ------------------------------------------------------------------
     # Verification (the actual access-control decision)
     # ------------------------------------------------------------------
@@ -160,8 +146,3 @@ class AcmStore:
                 f"node {node_id} denied {needed!r} at FAM {fam_addr:#x}",
                 node_id=node_id, fam_addr=fam_addr)
         return consulted_bitmap
-
-    # ------------------------------------------------------------------
-    @property
-    def allocated_pages(self) -> int:
-        return len(self._entries)

@@ -65,10 +65,6 @@ class FrameAllocator:
         return self.total_frames - len(self._allocated)
 
     @property
-    def allocated_count(self) -> int:
-        return len(self._allocated)
-
-    @property
     def utilization(self) -> float:
         return len(self._allocated) / self.total_frames
 
@@ -111,14 +107,6 @@ class FrameAllocator:
             index = self._draw_fresh()
         self._allocated.add(index)
         return self.frame_address(index)
-
-    def allocate_many(self, count: int) -> List[int]:
-        """Allocate ``count`` frames atomically (all or nothing)."""
-        if count > len(self):
-            raise AllocationError(
-                f"{self.name}: requested {count} frames, "
-                f"only {len(self)} free")
-        return [self.allocate() for _ in range(count)]
 
     def allocate_contiguous_run(self, count: int) -> List[int]:
         """Allocate ``count`` physically consecutive frames.

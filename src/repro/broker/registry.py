@@ -54,10 +54,6 @@ class NodeRegistry:
         return node_id in self._nodes
 
     @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    @property
     def capacity(self) -> int:
         """Maximum nodes the ACM width supports (16383 for 16-bit)."""
         return self._max_nodes
@@ -95,10 +91,3 @@ class NodeRegistry:
 
     def job(self, job_name: str) -> Optional[JobRecord]:
         return self._jobs.get(job_name)
-
-    def physical_node_of(self, logical_id: int) -> Optional[int]:
-        """Resolve a logical id to its current physical node."""
-        for record in self._jobs.values():
-            if record.logical_id == logical_id:
-                return record.physical_node
-        return None

@@ -165,19 +165,6 @@ class SetAssociativeCache(Generic[V]):
         """Drop ``key`` if present; returns whether it was present."""
         return self._set_for(key).pop(key, None) is not None
 
-    def invalidate_where(self, predicate) -> int:
-        """Drop every entry whose ``(key, value)`` satisfies
-        ``predicate`` — used for migration shootdowns (Section VI).
-        Returns the number of invalidated entries."""
-        dropped = 0
-        for lines in self._sets:
-            doomed = [key for key, payload in lines.items()
-                      if predicate(key, payload)]
-            for key in doomed:
-                del lines[key]
-                dropped += 1
-        return dropped
-
     def clear(self) -> None:
         for lines in self._sets:
             lines.clear()

@@ -189,15 +189,6 @@ class CacheHierarchy:
                 return index + 1
         return None
 
-    @property
-    def llc(self) -> SetAssociativeCache[bool]:
-        return self._l3
-
-    @property
-    def miss_latency_ns(self) -> float:
-        """On-chip latency of missing all three levels."""
-        return self._lat123
-
     def llc_miss_count(self) -> int:
         return self._l3.misses
 

@@ -64,12 +64,24 @@ def _add_trace_args(parser: argparse.ArgumentParser,
     parser.add_argument("--nodes", type=int, default=1)
 
 
-def _settings(args):
+def _settings(args, parser: argparse.ArgumentParser):
+    """RunSettings from the trace-scale flags; bad values exit 2."""
     from repro.experiments.runner import RunSettings
 
-    return RunSettings(n_events=args.events,
-                       footprint_scale=args.footprint_scale,
-                       seed=args.seed)
+    try:
+        return RunSettings(n_events=args.events,
+                           footprint_scale=args.footprint_scale,
+                           seed=args.seed)
+    except ConfigError as exc:
+        parser.error(str(exc))
+
+
+def _config(args, parser: argparse.ArgumentParser):
+    """The Table II config for ``--nodes``; bad values exit 2."""
+    try:
+        return default_config(nodes=args.nodes)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 def _default_jobs() -> int:
@@ -115,7 +127,7 @@ def _spec_from_args(args, parser: argparse.ArgumentParser):
     from repro.experiments.sweep import SweepSpec
 
     axes = _parse_axes(parser, args.axis)
-    settings = _settings(args)
+    settings = _settings(args, parser)
     try:
         spec = SweepSpec.build(
             benchmarks=args.benchmark or None,
@@ -127,14 +139,14 @@ def _spec_from_args(args, parser: argparse.ArgumentParser):
     return spec, settings
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     # All commands (run / compare / sweep / figures) execute through
     # the harness runner, so their numbers agree for equal settings.
     from repro.experiments.runner import ExperimentRunner
 
-    runner = ExperimentRunner(_settings(args))
-    result = runner.run(args.benchmark, args.arch,
-                        default_config(nodes=args.nodes))
+    config = _config(args, parser)
+    runner = ExperimentRunner(_settings(args, parser))
+    result = runner.run(args.benchmark, args.arch, config)
     print(f"benchmark           : {result.benchmark}")
     print(f"architecture        : {result.architecture}")
     print(f"IPC                 : {result.ipc:.4f}")
@@ -152,14 +164,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     # One code path for any worker count: route through the harness
     # runner so ``--jobs N`` output is bit-identical to ``--jobs 1``.
     from repro.experiments.runner import ExperimentRunner
 
-    runner = ExperimentRunner(_settings(args), jobs=args.jobs)
+    config = _config(args, parser)
+    runner = ExperimentRunner(_settings(args, parser), jobs=args.jobs)
     matrix = runner.run_matrix([args.benchmark], list(ARCHITECTURES),
-                               default_config(nodes=args.nodes))
+                               config)
     results = {arch: matrix[(args.benchmark, arch)]
                for arch in ARCHITECTURES}
     efam = results["e-fam"]
@@ -329,21 +342,18 @@ def _cmd_cache(args, parser: argparse.ArgumentParser) -> int:
     return 0 if report.passes(strict=args.strict) else 1
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     import cProfile
     import pstats
 
-    from repro.config.presets import default_config
     from repro.core.system import FamSystem
-    from repro.experiments.runner import RunSettings, build_traces
+    from repro.experiments.runner import build_traces
 
-    settings = RunSettings(n_events=args.events,
-                           footprint_scale=args.footprint_scale,
-                           seed=args.seed)
+    settings = _settings(args, parser)
+    config = _config(args, parser)
     # Traces are built outside the profiled region: the subject is the
     # simulation hot path, not the NumPy trace generator.
     traces = build_traces(args.benchmark, args.nodes, settings)
-    config = default_config(nodes=args.nodes)
     system = FamSystem(config, args.arch, seed=settings.seed * 31 + 5)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -573,15 +583,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--checkpoint-every must be >= 0, got "
                      f"{args.checkpoint_every}")
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     if args.command == "compare":
-        return _cmd_compare(args)
+        return _cmd_compare(args, parser)
     if args.command == "sweep":
         return _cmd_sweep(args, parser)
     if args.command == "cache":
         return _cmd_cache(args, parser)
     if args.command == "profile":
-        return _cmd_profile(args)
+        return _cmd_profile(args, parser)
     if args.command == "check":
         return _cmd_check(args, parser)
     parser.error(f"unknown command {args.command!r}")

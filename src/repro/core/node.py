@@ -42,7 +42,6 @@ from repro.fabric.network import FabricNetwork
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
 from repro.pagetable.x86 import FourLevelPageTable
-from repro.sim.clock import Clock
 from repro.sim.resource import OutstandingWindow
 from repro.sim.stats import Stats
 from repro.tlb.mmu import Mmu
@@ -79,7 +78,6 @@ class Node:
         self.architecture = architecture
         self.name = f"node{node_id}"
 
-        self.clock = Clock(config.core.frequency_ghz)
         self.caches = CacheHierarchy(config.l1, config.l2, config.l3,
                                      name=self.name)
         self.dram = DramDevice(config.local_memory,
@@ -122,7 +120,7 @@ class Node:
         self.window = OutstandingWindow(config.core.max_outstanding,
                                         name=f"{self.name}.window")
         slots_per_cycle = config.core.issue_width * config.core.cores
-        self._slot_ns = self.clock.period_ns / slots_per_cycle
+        self._slot_ns = config.core.cycle_ns / slots_per_cycle
         self.core_time_ns = 0.0
         self.instructions = 0
         self.memory_events = 0
@@ -381,7 +379,7 @@ class Node:
         from repro.core.results import NodeMetrics
 
         end = max(self.core_time_ns, self.window.latest_completion())
-        cycles = self.clock.ns_to_cycles(end)
+        cycles = end * self.config.core.frequency_ghz
         counters = self.stats.snapshot()
         return NodeMetrics(
             node_id=self.node_id,

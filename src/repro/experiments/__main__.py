@@ -61,9 +61,12 @@ def main(argv=None) -> int:
     if not wanted:
         parser.error("pick --figure IDs or --all")
 
-    settings = RunSettings(n_events=args.events,
-                           footprint_scale=args.footprint_scale,
-                           seed=args.seed)
+    try:
+        settings = RunSettings(n_events=args.events,
+                               footprint_scale=args.footprint_scale,
+                               seed=args.seed)
+    except ConfigError as exc:
+        parser.error(str(exc))
     runner = ExperimentRunner(settings, cache_path=args.cache,
                               jobs=args.jobs)
 

@@ -77,7 +77,6 @@ __all__ = [
     "corrupt_payload",
     "execution_fault",
     "install_torn_write_hook",
-    "clear_write_fault_hook",
     "load_fault_plan",
     "plan_from_env",
     "run_with_faults",
@@ -428,7 +427,3 @@ def install_torn_write_hook(cut: int) -> None:
             _tear("after-replace", phase, text, handle, cut)
 
     cachefile._WRITE_FAULT_HOOK = hook
-
-
-def clear_write_fault_hook() -> None:
-    cachefile._WRITE_FAULT_HOOK = None

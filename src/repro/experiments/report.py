@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Row", "FigureResult", "render_table", "render_bars",
-           "render_telemetry"]
+__all__ = ["Row", "FigureResult", "render_table", "render_telemetry"]
 
 
 @dataclass
@@ -81,31 +80,6 @@ class FigureResult:
                       paper=dict(r.get("paper", {})))
                   for r in data["rows"]],
         )
-
-
-def render_bars(figure: FigureResult, series: str, width: int = 40,
-                precision: int = 2) -> str:
-    """Horizontal ASCII bar chart for one series of a figure.
-
-    Useful in terminals where the full table is too dense — e.g.
-    ``render_bars(figure3(runner), "I-FAM")`` shows the slowdown
-    profile at a glance.
-    """
-    values = [(row.label, row.values[series]) for row in figure.rows
-              if series in row.values]
-    if not values:
-        return f"{figure.figure_id}: series {series!r} has no data"
-    peak = max(value for _label, value in values)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label, _value in values)
-    lines = [f"{figure.figure_id}: {figure.title} — {series}"
-             + (f" [{figure.unit}]" if figure.unit else "")]
-    for label, value in values:
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{label:<{label_width}}  "
-                     f"{value:>8.{precision}f}  {bar}")
-    return "\n".join(lines)
 
 
 def render_telemetry(summary: Dict[str, float],

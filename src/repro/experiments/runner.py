@@ -78,12 +78,15 @@ class RunSettings:
     footprint_scale: float = 0.12
     seed: int = 7
 
-    def scaled(self, factor: float) -> "RunSettings":
-        """Settings with the event count scaled by ``factor`` (>= 1
-        event); used by the pytest benches to run quickly."""
-        return RunSettings(n_events=max(1000, int(self.n_events * factor)),
-                           footprint_scale=self.footprint_scale,
-                           seed=self.seed)
+    def __post_init__(self) -> None:
+        # The one home of the trace-scale rule; the CLIs translate its
+        # ConfigError into their usual argparse exit.
+        if self.n_events < 1:
+            raise ConfigError(
+                f"n_events must be >= 1, got {self.n_events}")
+        if not self.footprint_scale > 0:
+            raise ConfigError(
+                f"footprint_scale must be > 0, got {self.footprint_scale}")
 
 
 @dataclass(frozen=True)

@@ -498,11 +498,6 @@ class RepairReport:
     manifestless_shards: Tuple[str, ...]
     missing_cells: int
 
-    @property
-    def changed(self) -> bool:
-        return bool(self.quarantined_corrupt or self.quarantined_orphans
-                    or self.removed_tmp_files)
-
     def render(self) -> str:
         lines = [f"repair    : {self.cache_path}"]
         lines.append(f"corrupt   : {len(self.quarantined_corrupt)} "

@@ -80,11 +80,6 @@ class FabricNetwork:
         """FAM response all the way back to the node."""
         return self.stu_to_node_arrival(self.fam_to_stu_arrival(depart))
 
-    @property
-    def one_way_latency_ns(self) -> float:
-        """Uncontended node-to-FAM latency (the Table II 500 ns)."""
-        return self.config.total_latency_ns
-
     def reset(self) -> None:
         self.fam_port.reset()
         self.stats.reset()

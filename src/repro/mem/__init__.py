@@ -1,13 +1,12 @@
 """Memory device models and the request taxonomy.
 
-* :mod:`repro.mem.request` — request/response records with the
-  paper's classification (data vs address-translation vs ACM traffic)
-  and the ``V`` verification flag DeACT adds to packets.
+* :mod:`repro.mem.request` — the paper's traffic classification (data
+  vs address-translation vs ACM traffic).
 * :mod:`repro.mem.device` — banked busy-until DRAM and NVM devices
   with Table II latencies and outstanding-request limits.
 """
 
-from repro.mem.request import MemoryRequest, RequestKind
+from repro.mem.request import RequestKind
 from repro.mem.device import DramDevice, NvmDevice
 
-__all__ = ["MemoryRequest", "RequestKind", "DramDevice", "NvmDevice"]
+__all__ = ["RequestKind", "DramDevice", "NvmDevice"]

@@ -152,13 +152,6 @@ class NvmDevice:
         return self.reads + self.writes
 
     @property
-    def at_fraction(self) -> float:
-        """Fraction of requests at the FAM that are address translation
-        (Figure 4 / Figure 11 y-axis)."""
-        total = self.accesses
-        return self.at_accesses / total if total else 0.0
-
-    @property
     def stats(self) -> "_StatsView":
         """Stats-like read access (``stats.snapshot()``) for harness
         compatibility."""

@@ -1,21 +1,15 @@
-"""Memory request records and the paper's traffic taxonomy.
+"""The paper's memory traffic taxonomy.
 
 Figure 4 and Figure 11 classify requests arriving at the FAM into
-address-translation (AT) and non-AT traffic; DeACT additionally tags
-packets with a verification flag ``V`` so the STU can tell a
-pre-translated request (verify only) from an untranslated one (walk the
-FAM page table).  Both concepts live here.
+address-translation (AT) and non-AT traffic.  :class:`RequestKind` is
+that classification; the memory devices count their accesses by kind.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["RequestKind", "MemoryRequest"]
-
-_request_ids = itertools.count()
+__all__ = ["RequestKind"]
 
 
 class RequestKind(Enum):
@@ -49,46 +43,3 @@ _AT_KIND_VALUES = frozenset(("node_ptw", "fam_ptw", "acm"))
 for _kind in RequestKind:
     _kind.is_translation = _kind.value in _AT_KIND_VALUES
 del _kind
-
-
-@dataclass
-class MemoryRequest:
-    """One request travelling through the memory system.
-
-    Attributes
-    ----------
-    addr:
-        The address in the request's current address space (node
-        physical until translated, FAM afterwards).
-    is_write:
-        Store vs load.
-    kind:
-        Traffic class (see :class:`RequestKind`).
-    node_id:
-        Originating node (used by the STU for verification).
-    verified:
-        The DeACT ``V`` flag: set by the FAM translator when the node
-        already holds the FAM address, clear when the STU must walk.
-    fam_addr:
-        The FAM address once translation has happened.
-    request_id:
-        Monotonic id, used by the outstanding-mapping list.
-    """
-
-    addr: int
-    is_write: bool = False
-    kind: RequestKind = RequestKind.DATA
-    node_id: int = 0
-    verified: bool = False
-    fam_addr: int | None = None
-    needs_response: bool = True
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-
-    def with_fam_address(self, fam_addr: int) -> "MemoryRequest":
-        """A copy of the request re-addressed into FAM space with the
-        verification flag set (what the FAM translator emits)."""
-        return MemoryRequest(addr=fam_addr, is_write=self.is_write,
-                             kind=self.kind, node_id=self.node_id,
-                             verified=True, fam_addr=fam_addr,
-                             needs_response=self.needs_response,
-                             request_id=self.request_id)

@@ -40,14 +40,6 @@ class PageTableEntry:
     def present(self) -> bool:
         return bool(self.flags & PTE_PRESENT)
 
-    @property
-    def writable(self) -> bool:
-        return bool(self.flags & PTE_WRITE)
-
-    @property
-    def executable(self) -> bool:
-        return bool(self.flags & PTE_EXEC)
-
     def touch(self, write: bool) -> None:
         """Update reference bits for an access."""
         self.accessed = True

@@ -121,10 +121,6 @@ class PageTableWalker:
             cache.clear()
 
     @property
-    def average_accesses_per_walk(self) -> float:
-        return self.memory_accesses / self.walks if self.walks else 0.0
-
-    @property
     def cache_probes(self) -> int:
         """Total walk-cache tag probes (telemetry)."""
         return sum(cache.accesses for cache in self._caches)

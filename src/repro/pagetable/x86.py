@@ -68,10 +68,6 @@ class WalkStep(NamedTuple):
     entry_addr: int
     table_base: int
 
-    @property
-    def level_name(self) -> str:
-        return LEVEL_NAMES[self.level]
-
 
 class _Table:
     """One 4 KB table page: 512 slots pointing at child tables or PTEs."""
@@ -132,11 +128,6 @@ class FourLevelPageTable:
     def mapped_pages(self) -> int:
         """Number of mapped VPNs."""
         return len(self._leaves)
-
-    @property
-    def root_base(self) -> int:
-        """Physical address of the root table (the CR3 contents)."""
-        return self._root.base_addr
 
     # ------------------------------------------------------------------
     # Mapping

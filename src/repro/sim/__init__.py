@@ -3,31 +3,24 @@
 This package contains the timing machinery shared by every architectural
 component in the reproduction:
 
-* :mod:`repro.sim.clock` — frequency/cycle/nanosecond conversions.
 * :mod:`repro.sim.resource` — busy-until reservation resources (single
   server, banked, and bounded outstanding-request windows).  These model
   queueing at DRAM/NVM banks, fabric ports and miss-handling registers
   without a full event calendar per request.
-* :mod:`repro.sim.engine` — a small event loop used to interleave
-  multiple nodes' access streams in global time order.
-* :mod:`repro.sim.stats` — counter/histogram registries every component
+* :mod:`repro.sim.stats` — the counter registry every component
   reports into.
 
 All times in the library are expressed in **nanoseconds** as floats;
-:class:`~repro.sim.clock.Clock` converts to core cycles where needed.
+:attr:`repro.config.system.CoreConfig.cycle_ns` relates them to core
+cycles.
 """
 
-from repro.sim.clock import Clock
-from repro.sim.engine import EventLoop
 from repro.sim.resource import BankedResource, OutstandingWindow, TimedResource
-from repro.sim.stats import Histogram, Stats
+from repro.sim.stats import Stats
 
 __all__ = [
-    "Clock",
-    "EventLoop",
     "TimedResource",
     "BankedResource",
     "OutstandingWindow",
     "Stats",
-    "Histogram",
 ]

@@ -68,12 +68,6 @@ class TimedResource:
         self.busy_time += service_ns
         return end
 
-    def peek_completion(self, now: float, service_ns: float) -> float:
-        """Completion time a :meth:`reserve` call would return, without
-        actually reserving."""
-        start = now if now > self._busy_until else self._busy_until
-        return start + service_ns
-
     def reset(self) -> None:
         """Forget all reservations (used between independent runs)."""
         self._busy_until = 0.0
@@ -111,12 +105,6 @@ class BankedResource:
         self._bank_mask = (n_banks - 1
                            if (n_banks & (n_banks - 1)) == 0 else -1)
 
-    def bank_index(self, addr: int) -> int:
-        """Bank servicing ``addr`` under the interleaving scheme."""
-        mask = self._bank_mask
-        block = addr >> self._interleave_shift
-        return block & mask if mask >= 0 else block % self.n_banks
-
     def reserve(self, addr: int, now: float, service_ns: float) -> float:
         """Reserve the bank owning ``addr``; returns completion time."""
         mask = self._bank_mask
@@ -124,18 +112,6 @@ class BankedResource:
         bank = self._banks[block & mask if mask >= 0 else
                            block % self.n_banks]
         return bank.reserve(now, service_ns)
-
-    def bank(self, index: int) -> TimedResource:
-        """Direct access to a bank (mainly for tests/introspection)."""
-        return self._banks[index]
-
-    @property
-    def total_reservations(self) -> int:
-        return sum(b.reservations for b in self._banks)
-
-    @property
-    def total_busy_time(self) -> float:
-        return sum(b.busy_time for b in self._banks)
 
     def reset(self) -> None:
         for bank in self._banks:
@@ -147,8 +123,8 @@ class OutstandingWindow:
 
     Models structures that limit memory-level parallelism: the core's
     32-outstanding-request limit and the FAM's 128-outstanding limit
-    (Table II).  ``admit`` blocks (in simulated time) until a slot is
-    free; ``complete_before`` drains entries that have finished.
+    (Table II).  ``admit`` retires entries that have finished, then
+    blocks (in simulated time) until a slot is free.
     """
 
     def __init__(self, capacity: int, name: str = "window") -> None:
@@ -163,23 +139,13 @@ class OutstandingWindow:
     def __len__(self) -> int:
         return len(self._completions)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._completions) >= self.capacity
-
-    def drain(self, now: float) -> None:
-        """Retire every request that completed at or before ``now``."""
-        heap = self._completions
-        while heap and heap[0] <= now:
-            heapq.heappop(heap)
-
     def admit(self, now: float) -> float:
         """Admit a new request, returning the (possibly delayed) time at
         which the request can actually issue.
 
-        If the window is full even after draining, the request waits for
-        the earliest outstanding completion.  (:meth:`drain` is inlined
-        — this runs once per trace event and once per FAM access.)
+        Requests that completed at or before ``now`` retire first.  If
+        the window is still full, the request waits for the earliest
+        outstanding completion.
         """
         heap = self._completions
         while heap and heap[0] <= now:
@@ -196,10 +162,6 @@ class OutstandingWindow:
     def record(self, completion_ns: float) -> None:
         """Record the completion time of an admitted request."""
         heapq.heappush(self._completions, completion_ns)
-
-    def earliest_completion(self) -> float:
-        """Completion time of the oldest in-flight request (or 0.0)."""
-        return self._completions[0] if self._completions else 0.0
 
     def latest_completion(self) -> float:
         """Completion time of the last-finishing in-flight request."""

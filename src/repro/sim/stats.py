@@ -1,26 +1,24 @@
 """Statistics registries.
 
-Every architectural component reports into a :class:`Stats` object:
-plain named counters plus derived ratios.  :class:`Histogram` offers
-fixed-bin latency distributions for the few places where a mean hides
-too much (e.g. FAM access latency under contention).
+Every architectural component reports into a :class:`Stats` object of
+plain named counters; :func:`geometric_mean` aggregates the harness's
+per-benchmark speedups.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, Sequence
 
-__all__ = ["Stats", "Histogram", "geometric_mean"]
+__all__ = ["Stats", "geometric_mean"]
 
 
 class Stats:
     """A named bag of additive counters.
 
     Counters spring into existence at zero on first use, so components
-    never need to pre-declare them, and merging run shards is a simple
-    elementwise addition.
+    never need to pre-declare them.
     """
 
     def __init__(self, name: str = "stats") -> None:
@@ -44,13 +42,6 @@ class Stats:
     def keys(self) -> Iterable[str]:
         return self._counters.keys()
 
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """``numerator / denominator`` with a 0/0 -> 0.0 convention."""
-        den = self._counters.get(denominator, 0.0)
-        if den == 0.0:
-            return 0.0
-        return self._counters.get(numerator, 0.0) / den
-
     def hit_rate(self, prefix: str) -> float:
         """Hit rate for a component that counts ``<prefix>.hits`` and
         ``<prefix>.misses``."""
@@ -58,12 +49,6 @@ class Stats:
         misses = self._counters.get(f"{prefix}.misses", 0.0)
         total = hits + misses
         return hits / total if total else 0.0
-
-    def merge(self, other: "Stats") -> "Stats":
-        """Add ``other``'s counters into this object (returns self)."""
-        for key, value in other._counters.items():
-            self._counters[key] += value
-        return self
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict copy of all counters."""
@@ -75,72 +60,6 @@ class Stats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
         return f"Stats({self.name}: {body})"
-
-
-class Histogram:
-    """Fixed-width-bin histogram with overflow bin.
-
-    Bins cover ``[lo, hi)`` in ``n_bins`` equal slices; samples below
-    ``lo`` land in bin 0, samples at or above ``hi`` land in the final
-    (overflow) bin.
-    """
-
-    def __init__(self, lo: float, hi: float, n_bins: int = 32,
-                 name: str = "histogram") -> None:
-        if hi <= lo:
-            raise ValueError(f"{name}: hi ({hi}) must exceed lo ({lo})")
-        if n_bins <= 0:
-            raise ValueError(f"{name}: need at least one bin")
-        self.name = name
-        self.lo = lo
-        self.hi = hi
-        self.n_bins = n_bins
-        self._width = (hi - lo) / n_bins
-        self.counts: List[int] = [0] * (n_bins + 1)
-        self.total = 0
-        self.sum = 0.0
-        self.min_seen = math.inf
-        self.max_seen = -math.inf
-
-    def add(self, sample: float) -> None:
-        """Record one sample."""
-        if sample < self.lo:
-            index = 0
-        elif sample >= self.hi:
-            index = self.n_bins
-        else:
-            index = int((sample - self.lo) / self._width)
-        self.counts[index] += 1
-        self.total += 1
-        self.sum += sample
-        if sample < self.min_seen:
-            self.min_seen = sample
-        if sample > self.max_seen:
-            self.max_seen = sample
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Approximate p-th percentile (0..100) via bin midpoints."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if self.total == 0:
-            return 0.0
-        target = self.total * p / 100.0
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= target and count:
-                if index == self.n_bins:
-                    return self.hi
-                return self.lo + (index + 0.5) * self._width
-        return self.hi
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Histogram({self.name}: n={self.total}, mean={self.mean:.1f}, "
-                f"range=[{self.min_seen:g}, {self.max_seen:g}])")
 
 
 def geometric_mean(values: Sequence[float]) -> float:

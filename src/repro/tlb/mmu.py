@@ -118,8 +118,3 @@ class Mmu:
         """Invalidate one page everywhere the MMU caches it."""
         self.tlb.invalidate(vpn)
         self.walker.invalidate()
-
-    @property
-    def walk_rate(self) -> float:
-        """Fraction of translations that required a page walk."""
-        return self.walks / self.translations if self.translations else 0.0

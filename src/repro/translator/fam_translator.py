@@ -102,11 +102,6 @@ class FamTranslator:
         """Track a response-expecting request (Figure 7c)."""
         self.outstanding.register(request_id, fam_addr, node_addr)
 
-    def readdress_response(self, request_id: int) -> int:
-        """Convert a FAM-addressed response back to its node address."""
-        _fam_addr, node_addr = self.outstanding.resolve(request_id)
-        return node_addr
-
     # ------------------------------------------------------------------
     def shootdown(self, node_page: int, now: float) -> float:
         """Invalidate one mapping (job migration): a DRAM row write."""

@@ -67,11 +67,3 @@ class OutstandingMappingList:
             raise ProtocolError(
                 f"{self.name}: response for unknown request {request_id}")
         return entry
-
-    def node_address_of(self, request_id: int) -> int:
-        """Peek at the node address without consuming the entry."""
-        entry = self._entries.get(request_id)
-        if entry is None:
-            raise ProtocolError(
-                f"{self.name}: unknown request {request_id}")
-        return entry[1]

@@ -75,12 +75,6 @@ class TranslationCache:
             self.stats.incr("invalidations")
         return dropped
 
-    def invalidate_all(self) -> int:
-        """Full shootdown; returns the number of dropped mappings."""
-        dropped = self._cache.invalidate_where(lambda key, value: True)
-        self.stats.incr("invalidations", dropped)
-        return dropped
-
     @property
     def hits(self) -> int:
         return self._hits

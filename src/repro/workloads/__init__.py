@@ -21,7 +21,6 @@ from repro.workloads.catalog import (
 )
 from repro.workloads.synthetic import PatternSpec, generate_trace
 from repro.workloads.trace import Trace, TraceEvent
-from repro.workloads.traceio import load_trace, save_trace
 
 __all__ = [
     "Trace",
@@ -32,6 +31,4 @@ __all__ = [
     "BENCHMARKS",
     "benchmark_names",
     "get_profile",
-    "save_trace",
-    "load_trace",
 ]

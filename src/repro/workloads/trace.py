@@ -111,11 +111,6 @@ class Trace:
         their gaps)."""
         return len(self.gaps) + sum(self.gaps)
 
-    @property
-    def memory_instruction_fraction(self) -> float:
-        total = self.instructions
-        return len(self.gaps) / total if total else 0.0
-
     def footprint_pages(self, page_bytes: int = 4096) -> int:
         """Distinct 4 KB pages the trace touches."""
         return len({addr // page_bytes for addr in self.vaddrs})

@@ -107,20 +107,10 @@ class TestFamLayout:
         assert FamLayout(16 * GIB, acm_bits=8).pages_per_block == 64
         assert FamLayout(16 * GIB, acm_bits=32).pages_per_block == 16
 
-    def test_block_key_groups_32_pages(self):
-        layout = FamLayout(16 * GIB, acm_bits=16)
-        assert layout.acm_block_key(0) == layout.acm_block_key(31 * 4096)
-        assert layout.acm_block_key(0) != layout.acm_block_key(32 * 4096)
-
     def test_rejects_metadata_addresses(self):
         layout = FamLayout(16 * GIB)
         with pytest.raises(ConfigError):
             layout.page_number(layout.metadata_base)
-
-    def test_is_metadata_address(self):
-        layout = FamLayout(16 * GIB)
-        assert layout.is_metadata_address(layout.metadata_base)
-        assert not layout.is_metadata_address(0)
 
     def test_bitmap_block_addr_within_region_bitmap(self):
         layout = FamLayout(16 * GIB)
@@ -222,16 +212,3 @@ class TestAcmStore:
         store.clear(10)
         allowed, _ = store.check(3, 10 * 4096, Permission.READ)
         assert not allowed
-
-    def test_read_block_covers_pages_per_block(self):
-        store = self.make_store()
-        for page in range(64):
-            store.set_owner(page, node_id=1, perm_code=PERM_RW)
-        block = store.read_block(0)
-        assert len(block) == store.layout.pages_per_block
-
-    def test_allocated_pages_counter(self):
-        store = self.make_store()
-        store.set_owner(1, 1, PERM_RW)
-        store.set_owner(2, 1, PERM_RW)
-        assert store.allocated_pages == 2

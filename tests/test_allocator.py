@@ -124,19 +124,6 @@ class TestContiguousRuns:
             alloc.allocate()
 
 
-class TestAllocateMany:
-    def test_all_or_nothing(self):
-        alloc = FrameAllocator(0, 4)
-        with pytest.raises(AllocationError):
-            alloc.allocate_many(5)
-        assert len(alloc) == 4  # nothing leaked
-
-    def test_count(self):
-        alloc = FrameAllocator(0, 8)
-        addrs = alloc.allocate_many(8)
-        assert len(set(addrs)) == 8
-
-
 class TestValidation:
     def test_rejects_zero_frames(self):
         with pytest.raises(ConfigError):
@@ -172,4 +159,4 @@ class TestAllocateFreeProperty:
             elif live:
                 addr = live.pop()
                 alloc.free(addr)
-        assert alloc.allocated_count == len(live)
+        assert alloc.total_frames - len(alloc) == len(live)

@@ -12,7 +12,12 @@ Layout mirrors the checker's contract surface:
 * the repo's own tree staying clean — the gate CI enforces.
 """
 
+import ast
 import json
+import re
+import sys
+import tomllib
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -31,6 +36,7 @@ from repro.core.hotpath import hot_path, is_hot_path
 from repro.errors import AnalysisError
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def check_fixture(rule_ids, fixture, variant):
@@ -410,8 +416,6 @@ class TestRepoTreeIsClean:
         # The seed's per-outcome result boxes belong to the refpath
         # oracle alone, and the boxed production twins that built them
         # stay deleted: each layer keeps one production entry point.
-        import ast
-
         boxes = {"AccessResult", "HierarchyResult", "TlbLookup",
                  "TranslationOutcome", "TranslatorLookup", "WalkTiming",
                  "WalkResult"}
@@ -453,8 +457,6 @@ class TestRepoTreeIsClean:
         # tier selector (reference=True): the core-loop bench, its
         # trajectory, their errors and the execution-mode constants
         # stay deleted.
-        import ast
-
         project = scan_project()
         revived = [name for name in project.modules
                    if name in {"repro.experiments." + leaf
@@ -472,3 +474,142 @@ class TestRepoTreeIsClean:
                     if isinstance(target, ast.Name)
                     and "MODE" in target.id]
         assert revived == []
+
+    #: Production names only tests call, each kept because a test
+    #: needs it to set up or observe production-path state that no
+    #: public attribute exposes.
+    KEEP = {
+        "repro.acm.bitmap.SharedPageBitmap.revoke":
+            "test_security revokes a grant to build its revocation case",
+        "repro.broker.broker.MemoryBroker.release_page":
+            "test_security releases a page to build its stale-translator "
+            "case",
+        "repro.broker.allocator.FrameAllocator.is_allocated":
+            "allocator and broker tests observe which frames are live",
+        "repro.cache.hierarchy.CacheHierarchy.contains":
+            "hierarchy and node tests observe which level holds a block",
+        "repro.config.presets.small_config":
+            "the shrunken Table II config the unit tests run on",
+        "repro.core.hotpath.is_hot_path":
+            "test_hot_surface_is_marked checks the @hot_path marks",
+        "repro.experiments.faults.deactivate":
+            "fault tests clear the process-wide plan and write hook",
+        "repro.experiments.faults.install_torn_write_hook":
+            "the torn-write suite kills the cache writer at every byte",
+        "repro.pagetable.x86.FourLevelPageTable.mapped_pages":
+            "page-table tests observe the mapping count",
+        "repro.sim.resource.TimedResource.busy_until":
+            "resource tests observe a server's horizon",
+        "repro.stu.organizations.IFamStuCache.coverage_pages":
+            "STU tests pin each organization's reach",
+        "repro.stu.organizations.DeactWAcmCache.coverage_pages":
+            "STU tests pin each organization's reach",
+        "repro.stu.organizations.DeactNAcmCache.coverage_pages":
+            "STU tests pin each organization's reach",
+    }
+
+    @staticmethod
+    def _referenced_names(tree):
+        """Names a module uses: ``Name`` ids, attribute names, import
+        aliases and string constants, leaving out ``__all__`` entries
+        (a re-export list is not a use)."""
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                exported.update(id(sub) for sub in ast.walk(node.value))
+        names = set()
+        for node in ast.walk(tree):
+            if id(node) in exported:
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+                names.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names.add(node.value)
+        return names
+
+    def test_no_test_only_production_api(self):
+        # Every function, class and non-dunder method of src/repro
+        # (outside repro.analysis) must be referenced by name from
+        # non-test code: src/, perfbench/, examples/, scripts/,
+        # benchmarks/ or a CI workflow.  Matching bare names can only
+        # hide a test-only name behind a namesake, never flag a name
+        # that is really used.
+        defined = {}
+        used = set()
+        src = REPO_ROOT / "src"
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= self._referenced_names(tree)
+            parts = path.relative_to(src).with_suffix("").parts
+            module = ".".join(parts[:-1] if parts[-1] == "__init__"
+                              else parts)
+            if module.startswith("repro.analysis"):
+                continue
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[f"{module}.{node.name}"] = node.name
+                if isinstance(node, ast.ClassDef):
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.FunctionDef) and not (
+                                stmt.name.startswith("__")
+                                and stmt.name.endswith("__")):
+                            defined[f"{module}.{node.name}.{stmt.name}"] \
+                                = stmt.name
+        for folder in ("perfbench", "examples", "scripts", "benchmarks"):
+            for path in (REPO_ROOT / folder).rglob("*.py"):
+                used |= self._referenced_names(
+                    ast.parse(path.read_text(encoding="utf-8")))
+        for path in (REPO_ROOT / ".github" / "workflows").glob("*.yml"):
+            used |= set(re.findall(r"[A-Za-z_]\w*",
+                                   path.read_text(encoding="utf-8")))
+        unused = {qualname for qualname, name in defined.items()
+                  if name not in used}
+        assert sorted(unused - self.KEEP.keys()) == []
+        # A kept name that gained a production caller, or went away,
+        # leaves the list.
+        assert sorted(self.KEEP.keys() - unused) == []
+        for module in ("repro.sim.engine", "repro.sim.clock",
+                       "repro.cache.replacement", "repro.workloads.traceio"):
+            assert find_spec(module) is None, module
+
+    def test_imports_are_declared(self):
+        # A fresh runner installs only what pyproject.toml declares
+        # (CI installs the project with its test extra), so every
+        # third-party import of the library, tests and benchmarks must
+        # be declared there.
+        project = tomllib.loads(
+            (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        requirements = (project["project"]["dependencies"]
+                        + project["project"]["optional-dependencies"]["test"])
+        declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+                    .lower().replace("-", "_")
+                    for requirement in requirements}
+        allowed = declared | set(sys.stdlib_module_names) \
+            | {"repro", "conftest"}
+        undeclared = []
+        for folder in ("src", "tests", "benchmarks"):
+            for path in sorted((REPO_ROOT / folder).rglob("*.py")):
+                if FIXTURES in path.parents:
+                    continue  # parsed by the checker, never imported
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) \
+                            and node.level == 0:
+                        modules = [node.module]
+                    else:
+                        continue
+                    undeclared += [
+                        f"{path.relative_to(REPO_ROOT)}: {module}"
+                        for module in modules
+                        if module.partition(".")[0] not in allowed]
+        assert undeclared == []

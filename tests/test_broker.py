@@ -200,9 +200,9 @@ class TestNodeRegistry:
         registry.register_node(0)
         registry.register_node(1)
         record = registry.schedule_job("job-a", 0)
-        assert registry.physical_node_of(record.logical_id) == 0
+        assert registry.job("job-a").physical_node == 0
         registry.migrate_job("job-a", 1)
-        assert registry.physical_node_of(record.logical_id) == 1
+        assert registry.job("job-a").physical_node == 1
         assert record.migrations == 1
 
     def test_logical_ids_unique(self):

@@ -145,17 +145,6 @@ class TestDirtyTracking:
         assert victim_dirty is False
 
 
-class TestInvalidateWhere:
-    def test_predicate_invalidation(self):
-        cache = SetAssociativeCache("c", 4, 4)
-        for key in range(8):
-            cache.fill_line(key, key * 10)
-        dropped = cache.invalidate_where(lambda k, v: k % 2 == 0)
-        assert dropped == 4
-        assert len(cache) == 4
-        assert 1 in cache and 0 not in cache
-
-
 class TestStatistics:
     def test_hit_rate(self):
         cache = SetAssociativeCache("c", 4, 2)
@@ -207,3 +196,54 @@ class TestCapacityInvariants:
             if cache.get_line(key) is None:
                 cache.fill_line(key, key)
         assert cache.hits + cache.misses == len(keys)
+
+
+class TestFifoFillInPlaceRegression:
+    """Regression for the FIFO aging bug: a fill on an
+    already-present key used to ``move_to_end`` unconditionally,
+    refreshing the line's insertion age under FIFO — replace-in-place
+    must preserve insertion order."""
+
+    def _filled(self, policy):
+        from repro.cache.cache import SetAssociativeCache
+
+        cache = SetAssociativeCache("t", n_sets=1, associativity=3,
+                                    replacement=policy)
+        cache.fill_line(10, "a")
+        cache.fill_line(11, "b")
+        cache.fill_line(12, "c")
+        return cache
+
+    def test_fifo_replace_in_place_preserves_age(self):
+        cache = self._filled("fifo")
+        cache.fill_line(10, "a2")  # replace in place — age must not refresh
+        # 10 is still the oldest, and carries the replaced payload.
+        assert cache.fill_line(13, "d") == (10, "a2")
+
+    def test_fifo_fill_line_preserves_age(self):
+        cache = self._filled("fifo")
+        assert cache.fill_line(10, "a2") is None
+        evicted = cache.fill_line(13, "d")
+        assert evicted is not None and evicted[0] == 10
+
+    def test_fifo_hits_still_do_not_promote(self):
+        cache = self._filled("fifo")
+        cache.get_line(10)
+        assert cache.fill_line(13, "d") == (10, "a")
+
+    def test_lru_replace_in_place_does_promote(self):
+        # LRU semantics are unchanged: a fill is a touch.
+        cache = self._filled("lru")
+        cache.fill_line(10, "a2")
+        assert cache.fill_line(13, "d") == (11, "b")
+
+    def test_replace_in_place_keeps_dirty_bit(self):
+        # A data cache's payload is the line's dirty bit.  The
+        # hierarchy refills a resident line only to absorb a dirty
+        # victim (payload True), so a dirty line stays dirty, and the
+        # refill keeps its FIFO age.
+        cache = self._filled("fifo")
+        cache.fill_line(10, True)
+        cache.fill_line(10, True)
+        evicted = cache.fill_line(13, "d")
+        assert evicted == (10, True)

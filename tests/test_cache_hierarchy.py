@@ -169,9 +169,6 @@ class TestStats:
         hierarchy.access_fast(100, False)
         assert hierarchy.llc_miss_count() == 2
 
-    def test_miss_latency(self):
-        assert tiny_hierarchy().miss_latency_ns == 14.0
-
     def test_contains(self):
         hierarchy = tiny_hierarchy()
         hierarchy.access_fast(0, False)

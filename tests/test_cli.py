@@ -310,11 +310,43 @@ class TestFiguresCommand:
             main(["figures", "--figure", "t1", "--jobs", "0"])
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    def test_figures_rejects_zero_events(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "--figure", "3", "--events", "0"])
+        assert excinfo.value.code == 2
+        assert "n_events must be >= 1" in capsys.readouterr().err
+
 
 class TestArgumentValidation:
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--benchmark", "lu", "--arch", "e-fam"],
+        ["compare", "--benchmark", "lu"],
+        ["sweep", "--benchmark", "lu", "--arch", "e-fam"],
+        ["profile", "--benchmark", "lu"]],
+        ids=["run", "compare", "sweep", "profile"])
+    @pytest.mark.parametrize("bad", [
+        ["--events", "0"], ["--events", "-5"],
+        ["--footprint-scale", "0"], ["--nodes", "0"]],
+        ids=["events-0", "events-neg", "scale-0", "nodes-0"])
+    def test_bad_trace_scale_rejected_before_any_job(self, command, bad,
+                                                     monkeypatch, capsys):
+        # RunSettings and SystemConfig own the rules; every command
+        # turns their ConfigError into an argparse exit before it
+        # builds a single trace.
+        from repro.experiments import runner
+
+        built = []
+        monkeypatch.setattr(runner, "build_traces",
+                            lambda *args: built.append(args))
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + bad)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert built == []
 
     def test_bench_is_not_a_command(self, capsys):
         # Host speed is judged by perfbench/ alone; there is no

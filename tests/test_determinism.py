@@ -2,9 +2,8 @@
 
 Parallel sweeps are only trustworthy if they are bit-identical to
 serial execution, which in turn requires (a) every run to be a pure
-function of its :class:`SweepJob`, (b) the result <-> dict round trip
-to be lossless, and (c) the event loop to order same-timestamp events
-stably.  This suite pins all three down, comparing full serialized
+function of its :class:`SweepJob` and (b) the result <-> dict round
+trip to be lossless.  This suite pins both down, comparing full serialized
 result dicts — not just headline metrics — so a drifting counter
 anywhere in the system fails loudly.
 """
@@ -15,7 +14,6 @@ import pytest
 
 from repro.config.presets import default_config, with_nodes
 from repro.core.results import NodeMetrics, RunResult
-from repro.errors import ConfigError
 from repro.experiments.runner import (
     ExperimentRunner,
     RunSettings,
@@ -34,7 +32,6 @@ from repro.experiments.shardfile import (
     validate_cache,
 )
 from repro.experiments.sweep import SweepEngine, SweepSpec
-from repro.sim.engine import EventLoop
 
 FAST = RunSettings(n_events=1500, footprint_scale=0.01, seed=3)
 
@@ -232,78 +229,3 @@ class TestResultRoundTrip:
         rebuilt = _result_from_dict(data)
         assert rebuilt.fam_counters == {}
         assert rebuilt.fabric_counters == {}
-
-
-# ----------------------------------------------------------------------
-# Event-loop ordering guarantees
-# ----------------------------------------------------------------------
-class TestEventLoopOrdering:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_schedules_fire_in_stable_time_order(self, seed):
-        rng = random.Random(seed)
-        loop = EventLoop()
-        fired = []
-        entries = []
-        for index in range(200):
-            when = float(rng.randrange(20))  # dense timestamps: many ties
-            entries.append((when, index))
-            loop.schedule(when, lambda t, i=index: fired.append(i))
-        loop.run()
-        expected = [i for _w, i in
-                    sorted(entries, key=lambda e: (e[0], e[1]))]
-        assert fired == expected
-
-    def test_same_timestamp_fifo_across_interleaved_times(self):
-        loop = EventLoop()
-        fired = []
-        for tag in ("a", "b"):
-            loop.schedule(5.0, lambda t, tag=tag: fired.append(tag))
-        loop.schedule(1.0, lambda t: fired.append("early"))
-        for tag in ("c", "d"):
-            loop.schedule(5.0, lambda t, tag=tag: fired.append(tag))
-        loop.run()
-        assert fired == ["early", "a", "b", "c", "d"]
-
-    def test_past_scheduling_rejected(self):
-        loop = EventLoop()
-        loop.schedule(10.0, lambda t: None)
-        loop.run()
-        with pytest.raises(ConfigError, match="cannot schedule"):
-            loop.schedule(9.999, lambda t: None)
-
-    def test_past_scheduling_rejected_from_inside_callback(self):
-        loop = EventLoop()
-
-        def bad(t):
-            loop.schedule(t - 1.0, lambda t2: None)
-
-        loop.schedule(2.0, bad)
-        with pytest.raises(ConfigError):
-            loop.run()
-
-    def test_scheduling_at_now_is_allowed(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(3.0, lambda t: loop.schedule(
-            t, lambda t2: fired.append(t2)))
-        loop.run()
-        assert fired == [3.0]
-
-    def test_run_until_includes_boundary_event(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(5.0, lambda t: fired.append(t))
-        loop.schedule(5.0 + 1e-9, lambda t: fired.append(t))
-        loop.run(until=5.0)
-        assert fired == [5.0]  # exactly-at-boundary fires ...
-        assert len(loop) == 1  # ... strictly-after stays queued
-
-    def test_run_until_then_resume(self):
-        loop = EventLoop()
-        fired = []
-        for when in (1.0, 2.0, 3.0):
-            loop.schedule(when, lambda t: fired.append(t))
-        loop.run(until=2.0)
-        assert fired == [1.0, 2.0]
-        loop.run()
-        assert fired == [1.0, 2.0, 3.0]

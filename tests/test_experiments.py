@@ -58,11 +58,6 @@ class TestRunner:
         assert recalled.ipc == pytest.approx(result.ipc)
         assert recalled.fam_counters == result.fam_counters
 
-    def test_scaled_settings(self):
-        scaled = FAST.scaled(0.5)
-        assert scaled.n_events == max(1000, FAST.n_events // 2)
-        assert scaled.footprint_scale == FAST.footprint_scale
-
     def test_corrupt_disk_cache_treated_as_empty(self, tmp_path, caplog):
         # Regression: a truncated/garbage cache file used to crash
         # __init__ inside json.load.

@@ -5,14 +5,10 @@ import pytest
 from repro.config.system import FabricConfig, FamConfig, GIB, LocalMemoryConfig
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import DramDevice, NvmDevice
-from repro.mem.request import MemoryRequest, RequestKind
+from repro.mem.request import RequestKind
 
 
 class TestFabricNetwork:
-    def test_one_way_latency_matches_table_ii(self):
-        fabric = FabricNetwork(FabricConfig())
-        assert fabric.one_way_latency_ns == 500.0
-
     def test_hop_latencies(self):
         fabric = FabricNetwork(FabricConfig(node_to_stu_ns=100,
                                             stu_to_fam_ns=400,
@@ -94,8 +90,8 @@ class TestNvmDevice:
         fam.access(0, 0.0, kind=RequestKind.DATA)
         fam.access(64, 0.0, kind=RequestKind.FAM_PTW)
         fam.access(128, 0.0, kind=RequestKind.ACM)
-        assert fam.at_fraction == pytest.approx(2 / 3)
         snap = fam.snapshot()
+        assert snap["at_accesses"] == 2
         assert snap["kind.fam_ptw"] == 1
         assert snap["kind.acm"] == 1
         assert snap["non_at_accesses"] == 1
@@ -149,16 +145,3 @@ class TestRequestKinds:
             counts[kind] += 1
         assert list(counts) == list(RequestKind)
         assert set(counts.values()) == {1}
-
-    def test_request_ids_monotonic(self):
-        a = MemoryRequest(addr=0)
-        b = MemoryRequest(addr=0)
-        assert b.request_id > a.request_id
-
-    def test_with_fam_address(self):
-        req = MemoryRequest(addr=100, is_write=True, node_id=2)
-        fam_req = req.with_fam_address(0xF00)
-        assert fam_req.verified
-        assert fam_req.addr == 0xF00
-        assert fam_req.request_id == req.request_id
-        assert fam_req.is_write and fam_req.node_id == 2

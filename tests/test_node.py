@@ -142,9 +142,9 @@ class TestAccessTiming:
         node.step_fast(*event(0x5000_0000))
         # A TLB-missing access to a fresh page in the same PMD region:
         # the walk's PTE read goes through the hierarchy.
-        llc_before = node.caches.llc.accesses
+        llc_before = node.caches.levels[2].accesses
         node.step_fast(*event(0x5000_0000 + PAGE_BYTES))
-        assert node.caches.llc.accesses >= llc_before
+        assert node.caches.levels[2].accesses >= llc_before
 
 
 class TestCoreStepping:

@@ -1,53 +1,6 @@
-"""Tests for ASCII rendering helpers (tables and bar charts)."""
+"""Tests for the ASCII table renderer."""
 
-from repro.experiments.report import (
-    FigureResult,
-    Row,
-    render_bars,
-    render_table,
-)
-
-
-def sample_figure():
-    return FigureResult(
-        figure_id="figY", title="Render sample", series=["X"],
-        rows=[Row("short", {"X": 1.0}),
-              Row("a-much-longer-label", {"X": 4.0}),
-              Row("mid", {"X": 2.0})],
-        unit="x")
-
-
-class TestRenderBars:
-    def test_bars_scale_to_peak(self):
-        text = render_bars(sample_figure(), "X", width=40)
-        lines = text.splitlines()[1:]
-        lengths = [line.count("#") for line in lines]
-        assert lengths[1] == 40          # peak row gets full width
-        assert lengths[0] == 10          # 1.0 / 4.0 of 40
-        assert lengths[2] == 20
-
-    def test_labels_aligned(self):
-        text = render_bars(sample_figure(), "X")
-        lines = text.splitlines()[1:]
-        positions = {line.index("  ") for line in lines}
-        # All labels padded to the same width.
-        value_columns = {len(line) - len(line.lstrip()) for line in lines}
-        assert len({line.split("  ")[0] and len(line.split("  ")[0])
-                    for line in lines}) >= 1
-
-    def test_missing_series_message(self):
-        text = render_bars(sample_figure(), "nope")
-        assert "no data" in text
-
-    def test_minimum_one_hash(self):
-        figure = FigureResult("f", "t", ["X"],
-                              [Row("tiny", {"X": 0.0001}),
-                               Row("huge", {"X": 100.0})])
-        text = render_bars(figure, "X")
-        assert all("#" in line for line in text.splitlines()[1:])
-
-    def test_header_includes_unit(self):
-        assert "[x]" in render_bars(sample_figure(), "X").splitlines()[0]
+from repro.experiments.report import FigureResult, Row, render_table
 
 
 class TestRenderTableEdgeCases:

@@ -23,11 +23,6 @@ class TestTimedResource:
         res.reserve(0.0, 10.0)
         assert res.reserve(100.0, 5.0) == 105.0
 
-    def test_peek_does_not_reserve(self):
-        res = TimedResource()
-        assert res.peek_completion(0.0, 5.0) == 5.0
-        assert res.busy_until == 0.0
-
     def test_negative_service_rejected(self):
         res = TimedResource()
         with pytest.raises(ConfigError):
@@ -75,12 +70,6 @@ class TestBankedResource:
         assert banks.reserve(0, 0.0, 10.0) == 10.0
         assert banks.reserve(128, 0.0, 10.0) == 20.0  # 128 -> bank 0
 
-    def test_bank_index_wraps(self):
-        banks = BankedResource("m", 4, interleave_bytes=64)
-        assert banks.bank_index(0) == 0
-        assert banks.bank_index(64) == 1
-        assert banks.bank_index(64 * 4) == 0
-
     def test_rejects_bad_interleave(self):
         with pytest.raises(ConfigError):
             BankedResource("m", 4, interleave_bytes=48)
@@ -88,13 +77,6 @@ class TestBankedResource:
     def test_rejects_zero_banks(self):
         with pytest.raises(ConfigError):
             BankedResource("m", 0)
-
-    def test_total_counters(self):
-        banks = BankedResource("m", 2)
-        banks.reserve(0, 0.0, 5.0)
-        banks.reserve(64, 0.0, 7.0)
-        assert banks.total_reservations == 2
-        assert banks.total_busy_time == 12.0
 
 
 class TestOutstandingWindow:
@@ -131,7 +113,6 @@ class TestOutstandingWindow:
             window.admit(0.0)
             window.record(t)
         assert window.latest_completion() == 30.0
-        assert window.earliest_completion() == 10.0
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ConfigError):

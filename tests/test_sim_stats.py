@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Histogram, Stats, geometric_mean
+from repro.sim.stats import Stats, geometric_mean
 
 
 class TestStats:
@@ -25,29 +25,11 @@ class TestStats:
         stats.incr("bytes", 64)
         assert stats["bytes"] == 64.0
 
-    def test_ratio(self):
-        stats = Stats()
-        stats.incr("hits", 3)
-        stats.incr("total", 4)
-        assert stats.ratio("hits", "total") == 0.75
-
-    def test_ratio_zero_denominator(self):
-        assert Stats().ratio("a", "b") == 0.0
-
     def test_hit_rate_helper(self):
         stats = Stats()
         stats.incr("tlb.hits", 9)
         stats.incr("tlb.misses", 1)
         assert stats.hit_rate("tlb") == 0.9
-
-    def test_merge(self):
-        a, b = Stats(), Stats()
-        a.incr("x", 1)
-        b.incr("x", 2)
-        b.incr("y", 5)
-        a.merge(b)
-        assert a["x"] == 3.0
-        assert a["y"] == 5.0
 
     def test_snapshot_is_a_copy(self):
         stats = Stats()
@@ -68,49 +50,6 @@ class TestStats:
         stats.incr("a")
         stats.reset()
         assert stats["a"] == 0.0
-
-
-class TestHistogram:
-    def test_mean(self):
-        hist = Histogram(0, 100, 10)
-        for sample in (10, 20, 30):
-            hist.add(sample)
-        assert hist.mean == 20.0
-
-    def test_overflow_bin(self):
-        hist = Histogram(0, 10, 2)
-        hist.add(100)
-        assert hist.counts[-1] == 1
-
-    def test_underflow_clamps_to_first_bin(self):
-        hist = Histogram(10, 20, 2)
-        hist.add(0)
-        assert hist.counts[0] == 1
-
-    def test_min_max(self):
-        hist = Histogram(0, 100)
-        hist.add(5)
-        hist.add(95)
-        assert hist.min_seen == 5
-        assert hist.max_seen == 95
-
-    def test_percentile_monotone(self):
-        hist = Histogram(0, 100, 20)
-        for sample in range(100):
-            hist.add(sample)
-        assert hist.percentile(10) <= hist.percentile(50) <= hist.percentile(90)
-
-    def test_percentile_validation(self):
-        hist = Histogram(0, 1)
-        with pytest.raises(ValueError):
-            hist.percentile(101)
-
-    def test_empty_percentile(self):
-        assert Histogram(0, 1).percentile(50) == 0.0
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(10, 10)
 
 
 class TestGeometricMean:

@@ -111,13 +111,6 @@ class TestMmu:
         assert tlb_level == 0
         assert len(walk_steps) == 4  # walker caches flushed too
 
-    def test_walk_rate(self):
-        mmu, table = make_mmu()
-        table.map(7, 70)
-        mmu.translate_fast(7)
-        mmu.translate_fast(7)
-        assert mmu.walk_rate == 0.5
-
     def test_vpn_of(self):
         mmu, _table = make_mmu()
         assert mmu.vpn_of(4096 * 9 + 17) == 9

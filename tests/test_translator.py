@@ -69,19 +69,11 @@ class TestTranslationCache:
         assert cache.invalidate(5)
         assert cache.lookup(5) is None
 
-    def test_invalidate_all(self):
-        cache = TranslationCache(small_tcache_config())
-        for key in range(10):
-            cache.install(key, key)
-        assert cache.invalidate_all() == 10
-        assert len(cache) == 0
-
 
 class TestOutstandingMappingList:
     def test_register_resolve(self):
         oml = OutstandingMappingList(capacity=4)
         oml.register(1, fam_addr=0xF000, node_addr=0xA000)
-        assert oml.node_address_of(1) == 0xA000
         assert oml.resolve(1) == (0xF000, 0xA000)
         assert len(oml) == 0
 
@@ -161,9 +153,3 @@ class TestFamTranslator:
         translator.lookup_fast(5, now=0.0)
         translator.lookup_fast(6, now=0.0)
         assert translator.hit_rate == 0.5
-
-    def test_response_readdressing(self):
-        translator, _dram = self.make()
-        translator.register_response_mapping(9, fam_addr=0xF0,
-                                             node_addr=0xA0)
-        assert translator.readdress_response(9) == 0xA0
