@@ -2,8 +2,8 @@
 
 * :mod:`repro.cache.cache` — a generic set-associative tag store used
   for data caches, TLBs, PTW caches, and the STU cache organizations.
-  Its replacement policy (LRU, FIFO or seeded random) is a constructor
-  argument.
+  Replacement is LRU, except for the in-DRAM translation cache's
+  seeded-random victim.
 * :mod:`repro.cache.hierarchy` — the L1/L2/L3 stack of Table II
   (inclusive of L3 only; see its module docstring), returning the level that served each access and the on-chip
   latency incurred.

@@ -23,6 +23,10 @@ event), so the store's probe and fill, :meth:`get_line` and
 per-event loops inline the probes of their first levels outright.  Set
 selection memoizes a bitmask when the set count is a power of two
 (every Table II structure).
+
+Replacement is LRU, the policy of every structure but one.  The
+in-DRAM translation cache (Section III-C) evicts a seeded-random
+victim instead; it asks for that with ``random_seed``.
 """
 
 from __future__ import annotations
@@ -46,31 +50,28 @@ class SetAssociativeCache(Generic[V]):
     and the full key is stored as the tag (no truncation — correctness
     over space, since this is a simulator).
 
-    Replacement: ``lru`` promotes on every touch, ``fifo`` only orders
-    by insertion, ``random`` evicts a seeded-random resident line (the
-    paper's in-DRAM translation cache policy).
+    Replacement is LRU: every probe hit and every fill moves the line
+    to the most-recently-used end.  With ``random_seed`` set, a full
+    set evicts a random resident line drawn from
+    ``random.Random(random_seed)`` instead, and probe hits leave the
+    set's order alone (the paper's in-DRAM translation cache policy).
     """
 
-    __slots__ = ("name", "n_sets", "associativity", "policy_name",
-                 "_promote_on_hit", "_random_evict", "_rng", "_sets",
+    __slots__ = ("name", "n_sets", "associativity", "_rng", "_sets",
                  "_mask", "hits", "misses", "evictions", "fills")
 
     def __init__(self, name: str, n_sets: int, associativity: int,
-                 replacement: str = "lru", seed: int = 0) -> None:
+                 random_seed: Optional[int] = None) -> None:
         if n_sets <= 0:
             raise ConfigError(f"{name}: set count must be positive")
         if associativity <= 0:
             raise ConfigError(f"{name}: associativity must be positive")
-        if replacement not in ("lru", "fifo", "random"):
-            raise ConfigError(
-                f"{name}: unknown replacement policy {replacement!r}")
         self.name = name
         self.n_sets = n_sets
         self.associativity = associativity
-        self.policy_name = replacement
-        self._promote_on_hit = replacement == "lru"
-        self._random_evict = replacement == "random"
-        self._rng = random.Random(seed)
+        # ``None`` means LRU; random replacement draws its victims here.
+        self._rng = (None if random_seed is None
+                     else random.Random(random_seed))
         self._sets: List["OrderedDict[int, V]"] = [
             OrderedDict() for _ in range(n_sets)]
         # Power-of-two set counts (all of Table II) index with a mask;
@@ -101,7 +102,7 @@ class SetAssociativeCache(Generic[V]):
         self.hits += 1
         if write:
             payload = lines[key] = True
-        if self._promote_on_hit:
+        if self._rng is None:
             lines.move_to_end(key)
         return payload
 
@@ -115,38 +116,31 @@ class SetAssociativeCache(Generic[V]):
         replaced in place, counted as a fill, not a hit.  Allocates
         nothing on the common no-eviction path.
 
-        Replace-in-place moves the line to the back except under FIFO,
-        where it must keep its original insertion age (the aging
-        bugfix).  Random replacement keeps the move: set order feeds
-        positional victim selection, so preserving the seed behaviour
-        keeps random-policy eviction sequences unchanged.
+        Replace-in-place moves the line to the back under both
+        policies.  Random replacement keeps the move because set order
+        feeds its positional victim selection.  The random victim is
+        the same ``_randbelow`` draw as ``rng.choice(list(lines))``,
+        without materializing the key list per eviction.
         """
         mask = self._mask
         lines = self._sets[key & mask if mask >= 0 else key % self.n_sets]
         self.fills += 1
         if key in lines:
             lines[key] = value
-            if self._promote_on_hit or self._random_evict:
-                lines.move_to_end(key)
+            lines.move_to_end(key)
             return None
         evicted = None
         if len(lines) >= self.associativity:
-            if self._random_evict:
-                evicted = self.pop_random(lines)
-            else:
+            rng = self._rng
+            if rng is None:
                 evicted = lines.popitem(last=False)
+            else:
+                victim = next(islice(iter(lines),
+                                     rng.randrange(len(lines)), None))
+                evicted = victim, lines.pop(victim)
             self.evictions += 1
         lines[key] = value
         return evicted
-
-    def pop_random(self, lines: "OrderedDict[int, V]") -> Tuple[int, V]:
-        """Remove and return a seeded-random ``(key, payload)`` of the
-        set ``lines`` — the random policy's victim.  Same underlying
-        ``_randbelow`` draw as ``rng.choice(list(lines))``, without
-        materializing the key list per eviction."""
-        index = self._rng.randrange(len(lines))
-        victim_key = next(islice(iter(lines), index, None))
-        return victim_key, lines.pop(victim_key)
 
     # ------------------------------------------------------------------
     # Inspection and maintenance

@@ -40,7 +40,7 @@ _NO_WRITEBACKS: Tuple[int, ...] = ()
 
 class CacheHierarchy:
     """L1 -> L2 -> L3 lookup, inclusive of L3 (see the module
-    docstring), with each level's configured replacement policy."""
+    docstring), LRU at every level."""
 
     def __init__(self, l1: CacheConfig, l2: CacheConfig, l3: CacheConfig,
                  name: str = "node") -> None:
@@ -49,7 +49,7 @@ class CacheHierarchy:
         self.configs = (l1, l2, l3)
         self.levels: List[SetAssociativeCache[bool]] = [
             SetAssociativeCache(f"{name}.{cfg.name}", cfg.n_sets,
-                                cfg.associativity, cfg.replacement)
+                                cfg.associativity)
             for cfg in self.configs
         ]
         self._l1, self._l2, self._l3 = self.levels
@@ -81,8 +81,7 @@ class CacheHierarchy:
             l1.hits += 1
             if write:
                 lines[block] = True
-            if l1._promote_on_hit:
-                lines.move_to_end(block)
+            lines.move_to_end(block)
             return 1, self._lat1, _NO_WRITEBACKS
         l1.misses += 1
         return self.access_after_l1_miss(block, write)
@@ -115,8 +114,7 @@ class CacheHierarchy:
             l2.hits += 1
             if write:
                 l2_lines[block] = True
-            if l2._promote_on_hit:
-                l2_lines.move_to_end(block)
+            l2_lines.move_to_end(block)
             level = 2
             latency = self._lat12
         else:
@@ -130,18 +128,14 @@ class CacheHierarchy:
                 l3.hits += 1
                 if write:
                     l3_lines[block] = True
-                if l3._promote_on_hit:
-                    l3_lines.move_to_end(block)
+                l3_lines.move_to_end(block)
                 level = 3
             else:
                 l3.misses += 1
                 level = 0
                 l3.fills += 1
                 if len(l3_lines) >= l3.associativity:
-                    if l3._random_evict:
-                        victim, dirty = l3.pop_random(l3_lines)
-                    else:
-                        victim, dirty = l3_lines.popitem(False)
+                    victim, dirty = l3_lines.popitem(False)
                     l3.evictions += 1
                     # Anything leaving L3 leaves L1 and L2 too.
                     l1 = self._l1
@@ -156,10 +150,7 @@ class CacheHierarchy:
                 l3_lines[block] = write
             l2.fills += 1
             if len(l2_lines) >= l2.associativity:
-                if l2._random_evict:
-                    victim, dirty = l2.pop_random(l2_lines)
-                else:
-                    victim, dirty = l2_lines.popitem(False)
+                victim, dirty = l2_lines.popitem(False)
                 l2.evictions += 1
                 if dirty and not level:
                     l3.fill_line(victim, True)
@@ -170,10 +161,7 @@ class CacheHierarchy:
                             else block % l1.n_sets]
         l1.fills += 1
         if len(l1_lines) >= l1.associativity:
-            if l1._random_evict:
-                victim, dirty = l1.pop_random(l1_lines)
-            else:
-                victim, dirty = l1_lines.popitem(False)
+            victim, dirty = l1_lines.popitem(False)
             l1.evictions += 1
             if dirty and not level:
                 l2.fill_line(victim, True)

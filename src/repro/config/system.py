@@ -53,14 +53,14 @@ def _power_of_two(value: int) -> bool:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """One level of the on-chip data cache hierarchy."""
+    """One level of the on-chip data cache hierarchy (LRU replacement,
+    Table II)."""
 
     name: str
-    size_bytes: int
+    size_bytes: int  # byte
     associativity: int
-    latency_ns: float
-    block_bytes: int = BLOCK_BYTES
-    replacement: str = "lru"
+    latency_ns: float  # ns
+    block_bytes: int = BLOCK_BYTES  # byte
 
     def __post_init__(self) -> None:
         _require(self.size_bytes > 0, f"{self.name}: size must be positive")
@@ -72,8 +72,6 @@ class CacheConfig:
         _require(self.size_bytes % (self.block_bytes * self.associativity) == 0,
                  f"{self.name}: size not divisible into "
                  f"{self.associativity}-way sets of {self.block_bytes}B blocks")
-        _require(self.replacement in ("lru", "fifo", "random"),
-                 f"{self.name}: unknown replacement policy {self.replacement!r}")
 
     @property
     def n_blocks(self) -> int:
@@ -94,7 +92,7 @@ class CoreConfig:
     """
 
     cores: int = 4
-    frequency_ghz: float = 2.0
+    frequency_ghz: float = 2.0  # GHz
     issue_width: int = 2
     max_outstanding: int = 32
 
@@ -111,14 +109,14 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class TlbConfig:
-    """Two-level TLB (Table II: L1 32 entries, L2 256 entries)."""
+    """Two-level TLB over 4 KB pages (Table II: L1 32 entries, L2 256
+    entries)."""
 
-    l1_entries: int = 32
-    l2_entries: int = 256
+    l1_entries: int = 32  # entries
+    l2_entries: int = 256  # entries
     l1_associativity: int = 4
     l2_associativity: int = 8
-    l2_latency_ns: float = 3.5  # 7 cycles at 2 GHz, Haswell-like
-    page_bytes: int = PAGE_BYTES
+    l2_latency_ns: float = 3.5  # ns (7 cycles at 2 GHz, Haswell-like)
 
     def __post_init__(self) -> None:
         _require(self.l1_entries > 0 and self.l2_entries > 0,
@@ -129,7 +127,6 @@ class TlbConfig:
                  "L1 TLB entries must divide into ways")
         _require(self.l2_entries % self.l2_associativity == 0,
                  "L2 TLB entries must divide into ways")
-        _require(_power_of_two(self.page_bytes), "page size must be a power of two")
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,8 @@ class PtwConfig:
     """Page-table-walker caches for intermediate levels (32 entries,
     after Bhargava et al. [8] as configured in the paper)."""
 
-    cache_entries: int = 32
-    lookup_ns: float = 0.5  # one cycle
+    cache_entries: int = 32  # entries
+    lookup_ns: float = 0.5  # ns (one cycle)
 
     def __post_init__(self) -> None:
         _require(self.cache_entries >= 0, "PTW cache entries cannot be negative")
@@ -147,12 +144,12 @@ class PtwConfig:
 
 @dataclass(frozen=True)
 class LocalMemoryConfig:
-    """Node-local DRAM (Table II: 1 GB)."""
+    """Node-local DRAM (Table II: 1 GB), banks interleaved per 64 B
+    block."""
 
-    size_bytes: int = 1 * GIB
-    access_ns: float = 50.0
+    size_bytes: int = 1 * GIB  # byte
+    access_ns: float = 50.0  # ns
     banks: int = 8
-    interleave_bytes: int = BLOCK_BYTES
 
     def __post_init__(self) -> None:
         _require(self.size_bytes > 0, "local memory size must be positive")
@@ -163,14 +160,13 @@ class LocalMemoryConfig:
 @dataclass(frozen=True)
 class FamConfig:
     """Fabric-attached memory (Table II: 16 GB NVM, 60/150 ns read/write,
-    32 banks, 128 outstanding requests)."""
+    32 banks interleaved per 64 B block, 128 outstanding requests)."""
 
-    capacity_bytes: int = 16 * GIB
-    read_ns: float = 60.0
-    write_ns: float = 150.0
+    capacity_bytes: int = 16 * GIB  # byte
+    read_ns: float = 60.0  # ns
+    write_ns: float = 150.0  # ns
     banks: int = 32
     max_outstanding: int = 128
-    interleave_bytes: int = BLOCK_BYTES
 
     def __post_init__(self) -> None:
         _require(self.capacity_bytes > 0, "FAM capacity must be positive")
@@ -190,9 +186,9 @@ class FabricConfig:
     contention when several nodes share the fabric (Figure 16).
     """
 
-    node_to_stu_ns: float = 100.0
-    stu_to_fam_ns: float = 400.0
-    port_occupancy_ns: float = 20.0
+    node_to_stu_ns: float = 100.0  # ns
+    stu_to_fam_ns: float = 400.0  # ns
+    port_occupancy_ns: float = 20.0  # ns
 
     def __post_init__(self) -> None:
         _require(self.node_to_stu_ns >= 0, "negative node-to-STU latency")
@@ -220,10 +216,10 @@ class StuConfig:
     """System Translation Unit (Table II: 1024 entries, 128 sets,
     8-way; modelled after a Haswell Xeon L2 TLB)."""
 
-    entries: int = 1024
+    entries: int = 1024  # entries
     associativity: int = 8
-    lookup_ns: float = 2.0
-    acm_bits: int = 16
+    lookup_ns: float = 2.0  # ns
+    acm_bits: int = 16  # bit
     #: Section III-A aside: with per-node memory encryption keys,
     #: read verification can be skipped entirely — stolen ciphertext is
     #: useless without the key, and writes are still vetted.  Off by
@@ -234,7 +230,7 @@ class StuConfig:
     #: serial FAM reads, matching the paper's accounting ("considering
     #: four memory accesses during PTW", Section III-B); the node MMU
     #: keeps the paper's 32-entry Bhargava-style caches (PtwConfig).
-    walk_cache_entries: int = 0
+    walk_cache_entries: int = 0  # entries
     #: DeACT-N only: how many {tag, ACM} sub-way pairs fit per physical
     #: way.  The paper's default is 2 with 44-bit tags; the Figure 14
     #: ablation explores 1 and 3.
@@ -269,17 +265,14 @@ class TranslationCacheConfig:
     """The in-DRAM FAM translation cache (Section III-C; 1 MB, 4-way,
     four 104-bit entries per 64-byte row, random replacement)."""
 
-    size_bytes: int = 1 * MIB
+    size_bytes: int = 1 * MIB  # byte
     associativity: int = 4
-    entry_bytes: int = 16  # 104 bits padded to 16 B so 4 fit a 64 B row
-    replacement: str = "random"
+    entry_bytes: int = 16  # byte (104 bits padded so 4 fit a 64 B row)
 
     def __post_init__(self) -> None:
         _require(self.size_bytes > 0, "translation cache size must be positive")
         _require(self.associativity > 0, "associativity must be positive")
         _require(self.entry_bytes > 0, "entry size must be positive")
-        _require(self.replacement in ("random", "lru"),
-                 f"unknown replacement {self.replacement!r}")
         _require(self.size_bytes % (self.entry_bytes * self.associativity) == 0,
                  "translation cache size must divide into sets")
 
@@ -338,7 +331,7 @@ class SystemConfig:
 
     @property
     def page_bytes(self) -> int:
-        return self.tlb.page_bytes
+        return PAGE_BYTES
 
     @property
     def block_bytes(self) -> int:

@@ -129,7 +129,7 @@ class Node:
         # Page/block geometry is fixed per run, so the per-event address
         # arithmetic reduces to shifts/ors over pre-decoded trace
         # columns (see Trace.decoded / run_events).
-        self._page_shift = config.tlb.page_bytes.bit_length() - 1
+        self._page_shift = PAGE_BYTES.bit_length() - 1
         self._block_shift = self.caches.block_shift
         self._frame_block_shift = self._page_shift - self._block_shift
 
@@ -252,7 +252,6 @@ class Node:
         data_l1_sets = data_l1._sets
         data_l1_mask = data_l1._mask
         data_l1_n_sets = data_l1.n_sets
-        data_l1_promote = data_l1._promote_on_hit
         lat1 = caches._lat1
         mapped = self.page_table._leaves  # demand-paging check
         page_fault = self._handle_page_fault
@@ -314,8 +313,7 @@ class Node:
                     data_l1_hits += 1
                     if is_write:
                         lines[block] = True
-                    if data_l1_promote:
-                        lines.move_to_end(block)
+                    lines.move_to_end(block)
                     core_time = t + lat1
                 else:
                     data_l1.misses += 1

@@ -16,17 +16,13 @@ True)``): the hot-path equivalence suite
 prove the production path produces **bit-identical** run stats
 against it.
 
-Two deliberate departures from the seed, both accounting *bugfixes*
-shipped in the same change and therefore part of the reference
-semantics (otherwise the equivalence proof would enshrine the bugs):
+Random replacement draws the same ``_randbelow`` deviate whether the
+victim is picked by ``rng.choice(list(...))`` (here, as the seed did)
+or by ``rng.randrange`` + ``islice`` (production).
 
-* FIFO replace-in-place no longer refreshes insertion age
-  (:meth:`~repro.cache.cache.SetAssociativeCache.fill_line`);
-* random replacement draws the same ``_randbelow`` deviate whether the
-  victim is picked by ``rng.choice(list(...))`` (here, as the seed
-  did) or by ``rng.randrange`` + ``islice`` (production).
-
-A third bugfix came later: a DeACT read registers its outstanding
+One deliberate departure from the seed is an accounting *bugfix* and
+therefore part of the reference semantics (otherwise the equivalence
+proof would enshrine the bug): a DeACT read registers its outstanding
 mapping only once verification has passed, so a denied read leaves no
 entry behind (request ids and the list's counters are not part of a
 run's results).
@@ -188,14 +184,11 @@ def _ref_fill(cache: SetAssociativeCache, key: int, value) -> AccessResult:
     cache.fills += 1
     if key in lines:
         lines[key] = value
-        # Bugfix semantics: only FIFO skips the move (insertion age);
-        # LRU and random keep the seed's unconditional move_to_end.
-        if cache._promote_on_hit or cache._random_evict:
-            lines.move_to_end(key)
+        lines.move_to_end(key)
         return AccessResult(hit=True, value=value)
     evicted_key = evicted_value = None
     if len(lines) >= cache.associativity:
-        if cache._random_evict:
+        if cache._rng is not None:
             victim_key = cache._rng.choice(list(lines))
             victim = lines.pop(victim_key)
         else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -105,28 +105,11 @@ class SweepJob:
     settings: RunSettings
 
 
-def _variant_key(config: SystemConfig) -> Tuple:
-    """A structural key capturing everything that changes results."""
-    return (
-        config.nodes,
-        config.stu.entries, config.stu.associativity,
-        config.stu.acm_bits, config.stu.subways_per_way,
-        config.stu.encrypted_memory_mode,
-        config.stu.walk_cache_entries,
-        config.fabric.node_to_stu_ns, config.fabric.stu_to_fam_ns,
-        config.fabric.port_occupancy_ns,
-        config.translation_cache.size_bytes,
-        config.allocation.fam_policy,
-        config.allocation.local_fraction,
-        config.ptw.cache_entries,
-        config.fam.read_ns, config.fam.write_ns,
-        config.local_memory.access_ns,
-    )
-
-
 def _memo_key(benchmark: str, architecture: str, config: SystemConfig,
               settings: RunSettings) -> Tuple:
-    return (benchmark, architecture, _variant_key(config),
+    """A structural key over every field of ``config``, so no two
+    configurations share a result."""
+    return (benchmark, architecture, astuple(config),
             settings.n_events, settings.footprint_scale, settings.seed)
 
 
@@ -240,10 +223,6 @@ class ExperimentRunner:
             traces = build_traces(benchmark, nodes, self.settings)
             self._trace_memo[key] = traces
         return traces
-
-    @staticmethod
-    def _variant_key(config: SystemConfig) -> Tuple:
-        return _variant_key(config)
 
     def run(self, benchmark: str, architecture: str,
             config: Optional[SystemConfig] = None) -> RunResult:

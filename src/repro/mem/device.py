@@ -25,7 +25,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, Optional
 
-from repro.config.system import FamConfig, LocalMemoryConfig
+from repro.config.system import BLOCK_BYTES, FamConfig, LocalMemoryConfig
 from repro.core.hotpath import hot_path
 from repro.mem.request import RequestKind
 from repro.sim.resource import BankedResource, OutstandingWindow
@@ -39,8 +39,7 @@ class DramDevice:
     def __init__(self, config: LocalMemoryConfig, name: str = "dram") -> None:
         self.config = config
         self.name = name
-        self.banks = BankedResource(name, config.banks,
-                                    config.interleave_bytes)
+        self.banks = BankedResource(name, config.banks, BLOCK_BYTES)
         _hoist_bank_selection(self, self.banks)
         self._access_ns = config.access_ns
         self.reads = 0
@@ -91,8 +90,7 @@ class NvmDevice:
     def __init__(self, config: FamConfig, name: str = "fam") -> None:
         self.config = config
         self.name = name
-        self.banks = BankedResource(name, config.banks,
-                                    config.interleave_bytes)
+        self.banks = BankedResource(name, config.banks, BLOCK_BYTES)
         self.window = OutstandingWindow(config.max_outstanding,
                                         name=f"{name}.outstanding")
         _hoist_bank_selection(self, self.banks)

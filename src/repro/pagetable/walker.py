@@ -56,7 +56,7 @@ class PageTableWalker:
             for depth in range(1, 4):
                 caches.append(SetAssociativeCache(
                     f"{name}.wc{depth}", n_sets=max(1, per_level // 4),
-                    associativity=min(4, per_level), replacement="lru"))
+                    associativity=min(4, per_level)))
         self._caches: Tuple[SetAssociativeCache, ...] = tuple(caches)
         # Completing interior level L (0: PGD .. 2: PMD) resolves depth
         # L + 1, cached in caches[L] under the key vpn >> 9 * (3 - L).
@@ -103,8 +103,7 @@ class PageTableWalker:
                 cache.misses += 1
                 continue
             cache.hits += 1
-            if cache._promote_on_hit:
-                lines.move_to_end(key)
+            lines.move_to_end(key)
             skipped = depth
             break
         # Install the interior levels the walk traversed.

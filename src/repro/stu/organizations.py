@@ -42,7 +42,7 @@ class IFamStuCache:
     def __init__(self, config: StuConfig, label: str = "stu.ifam") -> None:
         self.config = config
         self._cache: SetAssociativeCache[int] = SetAssociativeCache(
-            label, config.n_sets, config.associativity, replacement="lru")
+            label, config.n_sets, config.associativity)
 
     def lookup(self, node_page: int) -> Optional[int]:
         """Probe for a node page; returns the FAM page or ``None``.
@@ -99,7 +99,7 @@ class DeactWAcmCache:
         # paper's packing; the dominant term is the recycled 52 bits.
         self.pages_per_way = config.contiguous_pages_per_way
         self._cache: SetAssociativeCache[bool] = SetAssociativeCache(
-            label, config.n_sets, config.associativity, replacement="lru")
+            label, config.n_sets, config.associativity)
 
     def _group(self, fam_page: int) -> int:
         return fam_page // self.pages_per_way
@@ -156,7 +156,7 @@ class DeactNAcmCache:
         self.subways_per_way = config.subways_per_way
         effective_ways = config.associativity * self.subways_per_way
         self._cache: SetAssociativeCache[bool] = SetAssociativeCache(
-            label, config.n_sets, effective_ways, replacement="lru")
+            label, config.n_sets, effective_ways)
 
     def lookup(self, fam_page: int) -> bool:
         """Whether ``fam_page``'s ACM is resident."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.config.system import PtwConfig, TlbConfig
+from repro.config.system import PAGE_BYTES, PtwConfig, TlbConfig
 from repro.core.hotpath import hot_path
 from repro.pagetable.walker import PageTableWalker
 from repro.pagetable.x86 import FourLevelPageTable
@@ -33,8 +33,7 @@ class Mmu:
     def __init__(self, page_table: FourLevelPageTable, tlb_config: TlbConfig,
                  ptw_config: PtwConfig, name: str = "mmu") -> None:
         self.name = name
-        self.page_bytes = tlb_config.page_bytes
-        self._page_shift = tlb_config.page_bytes.bit_length() - 1
+        self._page_shift = PAGE_BYTES.bit_length() - 1
         self.tlb = TwoLevelTlb(tlb_config, name=f"{name}.tlb")
         self.walker = PageTableWalker(page_table, ptw_config.cache_entries,
                                       name=f"{name}.ptw")
@@ -46,7 +45,7 @@ class Mmu:
 
     def physical_address(self, frame: int, vaddr: int) -> int:
         """Recombine a translated frame with the page offset."""
-        offset = vaddr & (self.page_bytes - 1)
+        offset = vaddr & (PAGE_BYTES - 1)
         return (frame << self._page_shift) | offset
 
     _NO_ADDRS: Tuple[int, ...] = ()

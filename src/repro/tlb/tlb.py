@@ -52,12 +52,12 @@ class TwoLevelTlb:
             f"{name}.L1",
             _level_geometry(f"{name}.L1", config.l1_entries,
                             config.l1_associativity),
-            config.l1_associativity, replacement="lru")
+            config.l1_associativity)
         self.l2 = SetAssociativeCache(
             f"{name}.L2",
             _level_geometry(f"{name}.L2", config.l2_entries,
                             config.l2_associativity),
-            config.l2_associativity, replacement="lru")
+            config.l2_associativity)
         self._l2_latency_ns = config.l2_latency_ns
 
     def lookup_fast(self, vpn: int) -> Tuple[int, int, float]:

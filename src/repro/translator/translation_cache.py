@@ -30,8 +30,7 @@ class TranslationCache:
         self.config = config
         self.name = name
         self._cache: SetAssociativeCache[int] = SetAssociativeCache(
-            name, config.n_sets, config.associativity,
-            replacement=config.replacement, seed=seed)
+            name, config.n_sets, config.associativity, random_seed=seed)
         self.stats = Stats(name)
         self._hits = 0
         self._misses = 0

@@ -60,8 +60,6 @@ class TestBasicOperation:
             SetAssociativeCache("c", 0, 2)
         with pytest.raises(ConfigError):
             SetAssociativeCache("c", 4, 0)
-        with pytest.raises(ConfigError):
-            SetAssociativeCache("c", 4, 2, replacement="plru")
 
 
 class TestSetMapping:
@@ -101,27 +99,17 @@ class TestLruReplacement:
         assert cache.evictions == 1
 
 
-class TestFifoReplacement:
-    def test_hits_do_not_promote(self):
-        cache = SetAssociativeCache("c", 1, 2, replacement="fifo")
-        cache.fill_line(1, "a")
-        cache.fill_line(2, "b")
-        cache.get_line(1)  # FIFO ignores the touch
-        assert cache.fill_line(3, "c") == (1, "a")
-
-
 class TestRandomReplacement:
     def test_deterministic_with_seed(self):
         def run(seed):
-            cache = SetAssociativeCache("c", 1, 4, replacement="random",
-                                        seed=seed)
+            cache = SetAssociativeCache("c", 1, 4, random_seed=seed)
             for key in range(10):
                 cache.fill_line(key, key)
             return sorted(k for k in range(10) if k in cache)
         assert run(1) == run(1)
 
     def test_evicts_some_resident_line(self):
-        cache = SetAssociativeCache("c", 1, 2, replacement="random", seed=3)
+        cache = SetAssociativeCache("c", 1, 2, random_seed=3)
         cache.fill_line(1, "a")
         cache.fill_line(2, "b")
         assert cache.fill_line(3, "c") in ((1, "a"), (2, "b"))
@@ -198,52 +186,29 @@ class TestCapacityInvariants:
         assert cache.hits + cache.misses == len(keys)
 
 
-class TestFifoFillInPlaceRegression:
-    """Regression for the FIFO aging bug: a fill on an
-    already-present key used to ``move_to_end`` unconditionally,
-    refreshing the line's insertion age under FIFO — replace-in-place
-    must preserve insertion order."""
+class TestReplaceInPlace:
+    """A fill on an already-present key replaces its payload in place
+    and counts as a touch."""
 
-    def _filled(self, policy):
-        from repro.cache.cache import SetAssociativeCache
-
-        cache = SetAssociativeCache("t", n_sets=1, associativity=3,
-                                    replacement=policy)
+    def _filled(self):
+        cache = SetAssociativeCache("t", n_sets=1, associativity=3)
         cache.fill_line(10, "a")
         cache.fill_line(11, "b")
         cache.fill_line(12, "c")
         return cache
 
-    def test_fifo_replace_in_place_preserves_age(self):
-        cache = self._filled("fifo")
-        cache.fill_line(10, "a2")  # replace in place — age must not refresh
-        # 10 is still the oldest, and carries the replaced payload.
-        assert cache.fill_line(13, "d") == (10, "a2")
-
-    def test_fifo_fill_line_preserves_age(self):
-        cache = self._filled("fifo")
-        assert cache.fill_line(10, "a2") is None
-        evicted = cache.fill_line(13, "d")
-        assert evicted is not None and evicted[0] == 10
-
-    def test_fifo_hits_still_do_not_promote(self):
-        cache = self._filled("fifo")
-        cache.get_line(10)
-        assert cache.fill_line(13, "d") == (10, "a")
-
     def test_lru_replace_in_place_does_promote(self):
-        # LRU semantics are unchanged: a fill is a touch.
-        cache = self._filled("lru")
-        cache.fill_line(10, "a2")
+        cache = self._filled()
+        assert cache.fill_line(10, "a2") is None
         assert cache.fill_line(13, "d") == (11, "b")
 
     def test_replace_in_place_keeps_dirty_bit(self):
         # A data cache's payload is the line's dirty bit.  The
         # hierarchy refills a resident line only to absorb a dirty
-        # victim (payload True), so a dirty line stays dirty, and the
-        # refill keeps its FIFO age.
-        cache = self._filled("fifo")
+        # victim (payload True), so a dirty line stays dirty.
+        cache = self._filled()
         cache.fill_line(10, True)
         cache.fill_line(10, True)
-        evicted = cache.fill_line(13, "d")
-        assert evicted == (10, True)
+        cache.get_line(11)
+        cache.get_line(12)  # 10 is now the least recently used
+        assert cache.fill_line(13, "d") == (10, True)

@@ -1,12 +1,13 @@
 """Tests for the experiment harness (runner, figures, tables,
 reporting)."""
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.config.presets import default_config, with_stu_entries
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments.figures import (
     ALL_FIGURES,
     figure3,
@@ -16,7 +17,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import FigureResult, Row, render_table
 from repro.experiments.runner import ExperimentRunner, RunSettings, \
-    _result_to_dict
+    SweepJob, _result_to_dict, job_key
 from repro.experiments.tables import table1, table2, table3, table3_matrix
 
 FAST = RunSettings(n_events=2500, footprint_scale=0.02, seed=3)
@@ -25,6 +26,76 @@ FAST = RunSettings(n_events=2500, footprint_scale=0.02, seed=3)
 @pytest.fixture(scope="module")
 def runner():
     return ExperimentRunner(FAST)
+
+
+def _leaves(obj, path=()):
+    """``(path, value)`` for every non-dataclass field under ``obj``."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, path + (field.name,))
+        else:
+            yield path + (field.name,), value
+
+
+def _with_leaf(obj, path, value):
+    head, *rest = path
+    if rest:
+        value = _with_leaf(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
+
+
+def _changed(config, path, value):
+    """``config`` with the leaf at ``path`` set to ``value``.  The three
+    cache levels must share one block size, so a block size changes in
+    all of them."""
+    if path[-1] == "block_bytes":
+        return config.replace(**{
+            level: dataclasses.replace(getattr(config, level),
+                                       block_bytes=value)
+            for level in ("l1", "l2", "l3")})
+    return _with_leaf(config, path, value)
+
+
+def _candidates(value):
+    """Other values for a leaf, in order of preference; the first one
+    its dataclass accepts is used (``fam_policy``, the one string with
+    a fixed set of values, takes ``"contiguous"``)."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value * 2, value + 1]
+    if isinstance(value, float):
+        return [value + 0.5, value / 2]
+    return [value + "-other", "contiguous"]
+
+
+class TestJobKey:
+    def test_every_config_field_changes_the_key(self):
+        # A field left out of the key lets two configurations share
+        # one cached result.
+        config = default_config()
+        settings = RunSettings(n_events=100, footprint_scale=0.01)
+        base = job_key(SweepJob("mcf", "deact-n", config, settings))
+        missed, unchanged = [], []
+        leaves = list(_leaves(config))
+        for path, value in leaves:
+            for candidate in _candidates(value):
+                if candidate == value:
+                    continue
+                try:
+                    changed = _changed(config, path, candidate)
+                except ConfigError:
+                    continue
+                if job_key(SweepJob("mcf", "deact-n", changed,
+                                    settings)) == base:
+                    missed.append(".".join(path))
+                break
+            else:
+                unchanged.append(".".join(path))
+        assert len(leaves) > 40
+        assert missed == []
+        assert unchanged == []
 
 
 class TestRunner:
@@ -43,6 +114,10 @@ class TestRunner:
         small_stu = runner.run("mcf", "i-fam",
                                with_stu_entries(default_config(), 256))
         assert base is not small_stu
+        config = default_config()
+        small_l3 = runner.run("mcf", "i-fam", config.replace(
+            l3=dataclasses.replace(config.l3, size_bytes=256 * 1024)))
+        assert base is not small_l3
 
     def test_run_matrix(self, runner):
         matrix = runner.run_matrix(["mcf"], ["e-fam", "i-fam"])

@@ -14,7 +14,6 @@ A model change that moves results on purpose regenerates the file::
 and the diff of the JSON shows which cells moved.
 """
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -37,36 +36,20 @@ ARCHITECTURES = ("e-fam", "i-fam", "deact-w", "deact-n")
 
 
 def _cells():
-    """``(name, benchmark, architecture, nodes, data-cache policy)``."""
+    """``(name, benchmark, architecture, nodes)``."""
     cells = []
     for bench in ("cactus", "lu"):
         for arch in ARCHITECTURES:
-            cells.append((f"{bench}/{arch}/1n", bench, arch, 1, "lru"))
+            cells.append((f"{bench}/{arch}/1n", bench, arch, 1))
     for bench in ("pf", "dc"):
         for arch in ("i-fam", "deact-n"):
-            cells.append((f"{bench}/{arch}/4n", bench, arch, 4, "lru"))
-    # The other two data-cache policies: FIFO keeps insertion age on a
-    # refill, random eviction draws from the store's seeded RNG.
-    for policy in ("fifo", "random"):
-        cells.append((f"cactus/deact-n/1n/{policy}", "cactus", "deact-n",
-                      1, policy))
-        cells.append((f"lu/e-fam/1n/{policy}", "lu", "e-fam", 1, policy))
+            cells.append((f"{bench}/{arch}/4n", bench, arch, 4))
     return cells
 
 
-def _config(nodes, policy):
-    config = with_nodes(default_config(), nodes)
-    if policy == "lru":
-        return config
-    return config.replace(
-        l1=dataclasses.replace(config.l1, replacement=policy),
-        l2=dataclasses.replace(config.l2, replacement=policy),
-        l3=dataclasses.replace(config.l3, replacement=policy))
-
-
-def cell_digest(bench, arch, nodes, policy):
+def cell_digest(bench, arch, nodes):
     traces = build_traces(bench, nodes, SETTINGS)
-    system = FamSystem(_config(nodes, policy), arch,
+    system = FamSystem(with_nodes(default_config(), nodes), arch,
                        seed=SETTINGS.seed * 31 + 5)
     result = system.run(traces, benchmark=bench)
     text = json.dumps(_result_to_dict(result), sort_keys=True)
@@ -81,18 +64,18 @@ def test_golden_covers_every_cell():
     assert sorted(_golden()) == sorted(name for name, *_ in _cells())
 
 
-@pytest.mark.parametrize("name,bench,arch,nodes,policy", _cells(),
+@pytest.mark.parametrize("name,bench,arch,nodes", _cells(),
                          ids=[cell[0] for cell in _cells()])
-def test_cell_matches_golden(name, bench, arch, nodes, policy):
-    assert cell_digest(bench, arch, nodes, policy) == _golden()[name]
+def test_cell_matches_golden(name, bench, arch, nodes):
+    assert cell_digest(bench, arch, nodes) == _golden()[name]
 
 
 def main(argv):
     if argv != ["--write"]:
         print(__doc__)
         return 2
-    digests = {name: cell_digest(bench, arch, nodes, policy)
-               for name, bench, arch, nodes, policy in _cells()}
+    digests = {name: cell_digest(bench, arch, nodes)
+               for name, bench, arch, nodes in _cells()}
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
     return 0

@@ -6,20 +6,13 @@ points behind ``Node.run_events``) — must
 produce **bit-identical** run stats to the seed implementation
 preserved in :mod:`repro.core.refpath`.  This
 suite pins that down across every catalog benchmark, every
-replacement policy, every architecture, and the multi-node
-interleaved driver — comparing full serialized result dicts, so a
-single drifting counter anywhere in the system fails loudly.
-
-Tier-1 runs a deterministic ~25% sample of the catalog × policy
-matrix (stratified per policy, seeded — the picked cells never change
-between invocations); set ``REPRO_FULL_MATRIX=1`` to run every cell,
-which the nightly CI job does.
+architecture, and the multi-node interleaved driver — comparing full
+serialized result dicts, so a single drifting counter anywhere in the
+system fails loudly.
 """
 
 import dataclasses
 import heapq
-import os
-import random
 
 import pytest
 
@@ -39,43 +32,6 @@ from repro.workloads.catalog import benchmark_names
 FAST = RunSettings(n_events=1000, footprint_scale=0.01, seed=5)
 
 ARCHITECTURES = ("e-fam", "i-fam", "deact-w", "deact-n")
-POLICIES = ("lru", "fifo", "random")
-
-#: Full matrix under ``REPRO_FULL_MATRIX=1`` (the nightly CI job);
-#: otherwise tier-1 runs the deterministic sampled slice below.
-FULL_MATRIX = os.environ.get("REPRO_FULL_MATRIX") == "1"
-
-
-def _matrix_cells():
-    """The catalog × policy cells tier-1 actually runs.
-
-    The full product under ``REPRO_FULL_MATRIX=1``; otherwise a
-    seeded ~25% sample, stratified per policy so every replacement
-    policy keeps coverage every run.  The sample is a pure function of
-    the catalog and the fixed seed — no time, no environment — so the
-    picked cells are identical on every machine and every invocation
-    (deterministic test IDs, reproducible failures).
-    """
-    benches = benchmark_names()
-    if FULL_MATRIX:
-        return [(bench, policy) for policy in POLICIES
-                for bench in benches]
-    rng = random.Random(0xD5EC)
-    quarter = max(1, round(len(benches) * 0.25))
-    cells = []
-    for policy in POLICIES:
-        for bench in sorted(rng.sample(benches, quarter)):
-            cells.append((bench, policy))
-    return cells
-
-
-def _with_data_cache_policy(config, policy):
-    """The Table II config with every data-cache level using
-    ``policy`` replacement."""
-    return config.replace(
-        l1=dataclasses.replace(config.l1, replacement=policy),
-        l2=dataclasses.replace(config.l2, replacement=policy),
-        l3=dataclasses.replace(config.l3, replacement=policy))
 
 
 def _run_both(bench, architecture, config):
@@ -91,21 +47,18 @@ def _run_both(bench, architecture, config):
 
 
 class TestCatalogEquivalence:
-    """Catalog benchmark × replacement policy cells (sampled in
-    tier-1, full under ``REPRO_FULL_MATRIX=1``).
+    """Every catalog benchmark under the Table II configuration.
 
-    The architecture rotates per (benchmark, policy) cell so all four
-    access procedures are exercised across the matrix without running
-    the full 14 × 3 × 4 cube.
+    The architecture rotates per benchmark so all four access
+    procedures are exercised across the catalog without running the
+    full 14 × 4 matrix.
     """
 
-    @pytest.mark.parametrize("bench,policy", _matrix_cells())
-    def test_fast_matches_seed_path(self, bench, policy):
+    @pytest.mark.parametrize("bench", benchmark_names())
+    def test_fast_matches_seed_path(self, bench):
         index = benchmark_names().index(bench)
-        architecture = ARCHITECTURES[
-            (index + POLICIES.index(policy)) % len(ARCHITECTURES)]
-        config = _with_data_cache_policy(default_config(), policy)
-        fast, reference = _run_both(bench, architecture, config)
+        architecture = ARCHITECTURES[index % len(ARCHITECTURES)]
+        fast, reference = _run_both(bench, architecture, default_config())
         assert fast == reference
 
     # mcf is translation-heavy; lu and bc are the cache-resident
@@ -118,23 +71,19 @@ class TestCatalogEquivalence:
                                         default_config())
             assert fast == reference
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_multi_node_interleaved_driver(self, policy):
+    def test_multi_node_interleaved_driver(self):
         # nodes > 1 goes through the heap-interleaved driver, which
         # runs each node until its key reaches the heap's next key.
-        config = _with_data_cache_policy(
-            with_nodes(default_config(), 3), policy)
-        fast, reference = _run_both("dc", "deact-n", config)
+        fast, reference = _run_both("dc", "deact-n",
+                                    with_nodes(default_config(), 3))
         assert fast == reference
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_multi_node_translation_heavy(self, policy):
+    def test_multi_node_translation_heavy(self):
         # The interleaved driver on a translation-heavy workload under
         # the other DeACT variant: STU walks and translator misses
         # interleave across nodes on the shared fabric and FAM.
-        config = _with_data_cache_policy(
-            with_nodes(default_config(), 3), policy)
-        fast, reference = _run_both("canl", "deact-w", config)
+        fast, reference = _run_both("canl", "deact-w",
+                                    with_nodes(default_config(), 3))
         assert fast == reference
 
     def test_encrypted_memory_mode(self):
@@ -288,18 +237,18 @@ class TestTagStoreEquivalence:
     """Property test: the slim ``fill_line`` and the seed's boxed fill
     (preserved as ``refpath._ref_fill``) stay in lockstep — same
     contents, counters, eviction decisions and RNG draws — under
-    random operation sequences for all three policies."""
+    random operation sequences, for LRU and for random replacement."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", ("lru", "random"))
     @pytest.mark.parametrize("seed", range(3))
     def test_random_operation_sequences(self, policy, seed):
         import random
 
-        rng = random.Random(1000 * seed + POLICIES.index(policy))
-        fast = SetAssociativeCache("fast", 4, 2, replacement=policy,
-                                   seed=seed)
-        reference = SetAssociativeCache("ref", 4, 2, replacement=policy,
-                                        seed=seed)
+        rng = random.Random(1000 * seed + (policy == "random"))
+        random_seed = seed if policy == "random" else None
+        fast = SetAssociativeCache("fast", 4, 2, random_seed=random_seed)
+        reference = SetAssociativeCache("ref", 4, 2,
+                                        random_seed=random_seed)
         for _ in range(600):
             key = rng.randrange(64)
             op = rng.random()

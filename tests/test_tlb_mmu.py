@@ -150,7 +150,7 @@ class TestTlbCapacityValidation:
 
         stub = SimpleNamespace(l1_entries=33, l1_associativity=4,
                                l2_entries=256, l2_associativity=8,
-                               l2_latency_ns=3.5, page_bytes=4096)
+                               l2_latency_ns=3.5)
         with pytest.raises(ConfigError, match="silently drop"):
             TwoLevelTlb(stub)
 
@@ -161,7 +161,7 @@ class TestTlbCapacityValidation:
 
         stub = SimpleNamespace(l1_entries=32, l1_associativity=0,
                                l2_entries=256, l2_associativity=8,
-                               l2_latency_ns=3.5, page_bytes=4096)
+                               l2_latency_ns=3.5)
         with pytest.raises(ConfigError, match="must be positive"):
             TwoLevelTlb(stub)
 

@@ -50,18 +50,31 @@ class TestTranslationCache:
         cache.lookup(6)
         assert cache.hit_rate == 0.5
 
+    #: Five mappings in one set (16 sets, 4-way): one must go.
+    ROW_KEYS = [16 * i for i in range(5)]
+
+    def _overfilled_row(self, seed):
+        cache = TranslationCache(small_tcache_config(), seed=seed)
+        for key in self.ROW_KEYS:
+            cache.install(key, key + 1)
+        return cache
+
+    def _victims(self, seed):
+        cache = self._overfilled_row(seed)
+        return [k for k in self.ROW_KEYS if cache.lookup(k) is None]
+
     def test_random_replacement_within_row(self):
-        cache = TranslationCache(small_tcache_config())
-        # Five mappings in the same set (4-way): one gets evicted.
-        keys = [16 * i for i in range(5)]
-        for key in keys:
-            cache.install(key, key)
-        assert len(cache) == 64 or len(cache) <= 64
-        resident = [k for k in keys if cache.probe_resident(k)] \
-            if hasattr(cache, "probe_resident") else None
-        # At most 4 of the 5 can be resident.
-        hits = sum(1 for k in keys if cache.lookup(k) is not None)
-        assert hits <= 4
+        # Exactly one of the five goes, and the seed picks which.
+        victims = self._victims(seed=0)
+        assert len(victims) == 1
+        assert self._victims(seed=0) == victims
+        assert any(self._victims(seed) != victims for seed in range(1, 10))
+        # A hit leaves the row's order (the victim draw's input) alone.
+        cache = self._overfilled_row(seed=0)
+        row = cache._cache._sets[cache.set_index(self.ROW_KEYS[0])]
+        order = list(row)
+        assert cache.lookup(order[0]) == order[0] + 1
+        assert list(row) == order
 
     def test_invalidate(self):
         cache = TranslationCache(small_tcache_config())
