@@ -28,8 +28,7 @@ class SharedPageBitmap:
     :class:`~repro.acm.layout.FamLayout`.
     """
 
-    def __init__(self, region: int) -> None:
-        self.region = region
+    def __init__(self) -> None:
         self._grants: Dict[int, int] = {}
 
     def __len__(self) -> int:

@@ -88,7 +88,7 @@ class AcmStore:
         dedicated whether used or not)."""
         bitmap = self._bitmaps.get(region)
         if bitmap is None:
-            bitmap = SharedPageBitmap(region)
+            bitmap = SharedPageBitmap()
             self._bitmaps[region] = bitmap
         return bitmap
 

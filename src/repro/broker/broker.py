@@ -84,14 +84,10 @@ class MemoryBroker:
     def register_node(self, node_id: int) -> None:
         """Admit a node: gives it an empty system page table."""
         self.registry.register_node(node_id)
+        # Frames backing system-page-table pages live in FAM.
         self._tables[node_id] = FourLevelPageTable(
-            self._allocate_table_frame, name=f"{self.name}.spt{node_id}")
+            self.fam_allocator.allocate, name=f"{self.name}.spt{node_id}")
         self.stats.incr("nodes_registered")
-
-    def _allocate_table_frame(self) -> int:
-        """Frames backing system-page-table pages live in FAM."""
-        self.stats.incr("table_frames")
-        return self.fam_allocator.allocate()
 
     def system_table(self, node_id: int) -> FourLevelPageTable:
         """The node's system page table (raises for unknown nodes)."""

@@ -3,7 +3,7 @@
 Used for the data caches, both TLB levels, the PTW caches and (via the
 organizations in :mod:`repro.stu`) the STU cache.  The store maps a
 *key* (block address, page number, ...) to an arbitrary payload and
-tracks hit/miss/eviction statistics.  Timing is the caller's concern —
+counts hits and misses.  Timing is the caller's concern —
 this class is purely functional state.
 
 Implementation note: each set is an ``OrderedDict`` mapping key ->
@@ -58,7 +58,7 @@ class SetAssociativeCache(Generic[V]):
     """
 
     __slots__ = ("name", "n_sets", "associativity", "_rng", "_sets",
-                 "_mask", "hits", "misses", "evictions", "fills")
+                 "_mask", "hits", "misses")
 
     def __init__(self, name: str, n_sets: int, associativity: int,
                  random_seed: Optional[int] = None) -> None:
@@ -79,8 +79,6 @@ class SetAssociativeCache(Generic[V]):
         self._mask = n_sets - 1 if (n_sets & (n_sets - 1)) == 0 else -1
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.fills = 0
 
     def _set_for(self, key: int) -> "OrderedDict[int, V]":
         mask = self._mask
@@ -113,7 +111,7 @@ class SetAssociativeCache(Generic[V]):
         or free way), else ``(evicted_key, evicted_value)``; for a data
         cache the victim's payload is its dirty bit, and the caller
         generates the write-back.  A present key has its payload
-        replaced in place, counted as a fill, not a hit.  Allocates
+        replaced in place, which is not counted as a hit.  Allocates
         nothing on the common no-eviction path.
 
         Replace-in-place moves the line to the back under both
@@ -124,7 +122,6 @@ class SetAssociativeCache(Generic[V]):
         """
         mask = self._mask
         lines = self._sets[key & mask if mask >= 0 else key % self.n_sets]
-        self.fills += 1
         if key in lines:
             lines[key] = value
             lines.move_to_end(key)
@@ -138,7 +135,6 @@ class SetAssociativeCache(Generic[V]):
                 victim = next(islice(iter(lines),
                                      rng.randrange(len(lines)), None))
                 evicted = victim, lines.pop(victim)
-            self.evictions += 1
         lines[key] = value
         return evicted
 
@@ -174,9 +170,6 @@ class SetAssociativeCache(Generic[V]):
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.evictions = self.fills = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SetAssociativeCache({self.name}: {self.n_sets}x"

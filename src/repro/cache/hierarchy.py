@@ -95,8 +95,8 @@ class CacheHierarchy:
         loop.
 
         The L2 and L3 probes and the refill are one pass over the
-        levels' sets, with ``get_line``'s and ``fill_line``'s
-        accounting inlined.  ``block`` is absent from every level the
+        levels' sets, with ``get_line``'s hit/miss accounting and
+        ``fill_line``'s body inlined.  ``block`` is absent from every level the
         refill writes (each was just probed and missed), so the fills
         skip the replace-in-place check.  A full miss (level 0) fills
         L3, L2 and L1 in that order: an L3 victim is back-invalidated
@@ -133,10 +133,8 @@ class CacheHierarchy:
             else:
                 l3.misses += 1
                 level = 0
-                l3.fills += 1
                 if len(l3_lines) >= l3.associativity:
                     victim, dirty = l3_lines.popitem(False)
-                    l3.evictions += 1
                     # Anything leaving L3 leaves L1 and L2 too.
                     l1 = self._l1
                     mask = l1._mask
@@ -148,10 +146,8 @@ class CacheHierarchy:
                     if dirty:
                         writebacks = (victim * self.block_bytes,)
                 l3_lines[block] = write
-            l2.fills += 1
             if len(l2_lines) >= l2.associativity:
                 victim, dirty = l2_lines.popitem(False)
-                l2.evictions += 1
                 if dirty and not level:
                     l3.fill_line(victim, True)
             l2_lines[block] = write
@@ -159,10 +155,8 @@ class CacheHierarchy:
         mask = l1._mask
         l1_lines = l1._sets[block & mask if mask >= 0
                             else block % l1.n_sets]
-        l1.fills += 1
         if len(l1_lines) >= l1.associativity:
             victim, dirty = l1_lines.popitem(False)
-            l1.evictions += 1
             if dirty and not level:
                 l2.fill_line(victim, True)
         l1_lines[block] = write
@@ -179,7 +173,3 @@ class CacheHierarchy:
 
     def llc_miss_count(self) -> int:
         return self._l3.misses
-
-    def reset_stats(self) -> None:
-        for cache in self.levels:
-            cache.reset_stats()

@@ -13,7 +13,10 @@ FAM-zone access crosses the fabric:
 * :class:`DeactW` / :class:`DeactN` — the contribution: translation is
   served from the node's in-DRAM FAM translation cache (unverified),
   and the STU only verifies access-control metadata, cached
-  way-contiguously (W) or as non-contiguous sub-way pairs (N).
+  way-contiguously (W) or as non-contiguous sub-way pairs (N).  The
+  translator's outstanding mapping list (Figure 7c) is not modelled:
+  each access procedure resolves its response in the same call, so the
+  list would hold one entry at a time and change no timing.
 
 Strategies hold no per-node state — nodes carry their own STU and FAM
 translator — so one instance can serve every node in a system.
@@ -196,11 +199,6 @@ class _DeactBase(Architecture):
                 node._stat_counters["stu.reads_unverified"] += 1.0
             else:
                 t = stu.verify_access_fast(fam_addr, t, needed=needed)
-            # Registered only once verification passed: a denied read
-            # gets no response to re-address.
-            if not is_write:
-                translator.register_response_mapping(
-                    _fresh_request_id(), fam_addr, npa)
         else:
             # V=0 path: the STU walks the system page table on behalf
             # of the FAM translator, then verifies.
@@ -218,19 +216,13 @@ class _DeactBase(Architecture):
             # Off the data's critical path but real DRAM bank work.
             mapping_at_node = node.fabric.stu_to_node_arrival(t)
             translator.install(node_page, fam_page, mapping_at_node)
-            if not is_write:
-                translator.register_response_mapping(
-                    _fresh_request_id(), fam_addr, npa)
 
         depart = node.fabric.stu_to_fam_arrival(t)
         served = node.fam.access(fam_addr, depart, is_write=is_write,
                                  kind=kind, node_id=node.node_id)
         if is_write:
             return served
-        arrival = node.fabric.fam_to_node_arrival(served)
-        # Response re-addressing through the outstanding mapping list.
-        translator.outstanding.resolve(_last_request_id())
-        return arrival
+        return node.fabric.fam_to_node_arrival(served)
 
     def translation_hit_rate(self, node: Node) -> float:
         return (node.fam_translator.hit_rate
@@ -239,22 +231,6 @@ class _DeactBase(Architecture):
     def acm_hit_rate(self, node: Node) -> float:
         org = node.stu.organization if node.stu else None
         return org.hit_rate if org is not None else 0.0
-
-
-# The outstanding-mapping list needs request identities; the simulator
-# processes one FAM access at a time per call, so a module-level
-# monotonic id is race-free and keeps the list exercised end to end.
-_request_counter = 0
-
-
-def _fresh_request_id() -> int:
-    global _request_counter
-    _request_counter += 1
-    return _request_counter
-
-
-def _last_request_id() -> int:
-    return _request_counter
 
 
 class DeactW(_DeactBase):

@@ -112,7 +112,6 @@ class Node:
             self.fam_translator = FamTranslator(
                 config.translation_cache, self.dram,
                 region_base=local_usable, page_bytes=PAGE_BYTES,
-                outstanding_capacity=config.fam.max_outstanding,
                 name=f"{self.name}.translator", seed=seed)
         self.stu: Optional["Stu"] = None  # attached by FamSystem
 
@@ -173,7 +172,7 @@ class Node:
         architecture's FAM access procedure from it on."""
         if npa < self.fam_zone_base:
             self._stat_counters["mem.local"] += 1.0
-            return self.dram.access(npa, now, is_write=is_write, kind=kind)
+            return self.dram.access(npa, now)
         self._stat_counters["mem.fam"] += 1.0
         if kind is _KIND_DATA:
             self._stat_counters["mem.fam_data"] += 1.0
@@ -263,8 +262,6 @@ class Node:
         page_shift = self._page_shift
         core_time = self.core_time_ns
         instructions = self.instructions
-        admitted = 0
-        translations = 0
         tlb_l1_hits = 0
         data_l1_hits = 0
         consumed = 0
@@ -277,16 +274,12 @@ class Node:
                 # --- issue: the window's not-full admit inlined ------
                 while completions and completions[0] <= core_time:
                     heappop(completions)
-                if len(completions) < capacity:
-                    admitted += 1
-                    issue = core_time
-                else:
-                    issue = admit(core_time)
+                issue = (core_time if len(completions) < capacity
+                         else admit(core_time))
 
                 # --- translate: L1 TLB probe inlined (always LRU) ----
                 if vpn not in mapped:
                     page_fault(vpn)
-                translations += 1
                 lines = tlb_l1_sets[vpn & tlb_l1_mask if tlb_l1_mask >= 0
                                     else vpn % tlb_l1_n_sets]
                 frame = lines.get(vpn)
@@ -343,8 +336,6 @@ class Node:
             self.core_time_ns = core_time
             self.instructions = instructions
             self.memory_events += consumed
-            window.admissions += admitted
-            mmu.translations += translations
             tlb_l1.hits += tlb_l1_hits
             data_l1.hits += data_l1_hits
         return core_time

@@ -20,12 +20,11 @@ Random replacement draws the same ``_randbelow`` deviate whether the
 victim is picked by ``rng.choice(list(...))`` (here, as the seed did)
 or by ``rng.randrange`` + ``islice`` (production).
 
-One deliberate departure from the seed is an accounting *bugfix* and
-therefore part of the reference semantics (otherwise the equivalence
-proof would enshrine the bug): a DeACT read registers its outstanding
-mapping only once verification has passed, so a denied read leaves no
-entry behind (request ids and the list's counters are not part of a
-run's results).
+The seed also kept bookkeeping that no result reads: fill and eviction
+counts, bank busy time, window admissions, the node DRAM census, walk
+and translation tallies, PTE reference bits, and a DeACT read's
+outstanding-mapping register/resolve (Figure 7c) within the one call.
+Production dropped it, and so does this mirror.
 
 The production leaves of the FAM access chain — ``NvmDevice.access``,
 ``DramDevice.access``, ``AcmStore.check`` and ``PageTableWalker.walk``
@@ -58,13 +57,7 @@ from repro.acm.store import AcmStore
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config.system import PAGE_BYTES
-from repro.core.architectures import (
-    EFam,
-    IFam,
-    _DeactBase,
-    _fresh_request_id,
-    _last_request_id,
-)
+from repro.core.architectures import EFam, IFam, _DeactBase
 from repro.core.node import Node
 from repro.errors import AccessViolationError, ProtocolError
 from repro.mem.device import DramDevice, NvmDevice
@@ -181,7 +174,6 @@ def _ref_fill(cache: SetAssociativeCache, key: int, value) -> AccessResult:
     resident line with ``True``, so replacing the payload is the seed's
     dirty-bit OR."""
     lines = cache._sets[key % cache.n_sets]
-    cache.fills += 1
     if key in lines:
         lines[key] = value
         lines.move_to_end(key)
@@ -194,7 +186,6 @@ def _ref_fill(cache: SetAssociativeCache, key: int, value) -> AccessResult:
         else:
             victim_key, victim = lines.popitem(last=False)
         evicted_key, evicted_value = victim_key, victim
-        cache.evictions += 1
     lines[key] = value
     return AccessResult(hit=False, value=value,
                         evicted_key=evicted_key,
@@ -225,16 +216,8 @@ def _ref_nvm_access(fam: NvmDevice, addr: int, now: float,
     return completion
 
 
-def _ref_dram_access(dram: DramDevice, addr: int, now: float,
-                     is_write: bool, kind: RequestKind) -> float:
-    """The seed ``DramDevice.access``: counters, then
-    ``banks.reserve``."""
-    if is_write:
-        dram.writes += 1
-    else:
-        dram.reads += 1
-    if kind.is_translation:
-        dram.at_accesses += 1
+def _ref_dram_access(dram: DramDevice, addr: int, now: float) -> float:
+    """The seed ``DramDevice.access``: ``banks.reserve``."""
     return dram.banks.reserve(addr, now, dram._access_ns)
 
 
@@ -313,7 +296,6 @@ def _ref_tlb_install(tlb: TwoLevelTlb, vpn: int, frame: int) -> None:
 
 
 def _ref_walker_walk(walker: PageTableWalker, vpn: int) -> WalkResult:
-    walker.walks += 1
     all_steps, entry = walker.table.walk_entries(vpn)
     skipped = 0
     if walker._caches:
@@ -328,14 +310,11 @@ def _ref_walker_walk(walker: PageTableWalker, vpn: int) -> WalkResult:
             depth = step.level + 1
             key = vpn >> (_BITS_PER_LEVEL * (4 - depth))
             _ref_fill(walker._caches[depth - 1], key, True)
-    walker.memory_accesses += len(needed)
-    entry.touch(write=False)
     return WalkResult(steps=needed, skipped_levels=skipped,
                       frame=entry.frame, entry_flags=entry.flags)
 
 
 def _ref_mmu_translate(mmu: Mmu, vaddr: int) -> TranslationOutcome:
-    mmu.translations += 1
     vpn = mmu.vpn_of(vaddr)
     lookup = _ref_tlb_lookup(mmu.tlb, vpn)
     if lookup.hit:
@@ -358,8 +337,7 @@ def _ref_mmu_translate(mmu: Mmu, vaddr: int) -> TranslationOutcome:
 def _ref_translator_lookup(translator: FamTranslator, node_page: int,
                            now: float) -> TranslatorLookup:
     served = _ref_dram_access(translator.dram,
-                              translator.row_address(node_page), now,
-                              False, RequestKind.NODE_PTW)
+                              translator.row_address(node_page), now)
     t = served + _TAG_MATCH_NS
     fam_page = translator.cache.lookup(node_page)
     if fam_page is None:
@@ -373,13 +351,9 @@ def _ref_translator_lookup(translator: FamTranslator, node_page: int,
 def _ref_translator_install(translator: FamTranslator, node_page: int,
                             fam_page: int, now: float) -> float:
     row = translator.row_address(node_page)
-    read_done = _ref_dram_access(translator.dram, row, now, False,
-                                 RequestKind.NODE_PTW)
-    write_done = _ref_dram_access(translator.dram, row, read_done, True,
-                                  RequestKind.NODE_PTW)
+    read_done = _ref_dram_access(translator.dram, row, now)
+    write_done = _ref_dram_access(translator.dram, row, read_done)
     _ref_fill(translator.cache._cache, node_page, fam_page)
-    translator.cache.stats.incr("installs")
-    translator.stats.incr("updates")
     return write_done
 
 
@@ -395,7 +369,6 @@ def _ref_stu_walk(stu: Stu, node_page: int, now: float) -> WalkTiming:
         t = stu.fabric.fam_to_stu_arrival(served)
     stu._ptw_busy_until = t
     stu.stats.incr("walks")
-    stu.stats.incr("walk_accesses", len(result.steps))
     return WalkTiming(fam_page=result.frame, completion_ns=t,
                       memory_accesses=len(result.steps),
                       skipped_levels=result.skipped_levels)
@@ -526,9 +499,6 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
             verification = _ref_stu_verify(node.stu, fam_addr, t,
                                            needed=needed)
             t = verification.completion_ns
-        if not is_write:
-            translator.register_response_mapping(
-                _fresh_request_id(), fam_addr, npa)
     else:
         t = node.fabric.node_to_stu_arrival(lookup.completion_ns)
         walk = _ref_stu_walk(node.stu, node_page, t)
@@ -544,17 +514,12 @@ def _ref_fam_access(node: Node, npa: int, now: float, is_write: bool,
         mapping_at_node = node.fabric.stu_to_node_arrival(t)
         _ref_translator_install(translator, node_page, walk.fam_page,
                                 mapping_at_node)
-        if not is_write:
-            translator.register_response_mapping(
-                _fresh_request_id(), fam_addr, npa)
     depart = node.fabric.stu_to_fam_arrival(t)
     served = _ref_nvm_access(node.fam, fam_addr, depart, is_write, kind,
                              node.node_id)
     if is_write:
         return served
-    arrival = node.fabric.fam_to_node_arrival(served)
-    translator.outstanding.resolve(_last_request_id())
-    return arrival
+    return node.fabric.fam_to_node_arrival(served)
 
 
 # ----------------------------------------------------------------------
@@ -564,7 +529,7 @@ def _ref_memory_access(node: Node, npa: int, now: float, is_write: bool,
                        kind: RequestKind) -> float:
     if npa < node.fam_zone_base:
         node.stats.incr("mem.local")
-        return _ref_dram_access(node.dram, npa, now, is_write, kind)
+        return _ref_dram_access(node.dram, npa, now)
     node.stats.incr("mem.fam")
     if kind == RequestKind.DATA:
         node.stats.incr("mem.fam_data")

@@ -75,7 +75,7 @@ class ProtocolError(ReproError):
     """A component received a request that violates the fabric protocol.
 
     Examples: a verified (``V=1``) packet arriving at a unit that cannot
-    verify, or a response for an unknown outstanding mapping entry.
+    verify, or a FAM access on a node missing its STU or translator.
     """
 
 

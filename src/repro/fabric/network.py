@@ -79,7 +79,3 @@ class FabricNetwork:
     def fam_to_node_arrival(self, depart: float) -> float:
         """FAM response all the way back to the node."""
         return self.stu_to_node_arrival(self.fam_to_stu_arrival(depart))
-
-    def reset(self) -> None:
-        self.fam_port.reset()
-        self.stats.reset()

@@ -3,11 +3,12 @@
 Both devices are banks of busy-until FIFO servers (see
 :mod:`repro.sim.resource`).  The NVM FAM additionally enforces the
 Table II outstanding-request limit (128) and keeps the AT/non-AT
-request census behind Figures 4 and 11.
+request census behind Figures 4 and 11.  Node DRAM keeps no census:
+its banks' reservations are its only record.
 
-Counters are plain attributes (these methods run a dozen times per
-trace event); :meth:`snapshot` materializes them into the dict shape
-the experiment harness consumes.
+The FAM's counters are plain attributes (its ``access`` runs several
+times per trace event); :meth:`NvmDevice.snapshot` materializes them
+into the dict shape the experiment harness consumes.
 
 Both ``access`` methods are ``@hot_path`` and are the one real call
 of their layer per access.  Each picks its bank in line (the arithmetic
@@ -42,39 +43,16 @@ class DramDevice:
         self.banks = BankedResource(name, config.banks, BLOCK_BYTES)
         _hoist_bank_selection(self, self.banks)
         self._access_ns = config.access_ns
-        self.reads = 0
-        self.writes = 0
-        self.at_accesses = 0
 
     @hot_path
-    def access(self, addr: int, now: float, is_write: bool = False,
-               kind: RequestKind = RequestKind.DATA) -> float:
-        """Issue one 64 B access; returns completion time."""
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        if kind.is_translation:
-            self.at_accesses += 1
+    def access(self, addr: int, now: float) -> float:
+        """Issue one 64 B read or write (same latency); returns
+        completion time."""
         block = addr >> self._interleave_shift
         mask = self._bank_mask
         bank = self._banks[block & mask if mask >= 0 else
                            block % self._n_banks]
         return bank.reserve(now, self._access_ns)
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    def snapshot(self) -> Dict[str, float]:
-        return {"accesses": float(self.accesses),
-                "reads": float(self.reads),
-                "writes": float(self.writes),
-                "at_accesses": float(self.at_accesses)}
-
-    def reset(self) -> None:
-        self.banks.reset()
-        self.reads = self.writes = self.at_accesses = 0
 
 
 class NvmDevice:
@@ -94,7 +72,7 @@ class NvmDevice:
         self.window = OutstandingWindow(config.max_outstanding,
                                         name=f"{name}.outstanding")
         _hoist_bank_selection(self, self.banks)
-        # The window's heap; ``reset`` clears it in place.
+        # The window's heap, drained and pushed in line by ``access``.
         self._completions = self.window._completions
         self._capacity = config.max_outstanding
         self._read_ns = config.read_ns
@@ -132,11 +110,8 @@ class NvmDevice:
         completions = self._completions
         while completions and completions[0] <= now:
             heappop(completions)
-        if len(completions) < self._capacity:
-            self.window.admissions += 1
-            issue = now
-        else:
-            issue = self.window.admit(now)
+        issue = (now if len(completions) < self._capacity
+                 else self.window.admit(now))
         block = addr >> self._interleave_shift
         mask = self._bank_mask
         bank = self._banks[block & mask if mask >= 0 else
@@ -169,18 +144,11 @@ class NvmDevice:
             counters[f"node.{node_id}.accesses"] = float(count)
         return counters
 
-    def reset(self) -> None:
-        self.banks.reset()
-        self.window.reset()
-        self.reads = self.writes = self.at_accesses = 0
-        self.kind_counts = {kind: 0 for kind in RequestKind}
-        self.node_counts.clear()
-
 
 def _hoist_bank_selection(device, banks: BankedResource) -> None:
     """Copy ``banks``' interleaving arithmetic onto ``device`` for the
     inlined bank selection in its ``access``.  The bank list is never
-    replaced (``reset`` resets each bank in place)."""
+    replaced."""
     device._banks = banks._banks
     device._n_banks = banks.n_banks
     device._interleave_shift = banks._interleave_shift

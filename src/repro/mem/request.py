@@ -2,7 +2,7 @@
 
 Figure 4 and Figure 11 classify requests arriving at the FAM into
 address-translation (AT) and non-AT traffic.  :class:`RequestKind` is
-that classification; the memory devices count their accesses by kind.
+that classification; the FAM device counts its accesses by kind.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class RequestKind(Enum):
 #: Values of the kinds counted as address translation.
 _AT_KIND_VALUES = frozenset(("node_ptw", "fam_ptw", "acm"))
 
-# ``is_translation`` is consulted on every memory-device access, so it
+# ``is_translation`` is consulted on every FAM access, so it
 # is precomputed onto each member as a plain attribute (a property
 # would re-evaluate set membership per call on the hot path).
 for _kind in RequestKind:

@@ -26,22 +26,14 @@ class PageTableEntry:
         Physical frame number the page maps to.
     flags:
         OR of ``PTE_PRESENT`` / ``PTE_WRITE`` / ``PTE_EXEC``.
-    accessed / dirty:
-        Reference bits maintained by walks, available to paging-policy
-        extensions.
+
+    No paging policy reads accessed / dirty reference bits, so walks
+    maintain none.
     """
 
     frame: int
     flags: int = PTE_PRESENT | PTE_WRITE
-    accessed: bool = False
-    dirty: bool = False
 
     @property
     def present(self) -> bool:
         return bool(self.flags & PTE_PRESENT)
-
-    def touch(self, write: bool) -> None:
-        """Update reference bits for an access."""
-        self.accessed = True
-        if write:
-            self.dirty = True

@@ -46,8 +46,6 @@ class PageTableWalker:
                  name: str = "ptw") -> None:
         self.table = table
         self.name = name
-        self.walks = 0
-        self.memory_accesses = 0
         # _caches[depth - 1] caches the entries resolving ``depth``
         # interior levels (depth 1: PGD entries .. depth 3: PMD).
         caches: List[SetAssociativeCache] = []
@@ -83,7 +81,6 @@ class PageTableWalker:
         TranslationFault
             If ``vpn`` is unmapped.
         """
-        self.walks += 1
         try:
             entry, addrs = self.table._walks[vpn]
         except KeyError:
@@ -109,8 +106,6 @@ class PageTableWalker:
         # Install the interior levels the walk traversed.
         for cache, shift in self._fills_from[skipped]:
             cache.fill_line(vpn >> shift, True)
-        self.memory_accesses += 4 - skipped
-        entry.accessed = True
         return entry.frame, addrs[skipped:]
 
     # ------------------------------------------------------------------

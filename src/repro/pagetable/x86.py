@@ -102,7 +102,6 @@ class FourLevelPageTable:
         self.name = name
         self._allocate_frame = frame_allocator
         self._root = _Table(self._allocate_frame())
-        self.table_pages = 1
         # Leaf index: every mapped VPN's entry, the same objects the
         # tree's leaf slots hold.
         self._leaves: Dict[int, PageTableEntry] = {}
@@ -149,15 +148,12 @@ class FourLevelPageTable:
         pud = root.slots.get(i0)
         if pud is None:
             pud = root.slots[i0] = _Table(self._allocate_frame())
-            self.table_pages += 1
         pmd = pud.slots.get(i1)
         if pmd is None:
             pmd = pud.slots[i1] = _Table(self._allocate_frame())
-            self.table_pages += 1
         pte = pmd.slots.get(i2)
         if pte is None:
             pte = pmd.slots[i2] = _Table(self._allocate_frame())
-            self.table_pages += 1
         entry = PageTableEntry(frame=frame, flags=flags)
         pte.slots[i3] = entry
         self._leaves[vpn] = entry

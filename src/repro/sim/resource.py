@@ -24,8 +24,8 @@ memory devices pick the bank themselves (the arithmetic of
 and :meth:`repro.core.node.Node.run_events` drain their window and
 admit into a not-full one in line, calling :meth:`OutstandingWindow.admit`
 only when it is full.  Those callers hold aliases of ``_banks`` and
-``_completions``, so ``reset`` clears both in place and nothing
-rebinds them.
+``_completions``; nothing rebinds either list, since every run builds
+its resources fresh.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class TimedResource:
         self.name = name
         self._busy_until = 0.0
         self.reservations = 0
-        self.busy_time = 0.0
 
     @property
     def busy_until(self) -> float:
@@ -65,14 +64,7 @@ class TimedResource:
         end = start + service_ns
         self._busy_until = end
         self.reservations += 1
-        self.busy_time += service_ns
         return end
-
-    def reset(self) -> None:
-        """Forget all reservations (used between independent runs)."""
-        self._busy_until = 0.0
-        self.reservations = 0
-        self.busy_time = 0.0
 
 
 class BankedResource:
@@ -94,7 +86,6 @@ class BankedResource:
             )
         self.name = name
         self.n_banks = n_banks
-        self.interleave_bytes = interleave_bytes
         self._banks: List[TimedResource] = [
             TimedResource(f"{name}.bank{i}") for i in range(n_banks)
         ]
@@ -113,10 +104,6 @@ class BankedResource:
                            block % self.n_banks]
         return bank.reserve(now, service_ns)
 
-    def reset(self) -> None:
-        for bank in self._banks:
-            bank.reset()
-
 
 class OutstandingWindow:
     """A bounded pool of in-flight request completion times.
@@ -133,7 +120,6 @@ class OutstandingWindow:
         self.capacity = capacity
         self.name = name
         self._completions: List[float] = []  # min-heap of completion times
-        self.admissions = 0
         self.stall_time = 0.0
 
     def __len__(self) -> int:
@@ -156,7 +142,6 @@ class OutstandingWindow:
             if earliest > issue:
                 self.stall_time += earliest - issue
                 issue = earliest
-        self.admissions += 1
         return issue
 
     def record(self, completion_ns: float) -> None:
@@ -166,8 +151,3 @@ class OutstandingWindow:
     def latest_completion(self) -> float:
         """Completion time of the last-finishing in-flight request."""
         return max(self._completions) if self._completions else 0.0
-
-    def reset(self) -> None:
-        self._completions.clear()
-        self.admissions = 0
-        self.stall_time = 0.0

@@ -54,9 +54,6 @@ class Stats:
         """A plain-dict copy of all counters."""
         return dict(self._counters)
 
-    def reset(self) -> None:
-        self._counters.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
         return f"Stats({self.name}: {body})"

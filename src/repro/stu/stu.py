@@ -136,7 +136,6 @@ class Stu:
             t = self.fabric.fam_to_stu_arrival(served)
         self._ptw_busy_until = t
         self._counters["walks"] += 1.0
-        self._counters["walk_accesses"] += float(len(addrs))
         return fam_page, t
 
     # ------------------------------------------------------------------

@@ -37,7 +37,6 @@ class Mmu:
         self.tlb = TwoLevelTlb(tlb_config, name=f"{name}.tlb")
         self.walker = PageTableWalker(page_table, ptw_config.cache_entries,
                                       name=f"{name}.ptw")
-        self.translations = 0
         self.walks = 0
 
     def vpn_of(self, vaddr: int) -> int:
@@ -67,7 +66,6 @@ class Mmu:
         :meth:`translate_after_l1_miss`; this entry point stays because
         ``perfbench/layers.py`` wraps it.
         """
-        self.translations += 1
         level, frame, latency = self.tlb.lookup_fast(vpn)
         if level:
             return frame, level, latency, self._NO_ADDRS
@@ -81,14 +79,14 @@ class Mmu:
             self, vpn: int) -> Tuple[int, int, float, Tuple[int, ...]]:
         """:meth:`translate_fast` continuation for callers that probed
         (and counted) the L1 TLB themselves — the fully inlined
-        single-node loop.  ``translations`` and the L1 hit/miss census
-        are the caller's responsibility; everything downstream (L2,
-        walker, installs) is accounted here identically.
+        single-node loop.  The L1 hit/miss census is the caller's
+        responsibility; everything downstream (L2, walker, installs)
+        is accounted here identically.
 
-        An L2 hit refills L1 in one pass, with ``get_line``'s and
-        ``fill_line``'s accounting inlined: both levels are LRU, and
-        ``vpn`` is absent from L1 (the caller just missed there), so
-        the refill skips the replace-in-place check.
+        An L2 hit refills L1 in one pass, with ``get_line``'s hit
+        accounting and ``fill_line``'s body inlined: both levels are
+        LRU, and ``vpn`` is absent from L1 (the caller just missed
+        there), so the refill skips the replace-in-place check.
         """
         tlb = self.tlb
         l2 = tlb.l2
@@ -101,10 +99,8 @@ class Mmu:
             l1 = tlb.l1
             mask = l1._mask
             lines = l1._sets[vpn & mask if mask >= 0 else vpn % l1.n_sets]
-            l1.fills += 1
             if len(lines) >= l1.associativity:
                 lines.popitem(False)
-                l1.evictions += 1
             lines[vpn] = frame
             return frame, 2, tlb._l2_latency_ns, self._NO_ADDRS
         l2.misses += 1

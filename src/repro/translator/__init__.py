@@ -10,18 +10,19 @@ every FAM access.
 
 * :mod:`repro.translator.translation_cache` — the in-DRAM cache
   contents and geometry.
-* :mod:`repro.translator.outstanding` — the outstanding-mapping list
-  that converts FAM-addressed responses back to node addresses.
 * :mod:`repro.translator.fam_translator` — the unit itself with its
   DRAM-access timing.
+
+The outstanding mapping list of Figure 7c, which re-addresses FAM
+responses to node addresses, is not modelled: the simulator resolves
+each response in the call that issued its request, so the list would
+never hold more than one entry and has no timing or result effect.
 """
 
 from repro.translator.fam_translator import FamTranslator
-from repro.translator.outstanding import OutstandingMappingList
 from repro.translator.translation_cache import TranslationCache
 
 __all__ = [
     "TranslationCache",
-    "OutstandingMappingList",
     "FamTranslator",
 ]

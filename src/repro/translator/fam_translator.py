@@ -3,9 +3,11 @@
 Responsibilities (Section III-C): fetch a translation row from the
 in-DRAM FAM translation cache for every FAM-bound request, match tags,
 rewrite hits to FAM addresses (setting the ``V`` flag), forward misses
-to the STU unverified, track outstanding mappings so responses can be
-re-addressed, and update the cache when mapping responses arrive
-(a 64 B read-modify-write of the row).
+to the STU unverified, and update the cache when mapping responses
+arrive (a 64 B read-modify-write of the row).  Tracking outstanding
+mappings so responses can be re-addressed (Figure 7c) is not
+modelled: a response resolves in the call that issued its request,
+so the list would have no timing or result effect.
 
 The translation cache occupies the top of local DRAM; every lookup is
 a genuine DRAM access — the cost the paper accepts in exchange for the
@@ -19,9 +21,7 @@ from typing import Optional, Tuple
 
 from repro.config.system import TranslationCacheConfig
 from repro.mem.device import DramDevice
-from repro.mem.request import RequestKind
 from repro.sim.stats import Stats
-from repro.translator.outstanding import OutstandingMappingList
 from repro.translator.translation_cache import TranslationCache
 
 __all__ = ["FamTranslator"]
@@ -35,7 +35,6 @@ class FamTranslator:
 
     def __init__(self, config: TranslationCacheConfig, dram: DramDevice,
                  region_base: int, page_bytes: int = 4096,
-                 outstanding_capacity: int = 128,
                  name: str = "fam_translator", seed: int = 0) -> None:
         self.config = config
         self.dram = dram
@@ -47,8 +46,6 @@ class FamTranslator:
         # Row-address arithmetic memoized off the per-access path.
         self._n_rows = config.n_sets
         self._row_bytes = config.entry_bytes * config.associativity
-        self.outstanding = OutstandingMappingList(
-            outstanding_capacity, name=f"{name}.outstanding")
         self.stats = Stats(name)
         # Counter dict hoisted off the per-lookup path.
         self._stat_counters = self.stats._counters
@@ -69,9 +66,7 @@ class FamTranslator:
         once per FAM-bound DeACT request.
         """
         row = self.region_base + (node_page % self._n_rows) * self._row_bytes
-        served = self.dram.access(row, now, is_write=False,
-                                  kind=RequestKind.NODE_PTW)
-        t = served + _TAG_MATCH_NS
+        t = self.dram.access(row, now) + _TAG_MATCH_NS
         fam_page = self.cache.lookup(node_page)
         if fam_page is None:
             self._stat_counters["misses"] += 1.0
@@ -88,27 +83,17 @@ class FamTranslator:
         and contends with demand traffic.
         """
         row = self.row_address(node_page)
-        read_done = self.dram.access(row, now, is_write=False,
-                                     kind=RequestKind.NODE_PTW)
-        write_done = self.dram.access(row, read_done, is_write=True,
-                                      kind=RequestKind.NODE_PTW)
+        read_done = self.dram.access(row, now)
+        write_done = self.dram.access(row, read_done)
         self.cache.install(node_page, fam_page)
-        self.stats.incr("updates")
         return write_done
-
-    # ------------------------------------------------------------------
-    def register_response_mapping(self, request_id: int, fam_addr: int,
-                                  node_addr: int) -> None:
-        """Track a response-expecting request (Figure 7c)."""
-        self.outstanding.register(request_id, fam_addr, node_addr)
 
     # ------------------------------------------------------------------
     def shootdown(self, node_page: int, now: float) -> float:
         """Invalidate one mapping (job migration): a DRAM row write."""
         self.cache.invalidate(node_page)
         self.stats.incr("shootdowns")
-        return self.dram.access(self.row_address(node_page), now,
-                                is_write=True, kind=RequestKind.NODE_PTW)
+        return self.dram.access(self.row_address(node_page), now)
 
     @property
     def hit_rate(self) -> float:

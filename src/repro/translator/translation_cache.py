@@ -32,8 +32,6 @@ class TranslationCache:
         self._cache: SetAssociativeCache[int] = SetAssociativeCache(
             name, config.n_sets, config.associativity, random_seed=seed)
         self.stats = Stats(name)
-        self._hits = 0
-        self._misses = 0
 
     @property
     def n_sets(self) -> int:
@@ -54,18 +52,12 @@ class TranslationCache:
     def lookup(self, node_page: int) -> Optional[int]:
         """Probe for a mapping; the four tags of the fetched row are
         compared concurrently (one cycle of comparators, Figure 7b)."""
-        fam_page = self._cache.get_line(node_page)
-        if fam_page is not None:
-            self._hits += 1
-            return fam_page
-        self._misses += 1
-        return None
+        return self._cache.get_line(node_page)
 
     def install(self, node_page: int, fam_page: int) -> None:
         """Write a mapping into its row (random victim within the
         row's four entries)."""
         self._cache.fill_line(node_page, fam_page)
-        self.stats.incr("installs")
 
     def invalidate(self, node_page: int) -> bool:
         """Shoot down one mapping (job migration, Section VI)."""
@@ -75,23 +67,14 @@ class TranslationCache:
         return dropped
 
     @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @property
     def hit_rate(self) -> float:
         """Figure 10's DeACT curve for this node."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
+        return self._cache.hit_rate
 
     @property
     def probes(self) -> int:
         """Total tag probes (telemetry)."""
-        return self._hits + self._misses
+        return self._cache.accesses
 
     def __len__(self) -> int:
         return len(self._cache)

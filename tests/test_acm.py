@@ -136,14 +136,14 @@ class TestFamLayout:
 
 class TestSharedPageBitmap:
     def test_grant_and_check(self):
-        bitmap = SharedPageBitmap(region=0)
+        bitmap = SharedPageBitmap()
         bitmap.grant(5, PERM_RW)
         assert bitmap.allows(5, Permission.WRITE)
         assert not bitmap.allows(6, Permission.READ)
 
     def test_mixed_permissions(self):
         """The paper's mixed sharing: some nodes RW, others RO."""
-        bitmap = SharedPageBitmap(region=0)
+        bitmap = SharedPageBitmap()
         bitmap.grant(1, PERM_RW)
         bitmap.grant(2, PERM_RO)
         assert bitmap.allows(1, Permission.WRITE)
@@ -151,20 +151,20 @@ class TestSharedPageBitmap:
         assert not bitmap.allows(2, Permission.WRITE)
 
     def test_revoke(self):
-        bitmap = SharedPageBitmap(region=0)
+        bitmap = SharedPageBitmap()
         bitmap.grant(1, PERM_RW)
         assert bitmap.revoke(1) is True
         assert bitmap.revoke(1) is False
         assert not bitmap.allows(1, Permission.READ)
 
     def test_nodes(self):
-        bitmap = SharedPageBitmap(region=0)
+        bitmap = SharedPageBitmap()
         bitmap.grant(1, 0)
         bitmap.grant(9, 1)
         assert bitmap.nodes() == frozenset({1, 9})
 
     def test_rejects_marker_node_id(self):
-        bitmap = SharedPageBitmap(region=0)
+        bitmap = SharedPageBitmap()
         with pytest.raises(ConfigError):
             bitmap.grant((1 << 14) - 1, 0)
 

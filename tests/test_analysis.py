@@ -580,6 +580,93 @@ class TestRepoTreeIsClean:
                        "repro.cache.replacement", "repro.workloads.traceio"):
             assert find_spec(module) is None, module
 
+    #: Attributes src/repro stores that no non-test code loads, each
+    #: kept for the reason given.
+    WRITE_ONLY_KEEP = {
+        "AccessViolationError.fam_addr":
+            "the denied FAM address is part of the raised error's "
+            "report, for whoever catches it",
+    }
+
+    @staticmethod
+    def _stores_and_loads(tree):
+        """One module's stored attributes and loaded names.
+
+        Stores are ``obj.attr = ...`` / ``obj.attr += ...`` targets,
+        keyed ``Class.attr`` for ``self.attr`` inside a class and by
+        their source text otherwise.  Loads are attribute reads,
+        bare-name reads of the module's own globals, and string
+        constants (``getattr`` and friends) outside ``__slots__`` and
+        ``__all__``."""
+        hidden = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name)
+                    and target.id in ("__all__", "__slots__")
+                    for target in node.targets):
+                hidden.update(id(sub) for sub in ast.walk(node.value))
+        module_globals = {
+            target.id for node in tree.body
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]
+                           if isinstance(node, ast.AnnAssign) else [])
+            if isinstance(target, ast.Name)}
+        stores, loads = {}, set()
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.Attribute):
+                    if isinstance(child.ctx, ast.Load):
+                        loads.add(child.attr)
+                    elif isinstance(child.ctx, ast.Store):
+                        on_self = (owner is not None
+                                   and isinstance(child.value, ast.Name)
+                                   and child.value.id == "self")
+                        key = (f"{owner}.{child.attr}" if on_self
+                               else ast.unparse(child))
+                        stores[key] = child.attr
+                elif isinstance(child, ast.Name):
+                    if isinstance(child.ctx, ast.Load) \
+                            and child.id in module_globals:
+                        loads.add(child.id)
+                elif isinstance(child, ast.Constant) \
+                        and isinstance(child.value, str) \
+                        and id(child) not in hidden:
+                    loads.add(child.value)
+                visit(child, owner)
+
+        visit(tree, None)
+        return stores, loads
+
+    def test_no_write_only_state(self):
+        # Every attribute src/repro (outside repro.analysis) stores
+        # must be loaded by non-test code: src/, perfbench/, examples/,
+        # scripts/ or benchmarks/.  State that only tests read costs
+        # the simulator a store per event and tells no result anything.
+        # Matching bare names can only hide a write-only attribute
+        # behind a namesake, never flag one that is really read.
+        stores, loads = {}, set()
+        src = REPO_ROOT / "src"
+        for path in sorted(src.rglob("*.py")):
+            module_stores, module_loads = self._stores_and_loads(
+                ast.parse(path.read_text(encoding="utf-8")))
+            loads |= module_loads
+            if path.relative_to(src).parts[:2] != ("repro", "analysis"):
+                stores.update(module_stores)
+        for folder in ("perfbench", "examples", "scripts", "benchmarks"):
+            for path in (REPO_ROOT / folder).rglob("*.py"):
+                loads |= self._stores_and_loads(
+                    ast.parse(path.read_text(encoding="utf-8")))[1]
+        write_only = {key for key, attr in stores.items()
+                      if attr not in loads}
+        assert sorted(write_only - self.WRITE_ONLY_KEEP.keys()) == []
+        # A kept attribute that gained a reader, or went away, leaves
+        # the list.
+        assert sorted(self.WRITE_ONLY_KEEP.keys() - write_only) == []
+
     def test_imports_are_declared(self):
         # A fresh runner installs only what pyproject.toml declares
         # (CI installs the project with its test extra), so every

@@ -96,7 +96,7 @@ class TestLruReplacement:
         cache = SetAssociativeCache("c", 1, 1)
         cache.fill_line(1, "victim")
         assert cache.fill_line(2, "new") == (1, "victim")
-        assert cache.evictions == 1
+        assert 1 not in cache and 2 in cache
 
 
 class TestRandomReplacement:
@@ -140,14 +140,6 @@ class TestStatistics:
         cache.get_line(1)
         cache.get_line(2)
         assert cache.hit_rate == 0.5
-
-    def test_reset_stats_keeps_contents(self):
-        cache = SetAssociativeCache("c", 4, 2)
-        cache.fill_line(1, True)
-        cache.get_line(1)
-        cache.reset_stats()
-        assert cache.hits == 0
-        assert 1 in cache
 
 
 class TestCapacityInvariants:

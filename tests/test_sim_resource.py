@@ -32,15 +32,8 @@ class TestTimedResource:
         res = TimedResource()
         res.reserve(0.0, 3.0)
         res.reserve(0.0, 4.0)
-        assert res.busy_time == 7.0
+        assert res.busy_until == 7.0
         assert res.reservations == 2
-
-    def test_reset(self):
-        res = TimedResource()
-        res.reserve(0.0, 5.0)
-        res.reset()
-        assert res.busy_until == 0.0
-        assert res.reservations == 0
 
     @given(st.lists(st.tuples(st.floats(min_value=0, max_value=1e6),
                               st.floats(min_value=0, max_value=1e4)),

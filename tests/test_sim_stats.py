@@ -45,12 +45,6 @@ class TestStats:
         assert "b" not in stats
         assert list(stats.keys()) == ["a"]
 
-    def test_reset(self):
-        stats = Stats()
-        stats.incr("a")
-        stats.reset()
-        assert stats["a"] == 0.0
-
 
 class TestGeometricMean:
     def test_known_value(self):

@@ -125,7 +125,7 @@ class TestStuWalks:
         table.map(0x42, 777)
         fam_page, completion = stu.walk_system_table_fast(0x42, now=0.0)
         assert fam_page == 777
-        assert stu.stats.get("walk_accesses") == 4
+        assert stu.fam.snapshot()["kind.fam_ptw"] == 4
         # Four serial FAM round trips: > 4 * (400 + 60 + 400).
         assert completion > 4 * 860
 

@@ -1,13 +1,8 @@
-"""Tests for the FAM translator, translation cache and outstanding
-mapping list."""
-
-import pytest
+"""Tests for the FAM translator and its translation cache."""
 
 from repro.config.system import LocalMemoryConfig, TranslationCacheConfig
-from repro.errors import ProtocolError
 from repro.mem.device import DramDevice
 from repro.translator.fam_translator import FamTranslator
-from repro.translator.outstanding import OutstandingMappingList
 from repro.translator.translation_cache import TranslationCache
 
 
@@ -83,41 +78,9 @@ class TestTranslationCache:
         assert cache.lookup(5) is None
 
 
-class TestOutstandingMappingList:
-    def test_register_resolve(self):
-        oml = OutstandingMappingList(capacity=4)
-        oml.register(1, fam_addr=0xF000, node_addr=0xA000)
-        assert oml.resolve(1) == (0xF000, 0xA000)
-        assert len(oml) == 0
-
-    def test_overflow_is_protocol_error(self):
-        oml = OutstandingMappingList(capacity=1)
-        oml.register(1, 0, 0)
-        with pytest.raises(ProtocolError):
-            oml.register(2, 0, 0)
-
-    def test_duplicate_id_rejected(self):
-        oml = OutstandingMappingList(capacity=4)
-        oml.register(1, 0, 0)
-        with pytest.raises(ProtocolError):
-            oml.register(1, 0, 0)
-
-    def test_unknown_response_rejected(self):
-        oml = OutstandingMappingList(capacity=4)
-        with pytest.raises(ProtocolError):
-            oml.resolve(42)
-
-    def test_peak_occupancy(self):
-        oml = OutstandingMappingList(capacity=8)
-        for i in range(5):
-            oml.register(i, i, i)
-        for i in range(5):
-            oml.resolve(i)
-        assert oml.peak_occupancy == 5
-        assert oml.registered == 5
-
-    def test_paper_capacity_default(self):
-        assert OutstandingMappingList().capacity == 128
+def dram_reservations(dram):
+    """DRAM accesses so far: every read and write reserves a bank."""
+    return sum(bank.reservations for bank in dram.banks._banks)
 
 
 class TestFamTranslator:
@@ -131,15 +94,15 @@ class TestFamTranslator:
         translator, dram = self.make()
         fam_page, completion = translator.lookup_fast(5, now=0.0)
         assert fam_page is None
-        assert dram.accesses == 1
+        assert dram_reservations(dram) == 1
         assert completion >= dram.config.access_ns
 
     def test_install_is_read_modify_write(self):
         translator, dram = self.make()
         done = translator.install(5, 500, now=0.0)
-        assert dram.reads == 1
-        assert dram.writes == 1
-        assert done >= 2 * dram.config.access_ns
+        # A read and then a write of the same row: one bank, serialized.
+        assert dram_reservations(dram) == 2
+        assert done == 2 * dram.config.access_ns
 
     def test_hit_after_install(self):
         translator, _dram = self.make()
@@ -158,7 +121,8 @@ class TestFamTranslator:
         translator.install(5, 500, now=0.0)
         translator.shootdown(5, now=100.0)
         assert translator.lookup_fast(5, now=200.0)[0] is None
-        assert dram.writes == 2  # install write + shootdown write
+        # Install read + write, shootdown write, then the lookup read.
+        assert dram_reservations(dram) == 4
 
     def test_hit_rate_reported(self):
         translator, _dram = self.make()
