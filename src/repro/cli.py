@@ -41,7 +41,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -82,20 +81,6 @@ def _config(args, parser: argparse.ArgumentParser):
         return default_config(nodes=args.nodes)
     except ConfigError as exc:
         parser.error(str(exc))
-
-
-def _default_jobs() -> int:
-    """``--jobs`` default: ``REPRO_SWEEP_JOBS`` when set and sane.
-
-    The same env var the benches honor (``benchmarks/conftest.py``),
-    so one exported setting parallelizes both worlds.  Garbage values
-    fall back to serial rather than breaking every invocation.
-    """
-    raw = os.environ.get("REPRO_SWEEP_JOBS", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _add_sweep_spec_args(parser: argparse.ArgumentParser) -> None:
@@ -443,9 +428,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep", help="run a benchmark x architecture x axis cross "
                       "product on a worker pool")
     _add_sweep_spec_args(sweep_parser)
-    sweep_parser.add_argument("--jobs", type=int, default=_default_jobs(),
-                              help="worker processes (default "
-                                   "$REPRO_SWEEP_JOBS or 1)")
+    sweep_parser.add_argument("--jobs", type=int, default=1,
+                              help="worker processes (default 1)")
     sweep_parser.add_argument("--cache", default=None,
                               help="JSON file memoizing run results "
                                    "(lock-safe across processes)")

@@ -14,7 +14,6 @@ from repro.config.system import FabricConfig, StuConfig, SystemConfig
 __all__ = [
     "default_config",
     "small_config",
-    "with_encrypted_memory",
     "with_stu_entries",
     "with_stu_associativity",
     "with_acm_bits",
@@ -92,11 +91,3 @@ def with_allocation_policy(config: SystemConfig, policy: str) -> SystemConfig:
     """Ablation: contiguous vs random FAM frame placement."""
     allocation = replace(config.allocation, fam_policy=policy)
     return config.replace(allocation=allocation)
-
-
-def with_encrypted_memory(config: SystemConfig,
-                          enabled: bool = True) -> SystemConfig:
-    """Extension (Section III-A aside): per-node encryption keys make
-    read verification unnecessary; only writes are vetted."""
-    stu = replace(config.stu, encrypted_memory_mode=enabled)
-    return config.replace(stu=stu)

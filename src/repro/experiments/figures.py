@@ -456,7 +456,7 @@ def figure_matrix(figure_id: str,
     raise KeyError(f"no run matrix for figure {figure_id!r}")
 
 
-#: Registry used by the CLI and the bench harness.
+#: Registry used by the harness CLI, ``python -m repro.experiments``.
 ALL_FIGURES = {
     "3": figure3,
     "4": figure4,

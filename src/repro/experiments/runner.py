@@ -212,11 +212,7 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def _trace_for(self, benchmark: str, nodes: int):
-        """Build (and memoize per-runner) the traces for a benchmark.
-
-        Deliberately per-instance, not process-wide: the pytest
-        benches rely on a fresh runner re-doing trace generation each
-        measurement round."""
+        """Build (and memoize per-runner) the traces for a benchmark."""
         key = (benchmark, nodes, self.settings)
         traces = self._trace_memo.get(key)
         if traces is None:

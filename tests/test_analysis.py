@@ -538,8 +538,8 @@ class TestRepoTreeIsClean:
     def test_no_test_only_production_api(self):
         # Every function, class and non-dunder method of src/repro
         # (outside repro.analysis) must be referenced by name from
-        # non-test code: src/, perfbench/, examples/, scripts/,
-        # benchmarks/ or a CI workflow.  Matching bare names can only
+        # non-test code: src/, perfbench/, examples/, scripts/ or a
+        # CI workflow.  Matching bare names can only
         # hide a test-only name behind a namesake, never flag a name
         # that is really used.
         defined = {}
@@ -563,7 +563,7 @@ class TestRepoTreeIsClean:
                                 and stmt.name.endswith("__")):
                             defined[f"{module}.{node.name}.{stmt.name}"] \
                                 = stmt.name
-        for folder in ("perfbench", "examples", "scripts", "benchmarks"):
+        for folder in ("perfbench", "examples", "scripts"):
             for path in (REPO_ROOT / folder).rglob("*.py"):
                 used |= self._referenced_names(
                     ast.parse(path.read_text(encoding="utf-8")))
@@ -643,8 +643,8 @@ class TestRepoTreeIsClean:
 
     def test_no_write_only_state(self):
         # Every attribute src/repro (outside repro.analysis) stores
-        # must be loaded by non-test code: src/, perfbench/, examples/,
-        # scripts/ or benchmarks/.  State that only tests read costs
+        # must be loaded by non-test code: src/, perfbench/, examples/
+        # or scripts/.  State that only tests read costs
         # the simulator a store per event and tells no result anything.
         # Matching bare names can only hide a write-only attribute
         # behind a namesake, never flag one that is really read.
@@ -656,7 +656,7 @@ class TestRepoTreeIsClean:
             loads |= module_loads
             if path.relative_to(src).parts[:2] != ("repro", "analysis"):
                 stores.update(module_stores)
-        for folder in ("perfbench", "examples", "scripts", "benchmarks"):
+        for folder in ("perfbench", "examples", "scripts"):
             for path in (REPO_ROOT / folder).rglob("*.py"):
                 loads |= self._stores_and_loads(
                     ast.parse(path.read_text(encoding="utf-8")))[1]
@@ -670,8 +670,8 @@ class TestRepoTreeIsClean:
     def test_imports_are_declared(self):
         # A fresh runner installs only what pyproject.toml declares
         # (CI installs the project with its test extra), so every
-        # third-party import of the library, tests and benchmarks must
-        # be declared there.
+        # third-party import of the library and tests must be declared
+        # there.
         project = tomllib.loads(
             (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
         requirements = (project["project"]["dependencies"]
@@ -679,10 +679,9 @@ class TestRepoTreeIsClean:
         declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group()
                     .lower().replace("-", "_")
                     for requirement in requirements}
-        allowed = declared | set(sys.stdlib_module_names) \
-            | {"repro", "conftest"}
+        allowed = declared | set(sys.stdlib_module_names) | {"repro"}
         undeclared = []
-        for folder in ("src", "tests", "benchmarks"):
+        for folder in ("src", "tests"):
             for path in sorted((REPO_ROOT / folder).rglob("*.py")):
                 if FIXTURES in path.parents:
                     continue  # parsed by the checker, never imported

@@ -122,29 +122,6 @@ class TestSweepCommand:
             main(["sweep", "--benchmark", "mcf", "--axis", "stu-entries"])
         assert "NAME=V1" in capsys.readouterr().err
 
-    def test_sweep_jobs_defaults_to_env_var(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
-        code = main(["sweep", "--benchmark", "mcf", "--arch", "e-fam",
-                     "--events", "800", "--footprint-scale", "0.01"])
-        assert code == 0
-        assert "jobs=3" in capsys.readouterr().out
-
-    def test_sweep_jobs_flag_overrides_env_var(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
-        code = main(["sweep", "--benchmark", "mcf", "--arch", "e-fam",
-                     "--jobs", "1",
-                     "--events", "800", "--footprint-scale", "0.01"])
-        assert code == 0
-        assert "jobs=1" in capsys.readouterr().out
-
-    def test_sweep_garbage_env_var_falls_back_to_serial(
-            self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "a-lot")
-        code = main(["sweep", "--benchmark", "mcf", "--arch", "e-fam",
-                     "--events", "800", "--footprint-scale", "0.01"])
-        assert code == 0
-        assert "jobs=1" in capsys.readouterr().out
-
 
 class TestShardedSweep:
     SPEC = ["--benchmark", "mcf", "--arch", "e-fam", "--arch", "i-fam",

@@ -2,15 +2,23 @@
 aside): with per-node encryption keys, reads skip verification; writes
 are still vetted."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.acm.metadata import Permission
-from repro.config.presets import small_config, with_encrypted_memory
+from repro.config.presets import small_config
 from repro.core.system import FamSystem
 from repro.errors import AccessViolationError
 from repro.workloads.synthetic import PatternSpec, generate_trace
 
 PAGE = 4096
+
+
+def encrypted_config():
+    config = small_config()
+    return config.replace(
+        stu=replace(config.stu, encrypted_memory_mode=True))
 
 
 def trace(seed=1):
@@ -23,7 +31,7 @@ def trace(seed=1):
 
 class TestEncryptedMode:
     def test_reads_skip_acm(self):
-        config = with_encrypted_memory(small_config())
+        config = encrypted_config()
         system = FamSystem(config, "deact-n", seed=5)
         system.run(trace(), benchmark="enc")
         node = system.nodes[0]
@@ -34,12 +42,11 @@ class TestEncryptedMode:
         assert acm_lookups < node.stats.get("mem.fam")
 
     def test_writes_still_verified(self):
-        config = with_encrypted_memory(small_config())
+        config = encrypted_config()
         system = FamSystem(config, "deact-n", seed=5)
         fam_page = system.broker.allocate_for_node(0, node_page=0x99)
         # A foreign node's *write* must still be caught.
-        other = FamSystem(with_encrypted_memory(small_config()),
-                          "deact-n", seed=6)
+        other = FamSystem(encrypted_config(), "deact-n", seed=6)
         with pytest.raises(AccessViolationError):
             system.nodes[0].stu.verify_access(
                 (fam_page + 10_000) * PAGE, now=0.0,
@@ -49,8 +56,7 @@ class TestEncryptedMode:
         """Skipping read verification can only reduce latency."""
         plain = FamSystem(small_config(), "deact-n", seed=5)
         plain_result = plain.run(trace(), benchmark="enc")
-        enc = FamSystem(with_encrypted_memory(small_config()), "deact-n",
-                        seed=5)
+        enc = FamSystem(encrypted_config(), "deact-n", seed=5)
         enc_result = enc.run(trace(), benchmark="enc")
         assert enc_result.ipc >= plain_result.ipc * 0.999
 
@@ -62,8 +68,7 @@ class TestEncryptedMode:
     def test_fewer_acm_fetches_at_fam(self):
         plain = FamSystem(small_config(), "deact-n", seed=5)
         plain.run(trace(), benchmark="enc")
-        enc = FamSystem(with_encrypted_memory(small_config()), "deact-n",
-                        seed=5)
+        enc = FamSystem(encrypted_config(), "deact-n", seed=5)
         enc.run(trace(), benchmark="enc")
         from repro.mem.request import RequestKind
         assert enc.fam.kind_counts[RequestKind.ACM] <= \
