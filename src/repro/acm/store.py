@@ -54,6 +54,9 @@ class AcmStore:
         self.layout = layout
         self._entries: Dict[int, AcmEntry] = {}
         self._bitmaps: Dict[int, SharedPageBitmap] = {}
+        # One frozen entry per (owner, permission class), shared by
+        # every page :meth:`set_owner` gives that pair.
+        self._owned: Dict[Tuple[int, int], AcmEntry] = {}
         # Layout geometry and the shared marker, hoisted for check().
         self._usable_end = layout.metadata_base
         self._page_bytes = layout.page_bytes
@@ -65,8 +68,11 @@ class AcmStore:
     def set_owner(self, fam_page: int, node_id: int,
                   perm_code: int) -> None:
         """Record ``fam_page`` as exclusively owned by ``node_id``."""
-        self._entries[fam_page] = AcmEntry(owner=node_id,
-                                           perm_code=perm_code)
+        entry = self._owned.get((node_id, perm_code))
+        if entry is None:
+            entry = self._owned[node_id, perm_code] = AcmEntry(
+                owner=node_id, perm_code=perm_code)
+        self._entries[fam_page] = entry
 
     def clear(self, fam_page: int) -> None:
         """Mark ``fam_page`` unallocated (all accesses will fail)."""

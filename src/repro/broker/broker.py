@@ -77,6 +77,8 @@ class MemoryBroker:
             seed=allocation.seed, name=f"{name}.fam")
         self._tables: Dict[int, FourLevelPageTable] = {}
         self.stats = Stats(name)
+        # Counter dict hoisted off the first-touch grant.
+        self._counters = self.stats._counters
 
     # ------------------------------------------------------------------
     # Node lifecycle
@@ -119,12 +121,23 @@ class MemoryBroker:
 
     def ensure_mapped(self, node_id: int, node_page: int,
                       perm_code: int = PERM_RW) -> int:
-        """Idempotent grant: return the existing FAM page or allocate."""
-        table = self.system_table(node_id)
-        entry = table.lookup(node_page)
+        """Idempotent grant: return the existing FAM page or allocate.
+
+        A node's first touch of a FAM-zone page lands here, so the
+        grant is done in one call: one probe of the table's leaf index,
+        then :meth:`allocate_for_node`'s body.
+        """
+        table = self._tables.get(node_id)
+        if table is None:
+            raise ConfigError(f"node {node_id} not registered with broker")
+        entry = table._leaves.get(node_page)
         if entry is not None:
             return entry.frame
-        return self.allocate_for_node(node_id, node_page, perm_code)
+        fam_page = self.fam_allocator.allocate() // PAGE_BYTES
+        table.map(node_page, fam_page)
+        self.acm.set_owner(fam_page, node_id, perm_code)
+        self._counters["pages_granted"] += 1.0
+        return fam_page
 
     def translate(self, node_id: int, node_page: int) -> int:
         """System-level translation (functional view, no timing)."""

@@ -5,7 +5,10 @@ The hierarchy is probed with *node physical* block numbers through
 the access, the accumulated on-chip latency and any dirty LLC victims
 to write back; on an LLC miss the caller sends the request down the
 memory path (local DRAM or the FAM translation machinery).  Each
-level's payload is the line's dirty bit.
+level's payload is the line's dirty bit.  The node's per-event loop
+calls :meth:`~CacheHierarchy.access_fast` once per page-walk step and,
+having probed L1 itself, :meth:`~CacheHierarchy.access_after_l1_miss`
+once per data L1 miss; no node-level helper sits in between.
 
 The paper assumes "L1, L2, and L3 caches are inclusive".  The model
 enforces that only partly:

@@ -20,6 +20,11 @@ FAM-zone access crosses the fabric:
 
 Strategies hold no per-node state — nodes carry their own STU and FAM
 translator — so one instance can serve every node in a system.
+
+Each fabric crossing is a call to one of the fabric's four hop
+primitives (a response is ``fam_to_stu_arrival`` then
+``stu_to_node_arrival``), not to its composite paths, which only the
+:mod:`repro.core.refpath` oracle uses.
 """
 
 from __future__ import annotations
@@ -112,14 +117,15 @@ class EFam(Architecture):
 
     def fam_access_fast(self, node: Node, npa: int, now: float,
                         is_write: bool, kind: RequestKind) -> float:
+        fabric = node.fabric
         fam_page = node.broker.translate(node.node_id, npa >> _PAGE_SHIFT)
         fam_addr = (fam_page << _PAGE_SHIFT) | (npa & _PAGE_MASK)
-        depart = node.fabric.node_to_fam_arrival(now)
+        depart = fabric.stu_to_fam_arrival(fabric.node_to_stu_arrival(now))
         served = node.fam.access(fam_addr, depart, is_write=is_write,
                                  kind=kind, node_id=node.node_id)
         if is_write:
             return served
-        return node.fabric.fam_to_node_arrival(served)
+        return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
 
 
 class IFam(Architecture):
@@ -139,7 +145,8 @@ class IFam(Architecture):
         stu = node.stu
         if stu is None:
             raise ProtocolError("I-FAM node has no STU attached")
-        t = node.fabric.node_to_stu_arrival(now)
+        fabric = node.fabric
+        t = fabric.node_to_stu_arrival(now)
         fam_page, t, hit = stu.ifam_translate(npa >> _PAGE_SHIFT, t)
         if hit:
             node._stat_counters["stu.translation_hits"] += 1.0
@@ -151,12 +158,12 @@ class IFam(Architecture):
         # authoritative store.
         node.broker.acm.verify(node.node_id, fam_addr,
                                _PERM_WRITE if is_write else _PERM_READ)
-        depart = node.fabric.stu_to_fam_arrival(t)
+        depart = fabric.stu_to_fam_arrival(t)
         served = node.fam.access(fam_addr, depart, is_write=is_write,
                                  kind=kind, node_id=node.node_id)
         if is_write:
             return served
-        return node.fabric.fam_to_node_arrival(served)
+        return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
 
     def translation_hit_rate(self, node: Node) -> float:
         org = node.stu.organization if node.stu else None
@@ -179,6 +186,7 @@ class _DeactBase(Architecture):
         translator = node.fam_translator
         if stu is None or translator is None:
             raise ProtocolError("DeACT node missing STU or FAM translator")
+        fabric = node.fabric
         node_page = npa >> _PAGE_SHIFT
         offset = npa & _PAGE_MASK
         needed = _PERM_WRITE if is_write else _PERM_READ
@@ -194,7 +202,7 @@ class _DeactBase(Architecture):
             # Verified-flag path: node supplies the FAM address; the
             # STU only checks access control.
             fam_addr = (fam_page << _PAGE_SHIFT) | offset
-            t = node.fabric.node_to_stu_arrival(lookup_done)
+            t = fabric.node_to_stu_arrival(lookup_done)
             if skip_verification:
                 node._stat_counters["stu.reads_unverified"] += 1.0
             else:
@@ -202,7 +210,7 @@ class _DeactBase(Architecture):
         else:
             # V=0 path: the STU walks the system page table on behalf
             # of the FAM translator, then verifies.
-            t = node.fabric.node_to_stu_arrival(lookup_done)
+            t = fabric.node_to_stu_arrival(lookup_done)
             fam_page, walk_done = stu.walk_system_table_fast(node_page, t)
             fam_addr = (fam_page << _PAGE_SHIFT) | offset
             if skip_verification:
@@ -214,15 +222,15 @@ class _DeactBase(Architecture):
             # Mapping response: the STU ships {node page -> FAM page}
             # back; the translator read-modify-writes its DRAM row.
             # Off the data's critical path but real DRAM bank work.
-            mapping_at_node = node.fabric.stu_to_node_arrival(t)
+            mapping_at_node = fabric.stu_to_node_arrival(t)
             translator.install(node_page, fam_page, mapping_at_node)
 
-        depart = node.fabric.stu_to_fam_arrival(t)
+        depart = fabric.stu_to_fam_arrival(t)
         served = node.fam.access(fam_addr, depart, is_write=is_write,
                                  kind=kind, node_id=node.node_id)
         if is_write:
             return served
-        return node.fabric.fam_to_node_arrival(served)
+        return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
 
     def translation_hit_rate(self, node: Node) -> float:
         return (node.fam_translator.hit_rate

@@ -23,16 +23,21 @@ trace through it on a single node; the multi-node interleaved driver
 calls it with an ``until`` bound, the heap's next key, so each call
 runs the node for as long as the seed's per-event heap would have
 kept picking it.  :meth:`Node.step_fast` is a one-event
-``run_events``.  Boxed :class:`~repro.workloads.trace.TraceEvent`
-objects survive only in the :mod:`repro.core.refpath` oracle.
+``run_events``.  The loop makes each modeled operation one call into
+the layer that owns it — a walk step into the cache hierarchy, an LLC
+miss or write-back into local DRAM or the architecture's FAM access
+procedure — with no node-level helper in between.  A first touch is
+one broker grant.  Boxed :class:`~repro.workloads.trace.TraceEvent`
+objects and the seed's composed page fault survive only in the
+:mod:`repro.core.refpath` oracle.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from heapq import heappop
-from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
+from heapq import heappop, heappush
+from typing import Iterable, Optional, Tuple, TYPE_CHECKING
 
 from repro.broker.broker import MemoryBroker
 from repro.cache.hierarchy import CacheHierarchy
@@ -101,6 +106,9 @@ class Node:
 
         # --- OS layer -------------------------------------------------
         self._rng = random.Random(seed)
+        # Placement draw and split hoisted off the first-touch path.
+        self._draw = self._rng.random
+        self._local_fraction = config.allocation.local_fraction
         self.page_table = FourLevelPageTable(self._allocate_os_frame,
                                              name=f"{self.name}.pt")
         self.mmu = Mmu(self.page_table, config.tlb, config.ptw,
@@ -144,54 +152,29 @@ class Node:
         broker immediately — the Opal grant that also installs the
         system-page-table entry and the ACM.
         """
-        want_local = self._rng.random() < self.config.allocation.local_fraction
-        if want_local and self._local_frames_free > 0:
+        if (self._draw() < self._local_fraction
+                and self._local_frames_free > 0):
             frame = self._next_local_frame
             self._next_local_frame += 1
             self._local_frames_free -= 1
-            self.stats.incr("frames.local")
+            self._stat_counters["frames.local"] += 1.0
             return frame * PAGE_BYTES
         node_page = self._next_fam_zone_page
         self._next_fam_zone_page += 1
         self.broker.ensure_mapped(self.node_id, node_page)
-        self.stats.incr("frames.fam")
+        self._stat_counters["frames.fam"] += 1.0
         return node_page * PAGE_BYTES
 
     def _handle_page_fault(self, vpn: int) -> None:
-        """First touch of a virtual page: allocate and map a frame."""
+        """First touch of a virtual page: allocate and map a frame.
+        The seed body is :func:`repro.core.refpath._ref_page_fault`."""
         frame_addr = self._allocate_os_frame()
-        self.page_table.map(vpn, frame_addr // PAGE_BYTES)
-        self.stats.incr("page_faults")
+        self.page_table.map(vpn, frame_addr >> self._page_shift)
+        self._stat_counters["page_faults"] += 1.0
 
     # ------------------------------------------------------------------
     # Per-event path
     # ------------------------------------------------------------------
-    def _memory_access_fast(self, npa: int, now: float, is_write: bool,
-                            kind: RequestKind) -> float:
-        """LLC-miss path: local DRAM below :attr:`fam_zone_base`, the
-        architecture's FAM access procedure from it on."""
-        if npa < self.fam_zone_base:
-            self._stat_counters["mem.local"] += 1.0
-            return self.dram.access(npa, now)
-        self._stat_counters["mem.fam"] += 1.0
-        if kind is _KIND_DATA:
-            self._stat_counters["mem.fam_data"] += 1.0
-        return self.architecture.fam_access_fast(self, npa, now, is_write,
-                                                 kind)
-
-    @hot_path
-    def _charge_block(self, block: int, addr: int, now: float,
-                      is_write: bool, kind: RequestKind) -> float:
-        """Charge one block access (page-walk step) through the cache
-        hierarchy and, on a full miss, the memory path."""
-        level, latency, writebacks = self.caches.access_fast(block, is_write)
-        t = now + latency
-        for wb_addr in writebacks:
-            self._memory_access_fast(wb_addr, t, True, _KIND_WRITEBACK)
-        if level:
-            return t
-        return self._memory_access_fast(addr, t, is_write, kind)
-
     def step_fast(self, gap: int, vpn: int, offset: int, blk: int,
                   is_write: bool, dependent: bool) -> float:
         """Advance the core over one pre-decoded trace event (a
@@ -228,15 +211,22 @@ class Node:
 
         Every per-event attribute lookup is hoisted into a local, and
         the L1 TLB probe, the L1 data-cache probe and the core
-        window's not-full ``admit`` are inlined.  Taking an iterator
-        lets :meth:`run_decoded` feed a ``zip`` over the decoded trace
-        columns, so events never materialize as boxed objects.
-        Counter write-back happens in ``finally`` so a mid-trace access
-        violation still leaves instruction/event counts sane.
+        window's not-full ``admit`` and ``record`` are inlined.  Each
+        modeled operation below that is one call into the layer that
+        owns it: a page-walk step is one
+        :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, and
+        an LLC miss or write-back is one ``DramDevice.access`` below
+        :attr:`fam_zone_base` or one ``Architecture.fam_access_fast``
+        from it on.  Those callees are looked up once per call, so a
+        wrapper installed on their class before the call sees them.
+        Taking an iterator lets :meth:`run_decoded` feed a ``zip`` over
+        the decoded trace columns, so events never materialize as boxed
+        objects.  Counter write-back happens in ``finally`` so a
+        mid-trace access violation still leaves instruction/event
+        counts sane.
         """
         window = self.window
         admit = window.admit
-        record = window.record
         completions = window._completions
         capacity = window.capacity
         mmu = self.mmu
@@ -246,6 +236,7 @@ class Node:
         tlb_l1_mask = tlb_l1._mask
         tlb_l1_n_sets = tlb_l1.n_sets
         caches = self.caches
+        access_block = caches.access_fast
         hier_l1_missed = caches.access_after_l1_miss
         data_l1 = caches._l1
         data_l1_sets = data_l1._sets
@@ -254,8 +245,10 @@ class Node:
         lat1 = caches._lat1
         mapped = self.page_table._leaves  # demand-paging check
         page_fault = self._handle_page_fault
-        charge_block = self._charge_block
-        memory_access = self._memory_access_fast
+        dram_access = self.dram.access
+        fam_access = self.architecture.fam_access_fast
+        fam_zone_base = self.fam_zone_base
+        counters = self._stat_counters
         slot_ns = self._slot_ns
         block_shift = self._block_shift
         frame_block_shift = self._frame_block_shift
@@ -292,10 +285,30 @@ class Node:
                     frame, _lvl, tlb_latency, walk_addrs = \
                         translate_l1_missed(vpn)
                     t = issue + tlb_latency
-                    if walk_addrs:
-                        for addr in walk_addrs:
-                            t = charge_block(addr >> block_shift, addr, t,
-                                             False, _KIND_NODE_PTW)
+                    # Each surviving walk step reads its entry through
+                    # the caches and, on a full miss, from memory.
+                    for addr in walk_addrs:
+                        level, latency, writebacks = access_block(
+                            addr >> block_shift, False)
+                        t += latency
+                        if writebacks:
+                            for wb_addr in writebacks:
+                                if wb_addr < fam_zone_base:
+                                    counters["mem.local"] += 1.0
+                                    dram_access(wb_addr, t)
+                                else:
+                                    counters["mem.fam"] += 1.0
+                                    fam_access(self, wb_addr, t, True,
+                                               _KIND_WRITEBACK)
+                        if level:
+                            continue
+                        if addr < fam_zone_base:
+                            counters["mem.local"] += 1.0
+                            t = dram_access(addr, t)
+                        else:
+                            counters["mem.fam"] += 1.0
+                            t = fam_access(self, addr, t, False,
+                                           _KIND_NODE_PTW)
 
                 # --- data reference: L1 cache probe inlined ----------
                 block = (frame << frame_block_shift) | blk
@@ -315,14 +328,26 @@ class Node:
                     t += latency
                     if writebacks:
                         for wb_addr in writebacks:
-                            memory_access(wb_addr, t, True, _KIND_WRITEBACK)
+                            if wb_addr < fam_zone_base:
+                                counters["mem.local"] += 1.0
+                                dram_access(wb_addr, t)
+                            else:
+                                counters["mem.fam"] += 1.0
+                                fam_access(self, wb_addr, t, True,
+                                           _KIND_WRITEBACK)
                     if level:
                         core_time = t
                     else:
-                        completion = memory_access(
-                            (frame << page_shift) | offset, t, is_write,
-                            _KIND_DATA)
-                        record(completion)
+                        npa = (frame << page_shift) | offset
+                        if npa < fam_zone_base:
+                            counters["mem.local"] += 1.0
+                            completion = dram_access(npa, t)
+                        else:
+                            counters["mem.fam"] += 1.0
+                            counters["mem.fam_data"] += 1.0
+                            completion = fam_access(self, npa, t, is_write,
+                                                    _KIND_DATA)
+                        heappush(completions, completion)
                         if dependent and not is_write:
                             if completion > core_time:
                                 core_time = completion

@@ -37,10 +37,21 @@ production walker reads entry addresses from the page table's walk
 store, while ``_ref_walker_walk`` descends the radix tree through
 ``FourLevelPageTable.walk_entries``.
 
+Likewise the layers above the leaves probe and fill their tag stores
+in place, call the fabric's hop primitives directly and grant a first
+touch in one broker call, while this module keeps the composed seed
+calls: ``TranslationCache.lookup``, the STU organizations' ``lookup``
+and ``install``, ``FabricNetwork.fam_to_node_arrival`` /
+``node_to_fam_arrival``, and ``_ref_page_fault``'s system-table probe
+plus ``MemoryBroker.allocate_for_node``.
+
 The tag stores' sets are shared with production, so the mirror here
 uses their representation: key -> payload, with a data cache's payload
 its dirty bit (the seed stored a ``[value, dirty]`` list per line).
-The fill algorithm is the seed's.
+The fill algorithm is the seed's (``_ref_fill``), except that the STU
+organizations fill through their own ``install``: production fills
+them in place, so the two paths still differ, and
+``TestTagStoreEquivalence`` pins ``fill_line`` to the seed fill.
 
 This module reaches into private attributes of the components it
 mirrors (``_sets``, ``_rng``, ``_levels`` ...); that is intentional —
@@ -64,7 +75,6 @@ from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
 from repro.pagetable.walker import PageTableWalker, _BITS_PER_LEVEL
 from repro.pagetable.x86 import WalkStep
-from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache
 from repro.stu.stu import Stu, VerificationResult
 from repro.tlb.mmu import Mmu
 from repro.tlb.tlb import TwoLevelTlb
@@ -390,11 +400,7 @@ def _ref_stu_verify(stu: Stu, fam_addr: int, now: float,
         served = _ref_nvm_access(stu.fam, block_addr, depart, False,
                                  RequestKind.ACM, stu.node_id)
         t = stu.fabric.fam_to_stu_arrival(served)
-        if isinstance(organization, DeactWAcmCache):
-            _ref_fill(organization._cache,
-                      organization._group(fam_page), True)
-        else:
-            _ref_fill(organization._cache, fam_page, True)
+        organization.install(fam_page)
     allowed, consulted_bitmap = _ref_acm_check(stu.acm_store, stu.node_id,
                                                fam_addr, needed)
     if consulted_bitmap:
@@ -425,7 +431,7 @@ def _ref_ifam_translate(stu: Stu, node_page: int,
         return fam_page, t, True
     stu.stats.incr("mapping.misses")
     walk = _ref_stu_walk(stu, node_page, t)
-    _ref_fill(stu.organization._cache, node_page, walk.fam_page)
+    stu.organization.install(node_page, walk.fam_page)
     return walk.fam_page, walk.completion_ns, False
 
 
@@ -547,11 +553,35 @@ def _ref_cached_access(node: Node, npa: int, now: float, is_write: bool,
     return _ref_memory_access(node, npa, t, is_write, kind), 0
 
 
+def _ref_page_fault(node: Node, vpn: int) -> None:
+    """The seed first touch: the placement draw, then a local frame or
+    a broker grant (system-table probe, then ``allocate_for_node``),
+    then the node's map.  Interior table frames the map needs still
+    come from the table's allocator callback."""
+    want_local = node._rng.random() < node.config.allocation.local_fraction
+    if want_local and node._local_frames_free > 0:
+        frame = node._next_local_frame
+        node._next_local_frame += 1
+        node._local_frames_free -= 1
+        node.stats.incr("frames.local")
+        frame_addr = frame * PAGE_BYTES
+    else:
+        node_page = node._next_fam_zone_page
+        node._next_fam_zone_page += 1
+        broker = node.broker
+        if broker.system_table(node.node_id).lookup(node_page) is None:
+            broker.allocate_for_node(node.node_id, node_page)
+        node.stats.incr("frames.fam")
+        frame_addr = node_page * PAGE_BYTES
+    node.page_table.map(vpn, frame_addr // PAGE_BYTES)
+    node.stats.incr("page_faults")
+
+
 def _ref_node_access(node: Node, vaddr: int, is_write: bool,
                      now: float) -> Tuple[float, int]:
     vpn = node.mmu.vpn_of(vaddr)
     if vpn not in node.page_table:
-        node._handle_page_fault(vpn)
+        _ref_page_fault(node, vpn)
     outcome = _ref_mmu_translate(node.mmu, vaddr)
     t = now + outcome.tlb_latency_ns
     for step in outcome.walk_steps:

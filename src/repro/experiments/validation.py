@@ -123,7 +123,10 @@ def _fig12_n_beats_w(figure: FigureResult) -> bool:
 
 def _monotone_rows(figure: FigureResult, increasing: bool,
                    tolerance: float = 0.1) -> bool:
-    """Each row's series values trend monotonically (with slack)."""
+    """Each row's series values trend monotonically: no adjacent step
+    goes the wrong way by more than ``tolerance``, and the last value
+    lies strictly beyond the first in the claimed direction (the slack
+    alone would pass a series that falls end to end)."""
     for row in figure.rows:
         values = [row.values[s] for s in figure.series
                   if s in row.values]
@@ -132,6 +135,9 @@ def _monotone_rows(figure: FigureResult, increasing: bool,
                 return False
             if not increasing and b > a + tolerance:
                 return False
+        if values and not (values[-1] > values[0] if increasing
+                           else values[-1] < values[0]):
+            return False
     return True
 
 

@@ -16,7 +16,7 @@ PTE_WRITE = 0x2
 PTE_EXEC = 0x4
 
 
-@dataclass
+@dataclass(slots=True)
 class PageTableEntry:
     """A leaf (PTE-level) translation entry.
 

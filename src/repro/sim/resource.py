@@ -21,9 +21,9 @@ The per-access callers inline the cheap parts of the last two: the
 memory devices pick the bank themselves (the arithmetic of
 :meth:`BankedResource.reserve`) and call the chosen bank's
 :meth:`TimedResource.reserve`; :meth:`repro.mem.device.NvmDevice.access`
-and :meth:`repro.core.node.Node.run_events` drain their window and
-admit into a not-full one in line, calling :meth:`OutstandingWindow.admit`
-only when it is full.  Those callers hold aliases of ``_banks`` and
+and :meth:`repro.core.node.Node.run_events` drain their window, admit
+into a not-full one and record completions in line, calling
+:meth:`OutstandingWindow.admit` only when it is full.  Those callers hold aliases of ``_banks`` and
 ``_completions``; nothing rebinds either list, since every run builds
 its resources fresh.
 """

@@ -17,6 +17,13 @@ strategies in :mod:`repro.core.architectures`:
   consultation, and the actual allow/deny decision against the
   authoritative :class:`~repro.acm.store.AcmStore`.
 
+:meth:`ifam_translate` and :meth:`verify_access_fast` probe and fill
+the organization's tag store in place, as
+:meth:`~repro.pagetable.walker.PageTableWalker.walk` does its walk
+caches: one call per modeled operation, with no call into the
+organization or the store.  :mod:`repro.core.refpath` composes the
+seed calls instead: the organization's ``lookup`` and ``install``.
+
 :meth:`verify_access` runs the same verification and also reports its
 outcome as a :class:`VerificationResult`, for callers outside the
 simulation loop.
@@ -69,15 +76,25 @@ class Stu:
         self.organization = organization
         self.name = name
         self.stats = Stats(name)
-        # Counter dict, organization kind and lookup latency hoisted
-        # off the per-verification path.
+        # Counter dict and lookup latency hoisted off the per-access
+        # path.
         self._counters = self.stats._counters
-        self._org_is_deact = isinstance(organization,
-                                        (DeactWAcmCache, DeactNAcmCache))
         self._lookup_ns = config.lookup_ns
-        # FAM layout geometry for the inline page derivation.
+        # The organization's tag store, probed and filled in place:
+        # the I-FAM mapping cache, or the DeACT ACM cache with the FAM
+        # bytes one of its keys covers (a way's page group for
+        # DeACT-W, one page for DeACT-N).  ``None`` where the
+        # organization is of the other kind.
+        store = organization._cache if organization is not None else None
+        self._mapping_cache = (store if isinstance(organization,
+                                                   IFamStuCache) else None)
+        self._acm_cache = (store if isinstance(
+            organization, (DeactWAcmCache, DeactNAcmCache)) else None)
+        self._acm_key_bytes = acm_store.layout.page_bytes * (
+            organization.pages_per_way
+            if isinstance(organization, DeactWAcmCache) else 1)
+        # FAM layout geometry for the inline usable-range check.
         self._usable_end = acm_store.layout.metadata_base
-        self._page_bytes = acm_store.layout.page_bytes
         # The STU has a single FAM-PTW unit (Figure 6): concurrent
         # translation misses from one node serialize behind it.  This
         # is the mechanism that lets translation misses destroy
@@ -95,19 +112,30 @@ class Stu:
         Returns ``(fam_page, completion_ns, hit)``.  On a miss, the
         system page table is walked with serial FAM round trips and
         the mapping (including its ACM, which travels with the PTE in
-        I-FAM) is installed.
+        I-FAM) is installed.  The cache is probed and filled in place
+        (LRU; ``node_page`` is absent when the fill runs, since the
+        walk touches no STU cache).
         """
-        if not isinstance(self.organization, IFamStuCache):
+        cache = self._mapping_cache
+        if cache is None:
             raise ProtocolError(
                 f"{self.name}: ifam_translate on a {type(self.organization)}")
-        t = now + self.config.lookup_ns
-        fam_page = self.organization.lookup(node_page)
+        t = now + self._lookup_ns
+        mask = cache._mask
+        lines = cache._sets[node_page & mask if mask >= 0
+                            else node_page % cache.n_sets]
+        fam_page = lines.get(node_page)
         if fam_page is not None:
+            cache.hits += 1
+            lines.move_to_end(node_page)
             self._counters["mapping.hits"] += 1.0
             return fam_page, t, True
+        cache.misses += 1
         self._counters["mapping.misses"] += 1.0
         fam_page, completion = self.walk_system_table_fast(node_page, t)
-        self.organization.install(node_page, fam_page)
+        if len(lines) >= cache.associativity:
+            lines.popitem(False)
+        lines[node_page] = fam_page
         return fam_page, completion, False
 
     # ------------------------------------------------------------------
@@ -156,18 +184,26 @@ class Stu:
         AccessViolationError
             When ``enforce`` is set and the metadata denies the access.
         """
-        if not self._org_is_deact:
+        cache = self._acm_cache
+        if cache is None:
             raise ProtocolError(
                 f"{self.name}: verify_access needs a DeACT ACM cache")
         layout = self.acm_store.layout
         if not 0 <= fam_addr < self._usable_end:
             layout._check_usable(fam_addr)
-        fam_page = fam_addr // self._page_bytes
         t = now + self._lookup_ns
-        acm_hit = self.organization.lookup(fam_page)
-        if acm_hit:
+        # The ACM cache, probed and filled in place (LRU; the key is
+        # absent when the fill runs, since the fetch touches no STU
+        # cache).
+        key = fam_addr // self._acm_key_bytes
+        mask = cache._mask
+        lines = cache._sets[key & mask if mask >= 0 else key % cache.n_sets]
+        if key in lines:
+            cache.hits += 1
+            lines.move_to_end(key)
             self._counters["acm.hits"] += 1.0
         else:
+            cache.misses += 1
             self._counters["acm.misses"] += 1.0
             block_addr = layout.acm_block_addr(fam_addr)
             depart = self.fabric.stu_to_fam_arrival(t)
@@ -175,7 +211,9 @@ class Stu:
                                      kind=RequestKind.ACM,
                                      node_id=self.node_id)
             t = self.fabric.fam_to_stu_arrival(served)
-            self.organization.install(fam_page)
+            if len(lines) >= cache.associativity:
+                lines.popitem(False)
+            lines[key] = True
 
         allowed, consulted_bitmap = self.acm_store.check(
             self.node_id, fam_addr, needed)

@@ -7,8 +7,10 @@ the node can charge them through its cache hierarchy and memory path —
 page walks are ordinary memory reads to wherever the table pages live.
 
 The per-event loop probes the L1 TLB itself and calls
-:meth:`Mmu.translate_after_l1_miss` on a miss; :meth:`Mmu.translate_fast`
-is the same translation as one call.  Both return a plain
+:meth:`Mmu.translate_after_l1_miss` on a miss, which probes L2, walks
+on a miss and refills both TLB levels in place, with no call into the
+tag stores; :meth:`Mmu.translate_fast` is the same translation as one
+call, through the TLB's own probe and install.  Both return a plain
 ``(frame, tlb_level, tlb_latency_ns, walk_addrs)`` tuple, where
 ``walk_addrs`` is a tuple of page-table entry addresses (empty on a
 TLB hit).
@@ -83,10 +85,12 @@ class Mmu:
         responsibility; everything downstream (L2, walker, installs)
         is accounted here identically.
 
-        An L2 hit refills L1 in one pass, with ``get_line``'s hit
-        accounting and ``fill_line``'s body inlined: both levels are
-        LRU, and ``vpn`` is absent from L1 (the caller just missed
-        there), so the refill skips the replace-in-place check.
+        An L2 hit refills L1, and a walk refills L2 then L1, each in
+        place with ``get_line``'s accounting and ``fill_line``'s body
+        inlined: both levels are LRU, and ``vpn`` is absent from every
+        level the refill writes (the caller just missed L1, this call
+        just missed L2, and a walk touches no TLB), so the refills
+        skip the replace-in-place check.
         """
         tlb = self.tlb
         l2 = tlb.l2
@@ -106,7 +110,15 @@ class Mmu:
         l2.misses += 1
         self.walks += 1
         frame, walk_addrs = self.walker.walk(vpn)
-        tlb.install(vpn, frame)
+        if len(lines) >= l2.associativity:
+            lines.popitem(False)
+        lines[vpn] = frame
+        l1 = tlb.l1
+        mask = l1._mask
+        lines = l1._sets[vpn & mask if mask >= 0 else vpn % l1.n_sets]
+        if len(lines) >= l1.associativity:
+            lines.popitem(False)
+        lines[vpn] = frame
         return frame, 0, tlb._l2_latency_ns, walk_addrs
 
     def shootdown(self, vpn: int) -> None:

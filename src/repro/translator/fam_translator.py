@@ -13,6 +13,13 @@ The translation cache occupies the top of local DRAM; every lookup is
 a genuine DRAM access — the cost the paper accepts in exchange for the
 cache's capacity ("the local memory is accessed for every FAM access
 for the translation").
+
+:meth:`FamTranslator.lookup_fast` and :meth:`FamTranslator.install`
+match and fill the cache's tag store in place, one DRAM row per set;
+only an install that must pick a random victim (or replace a resident
+mapping) calls :meth:`TranslationCache.install`.
+:mod:`repro.core.refpath` keeps the composed seed calls
+(``TranslationCache.lookup`` and the seed fill).
 """
 
 from __future__ import annotations
@@ -43,7 +50,10 @@ class FamTranslator:
         self.name = name
         self.cache = TranslationCache(config, name=f"{name}.tcache",
                                       seed=seed)
-        # Row-address arithmetic memoized off the per-access path.
+        # The cache's tag store (one set per DRAM row), probed and
+        # filled in place, and the row-address arithmetic, memoized
+        # off the per-access path.
+        self._store = self.cache._cache
         self._n_rows = config.n_sets
         self._row_bytes = config.entry_bytes * config.associativity
         self.stats = Stats(name)
@@ -63,14 +73,20 @@ class FamTranslator:
         Returns ``(fam_page, completion_ns)``.  ``fam_page`` is
         ``None`` on a miss — the caller must forward the request to
         the STU with ``V=0`` for a system-page-table walk.  This runs
-        once per FAM-bound DeACT request.
+        once per FAM-bound DeACT request.  The row's tags are matched
+        in place; random replacement keeps no recency, so a hit leaves
+        the row's order alone.
         """
-        row = self.region_base + (node_page % self._n_rows) * self._row_bytes
-        t = self.dram.access(row, now) + _TAG_MATCH_NS
-        fam_page = self.cache.lookup(node_page)
+        index = node_page % self._n_rows
+        t = self.dram.access(self.region_base + index * self._row_bytes,
+                             now) + _TAG_MATCH_NS
+        store = self._store
+        fam_page = store._sets[index].get(node_page)
         if fam_page is None:
+            store.misses += 1
             self._stat_counters["misses"] += 1.0
         else:
+            store.hits += 1
             self._stat_counters["hits"] += 1.0
         return fam_page, t
 
@@ -80,12 +96,21 @@ class FamTranslator:
         Returns the completion time of the write-back; callers may
         treat it as off the critical path (the pending request was
         already forwarded by the STU), but the DRAM bank time is real
-        and contends with demand traffic.
+        and contends with demand traffic.  A free way of the row is
+        filled in place; a resident mapping or a full row goes through
+        :meth:`TranslationCache.install`, whose seeded draw picks the
+        victim.
         """
-        row = self.row_address(node_page)
+        index = node_page % self._n_rows
+        row = self.region_base + index * self._row_bytes
         read_done = self.dram.access(row, now)
         write_done = self.dram.access(row, read_done)
-        self.cache.install(node_page, fam_page)
+        store = self._store
+        lines = store._sets[index]
+        if node_page in lines or len(lines) >= store.associativity:
+            self.cache.install(node_page, fam_page)
+        else:
+            lines[node_page] = fam_page
         return write_done
 
     # ------------------------------------------------------------------

@@ -406,7 +406,7 @@ class TestRepoTreeIsClean:
         from repro.tlb.mmu import Mmu
 
         for func in (Node.run_events, Node.run_decoded,
-                     Node._charge_block, Mmu.translate_after_l1_miss,
+                     Mmu.translate_after_l1_miss,
                      CacheHierarchy.access_after_l1_miss,
                      NvmDevice.access, DramDevice.access, AcmStore.check,
                      PageTableWalker.walk):
@@ -421,7 +421,7 @@ class TestRepoTreeIsClean:
                  "WalkResult"}
         deleted = {
             "Node": {"step", "access", "cached_access", "memory_access",
-                     "in_fam_zone"},
+                     "in_fam_zone", "_charge_block", "_memory_access_fast"},
             "Architecture": {"fam_access", "_fam_address",
                              "_needed_permission"},
             "CacheHierarchy": {"access", "block_address"},

@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro.config.presets import default_config, with_nodes
 from repro.config.system import FabricConfig, FamConfig, GIB, LocalMemoryConfig
+from repro.core.system import FamSystem
+from repro.experiments.runner import RunSettings, build_traces
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
+from repro.sim.resource import TimedResource
+
+#: The fabric's hop primitives, by the counter each one bumps.
+HOPS = ("node_to_stu", "stu_to_node", "stu_to_fam", "fam_to_stu")
 
 
 class TestFabricNetwork:
@@ -136,3 +143,47 @@ class TestRequestKinds:
             counts[kind] += 1
         assert list(counts) == list(RequestKind)
         assert set(counts.values()) == {1}
+
+
+class TestEveryWaitIsACall:
+    """Every bank or port reservation is a ``TimedResource.reserve``
+    call and every fabric hop a call to its primitive, so a wrapper on
+    those methods sees all of them: the fabric-port and FAM-bank wait
+    metrics of the figure-harness benchmark are read that way, and an
+    inlined reservation or hop would zero them silently."""
+
+    @pytest.mark.parametrize("nodes", (1, 2))
+    @pytest.mark.parametrize("architecture",
+                             ("e-fam", "i-fam", "deact-w", "deact-n"))
+    def test_calls_match_counters(self, architecture, nodes):
+        calls = dict.fromkeys(("reserve",) + HOPS, 0)
+        patches = [(TimedResource, "reserve", "reserve")] + [
+            (FabricNetwork, f"{hop}_arrival", hop) for hop in HOPS]
+        originals = [(cls, attr, cls.__dict__[attr])
+                     for cls, attr, _key in patches]
+
+        def counting(method, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        settings = RunSettings(n_events=1000, footprint_scale=0.01, seed=5)
+        traces = build_traces("canl", nodes, settings)
+        system = FamSystem(with_nodes(default_config(), nodes),
+                           architecture, seed=5)
+        try:
+            for cls, attr, key in patches:
+                setattr(cls, attr, counting(cls.__dict__[attr], key))
+            system.run(traces, benchmark="canl")
+        finally:
+            for cls, attr, original in originals:
+                setattr(cls, attr, original)
+
+        resources = [*system.fam.banks._banks, system.fabric.fam_port]
+        for node in system.nodes:
+            resources += node.dram.banks._banks
+        assert calls["reserve"] == sum(r.reservations for r in resources)
+        for hop in HOPS:
+            assert calls[hop] == system.fabric.stats.get(hop), hop
+        assert all(calls.values()), calls

@@ -8,7 +8,10 @@ preserved in :mod:`repro.core.refpath`.  This
 suite pins that down across every catalog benchmark, every
 architecture, and the multi-node interleaved driver — comparing full
 serialized result dicts, so a single drifting counter anywhere in the
-system fails loudly.
+system fails loudly.  Each comparison also covers what the result
+dict does not carry: every tag store's hit and miss counts, the
+system's tag-store probe total, and the state of each node's
+placement draws (the reference path takes its own page-fault route).
 """
 
 import dataclasses
@@ -34,16 +37,48 @@ FAST = RunSettings(n_events=1000, footprint_scale=0.01, seed=5)
 ARCHITECTURES = ("e-fam", "i-fam", "deact-w", "deact-n")
 
 
+def _tag_stores(node):
+    """Every tag store ``node`` probes: L1/L2/L3, both TLB levels, the
+    node and STU walk caches, the STU organization's store and the
+    translation cache."""
+    stores = [*node.caches.levels, node.mmu.tlb.l1, node.mmu.tlb.l2,
+              *node.mmu.walker._caches]
+    if node.stu is not None:
+        stores += node.stu.walker._caches
+        if node.stu.organization is not None:
+            stores.append(node.stu.organization._cache)
+    if node.fam_translator is not None:
+        stores.append(node.fam_translator.cache._cache)
+    return stores
+
+
+def _outcome(system, bench, traces, reference=False):
+    """Run ``system``; return its serialized result plus the state the
+    result does not carry: each tag store's (hits, misses), the
+    system's tag-store probe total, and where each node's placement
+    draws stand."""
+    outcome = _result_to_dict(system.run(traces, benchmark=bench,
+                                         reference=reference))
+    outcome["tag_stores"] = [
+        [(store.name, store.hits, store.misses)
+         for store in _tag_stores(node)]
+        for node in system.nodes]
+    outcome["tag_store_probes"] = system.tag_store_probes()
+    outcome["placement_draws"] = [node._rng.getstate()
+                                  for node in system.nodes]
+    return outcome
+
+
 def _run_both(bench, architecture, config):
-    """Run both tiers on fresh systems; return serialized dicts
+    """Run both tiers on fresh systems; return their outcomes
     ``(fast, reference)``."""
     traces = build_traces(bench, config.nodes, FAST)
     seed = FAST.seed * 31 + 5
-    fast = FamSystem(config, architecture, seed=seed).run(
-        traces, benchmark=bench)
-    reference = FamSystem(config, architecture, seed=seed).run(
-        traces, benchmark=bench, reference=True)
-    return _result_to_dict(fast), _result_to_dict(reference)
+    fast = _outcome(FamSystem(config, architecture, seed=seed), bench,
+                    traces)
+    reference = _outcome(FamSystem(config, architecture, seed=seed), bench,
+                         traces, reference=True)
+    return fast, reference
 
 
 class TestCatalogEquivalence:
@@ -86,6 +121,38 @@ class TestCatalogEquivalence:
                                     with_nodes(default_config(), 3))
         assert fast == reference
 
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_tag_store_counts_cover_every_store(self, architecture):
+        # The compared outcome carries every store the architecture
+        # has, and the run probed each of them.  The STU walk caches
+        # (off in Table II) are on, as in the walk-cache ablation.
+        config = default_config()
+        config = config.replace(stu=dataclasses.replace(
+            config.stu, walk_cache_entries=32))
+        fast, reference = _run_both("canl", architecture, config)
+        assert fast == reference
+        (stores,) = fast["tag_stores"]
+        expected = {"e-fam": 8, "i-fam": 12}.get(architecture, 13)
+        assert len(stores) == expected
+        assert all(hits + misses for _name, hits, misses in stores)
+        assert fast["tag_store_probes"] == sum(
+            hits + misses for _name, hits, misses in stores)
+
+    def test_local_frames_run_out(self):
+        # Local DRAM with room for 16 frames besides the translation
+        # cache: first touches use them up early, after which every
+        # frame comes from the FAM zone while the placement draws go
+        # on.
+        config = default_config()
+        config = config.replace(local_memory=dataclasses.replace(
+            config.local_memory,
+            size_bytes=config.translation_cache.size_bytes + 16 * 4096))
+        fast, reference = _run_both("mcf", "deact-n", config)
+        assert fast == reference
+        (counters,) = (node["counters"] for node in fast["nodes"])
+        assert counters["frames.local"] == 16
+        assert counters["frames.fam"] > 16
+
     def test_encrypted_memory_mode(self):
         config = default_config()
         config = config.replace(
@@ -112,13 +179,13 @@ NODE_ARCH = {2: "e-fam", 3: "i-fam", 8: "deact-n"}
 
 
 def _run_traces_both(traces, architecture, bench):
-    """Fast and reference runs of explicit per-node ``traces``."""
+    """Fast and reference outcomes of explicit per-node ``traces``."""
     config = with_nodes(default_config(), len(traces))
-    fast = FamSystem(config, architecture, seed=11).run(
-        traces, benchmark=bench)
-    reference = FamSystem(config, architecture, seed=11).run(
-        traces, benchmark=bench, reference=True)
-    return _result_to_dict(fast), _result_to_dict(reference)
+    fast = _outcome(FamSystem(config, architecture, seed=11), bench,
+                    traces)
+    reference = _outcome(FamSystem(config, architecture, seed=11), bench,
+                         traces, reference=True)
+    return fast, reference
 
 
 class TestMultiNodeOrdering:

@@ -15,7 +15,6 @@ from repro.core.node import Node
 from repro.core.system import FamSystem
 from repro.fabric.network import FabricNetwork
 from repro.mem.device import NvmDevice
-from repro.mem.request import RequestKind
 
 BLOCK_BYTES = 64
 
@@ -88,14 +87,21 @@ class TestAddressMap:
         node, system = make_node()
         base = node.fam_zone_base
         assert base == node.config.local_memory.size_bytes
+        # Two pages mapped either side of the boundary, their
+        # translations already in the TLB: each access below is one
+        # data-cache miss and no page walk.
+        below, at = 0x5000_0000, 0x5000_0000 + PAGE_BYTES
+        for vaddr, frame in ((below, base // PAGE_BYTES - 1),
+                             (at, base // PAGE_BYTES)):
+            node.page_table.map(vaddr // PAGE_BYTES, frame)
+            node.mmu.tlb.install(vaddr // PAGE_BYTES, frame)
         system.broker.ensure_mapped(node.node_id, base // PAGE_BYTES)
         # The last block below the boundary is local DRAM ...
-        node._memory_access_fast(base - BLOCK_BYTES, 0.0, False,
-                                 RequestKind.DATA)
+        node.step_fast(*event(at - BLOCK_BYTES))
         assert node.stats.get("mem.local") == 1
         assert node.stats.get("mem.fam") == 0
         # ... and the boundary itself is the FAM zone.
-        node._memory_access_fast(base, 0.0, False, RequestKind.DATA)
+        node.step_fast(*event(at))
         assert node.stats.get("mem.local") == 1
         assert node.stats.get("mem.fam") == 1
 

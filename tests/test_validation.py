@@ -50,6 +50,28 @@ class TestClaimMachinery:
         outcomes = check_figure(figure)
         assert not outcomes[0].passed
 
+    def test_series_falling_end_to_end_does_not_grow(self):
+        # dc's DeACT-N speedup at 16k events / 0.06 scale, 1 -> 4
+        # nodes: each step falls by less than the 0.1 adjacent slack,
+        # but the series falls end to end.
+        figure = FigureResult("fig16", "t", ["1", "4"],
+                              [Row("dc", {"1": 0.889, "4": 0.865})])
+        assert not any(o.passed for o in check_figure(figure))
+        rising = FigureResult("fig16", "t", ["1", "2", "4"],
+                              [Row("dc", {"1": 0.865, "2": 0.86,
+                                          "4": 0.889})])
+        assert all(o.passed for o in check_figure(rising))
+
+    def test_series_rising_end_to_end_does_not_shrink(self):
+        figure = FigureResult("fig13", "t", ["256", "1024", "4096"],
+                              [Row("SPEC", {"256": 1.0, "1024": 1.05,
+                                            "4096": 1.02})])
+        assert not any(o.passed for o in check_figure(figure))
+        falling = FigureResult("fig13", "t", ["256", "1024", "4096"],
+                               [Row("SPEC", {"256": 2.13, "1024": 1.08,
+                                             "4096": 0.88})])
+        assert all(o.passed for o in check_figure(falling))
+
     def test_claim_registry_covers_main_figures(self):
         for figure_id in ("fig3", "fig4", "fig9", "fig10", "fig11",
                           "fig12", "fig13", "fig15", "fig16"):
