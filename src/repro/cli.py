@@ -1,6 +1,6 @@
 """The ``deact`` command-line interface.
 
-Seven subcommands:
+Six subcommands:
 
 * ``deact run`` — run one benchmark on one architecture and print the
   headline metrics.
@@ -16,10 +16,6 @@ Seven subcommands:
 * ``deact profile`` — cProfile one job on the production path and
   print the hottest functions (hot-path triage without ad-hoc
   scripts; host speed itself is judged by ``perfbench/``).
-* ``deact check`` — statically verify the source tree's determinism,
-  hot-path, tier-parity, pickle-safety, and config invariants
-  (:mod:`repro.analysis`); exits 1 on findings, 2 on internal error,
-  so CI can gate on it (``docs/static-analysis.md``).
 * ``deact figures`` — delegate to the experiment harness
   (``python -m repro.experiments``).
 
@@ -33,8 +29,6 @@ Examples::
     deact cache merge --cache results.json
     deact cache validate --cache results.json --benchmark mcf
     deact profile --benchmark lu --arch deact-n --limit 15
-    deact check --json
-    deact check --rule HOT001 --fix-hints
     deact figures --figure 12 --jobs 4
 """
 
@@ -351,48 +345,6 @@ def _cmd_profile(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_check(args, parser: argparse.ArgumentParser) -> int:
-    import json
-
-    from repro.analysis import (
-        default_baseline_path,
-        get_rule,
-        load_baseline,
-        run_check,
-        write_baseline,
-    )
-    from repro.errors import AnalysisError
-
-    rules = None
-    if args.rule:
-        try:
-            rules = [get_rule(rule_id) for rule_id in args.rule]
-        except KeyError as exc:
-            parser.error(str(exc.args[0]))
-
-    baseline_path = args.baseline or default_baseline_path()
-    try:
-        if args.write_baseline:
-            # Grandfather the *current* findings: run without any
-            # suppression so the written file covers everything live.
-            report = run_check(root=args.root, rules=rules)
-            write_baseline(baseline_path, report.findings)
-            print(f"wrote {len(report.findings)} suppression(s) to "
-                  f"{baseline_path}")
-            return 0
-        baseline = load_baseline(baseline_path)
-        report = run_check(root=args.root, rules=rules, baseline=baseline)
-    except AnalysisError as exc:
-        print(f"deact check: internal error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render_table(fix_hints=args.fix_hints))
-    return report.exit_code
-
-
 def _cmd_figures(args, extra: Sequence[str]) -> int:
     from repro.experiments.__main__ import main as figures_main
     return figures_main(list(extra))
@@ -522,27 +474,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile_parser.add_argument("--limit", type=int, default=25,
                                 help="rows to print (default 25)")
 
-    check_parser = sub.add_parser(
-        "check", help="run the static invariant checker over src/repro")
-    check_parser.add_argument("--json", action="store_true",
-                              help="machine-readable report on stdout")
-    check_parser.add_argument("--fix-hints", action="store_true",
-                              help="append per-rule fix hints to the "
-                                   "table")
-    check_parser.add_argument("--rule", action="append", default=[],
-                              metavar="ID",
-                              help="run only this rule (repeatable)")
-    check_parser.add_argument("--root", default=None, metavar="DIR",
-                              help="package root to scan (default: the "
-                                   "installed repro package)")
-    check_parser.add_argument("--baseline", default=None, metavar="FILE",
-                              help="suppression file (default: "
-                                   "analysis-baseline.toml at the repo "
-                                   "root)")
-    check_parser.add_argument("--write-baseline", action="store_true",
-                              help="grandfather all current findings "
-                                   "into the baseline file and exit 0")
-
     sub.add_parser(
         "figures", help="regenerate paper figures (forwards arguments "
                         "to python -m repro.experiments)")
@@ -576,8 +507,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_cache(args, parser)
     if args.command == "profile":
         return _cmd_profile(args, parser)
-    if args.command == "check":
-        return _cmd_check(args, parser)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

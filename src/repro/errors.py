@@ -23,7 +23,6 @@ __all__ = [
     "FaultInjected",
     "SweepFailure",
     "SweepInterrupted",
-    "AnalysisError",
 ]
 
 
@@ -149,15 +148,3 @@ class SweepInterrupted(ReproError):
     def __init__(self, message: str, payloads: dict | None = None) -> None:
         super().__init__(message)
         self.payloads = dict(payloads or {})
-
-
-class AnalysisError(ReproError):
-    """The static checker (``deact check``) could not run.
-
-    An *internal* failure — an unreadable source tree, a syntactically
-    invalid module, a corrupt baseline file — as opposed to findings,
-    which are the checker's normal output.  The CLI maps this to exit
-    code 2 so CI can tell "the gate failed" from "the gate found
-    violations" (exit 1).
-    """
-

@@ -1,5 +1,11 @@
 """Command-line entry point for the experiment harness.
 
+Each figure prints as a table, followed by the paper's quoted values
+next to the measured ones where the text states them.  After the
+figures come the verdicts of the paper's directional claims
+(:mod:`repro.experiments.validation`) on the figures just built, and
+the harness telemetry over every run they used.
+
 Examples::
 
     python -m repro.experiments --figure 12
@@ -14,7 +20,13 @@ import sys
 import time
 
 from repro.errors import ConfigError
-from repro.experiments.figures import ALL_FIGURES, figure_matrix
+from repro.experiments.figures import (
+    ALL_FIGURES,
+    SWEEP_BENCHES,
+    SWEEP_FIGURES,
+    figure_matrix,
+)
+from repro.experiments.report import render_paper_values, render_telemetry
 from repro.experiments.runner import (
     ExperimentRunner,
     RunSettings,
@@ -22,12 +34,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweep import SweepProgress
 from repro.experiments.tables import table1, table2, table3, table3_matrix
-
-#: Figures whose sweep matrices get expensive; the CLI trims their
-#: benchmark set to the paper's sensitivity groups automatically.
-_SWEEP_FIGURES = {"13", "13a", "14", "14s", "15"}
-_SWEEP_BENCHES = ["mcf", "cactus", "astar", "frqm", "canl", "bc", "cc",
-                  "ccsv", "sssp", "pf", "dc"]
+from repro.experiments.validation import check_figure
 
 
 def main(argv=None) -> int:
@@ -79,10 +86,11 @@ def main(argv=None) -> int:
             if item == "t3":
                 triples.extend(table3_matrix())
             elif item in ALL_FIGURES:
-                benches = _SWEEP_BENCHES if item in _SWEEP_FIGURES else None
+                benches = SWEEP_BENCHES if item in SWEEP_FIGURES else None
                 triples.extend(figure_matrix(item, benches))
         runner.prewarm(triples, progress=SweepProgress())
 
+    outcomes = []
     for item in wanted:
         start = time.time()
         if item == "t1":
@@ -93,10 +101,23 @@ def main(argv=None) -> int:
             result = table3(runner)
         else:
             builder = ALL_FIGURES[item]
-            benches = _SWEEP_BENCHES if item in _SWEEP_FIGURES else None
+            benches = SWEEP_BENCHES if item in SWEEP_FIGURES else None
             result = builder(runner, benchmarks=benches)
         print(result.render())
+        paper = render_paper_values(result)
+        if paper:
+            print(paper)
+        outcomes.extend(check_figure(result))
         print(f"[{item} done in {time.time() - start:.1f}s]\n")
+
+    if outcomes:
+        print("paper claims:")
+        for outcome in outcomes:
+            verdict = "PASS" if outcome.passed else "FAIL"
+            detail = f" ({outcome.detail})" if outcome.detail else ""
+            print(f"  {verdict} {outcome.claim.figure_id}: "
+                  f"{outcome.claim.description}{detail}")
+    print(render_telemetry(runner.telemetry_summary()))
     return 0
 
 

@@ -162,19 +162,6 @@ class FaultPlan:
     def write_rules(self) -> Tuple[FaultRule, ...]:
         return tuple(r for r in self.rules if r.kind in WRITE_KINDS)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": PLAN_SCHEMA,
-            "seed": self.seed,
-            "state_dir": self.state_dir,
-            "faults": [
-                {"kind": r.kind, "match": r.match, "attempts": r.attempts,
-                 "pick": r.pick, "hang_s": r.hang_s, "at_byte": r.at_byte,
-                 "stage": r.stage}
-                for r in self.rules
-            ],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         if not isinstance(data, dict):

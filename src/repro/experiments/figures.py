@@ -34,7 +34,8 @@ from repro.workloads.catalog import SUITE_GROUPS, benchmark_names, get_profile
 __all__ = [
     "figure3", "figure4", "figure9", "figure10", "figure11", "figure12",
     "figure13", "figure13_assoc", "figure14", "figure14_subways",
-    "figure15", "figure16", "ALL_FIGURES", "figure_matrix",
+    "figure15", "figure16", "ALL_FIGURES", "SWEEP_BENCHES", "SWEEP_FIGURES",
+    "figure_matrix",
 ]
 
 #: Sensitivity-group x-axis entries (Figures 13-15).
@@ -56,8 +57,8 @@ _MOTIVATION_ARCHS = ("e-fam", "i-fam")
 _DESIGN_ARCHS = ("i-fam", "deact-w", "deact-n")
 _SPEEDUP_ARCHS = ("i-fam", "deact-n")
 
-#: Paper-reported values quoted in the text (used for the paper columns
-#: and EXPERIMENTS.md).  Keys follow (figure, label, series).
+#: Paper-reported values quoted in the text (the ``Row.paper`` values
+#: that ``python -m repro.experiments`` prints under each figure).  Keys follow (figure, label, series).
 _PAPER_TEXT_VALUES: Dict[tuple, float] = {
     ("fig4", "canl", "E-FAM"): 44.36,
     ("fig4", "canl", "I-FAM"): 84.13,
@@ -455,6 +456,14 @@ def figure_matrix(figure_id: str,
                 for arch in _SPEEDUP_ARCHS]
     raise KeyError(f"no run matrix for figure {figure_id!r}")
 
+
+#: Sensitivity figures whose sweep matrices get expensive; the harness
+#: CLI runs them over :data:`SWEEP_BENCHES` only.
+SWEEP_FIGURES = frozenset({"13", "13a", "14", "14s", "15"})
+#: The paper's sensitivity groups' benchmarks (SPEC, PARSEC and GAP
+#: members plus pf and dc).
+SWEEP_BENCHES = ("mcf", "cactus", "astar", "frqm", "canl", "bc", "cc",
+                 "ccsv", "sssp", "pf", "dc")
 
 #: Registry used by the harness CLI, ``python -m repro.experiments``.
 ALL_FIGURES = {

@@ -2,8 +2,8 @@
 
 Each figure builder returns a :class:`FigureResult`: an ordered list of
 :class:`Row` records (one per bar/point in the paper's plot) plus
-enough metadata to render a readable table and to diff against the
-paper's reported values in EXPERIMENTS.md.
+enough metadata to render a readable table and to set it against the
+paper's reported values (:func:`render_paper_values`).
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Row", "FigureResult", "render_table", "render_telemetry"]
+__all__ = ["Row", "FigureResult", "render_paper_values", "render_table",
+           "render_telemetry"]
 
 
 @dataclass
@@ -53,34 +54,6 @@ class FigureResult:
         """Plain-text rendering of the figure as a table."""
         return render_table(self, width=width, precision=precision)
 
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (used by the results cache)."""
-        return {
-            "figure_id": self.figure_id,
-            "title": self.title,
-            "series": list(self.series),
-            "unit": self.unit,
-            "notes": self.notes,
-            "rows": [
-                {"label": row.label, "values": dict(row.values),
-                 "paper": dict(row.paper)}
-                for row in self.rows
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FigureResult":
-        return cls(
-            figure_id=data["figure_id"],
-            title=data["title"],
-            series=list(data["series"]),
-            unit=data.get("unit", ""),
-            notes=data.get("notes", ""),
-            rows=[Row(label=r["label"], values=dict(r["values"]),
-                      paper=dict(r.get("paper", {})))
-                  for r in data["rows"]],
-        )
-
 
 def render_telemetry(summary: Dict[str, float],
                      title: str = "harness telemetry") -> str:
@@ -101,6 +74,21 @@ def render_telemetry(summary: Dict[str, float],
     lines.append(f"  tag-store probes   : "
                  f"{summary.get('tag_probes', 0.0):,.0f} "
                  f"({summary.get('probes_per_event', 0.0):.2f}/event)")
+    return "\n".join(lines)
+
+
+def render_paper_values(figure: FigureResult, precision: int = 2) -> str:
+    """The paper's quoted values next to the measured ones, one line
+    per (row, series) the paper states; empty if it states none."""
+    lines = []
+    for row in figure.rows:
+        for series, paper in sorted(row.paper.items()):
+            measured = row.values.get(series)
+            text = "-" if measured is None else f"{measured:.{precision}f}"
+            lines.append(f"  {row.label} {series}: paper {paper:g}, "
+                         f"measured {text}")
+    if lines:
+        lines.insert(0, "paper vs measured:")
     return "\n".join(lines)
 
 

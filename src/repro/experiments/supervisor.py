@@ -146,13 +146,6 @@ class FailureReport:
         lines += [f"  - {f.describe()}" for f in self.failures]
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        return {"failures": [
-            {"index": f.index, "key": f.key, "benchmark": f.benchmark,
-             "architecture": f.architecture, "attempts": f.attempts,
-             "kind": f.kind, "detail": f.detail}
-            for f in self.failures]}
-
 
 @dataclass
 class SupervisedRun:

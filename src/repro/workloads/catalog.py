@@ -70,7 +70,9 @@ class BenchmarkProfile:
         ``footprint_scale`` shrinks the touched region proportionally;
         the experiment harness uses it to trade trace length for warm
         reuse (the paper runs 100M-instruction windows we cannot afford
-        per configuration — see EXPERIMENTS.md for the scaling note).
+        per configuration — see
+        :class:`repro.experiments.runner.RunSettings` for the scaling
+        note).
         """
         if footprint_scale <= 0:
             raise TraceError("footprint scale must be positive")

@@ -281,6 +281,10 @@ class TestFiguresCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "Slowdown of I-FAM" in out
+        # Paper values, claim verdicts and telemetry follow the table.
+        assert "paper vs measured:" in out
+        assert "paper claims:" in out and "fig3:" in out
+        assert "harness telemetry:" in out
 
     def test_figures_rejects_zero_jobs(self, capsys):
         with pytest.raises(SystemExit):

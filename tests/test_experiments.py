@@ -15,7 +15,12 @@ from repro.experiments.figures import (
     figure16,
     figure_matrix,
 )
-from repro.experiments.report import FigureResult, Row, render_table
+from repro.experiments.report import (
+    FigureResult,
+    Row,
+    render_paper_values,
+    render_table,
+)
 from repro.experiments.runner import ExperimentRunner, RunSettings, \
     SweepJob, _result_to_dict, job_key
 from repro.experiments.tables import table1, table2, table3, table3_matrix
@@ -282,12 +287,11 @@ class TestReport:
                      if l.startswith("beta")][0]
         assert "3.00" in beta_line
 
-    def test_round_trip_dict(self):
-        original = self.sample()
-        rebuilt = FigureResult.from_dict(original.to_dict())
-        assert rebuilt.figure_id == original.figure_id
-        assert rebuilt.rows[0].values == original.rows[0].values
-        assert rebuilt.rows[0].paper == original.rows[0].paper
+    def test_paper_values_beside_measured(self):
+        assert render_paper_values(self.sample()).splitlines() == [
+            "paper vs measured:", "  alpha A: paper 1.1, measured 1.00"]
+        no_paper = FigureResult("figY", "t", ["A"], [Row("a", {"A": 1.0})])
+        assert render_paper_values(no_paper) == ""
 
     def test_series_values(self):
         assert self.sample().series_values("A") == [1.0, 3.0]
@@ -295,35 +299,3 @@ class TestReport:
     def test_value_lookup(self):
         assert self.sample().value("alpha", "B") == 2.5
         assert self.sample().value("gamma", "B") is None
-
-
-class TestGenerateExperimentsScript:
-    """The regeneration script's ``--jobs`` plumbing (ROADMAP
-    follow-up): flag parsing only — the full matrix is far too heavy
-    for a unit test, and the pool path itself is covered by
-    tests/test_sweep.py and tests/test_determinism.py."""
-
-    @staticmethod
-    def _load_script():
-        import importlib.util
-        import pathlib
-
-        path = (pathlib.Path(__file__).resolve().parent.parent
-                / "scripts" / "generate_experiments_md.py")
-        spec = importlib.util.spec_from_file_location(
-            "generate_experiments_md", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_jobs_flag_parses(self):
-        module = self._load_script()
-        assert module._parse_args([]).jobs == 1
-        assert module._parse_args(["--jobs", "4"]).jobs == 4
-
-    def test_non_positive_jobs_rejected(self):
-        import pytest
-
-        module = self._load_script()
-        with pytest.raises(SystemExit):
-            module._parse_args(["--jobs", "0"])

@@ -189,7 +189,7 @@ class TestRecovery:
         rendered = run.report.render()
         assert "failed permanently" in rendered
         assert "mcf" in rendered
-        assert run.report.to_dict()["failures"][0]["attempts"] == 2
+        assert run.report.failures[0].attempts == 2
 
     def test_fail_fast_raises_with_salvage(self):
         jobs = [job for _cell, job in WIDE.jobs(FAST)]

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from repro.experiments.__main__ import _SWEEP_BENCHES
 from repro.experiments.figures import (
+    SWEEP_BENCHES,
     figure3,
     figure4,
     figure9,
@@ -107,8 +107,8 @@ class TestFullScaleClaims:
             "fig10": figure10(runner),
             "fig11": figure11(runner),
             "fig12": figure12(runner),
-            "fig13": figure13(runner, benchmarks=_SWEEP_BENCHES),
-            "fig15": figure15(runner, benchmarks=_SWEEP_BENCHES),
+            "fig13": figure13(runner, benchmarks=SWEEP_BENCHES),
+            "fig15": figure15(runner, benchmarks=SWEEP_BENCHES),
             "fig16": figure16(runner),
         }
 
