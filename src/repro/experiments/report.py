@@ -55,15 +55,14 @@ class FigureResult:
         return render_table(self, width=width, precision=precision)
 
 
-def render_telemetry(summary: Dict[str, float],
-                     title: str = "harness telemetry") -> str:
+def render_telemetry(summary: Dict[str, float]) -> str:
     """Format an :meth:`ExperimentRunner.telemetry_summary` aggregate.
 
     Shows how much simulation work a report cost and the core-loop
     throughput it achieved — the per-job numbers live in the result
     cache under each entry's ``telemetry`` key.
     """
-    lines = [f"{title}:"]
+    lines = ["harness telemetry:"]
     runs = int(summary.get("runs", 0))
     with_telemetry = int(summary.get("runs_with_telemetry", 0))
     lines.append(f"  runs measured      : {with_telemetry} of {runs}")
@@ -77,14 +76,14 @@ def render_telemetry(summary: Dict[str, float],
     return "\n".join(lines)
 
 
-def render_paper_values(figure: FigureResult, precision: int = 2) -> str:
+def render_paper_values(figure: FigureResult) -> str:
     """The paper's quoted values next to the measured ones, one line
     per (row, series) the paper states; empty if it states none."""
     lines = []
     for row in figure.rows:
         for series, paper in sorted(row.paper.items()):
             measured = row.values.get(series)
-            text = "-" if measured is None else f"{measured:.{precision}f}"
+            text = "-" if measured is None else f"{measured:.2f}"
             lines.append(f"  {row.label} {series}: paper {paper:g}, "
                          f"measured {text}")
     if lines:

@@ -113,8 +113,6 @@ def retry_delay_s(config: SupervisorConfig, key: str, attempt: int) -> float:
 class JobFailure:
     """One permanently failed (quarantined) job."""
 
-    index: int
-    key: str
     benchmark: str
     architecture: str
     attempts: int
@@ -380,9 +378,8 @@ class _RunState:
             return
         job = self.jobs[index]
         self.report.failures.append(JobFailure(
-            index=index, key=self.keys[index], benchmark=job.benchmark,
-            architecture=job.architecture, attempts=attempt + 1,
-            kind=kind, detail=detail))
+            benchmark=job.benchmark, architecture=job.architecture,
+            attempts=attempt + 1, kind=kind, detail=detail))
         self.resolved += 1
         if progress is not None:
             progress(self.resolved, len(self.jobs))

@@ -519,6 +519,16 @@ class TestEngine:
         assert not allowed(lines, 2, "DET001")  # ...but not the line below
         assert not allowed(lines, 1, "DET001")
 
+    def test_identical_hits_on_one_line_report_once(self, tmp_path):
+        root = tmp_path / "repro"
+        (root / "core").mkdir(parents=True)
+        (root / "core" / "clock.py").write_text(
+            "import time\n"
+            "def f():\n"
+            "    return time.time() - time.time()\n")
+        assert det001(parse_tree(root)) == [
+            "repro/core/clock.py:3: call to time.time() is nondeterministic"]
+
 
 # ----------------------------------------------------------------------
 # Per-rule fixtures
