@@ -182,13 +182,10 @@ def _parse_axes(parser: argparse.ArgumentParser, specs) -> dict:
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     from repro.experiments import faults
+    from repro.experiments.runner import ExperimentRunner
     from repro.experiments.shardfile import manifest_path, shard_cache_path
     from repro.experiments.supervisor import SupervisorConfig
-    from repro.experiments.sweep import (
-        SweepEngine,
-        SweepProgress,
-        parse_shard,
-    )
+    from repro.experiments.sweep import SweepProgress, parse_shard, run_sweep
 
     spec, settings = _spec_from_args(args, parser)
     shard = None
@@ -210,23 +207,23 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     except ConfigError as exc:
         parser.error(str(exc))
     if plan is not None:
-        # Activating (not just passing the plan down) also arms the
-        # torn-write hook in *this* process, which performs the cache
-        # merges the write faults target.
+        # The supervisor reads the active plan for execution faults;
+        # activating also arms the torn-write hook in *this* process,
+        # which performs the cache merges the write faults target.
         faults.activate(plan)
     supervisor = SupervisorConfig(job_timeout_s=args.job_timeout,
                                   retries=args.retries,
                                   fail_fast=args.fail_fast)
     try:
-        engine = SweepEngine(settings, cache_path=cache_path,
-                             jobs=args.jobs, progress=SweepProgress())
-        results = engine.run(spec, shard=shard, supervisor=supervisor,
-                             fault_plan=plan,
-                             checkpoint_every=args.checkpoint_every or None)
+        runner = ExperimentRunner(
+            settings, cache_path=cache_path, jobs=args.jobs,
+            progress=SweepProgress(), supervisor=supervisor,
+            checkpoint_every=args.checkpoint_every or None)
+        results = run_sweep(runner, spec, shard=shard)
     except ConfigError as exc:
         parser.error(str(exc))
     except SweepInterrupted as exc:
-        # Completed cells were flushed to the cache by the engine; a
+        # Completed cells were flushed to the cache by the runner; a
         # re-run recalls them and finishes the rest.
         print(f"interrupted: {exc} (completed results saved"
               f"{' to ' + cache_path if cache_path else ''}; re-run to "
@@ -258,11 +255,11 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         print(f"{bench:<10} {arch:<8} {variant:<28} "
               f"{result.ipc:>8.4f} {result.runtime_ns / 1e6:>11.3f} "
               f"{100 * result.fam_at_fraction:>8.2f}")
-    if engine.failures:
+    if runner.failures:
         # Quarantined jobs under the default keep-going policy: the
         # completed cells above are real and cached, but the sweep as
         # a whole is incomplete — exit nonzero so scripts notice.
-        print(engine.failures.render(), file=sys.stderr)
+        print(runner.failures.render(), file=sys.stderr)
         return 1
     return 0
 

@@ -140,7 +140,7 @@ class SweepInterrupted(ReproError):
 
     The supervisor terminates its workers, then raises this carrying
     every completed payload (``payloads``, keyed by job index) so the
-    engine can flush finished work to the on-disk cache before the
+    runner can flush finished work to the on-disk cache before the
     interrupt propagates — an interrupted sweep must lose at most the
     in-flight jobs, never the completed batch.
     """

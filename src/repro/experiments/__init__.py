@@ -1,16 +1,19 @@
 """Experiment harness: every table and figure of the evaluation.
 
-* :mod:`repro.experiments.runner` — runs (benchmark, architecture,
-  config) combinations with in-process memoization so figures sharing
-  baselines do not repeat work.
+* :mod:`repro.experiments.runner` — the one executor: runs
+  (benchmark, architecture, config) combinations through the
+  supervisor, memoized in process and in an optional on-disk cache so
+  figures sharing baselines do not repeat work.
 * :mod:`repro.experiments.tables` — Tables I-III.
 * :mod:`repro.experiments.figures` — Figures 3, 4, 9-16 plus the
   STU-associativity study the paper reports in text, each returning a
   :class:`~repro.experiments.report.FigureResult` with paper-vs-
   measured rows.
-* :mod:`repro.experiments.sweep` — declarative sweep specs expanded
-  over a ``multiprocessing`` pool; results are bit-identical to the
-  serial runner because both share :func:`execute_job`.
+* :mod:`repro.experiments.sweep` — declarative sweep specs, run (or
+  sharded) through the runner by :func:`run_sweep`.
+* :mod:`repro.experiments.supervisor` — the worker pool with retries,
+  timeouts and quarantine; one job at a time in-process for
+  ``jobs=1``.
 * :mod:`repro.experiments.cachefile` — lock-safe, conflict-aware
   access to the shared on-disk JSON result cache.
 * :mod:`repro.experiments.shardfile` — cross-host sweep sharding:
@@ -36,19 +39,19 @@ from repro.experiments.shardfile import (
     spec_fingerprint,
     validate_cache,
 )
-from repro.experiments.sweep import SweepEngine, SweepSpec
+from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments import figures, tables
 
 __all__ = [
     "ExperimentRunner",
     "RunSettings",
     "SweepJob",
-    "SweepEngine",
     "SweepSpec",
     "ShardManifest",
     "ValidationReport",
     "execute_job",
     "merge_shards",
+    "run_sweep",
     "shard_cache_path",
     "spec_fingerprint",
     "validate_cache",

@@ -74,21 +74,23 @@ def main(argv=None) -> int:
                                seed=args.seed)
     except ConfigError as exc:
         parser.error(str(exc))
+    # Checkpoints as often as ``deact sweep`` does by default, so even a
+    # killed regeneration keeps most of its finished runs.
     runner = ExperimentRunner(settings, cache_path=args.cache,
-                              jobs=args.jobs)
+                              jobs=args.jobs, progress=SweepProgress(),
+                              checkpoint_every=25)
 
-    if args.jobs > 1:
-        # Batch every wanted run matrix through the worker pool first;
-        # the figure builders below then assemble rows from the memo
-        # without executing anything new.
-        triples = []
-        for item in wanted:
-            if item == "t3":
-                triples.extend(table3_matrix())
-            elif item in ALL_FIGURES:
-                benches = SWEEP_BENCHES if item in SWEEP_FIGURES else None
-                triples.extend(figure_matrix(item, benches))
-        runner.prewarm(triples, progress=SweepProgress())
+    # Run every wanted run matrix in one batch first; the figure
+    # builders below then assemble rows from the memo without
+    # executing anything new.
+    triples = []
+    for item in wanted:
+        if item == "t3":
+            triples.extend(table3_matrix())
+        elif item in ALL_FIGURES:
+            benches = SWEEP_BENCHES if item in SWEEP_FIGURES else None
+            triples.extend(figure_matrix(item, benches))
+    runner.prewarm(triples)
 
     outcomes = []
     for item in wanted:

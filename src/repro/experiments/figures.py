@@ -398,7 +398,7 @@ def figure16(runner: ExperimentRunner,
 
 
 # ----------------------------------------------------------------------
-# Run matrices (for parallel prewarming)
+# Run matrices (for prewarming)
 # ----------------------------------------------------------------------
 #: Sensitivity sweeps that plot DeACT-N speedup over I-FAM: the config
 #: transform and the shared default-value constants.
@@ -424,11 +424,11 @@ def figure_matrix(figure_id: str,
                   benchmarks: Optional[Sequence[str]] = None,
                   ) -> List[tuple]:
     """The ``(benchmark, architecture, config)`` runs ``figureN`` will
-    request, for batch execution by a sweep pool.
+    request, for batch execution.
 
     :meth:`ExperimentRunner.prewarm` consumes this to run a figure's
-    whole matrix in parallel before the (serial, memo-hitting) figure
-    builder assembles rows; the builder then performs zero new runs.
+    whole matrix in one batch before the (memo-hitting) figure builder
+    assembles rows; the builder then performs zero new runs.
     (``tests/test_experiments.py::TestRunMatrices`` enforces exact
     coverage for every figure.)
     """

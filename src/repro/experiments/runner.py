@@ -1,17 +1,19 @@
-"""Run management and memoization for the experiment harness.
+"""Run management, memoization and caching for the experiment harness.
 
 A figure is a set of (benchmark, architecture, config-variant) runs;
 several figures share runs (Figures 3, 4, 9-12 all consume the default
-configuration matrix), so the runner memoizes results by a structural
-key.  An optional on-disk JSON cache lets the benchmark harness and
-repeated CLI invocations skip completed work.
+configuration matrix), so :class:`ExperimentRunner` memoizes results by
+each run's cache key.  An optional on-disk JSON cache lets the figure
+harness, ``deact sweep`` and repeated CLI invocations skip completed
+work.
 
 Execution itself is a pure function of a :class:`SweepJob` —
 :func:`execute_job` builds the traces, runs the system, and returns a
-plain serialized dict.  The serial path (:meth:`ExperimentRunner.run`)
-and the multiprocessing workers of :mod:`repro.experiments.sweep`
-share that function, which is what makes ``--jobs N`` bit-identical to
-serial execution.
+plain serialized dict.  The runner executes every run the same way:
+:meth:`ExperimentRunner.prewarm` hands it to the supervisor
+(:mod:`repro.experiments.supervisor`), which calls :func:`execute_job`
+in-process or on a worker pool.  That one path is what makes
+``--jobs N`` bit-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -19,15 +21,20 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import astuple, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
+    Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SweepFailure, SweepInterrupted
 from repro.config.presets import default_config
 from repro.config.system import SystemConfig
 from repro.core.results import NodeMetrics, RunResult
 from repro.core.system import FamSystem
 from repro.experiments.cachefile import load_cache, merge_into_cache
+from repro.memo import BoundedMemo
 from repro.workloads.catalog import get_profile
+
+if TYPE_CHECKING:
+    from repro.experiments.supervisor import FailureReport, SupervisorConfig
 
 __all__ = ["RunSettings", "SweepJob", "ExperimentRunner", "execute_job",
            "job_key", "build_traces", "fingerprint_keys", "payload_ok",
@@ -37,9 +44,9 @@ __all__ = ["RunSettings", "SweepJob", "ExperimentRunner", "execute_job",
 def require_jobs(n: int, flag: str = "jobs") -> int:
     """The one home of the worker-count rule: ``jobs`` must be >= 1.
 
-    Every layer that accepts a worker count (CLI flags, the sweep
-    engine, the memoizing runner, the raw pool fan-out) funnels
-    through here, so the rule and its message cannot drift apart.
+    Every layer that accepts a worker count (CLI flags, the runner,
+    the supervised pool) funnels through here, so the rule and its
+    message cannot drift apart.
     """
     if n < 1:
         raise ConfigError(f"{flag} must be >= 1, got {n}")
@@ -105,18 +112,13 @@ class SweepJob:
     settings: RunSettings
 
 
-def _memo_key(benchmark: str, architecture: str, config: SystemConfig,
-              settings: RunSettings) -> Tuple:
-    """A structural key over every field of ``config``, so no two
-    configurations share a result."""
-    return (benchmark, architecture, astuple(config),
-            settings.n_events, settings.footprint_scale, settings.seed)
-
-
 def job_key(job: SweepJob) -> str:
-    """The on-disk cache key for a job (stable across processes)."""
-    return repr(_memo_key(job.benchmark, job.architecture, job.config,
-                          job.settings))
+    """The memo and on-disk cache key for a job (stable across
+    processes): structural over every field of ``config``, so no two
+    configurations share a result."""
+    settings = job.settings
+    return repr((job.benchmark, job.architecture, astuple(job.config),
+                 settings.n_events, settings.footprint_scale, settings.seed))
 
 
 def build_traces(benchmark: str, nodes: int, settings: RunSettings) -> List:
@@ -131,37 +133,12 @@ def build_traces(benchmark: str, nodes: int, settings: RunSettings) -> List:
     ]
 
 
-def _run_system(job: SweepJob, traces: Sequence) -> RunResult:
-    """The single execution path shared by serial runs and workers.
-
-    Attaches per-job telemetry (wall time, events/sec, tag-store probe
-    counts) to the result — measurement metadata, never compared (see
-    :class:`~repro.core.results.RunResult`).
-    """
-    system = FamSystem(job.config, job.architecture,
-                       seed=job.settings.seed * 31 + 5)
-    start = time.perf_counter()
-    result = system.run(traces, benchmark=job.benchmark)
-    wall_s = time.perf_counter() - start
-    events = sum(len(trace) for trace in traces)
-    probes = system.tag_store_probes()
-    result.telemetry = {
-        "wall_s": wall_s,
-        "events": float(events),
-        "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
-        "tag_probes": float(probes),
-        "probes_per_event": probes / events if events else 0.0,
-    }
-    return result
-
-
-#: Trace memo for :func:`execute_job` only.  Pool workers persist
-#: across jobs, so without it a sweep regenerates a benchmark's traces
-#: once per (benchmark, architecture, variant) job instead of once per
-#:  benchmark per worker.  Bounded: cleared when it outgrows the
-#: benchmark catalog, which only happens under many distinct settings.
-_EXECUTE_TRACE_MEMO: Dict[Tuple, List] = {}
-_EXECUTE_TRACE_MEMO_MAX = 32
+#: Trace memo for :func:`execute_job`.  Pool workers persist across
+#: jobs, so without it a sweep regenerates a benchmark's traces once
+#: per (benchmark, architecture, variant) job instead of once per
+#: benchmark per worker.  LRU-bounded, so many distinct settings cannot
+#: pin every trace for the life of the process.
+_TRACE_MEMO = BoundedMemo(32)
 
 
 def execute_job(job: SweepJob) -> dict:
@@ -171,124 +148,165 @@ def execute_job(job: SweepJob) -> dict:
     handles — a worker process rebuilds the traces itself (trace
     generation is a deterministic function of the job) and ships back
     a plain dict.  The payload carries a ``telemetry`` key (wall time,
-    events/sec, probes, trace-build time); comparisons of run *results*
-    use :func:`_result_to_dict`, which excludes it.
+    events/sec, tag-store probes, trace-build time) — measurement
+    metadata, never compared: comparisons of run *results* use
+    :func:`_result_to_dict`, which excludes it.
     """
     key = (job.benchmark, job.config.nodes, job.settings)
-    traces = _EXECUTE_TRACE_MEMO.get(key)
+    traces = _TRACE_MEMO.get(key)
     build_s = 0.0
     if traces is None:
         build_start = time.perf_counter()
         traces = build_traces(job.benchmark, job.config.nodes, job.settings)
         build_s = time.perf_counter() - build_start
-        if len(_EXECUTE_TRACE_MEMO) >= _EXECUTE_TRACE_MEMO_MAX:
-            _EXECUTE_TRACE_MEMO.clear()
-        _EXECUTE_TRACE_MEMO[key] = traces
-    result = _run_system(job, traces)
-    if result.telemetry is not None:
-        result.telemetry["trace_build_s"] = build_s
-    return _payload_from_result(result)
+        _TRACE_MEMO.put(key, traces)
+    system = FamSystem(job.config, job.architecture,
+                       seed=job.settings.seed * 31 + 5)
+    start = time.perf_counter()
+    result = system.run(traces, benchmark=job.benchmark)
+    wall_s = time.perf_counter() - start
+    events = sum(len(trace) for trace in traces)
+    probes = system.tag_store_probes()
+    payload = _result_to_dict(result)
+    payload["telemetry"] = {
+        "wall_s": wall_s,
+        "events": float(events),
+        "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
+        "tag_probes": float(probes),
+        "probes_per_event": probes / events if events else 0.0,
+        "trace_build_s": build_s,
+    }
+    return payload
 
 
 class ExperimentRunner:
-    """Memoizing runner for (benchmark, architecture, variant) runs.
+    """The memoizing, cache-backed executor of every harness run.
 
-    ``jobs`` > 1 fans :meth:`run_matrix` and :meth:`prewarm` out over a
-    worker pool (see :mod:`repro.experiments.sweep`); individual
-    :meth:`run` calls stay in-process and hit the shared memo.
+    Every run executes through :meth:`prewarm`, which hands the runs it
+    cannot recall to :func:`~repro.experiments.supervisor.run_supervised`:
+    in-process for ``jobs`` = 1, on a worker pool otherwise, under the
+    same retry, timeout and payload-validation policy either way.
+
+    ``progress(done, total)`` is called as jobs resolve.
+    ``supervisor`` sets that policy; the default fails fast, so a job
+    that still fails after its retries raises
+    :class:`~repro.errors.SweepFailure`.  Under a keep-going
+    supervisor, the last :meth:`prewarm`'s quarantine list lands on
+    :attr:`failures` instead.  With a ``cache_path``, finished payloads
+    are merged into the cache file every ``checkpoint_every`` results,
+    at the end of each :meth:`prewarm`, and before a fail-fast abort or
+    an interrupt propagates, so an aborted run loses at most its
+    in-flight jobs.
     """
 
     def __init__(self, settings: Optional[RunSettings] = None,
-                 cache_path: Optional[str] = None, jobs: int = 1) -> None:
+                 cache_path: Optional[str] = None, jobs: int = 1,
+                 progress: Optional[Callable[[int, int], None]] = None,
+                 supervisor: Optional[SupervisorConfig] = None,
+                 checkpoint_every: Optional[int] = None) -> None:
         require_jobs(jobs)
         self.settings = settings or RunSettings()
         self.cache_path = cache_path
         self.jobs = jobs
-        self._memo: Dict[Tuple, RunResult] = {}
-        self._trace_memo: Dict[Tuple, List] = {}
-        self._disk: Dict[str, dict] = {}
-        if cache_path:
-            self._disk = load_cache(cache_path)
+        self.progress = progress
+        self.supervisor = supervisor
+        self.checkpoint_every = checkpoint_every
+        self.failures: Optional[FailureReport] = None
+        self._memo: Dict[str, RunResult] = {}
+        self._disk: Dict[str, dict] = (
+            load_cache(cache_path) if cache_path else {})
 
     # ------------------------------------------------------------------
-    def _trace_for(self, benchmark: str, nodes: int):
-        """Build (and memoize per-runner) the traces for a benchmark."""
-        key = (benchmark, nodes, self.settings)
-        traces = self._trace_memo.get(key)
-        if traces is None:
-            traces = build_traces(benchmark, nodes, self.settings)
-            self._trace_memo[key] = traces
-        return traces
-
     def run(self, benchmark: str, architecture: str,
             config: Optional[SystemConfig] = None) -> RunResult:
         """Run (or recall) one benchmark on one architecture."""
-        config = config or default_config()
-        key = _memo_key(benchmark, architecture, config, self.settings)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        disk_key = repr(key)
-        if disk_key in self._disk:
-            result = _result_from_dict(self._disk[disk_key])
-            self._memo[key] = result
-            return result
-        job = SweepJob(benchmark, architecture, config, self.settings)
-        traces = self._trace_for(benchmark, config.nodes)
-        result = _run_system(job, traces)
-        self._memo[key] = result
-        if self.cache_path is not None:
-            self._disk[disk_key] = _payload_from_result(result)
-            self._flush()
+        triple = (benchmark, architecture, config or default_config())
+        result = self.recall(*triple)
+        if result is None:
+            self.prewarm([triple])
+            result = self.recall(*triple)
+        if result is None:  # quarantined under a keep-going supervisor
+            raise SweepFailure(f"run failed: {self.failures.render()}",
+                               report=self.failures)
+        return result
+
+    def recall(self, benchmark: str, architecture: str,
+               config: Optional[SystemConfig] = None) \
+            -> Optional[RunResult]:
+        """The memoized or cached result of one run, or ``None``.
+        Never executes anything."""
+        key = job_key(SweepJob(benchmark, architecture,
+                               config or default_config(), self.settings))
+        result = self._memo.get(key)
+        if result is None and key in self._disk:
+            result = self._memo[key] = _result_from_dict(self._disk[key])
         return result
 
     def run_matrix(self, benchmarks: Sequence[str],
                    architectures: Sequence[str],
                    config: Optional[SystemConfig] = None,
-                   jobs: Optional[int] = None,
                    ) -> Dict[Tuple[str, str], RunResult]:
-        """Run the cross product, returning ``(bench, arch) -> result``.
-
-        With ``jobs`` (or the runner's own ``jobs``) > 1 the missing
-        cells execute on a worker pool; results are identical to the
-        serial path because both call :func:`execute_job`'s core.
-        """
+        """Run the cross product, returning ``(bench, arch) -> result``."""
         config = config or default_config()
         self.prewarm([(bench, arch, config)
-                      for bench in benchmarks for arch in architectures],
-                     jobs=jobs)
+                      for bench in benchmarks for arch in architectures])
         return {(bench, arch): self.run(bench, arch, config)
                 for bench in benchmarks for arch in architectures}
 
-    def prewarm(self, triples: Sequence[Tuple[str, str, SystemConfig]],
-                jobs: Optional[int] = None, progress=None) -> int:
-        """Execute any not-yet-memoized ``(bench, arch, config)`` runs,
-        fanning out over ``jobs`` workers.  Returns the number of runs
-        actually executed (as opposed to recalled)."""
-        from repro.experiments.sweep import run_jobs  # avoid import cycle
+    def prewarm(self, triples: Sequence[Tuple[str, str, SystemConfig]]
+                ) -> int:
+        """Execute every ``(bench, arch, config)`` run that is neither
+        memoized nor cached, each distinct run once.  Returns the number
+        of runs executed (as opposed to recalled)."""
+        # Imported here: the supervisor imports this module.
+        from repro.experiments.supervisor import (
+            SupervisorConfig,
+            _shield_signals,
+            run_supervised,
+        )
 
-        n_workers = require_jobs(self.jobs if jobs is None else jobs)
-        pending: List[SweepJob] = []
-        seen = set()
+        self.failures = None
+        pending: Dict[str, SweepJob] = {}
         for benchmark, architecture, config in triples:
-            key = _memo_key(benchmark, architecture, config, self.settings)
-            if key in seen or key in self._memo or repr(key) in self._disk:
-                continue
-            seen.add(key)
-            pending.append(SweepJob(benchmark, architecture, config,
-                                    self.settings))
+            job = SweepJob(benchmark, architecture, config, self.settings)
+            key = job_key(job)
+            if key not in self._memo and key not in self._disk:
+                pending.setdefault(key, job)
         if not pending:
             return 0
-        payloads = run_jobs(pending, n_workers, progress=progress)
-        entries = {}
-        for job, payload in zip(pending, payloads):
-            key = _memo_key(job.benchmark, job.architecture, job.config,
-                            job.settings)
+        keys = list(pending)
+        unflushed: Dict[str, dict] = {}
+
+        def checkpoint(index: int, payload: dict) -> None:
+            unflushed[keys[index]] = payload
+            if (self.checkpoint_every
+                    and len(unflushed) >= self.checkpoint_every):
+                self._store(unflushed)
+                unflushed.clear()
+
+        try:
+            run = run_supervised(
+                list(pending.values()), self.jobs,
+                config=self.supervisor or SupervisorConfig(fail_fast=True),
+                progress=self.progress, on_result=checkpoint)
+        except (SweepFailure, SweepInterrupted) as exc:
+            # Salvage: finished runs reach the cache even though the run
+            # as a whole is aborting.  Shielded — a second Ctrl-C or
+            # SIGTERM here would drop every finished payload.
+            with _shield_signals():
+                self._store({keys[i]: p for i, p in exc.payloads.items()})
+            raise
+        if run.report:
+            self.failures = run.report
+        self._store({keys[i]: p for i, p in run.completed().items()})
+        return len(keys)
+
+    def _store(self, payloads: Dict[str, dict]) -> None:
+        """Memoize fresh payloads and merge them into the cache file."""
+        for key, payload in payloads.items():
             self._memo[key] = _result_from_dict(payload)
-            entries[repr(key)] = payload
-        if self.cache_path is not None:
-            self._disk = merge_into_cache(self.cache_path, entries)
-        return len(pending)
+        if payloads and self.cache_path is not None:
+            self._disk = merge_into_cache(self.cache_path, payloads)
 
     # ------------------------------------------------------------------
     def telemetry_summary(self) -> Dict[str, float]:
@@ -315,20 +333,6 @@ class ExperimentRunner:
             "probes_per_event": (total_probes / total_events
                                  if total_events else 0.0),
         }
-
-    # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        if self.cache_path is None:
-            return
-        self._disk = merge_into_cache(self.cache_path, self._disk)
-
-
-def _payload_from_result(result: RunResult) -> dict:
-    """Cache/worker payload: the serialized result plus telemetry."""
-    payload = _result_to_dict(result)
-    if result.telemetry is not None:
-        payload["telemetry"] = dict(result.telemetry)
-    return payload
 
 
 def _result_to_dict(result: RunResult) -> dict:

@@ -1,6 +1,6 @@
 """Supervised parallel execution for sweep jobs.
 
-``multiprocessing.Pool.imap_unordered`` — the fan-out the sweep engine
+``multiprocessing.Pool.imap_unordered`` — the fan-out the harness
 used before this module — has exactly the failure modes a large sweep
 matrix cannot afford: one raising job aborts the whole batch, a worker
 that segfaults or hangs stalls ``imap_unordered`` forever, and either
@@ -23,7 +23,7 @@ it with a small, explicit pool:
   a corrupted worker cannot smuggle garbage into the result cache;
 * Ctrl-C / SIGTERM terminates the pool and raises
   :class:`~repro.errors.SweepInterrupted` carrying every completed
-  payload, so the engine can flush finished cells to the cache before
+  payload, so the runner can flush finished cells to the cache before
   the interrupt propagates.
 
 Determinism note: retries, respawns, backoff, and completion order all
@@ -67,6 +67,16 @@ __all__ = [
 ]
 
 
+#: Retry backoff: exponential from ``BACKOFF_BASE_S``, capped at
+#: ``BACKOFF_CAP_S``, jittered from ``BACKOFF_SEED`` (see
+#: :func:`retry_delay_s`).
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+BACKOFF_SEED = 0
+#: How long the pool loop waits on busy workers before a health pass.
+POLL_INTERVAL_S = 0.05
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Retry/timeout policy for a supervised run.
@@ -82,10 +92,6 @@ class SupervisorConfig:
     job_timeout_s: Optional[float] = None
     retries: int = 2
     fail_fast: bool = False
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    backoff_seed: int = 0
-    poll_interval_s: float = 0.05
 
     def validate(self) -> "SupervisorConfig":
         if self.retries < 0:
@@ -96,16 +102,15 @@ class SupervisorConfig:
         return self
 
 
-def retry_delay_s(config: SupervisorConfig, key: str, attempt: int) -> float:
+def retry_delay_s(key: str, attempt: int) -> float:
     """Backoff before re-attempting ``key`` (``attempt`` is the one that
     just failed, 0-based): exponential, capped, with seeded jitter so
     co-failing jobs (e.g. all victims of one dead worker) do not retry
-    in lockstep.  Seeded from (config seed, job key, attempt) — pure,
-    so a re-run of the same chaos plan schedules identically.
+    in lockstep.  Seeded from (seed, job key, attempt) — pure, so a
+    re-run of the same chaos plan schedules identically.
     """
-    base = min(config.backoff_cap_s,
-               config.backoff_base_s * (2 ** min(attempt, 16)))
-    rng = random.Random(f"{config.backoff_seed}|{key}|{attempt}")
+    base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** min(attempt, 16)))
+    rng = random.Random(f"{BACKOFF_SEED}|{key}|{attempt}")
     return base * rng.uniform(0.5, 1.5)
 
 
@@ -273,7 +278,7 @@ def _sigterm_as_interrupt():
     A supervised sweep treats ``kill <pid>`` exactly like Ctrl-C:
     terminate the pool, flush completed results, exit.  Signal handlers
     can only be installed from the main thread; elsewhere (tests
-    driving the engine from a thread) this is a no-op and SIGTERM keeps
+    driving the runner from a thread) this is a no-op and SIGTERM keeps
     its default fatal behavior.
 
     The handler is **one-shot**: tools like ``timeout`` and process
@@ -354,7 +359,7 @@ class _RunState:
         return max(0.0, min(nb for nb, _i, _a in self.pending) - now)
 
     def requeue(self, index: int, attempt: int) -> None:
-        delay = retry_delay_s(self.config, self.keys[index], attempt)
+        delay = retry_delay_s(self.keys[index], attempt)
         entry = (time.monotonic() + delay, index, attempt + 1)
         self.pending.append(entry)
         self.pending.sort(key=lambda item: (item[0], item[1]))
@@ -407,7 +412,7 @@ def run_supervised(jobs: Sequence[SweepJob], n_workers: int,
     ``fail_fast``, and :class:`~repro.errors.SweepInterrupted` on
     Ctrl-C/SIGTERM — both carry every completed payload so callers can
     salvage them.  ``on_result(index, payload)`` fires as each payload
-    is *accepted* (completion order), which is what the engine's
+    is *accepted* (completion order), which is what the runner's
     periodic cache checkpointing hooks.
     """
     require_jobs(n_workers)
@@ -435,7 +440,6 @@ def _run_inline(state: _RunState, plan: Optional[FaultPlan],
     would ``os._exit`` the parent) and no wall-clock timeout is set (a
     hang cannot be reaped in-process).
     """
-    config = state.config
     try:
         while True:
             item = state.pop_ready(time.monotonic())
@@ -466,7 +470,6 @@ def _run_inline(state: _RunState, plan: Optional[FaultPlan],
 
 def _run_pool(state: _RunState, n_workers: int,
               plan: Optional[FaultPlan], progress, on_result) -> None:
-    config = state.config
     context = _pool_context()
     count = min(n_workers, len(state.jobs))
     workers: List[_Worker] = []
@@ -491,7 +494,7 @@ def _run_pool(state: _RunState, n_workers: int,
             if busy:
                 ready = _connection_wait(
                     [w.conn for w in busy],
-                    timeout=config.poll_interval_s)
+                    timeout=POLL_INTERVAL_S)
                 conn_to_worker = {id(w.conn): w for w in busy}
                 for conn in ready:
                     worker = conn_to_worker[id(conn)]
@@ -506,7 +509,7 @@ def _run_pool(state: _RunState, n_workers: int,
                 if wakeup is None:  # nothing pending, nothing in flight
                     break  # pragma: no cover - resolved check exits first
                 if wakeup > 0:
-                    time.sleep(min(wakeup, config.poll_interval_s))
+                    time.sleep(min(wakeup, POLL_INTERVAL_S))
             _health_pass(state, workers, context, plan, progress,
                          on_result)
     except KeyboardInterrupt:

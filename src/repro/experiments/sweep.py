@@ -1,33 +1,31 @@
-"""Parallel sweep engine for the experiment harness.
+"""Declarative sweeps for the experiment harness.
 
 A *sweep* is a declarative cross product — benchmarks × architectures
 × configuration variants — expanded into independent
-:class:`~repro.experiments.runner.SweepJob` units and fanned out over
-a ``multiprocessing`` pool.  Because every job runs through the same
-pure :func:`~repro.experiments.runner.execute_job` the serial runner
-uses, results are bit-identical regardless of worker count or
+:class:`~repro.experiments.runner.SweepJob` cells.  :func:`run_sweep`
+runs a spec (or one ``--shard I/N`` partition of it) through an
+:class:`~repro.experiments.runner.ExperimentRunner`, the harness's one
+executor, so a sweep shares the runner's memo, on-disk cache,
+supervised worker pool, checkpoints and salvage with the figure
+harness.  Results are bit-identical regardless of worker count or
 completion order (the determinism suite in ``tests/test_determinism.py``
 enforces this).
-
-Results merge into the same on-disk JSON cache the
-:class:`~repro.experiments.runner.ExperimentRunner` reads, through the
-lock-safe writer in :mod:`repro.experiments.cachefile`, so concurrent
-sweeps (or a sweep racing a figure regeneration) cannot corrupt it.
 
 Typical use::
 
     spec = SweepSpec.build(benchmarks=["mcf", "canl"],
                            architectures=["i-fam", "deact-n"],
                            axes={"stu-entries": [256, 1024]})
-    engine = SweepEngine(RunSettings(), cache_path="results.json", jobs=4)
-    results = engine.run(spec)   # {(bench, arch, variant): RunResult}
+    runner = ExperimentRunner(RunSettings(), cache_path="results.json",
+                              jobs=4)
+    results = run_sweep(runner, spec)   # {(bench, arch, variant): RunResult}
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config.presets import (
@@ -43,26 +41,18 @@ from repro.config.presets import (
 from repro.config.system import SystemConfig
 from repro.core.architectures import ARCHITECTURES
 from repro.core.results import RunResult
-from repro.errors import ConfigError, SweepFailure, SweepInterrupted
-from repro.experiments.cachefile import load_cache, merge_into_cache
-from repro.experiments.faults import FaultPlan
-from repro.experiments.runner import (
-    RunSettings,
-    SweepJob,
-    _result_from_dict,
-    job_key,
-    require_jobs,
-)
-from repro.experiments.supervisor import (
-    FailureReport,
-    SupervisorConfig,
-    _shield_signals,
-    run_supervised,
+from repro.errors import ConfigError
+from repro.experiments.cachefile import merge_into_cache
+from repro.experiments.runner import ExperimentRunner, RunSettings, SweepJob
+from repro.experiments.shardfile import (
+    build_manifest,
+    manifest_path,
+    write_manifest,
 )
 from repro.workloads.catalog import benchmark_names
 
-__all__ = ["SWEEP_AXES", "SweepSpec", "SweepEngine", "SweepProgress",
-           "parse_shard", "run_jobs"]
+__all__ = ["SWEEP_AXES", "SweepSpec", "SweepProgress", "parse_shard",
+           "run_sweep"]
 
 #: Declarative sweep axes: name -> (value parser, config transform).
 #: Each mirrors one ``with_*`` preset helper, i.e. one sensitivity
@@ -210,43 +200,6 @@ def parse_shard(text: str) -> Tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Worker fan-out (supervised)
-# ----------------------------------------------------------------------
-def run_jobs(jobs: Sequence[SweepJob], n_workers: int,
-             progress: Optional[Callable[[int, int], None]] = None,
-             supervisor: Optional[SupervisorConfig] = None,
-             on_result: Optional[Callable[[int, dict], None]] = None,
-             fault_plan: Optional[FaultPlan] = None) -> List[dict]:
-    """Execute ``jobs``, returning serialized results in input order.
-
-    A thin wrapper over
-    :func:`~repro.experiments.supervisor.run_supervised` that keeps
-    this function's historical contract: any permanently failed job
-    raises :class:`~repro.errors.SweepFailure` (after the configured
-    retries) and the returned list is fully populated, so callers like
-    :meth:`~repro.experiments.runner.ExperimentRunner.prewarm` never
-    see ``None`` holes.  Callers wanting quarantine semantics — a
-    partial result plus a failure report — use
-    :func:`~repro.experiments.supervisor.run_supervised` directly, as
-    the sweep engine does.
-
-    Output order is by input index, so completion order — the only
-    nondeterministic part of a parallel sweep — never leaks into
-    results.  ``progress`` is called as ``progress(done, total)`` as
-    jobs resolve.
-    """
-    config = supervisor or SupervisorConfig(fail_fast=True)
-    run = run_supervised(jobs, n_workers, config=config,
-                         progress=progress, on_result=on_result,
-                         fault_plan=fault_plan)
-    if run.report:
-        raise SweepFailure(
-            f"sweep failed: {run.report.render()}", report=run.report,
-            payloads=run.completed())
-    return run.payloads  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
 # Progress / ETA reporting
 # ----------------------------------------------------------------------
 class SweepProgress:
@@ -256,23 +209,15 @@ class SweepProgress:
     stdout stays machine-readable.
     """
 
-    def __init__(self, stream=None, min_interval_s: float = 0.0) -> None:
+    def __init__(self, stream=None) -> None:
         self.stream = stream if stream is not None else sys.stderr
-        self.min_interval_s = min_interval_s
         self._start: Optional[float] = None
-        self._last_emit: Optional[float] = None
 
     def __call__(self, done: int, total: int) -> None:
         now = time.monotonic()
         if self._start is None:
             self._start = now
         elapsed = now - self._start
-        # The first and last updates always emit; in between,
-        # ``min_interval_s`` rate-limits chatty sweeps.
-        if (done < total and self._last_emit is not None
-                and now - self._last_emit < self.min_interval_s):
-            return
-        self._last_emit = now
         eta = (elapsed / done) * (total - done) if done else float("inf")
         self.stream.write(
             f"[sweep] {done}/{total} runs done, "
@@ -281,142 +226,41 @@ class SweepProgress:
 
 
 # ----------------------------------------------------------------------
-# The engine
+# Running a spec
 # ----------------------------------------------------------------------
-class SweepEngine:
-    """Expand a :class:`SweepSpec`, execute missing cells on a worker
-    pool, and merge results into the shared on-disk cache."""
+def run_sweep(runner: ExperimentRunner, spec: SweepSpec,
+              shard: Optional[Tuple[int, int]] = None) \
+        -> Dict[Tuple[str, str, str], RunResult]:
+    """Run every cell of ``spec`` through ``runner`` (recalling cached
+    ones), returning ``(benchmark, architecture, variant) -> RunResult``.
 
-    def __init__(self, settings: Optional[RunSettings] = None,
-                 cache_path: Optional[str] = None, jobs: int = 1,
-                 progress: Optional[Callable[[int, int], None]] = None,
-                 ) -> None:
-        require_jobs(jobs)
-        self.settings = settings or RunSettings()
-        self.cache_path = cache_path
-        self.jobs = jobs
-        self.progress = progress
-        #: The last run's quarantine list (``None`` until a run under
-        #: ``keep_going`` leaves permanent failures behind).
-        self.failures: Optional[FailureReport] = None
-        self._disk: Dict[str, dict] = (
-            load_cache(cache_path) if cache_path else {})
+    With ``shard=(index, count)`` only that :meth:`SweepSpec.shard`
+    partition runs, and — when the runner has a ``cache_path``, which
+    for a shard run should be the per-shard cache from
+    :func:`~repro.experiments.shardfile.shard_cache_path` — a shard
+    manifest (spec fingerprint, covered cell keys, host provenance) is
+    written next to the cache so ``deact cache merge``/``validate`` can
+    verify the reassembled sweep.
 
-    def run(self, spec: SweepSpec,
-            shard: Optional[Tuple[int, int]] = None,
-            keep_going: bool = False,
-            supervisor: Optional[SupervisorConfig] = None,
-            fault_plan: Optional[FaultPlan] = None,
-            checkpoint_every: Optional[int] = None) \
-            -> Dict[Tuple[str, str, str], RunResult]:
-        """Run every cell of ``spec`` (recalling cached ones), returning
-        ``(benchmark, architecture, variant) -> RunResult``.
-
-        With ``shard=(index, count)`` only that :meth:`SweepSpec.shard`
-        partition runs, and — when the engine has a ``cache_path``,
-        which for a shard run should be the per-shard cache from
-        :func:`~repro.experiments.shardfile.shard_cache_path` — a
-        shard manifest (spec fingerprint, covered cell keys, host
-        provenance) is written next to the cache so ``deact cache
-        merge``/``validate`` can verify the reassembled sweep.
-
-        Robustness knobs (all optional):
-
-        * ``keep_going`` — quarantine permanently failed jobs instead
-          of raising: the result dict simply lacks those cells and the
-          structured report lands on :attr:`failures`.  ``supervisor``
-          overrides the whole retry/timeout policy at once (its own
-          ``fail_fast`` then wins over ``keep_going``).
-        * ``checkpoint_every=N`` — merge completed payloads into the
-          cache every N results, so a killed sweep resumes from the
-          last checkpoint instead of from zero.
-        * On :class:`~repro.errors.SweepFailure` (fail-fast) and
-          :class:`~repro.errors.SweepInterrupted` (Ctrl-C/SIGTERM),
-          every payload completed before the abort is flushed to the
-          cache before the exception propagates — an aborted sweep
-          loses at most its in-flight jobs.
-        """
-        all_cells = spec.jobs(self.settings)
-        if shard is None:
-            cells = all_cells
-        else:
-            cells = spec.shard(shard[0], shard[1], self.settings,
-                               cells=all_cells)
-        pending: List[SweepJob] = []
-        pending_keys: List[str] = []
-        seen = set()
-        payloads: Dict[str, dict] = {}
-        for _cell, job in cells:
-            key = job_key(job)
-            if key in seen:
-                continue
-            seen.add(key)
-            cached = self._disk.get(key)
-            if cached is not None:
-                payloads[key] = cached
-            else:
-                pending.append(job)
-                pending_keys.append(key)
-        config = supervisor or SupervisorConfig(fail_fast=not keep_going)
-        unflushed: Dict[str, dict] = {}
-
-        def checkpoint(index: int, payload: dict) -> None:
-            unflushed[pending_keys[index]] = payload
-            if (checkpoint_every and self.cache_path is not None
-                    and len(unflushed) >= checkpoint_every):
-                self._disk = merge_into_cache(self.cache_path,
-                                              dict(unflushed))
-                unflushed.clear()
-
-        self.failures = None
-        try:
-            run = run_supervised(pending, self.jobs, config=config,
-                                 progress=self.progress,
-                                 on_result=checkpoint,
-                                 fault_plan=fault_plan)
-        except (SweepFailure, SweepInterrupted) as exc:
-            # Salvage: completed cells go to the cache even though the
-            # sweep as a whole is aborting.  Shielded — a second Ctrl-C
-            # or SIGTERM here would drop every completed payload.
-            with _shield_signals():
-                salvaged = {pending_keys[i]: p
-                            for i, p in exc.payloads.items()}
-                if salvaged and self.cache_path is not None:
-                    self._disk = merge_into_cache(self.cache_path,
-                                                  salvaged)
-            raise
-        self.failures = run.report if run.report else None
-        fresh = {pending_keys[i]: p
-                 for i, p in enumerate(run.payloads) if p is not None}
-        payloads.update(fresh)
-        if fresh and self.cache_path is not None:
-            self._disk = merge_into_cache(self.cache_path, fresh)
-        else:
-            self._disk.update(fresh)
-        if shard is not None and self.cache_path is not None:
-            # Imported here, not at module top: shardfile imports this
-            # module's sibling runner, and keeping the dependency
-            # one-way at import time avoids a cycle if shardfile ever
-            # needs SweepSpec.
-            from repro.experiments.shardfile import (
-                build_manifest,
-                manifest_path,
-                write_manifest,
-            )
-            if not fresh:
-                # Even a shard with nothing fresh to add (all cells
-                # recalled, or a stride past the cell count) must
-                # leave a cache file: the merge discovers shards by
-                # their cache files and checks every index 1..N is
-                # present.
-                self._disk = merge_into_cache(self.cache_path,
-                                              self._disk)
-            write_manifest(manifest_path(self.cache_path),
-                           build_manifest(spec, self.settings,
-                                          shard[0], shard[1],
-                                          cells=all_cells))
-        # Quarantined cells (keep_going) simply have no entry; callers
-        # consult ``self.failures`` for the structured report.
-        return {cell: _result_from_dict(payloads[job_key(job)])
-                for cell, job in cells
-                if job_key(job) in payloads}
+    Cells the runner's supervisor quarantined (keep-going policy) have
+    no entry; the structured report is on ``runner.failures``.
+    """
+    all_cells = spec.jobs(runner.settings)
+    cells = all_cells if shard is None else spec.shard(
+        shard[0], shard[1], runner.settings, cells=all_cells)
+    runner.prewarm([(job.benchmark, job.architecture, job.config)
+                    for _cell, job in cells])
+    if shard is not None and runner.cache_path is not None:
+        # Even a shard with nothing to add (a stride past the cell
+        # count) must leave a cache file: the merge discovers shards by
+        # their cache files and checks every index 1..N is present.
+        merge_into_cache(runner.cache_path, {})
+        write_manifest(manifest_path(runner.cache_path),
+                       build_manifest(spec, runner.settings, shard[0],
+                                      shard[1], cells=all_cells))
+    results = {}
+    for cell, job in cells:
+        result = runner.recall(job.benchmark, job.architecture, job.config)
+        if result is not None:
+            results[cell] = result
+    return results

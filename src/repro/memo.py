@@ -1,8 +1,9 @@
 """A small bounded LRU memo.
 
-It caps the per-geometry decoded-trace cache on :class:`Trace`, so a
-long many-trace sweep (or a sweep over many page/block geometries)
-cannot keep every decoded trace alive for the life of the process.
+It caps the trace memo of
+:func:`~repro.experiments.runner.execute_job`, so a long sweep over many
+benchmarks and settings cannot keep every trace alive for the life of
+the process.
 :class:`BoundedMemo` is an ``OrderedDict`` in least- to
 most-recently-used order that evicts the coldest entry when full.
 

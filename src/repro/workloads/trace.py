@@ -23,16 +23,10 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.config.system import BLOCK_BYTES, PAGE_BYTES
 from repro.errors import TraceError
-from repro.memo import BoundedMemo
 
 __all__ = ["TraceEvent", "Trace", "DecodedTrace"]
-
-#: Per-trace cap on memoized decodings.  Each entry is one (page size,
-#: block size) pair; a run only ever uses one
-#: geometry, so a small LRU bound keeps long many-geometry sweeps from
-#: pinning every decode of every trace for the life of the process.
-DECODED_MEMO_CAP = 8
 
 
 class DecodedTrace(NamedTuple):
@@ -123,39 +117,32 @@ class Trace:
                      writes=self.writes[start:stop],
                      dependents=self.dependents[start:stop])
 
-    def decoded(self, page_bytes: int = 4096,
-                block_bytes: int = 64) -> DecodedTrace:
-        """Vectorized per-event decomposition (cached per geometry).
+    def decoded(self, page_bytes: int = PAGE_BYTES,
+                block_bytes: int = BLOCK_BYTES) -> DecodedTrace:
+        """Vectorized per-event decomposition, memoized on the trace.
 
         One pass of whole-array NumPy arithmetic replaces the three
-        per-event divisions/modulos the scalar loop used to perform;
-        the result is memoized on the trace (LRU-bounded to
-        ``DECODED_MEMO_CAP`` geometries), so repeated runs (sweeps
-        re-using memoized traces) pay for decoding once.
+        per-event divisions/modulos the scalar loop used to perform,
+        and repeated runs (sweeps re-using memoized traces) pay for it
+        once.  Page and block size are fixed constants of the model,
+        so the parameters only guard against a caller assuming
+        otherwise: any other geometry raises :class:`TraceError`.
         """
-        if page_bytes <= 0 or page_bytes & (page_bytes - 1):
-            raise TraceError(f"page size must be a power of two, "
-                             f"got {page_bytes}")
-        if block_bytes <= 0 or block_bytes & (block_bytes - 1):
-            raise TraceError(f"block size must be a power of two, "
-                             f"got {block_bytes}")
-        cache = self.__dict__.get("_decoded_cache")
-        if cache is None:
-            cache = BoundedMemo(DECODED_MEMO_CAP)
-            self._decoded_cache = cache
-        key = (page_bytes, block_bytes)
-        decoded = cache.get(key)
+        if (page_bytes, block_bytes) != (PAGE_BYTES, BLOCK_BYTES):
+            raise TraceError(
+                f"decoded traces use {PAGE_BYTES} B pages and "
+                f"{BLOCK_BYTES} B blocks, got {page_bytes} B and "
+                f"{block_bytes} B")
+        decoded = self.__dict__.get("_decoded")
         if decoded is None:
             vaddrs = np.asarray(self.vaddrs, dtype=np.int64)
-            page_shift = page_bytes.bit_length() - 1
-            block_shift = block_bytes.bit_length() - 1
-            offsets = vaddrs & (page_bytes - 1)
+            offsets = vaddrs & (PAGE_BYTES - 1)
             decoded = DecodedTrace(
                 gaps=self.gaps,
-                vpns=(vaddrs >> page_shift).tolist(),
+                vpns=(vaddrs >> (PAGE_BYTES.bit_length() - 1)).tolist(),
                 offsets=offsets.tolist(),
-                blocks=(offsets >> block_shift).tolist(),
+                blocks=(offsets >> (BLOCK_BYTES.bit_length() - 1)).tolist(),
                 writes=self.writes,
                 dependents=self.dependents)
-            cache.put(key, decoded)
+            self._decoded = decoded
         return decoded

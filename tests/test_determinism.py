@@ -31,7 +31,7 @@ from repro.experiments.shardfile import (
     spec_fingerprint,
     validate_cache,
 )
-from repro.experiments.sweep import SweepEngine, SweepSpec
+from repro.experiments.sweep import SweepSpec, run_sweep
 
 FAST = RunSettings(n_events=1500, footprint_scale=0.01, seed=3)
 
@@ -42,11 +42,11 @@ FIG3_ARCHS = ["e-fam", "i-fam"]
 
 
 def _sweep_dicts(jobs: int, cache_path=None) -> dict:
-    engine = SweepEngine(FAST, cache_path=cache_path, jobs=jobs)
+    runner = ExperimentRunner(FAST, cache_path=cache_path, jobs=jobs)
     spec = SweepSpec.build(benchmarks=FIG3_BENCHES,
                            architectures=FIG3_ARCHS)
     return {cell: _result_to_dict(result)
-            for cell, result in engine.run(spec).items()}
+            for cell, result in run_sweep(runner, spec).items()}
 
 
 class TestRunDeterminism:
@@ -119,13 +119,13 @@ class TestShardDeterminism:
     def test_shard_union_bit_identical_to_unsharded(self, tmp_path, count):
         spec = self._spec()
         unsharded = str(tmp_path / "full.json")
-        SweepEngine(FAST, cache_path=unsharded, jobs=1).run(spec)
+        run_sweep(ExperimentRunner(FAST, cache_path=unsharded, jobs=1), spec)
 
         base = str(tmp_path / "merged.json")
         for index in range(1, count + 1):
             shard_path = shard_cache_path(base, index, count)
-            SweepEngine(FAST, cache_path=shard_path, jobs=1).run(
-                spec, shard=(index, count))
+            run_sweep(ExperimentRunner(FAST, cache_path=shard_path, jobs=1),
+                      spec, shard=(index, count))
             assert load_cache_nonempty(shard_path)
             manifest = load_manifest(manifest_path(shard_path))
             assert manifest.fingerprint == spec_fingerprint(spec, FAST)
@@ -141,11 +141,12 @@ class TestShardDeterminism:
         # reassembled outcome either.
         spec = self._spec()
         unsharded = str(tmp_path / "full.json")
-        SweepEngine(FAST, cache_path=unsharded, jobs=1).run(spec)
+        run_sweep(ExperimentRunner(FAST, cache_path=unsharded, jobs=1), spec)
         base = str(tmp_path / "merged.json")
         for index in (1, 2):
-            SweepEngine(FAST, cache_path=shard_cache_path(base, index, 2),
-                        jobs=2).run(spec, shard=(index, 2))
+            runner = ExperimentRunner(
+                FAST, cache_path=shard_cache_path(base, index, 2), jobs=2)
+            run_sweep(runner, spec, shard=(index, 2))
         merge_shards(base, strict=True)
         assert canonical_cache_text(base) == canonical_cache_text(unsharded)
 
@@ -154,10 +155,11 @@ class TestShardDeterminism:
         # cells, with the same serialized results the full run yields.
         spec = self._spec()
         full = {cell: _result_to_dict(result) for cell, result
-                in SweepEngine(FAST, jobs=1).run(spec).items()}
+                in run_sweep(ExperimentRunner(FAST, jobs=1), spec).items()}
         reassembled = {}
         for index in (1, 2):
-            part = SweepEngine(FAST, jobs=1).run(spec, shard=(index, 2))
+            part = run_sweep(ExperimentRunner(FAST, jobs=1), spec,
+                             shard=(index, 2))
             assert not set(part) & set(reassembled)  # disjoint
             reassembled.update({cell: _result_to_dict(result)
                                 for cell, result in part.items()})

@@ -7,7 +7,11 @@ import os
 import pytest
 
 from repro.config.presets import default_config, with_stu_entries
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, SweepFailure, \
+    SweepInterrupted
+from repro.experiments import faults
+from repro.experiments.cachefile import load_cache
+from repro.experiments.faults import FaultPlan, FaultRule
 from repro.experiments.figures import (
     ALL_FIGURES,
     figure3,
@@ -23,6 +27,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import ExperimentRunner, RunSettings, \
     SweepJob, _result_to_dict, job_key
+from repro.experiments.supervisor import SupervisorConfig
 from repro.experiments.tables import table1, table2, table3, table3_matrix
 
 FAST = RunSettings(n_events=2500, footprint_scale=0.02, seed=3)
@@ -182,6 +187,58 @@ class TestRunner:
         assert fresh.prewarm([("mcf", "e-fam", default_config())]) == 0
 
 
+class TestSalvage:
+    """An aborted :meth:`ExperimentRunner.prewarm` leaves every run it
+    finished in the cache: a long figure regeneration that dies near
+    the end keeps its work."""
+
+    CELLS = [(bench, arch, default_config())
+             for bench in ("mcf", "canl") for arch in ("e-fam", "i-fam")]
+
+    @pytest.fixture(autouse=True)
+    def no_leaked_plan(self):
+        yield
+        faults.deactivate()
+
+    def _keys(self, indices):
+        return {job_key(SweepJob(*self.CELLS[i], FAST)) for i in indices}
+
+    def test_fail_fast_abort_keeps_finished_cells(self, tmp_path):
+        path = str(tmp_path / "cache.json")
+        # Workers take the mcf cells first, so at least one finishes
+        # before the canl cells fail for good.
+        faults.activate(FaultPlan(rules=(
+            FaultRule(kind="raise", match="canl", attempts=99),)))
+        runner = ExperimentRunner(FAST, cache_path=path, jobs=2)
+        with pytest.raises(SweepFailure) as info:
+            runner.prewarm(self.CELLS)
+        assert info.value.payloads
+        assert set(load_cache(path)) == self._keys(info.value.payloads)
+
+    def test_interrupt_keeps_finished_cells(self, tmp_path):
+        path = str(tmp_path / "cache.json")
+
+        def interrupt_after_two(done, total):
+            if done == 2:
+                raise KeyboardInterrupt
+
+        runner = ExperimentRunner(FAST, cache_path=path, jobs=2,
+                                  progress=interrupt_after_two)
+        with pytest.raises(SweepInterrupted) as info:
+            runner.prewarm(self.CELLS)
+        assert len(info.value.payloads) == 2
+        assert set(load_cache(path)) == self._keys(info.value.payloads)
+
+    def test_run_raises_for_a_quarantined_job(self):
+        faults.activate(FaultPlan(rules=(
+            FaultRule(kind="raise", match="mcf", attempts=99),)))
+        runner = ExperimentRunner(FAST,
+                                  supervisor=SupervisorConfig(retries=0))
+        with pytest.raises(SweepFailure, match="mcf/e-fam"):
+            runner.run("mcf", "e-fam")
+        assert runner.failures is not None
+
+
 class TestFigures:
     def test_figure3_rows_and_paper_refs(self, runner):
         result = figure3(runner, benchmarks=["mcf", "sssp"])
@@ -208,6 +265,17 @@ class TestFigures:
             assert fig in ALL_FIGURES
 
 
+class _CountingRunner(ExperimentRunner):
+    """Counts the runs :meth:`prewarm` reports as executed."""
+
+    executed = 0
+
+    def prewarm(self, triples):
+        count = super().prewarm(triples)
+        self.executed += count
+        return count
+
+
 class TestRunMatrices:
     """``figure_matrix`` must cover exactly what each figure requests:
     after prewarming the matrix, building the figure may not trigger a
@@ -218,20 +286,20 @@ class TestRunMatrices:
 
     @pytest.fixture(scope="class")
     def shared(self):
-        return ExperimentRunner(self.TINY)
+        return _CountingRunner(self.TINY)
 
     @pytest.mark.parametrize("fig_id", sorted(ALL_FIGURES))
     def test_matrix_covers_figure(self, shared, fig_id):
         shared.prewarm(figure_matrix(fig_id, self.BENCHES))
-        memo_before = set(shared._memo)
+        executed_before = shared.executed
         ALL_FIGURES[fig_id](shared, benchmarks=self.BENCHES)
-        assert set(shared._memo) == memo_before
+        assert shared.executed == executed_before
 
     def test_matrix_covers_table3(self, shared):
         shared.prewarm(table3_matrix(self.BENCHES))
-        memo_before = set(shared._memo)
+        executed_before = shared.executed
         table3(shared, benchmarks=self.BENCHES)
-        assert set(shared._memo) == memo_before
+        assert shared.executed == executed_before
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):

@@ -275,9 +275,12 @@ class TestDecodedFrontEnd:
                 assert npa // 64 == (frame << 6) | block
 
     def test_decode_is_cached_per_geometry(self):
+        from repro.errors import TraceError
+
         trace = build_traces("mg", 1, FAST)[0]
         assert trace.decoded(4096, 64) is trace.decoded(4096, 64)
-        assert trace.decoded(4096, 64) is not trace.decoded(4096, 128)
+        with pytest.raises(TraceError):
+            trace.decoded(4096, 128)
 
     def test_decode_rejects_non_power_of_two(self):
         from repro.errors import TraceError

@@ -1,16 +1,16 @@
-"""Bounds on the decoded-trace memo.
+"""The bounded LRU memo and the decoded-trace memo.
 
-The per-geometry decoded-trace cache is LRU-capped through
-:class:`repro.memo.BoundedMemo`, so long many-trace sweeps cannot grow
-it without limit.  Eviction only ever costs a recompute — these tests
-also pin that recomputed entries are correct.
+:class:`repro.memo.BoundedMemo` caps the harness's trace memo, so long
+many-trace sweeps cannot grow it without limit; eviction only ever
+costs a recompute.  A trace keeps exactly one decode, since page and
+block size are fixed.
 """
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.memo import BoundedMemo
-from repro.workloads.trace import DECODED_MEMO_CAP, Trace
+from repro.workloads.trace import Trace
 
 
 class TestBoundedMemo:
@@ -60,23 +60,8 @@ class TestDecodedCacheBound:
                      writes=[False, True, False],
                      dependents=[False, False, True])
 
-    def test_cache_capped_across_geometries(self):
-        trace = self._trace()
-        block = 64
-        for exponent in range(DECODED_MEMO_CAP + 3):
-            trace.decoded(4096 << exponent, block)
-        assert len(trace._decoded_cache) <= DECODED_MEMO_CAP
-
     def test_recent_geometry_stays_cached(self):
         trace = self._trace()
         decoded = trace.decoded(4096, 64)
         assert trace.decoded(4096, 64) is decoded
-
-    def test_evicted_geometry_recomputes_identically(self):
-        trace = self._trace()
-        first = trace.decoded(4096, 64)
-        for exponent in range(1, DECODED_MEMO_CAP + 2):
-            trace.decoded(4096 << exponent, 64)
-        again = trace.decoded(4096, 64)
-        assert again is not first          # evicted, rebuilt
-        assert again == first              # ... identically
+        assert trace.decoded() is decoded

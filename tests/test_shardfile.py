@@ -323,15 +323,17 @@ class TestMergeShards:
         # End to end: running a stride past the cell count still
         # leaves a (empty) shard cache + manifest, so merge/validate
         # of the full set succeeds.
-        from repro.experiments.sweep import SweepEngine
+        from repro.experiments.runner import ExperimentRunner
+        from repro.experiments.sweep import run_sweep
 
         base = str(tmp_path / "r.json")
         spec = SweepSpec.build(benchmarks=["mcf"],
                                architectures=["e-fam"])  # one cell
         for index in (1, 2):
             path = shard_cache_path(base, index, 2)
-            results = SweepEngine(FAST, cache_path=path, jobs=1).run(
-                spec, shard=(index, 2))
+            results = run_sweep(ExperimentRunner(FAST, cache_path=path,
+                                                 jobs=1),
+                                spec, shard=(index, 2))
             assert os.path.exists(path)
             assert os.path.exists(manifest_path(path))
             assert len(results) == (1 if index == 1 else 0)

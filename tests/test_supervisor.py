@@ -17,15 +17,17 @@ import pytest
 from repro.errors import ConfigError, SweepFailure, SweepInterrupted
 from repro.experiments import faults
 from repro.experiments.faults import FaultPlan, FaultRule, load_fault_plan
-from repro.experiments.runner import RunSettings, payload_ok
+from repro.experiments.runner import ExperimentRunner, RunSettings, \
+    payload_ok
 from repro.experiments.supervisor import (
+    BACKOFF_CAP_S,
     SupervisorConfig,
     _shield_signals,
     _sigterm_as_interrupt,
     retry_delay_s,
     run_supervised,
 )
-from repro.experiments.sweep import SweepEngine, SweepSpec, run_jobs
+from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments.shardfile import canonical_cache_text
 
 FAST = RunSettings(n_events=1500, footprint_scale=0.01, seed=3)
@@ -117,14 +119,11 @@ class TestFaultPlans:
 # ----------------------------------------------------------------------
 class TestConfig:
     def test_seeded_backoff_is_pure_and_bounded(self):
-        config = SupervisorConfig(backoff_base_s=0.05, backoff_cap_s=2.0)
-        delays = [retry_delay_s(config, "key", a) for a in range(10)]
-        assert delays == [retry_delay_s(config, "key", a)
-                          for a in range(10)]
-        assert all(0 < d <= 2.0 * 1.5 for d in delays)
+        delays = [retry_delay_s("key", a) for a in range(10)]
+        assert delays == [retry_delay_s("key", a) for a in range(10)]
+        assert all(0 < d <= BACKOFF_CAP_S * 1.5 for d in delays)
         # Different keys jitter differently (that is the point).
-        assert retry_delay_s(config, "key-a", 0) \
-            != retry_delay_s(config, "key-b", 0)
+        assert retry_delay_s("key-a", 0) != retry_delay_s("key-b", 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="retries"):
@@ -204,57 +203,49 @@ class TestRecovery:
         assert all(payload_ok(p)
                    for p in info.value.payloads.values())
 
-    def test_run_jobs_wrapper_keeps_failfast_contract(self):
-        with pytest.raises(SweepFailure):
-            run_jobs(small_jobs(), n_workers=1,
-                     supervisor=SupervisorConfig(retries=0),
-                     fault_plan=plan(FaultRule(kind="raise",
-                                               attempts=99)))
-
 
 # ----------------------------------------------------------------------
-# Engine-level chaos determinism (the headline invariant)
+# Runner-level chaos determinism (the headline invariant)
 # ----------------------------------------------------------------------
 class TestChaosDeterminism:
     def test_recovered_cache_is_byte_identical(self, tmp_path):
         clean = str(tmp_path / "clean.json")
-        SweepEngine(FAST, cache_path=clean, jobs=2).run(WIDE)
+        run_sweep(ExperimentRunner(FAST, cache_path=clean, jobs=2), WIDE)
 
         chaos = str(tmp_path / "chaos.json")
-        chaos_plan = plan(
+        faults.activate(plan(
             FaultRule(kind="crash", match="mcf", attempts=1),
             FaultRule(kind="raise", match="canl", attempts=2),
-            FaultRule(kind="corrupt", match="i-fam", attempts=1))
-        engine = SweepEngine(FAST, cache_path=chaos, jobs=2)
-        results = engine.run(WIDE, fault_plan=chaos_plan,
-                             keep_going=True, checkpoint_every=1)
-        assert engine.failures is None
+            FaultRule(kind="corrupt", match="i-fam", attempts=1)))
+        runner = ExperimentRunner(FAST, cache_path=chaos, jobs=2,
+                                  supervisor=SupervisorConfig(),
+                                  checkpoint_every=1)
+        results = run_sweep(runner, WIDE)
+        assert runner.failures is None
         assert len(results) == 4
         assert canonical_cache_text(clean) == canonical_cache_text(chaos)
 
-    def test_keep_going_skips_quarantined_cells(self, tmp_path):
+    def test_quarantined_cells_are_skipped(self, tmp_path):
         cache = str(tmp_path / "partial.json")
-        engine = SweepEngine(FAST, cache_path=cache, jobs=2)
-        results = engine.run(
-            WIDE, keep_going=True,
-            fault_plan=plan(FaultRule(kind="raise", match="mcf",
-                                      attempts=99)),
-            supervisor=SupervisorConfig(retries=0))
+        faults.activate(plan(FaultRule(kind="raise", match="mcf",
+                                       attempts=99)))
+        runner = ExperimentRunner(FAST, cache_path=cache, jobs=2,
+                                  supervisor=SupervisorConfig(retries=0))
+        results = run_sweep(runner, WIDE)
         assert len(results) == 2  # canl cells only
-        assert engine.failures is not None and len(engine.failures) == 2
+        assert runner.failures is not None and len(runner.failures) == 2
         # The healthy cells landed in the cache despite the failures.
         assert len(json.load(open(cache))) == 2
 
     def test_fail_fast_salvages_completed_cells(self, tmp_path):
         cache = str(tmp_path / "salvage.json")
-        engine = SweepEngine(FAST, cache_path=cache, jobs=2)
+        faults.activate(plan(FaultRule(kind="raise", match="canl",
+                                       attempts=99)))
+        runner = ExperimentRunner(
+            FAST, cache_path=cache, jobs=2,
+            supervisor=SupervisorConfig(retries=0, fail_fast=True))
         with pytest.raises(SweepFailure):
-            engine.run(WIDE, keep_going=False,
-                       fault_plan=plan(FaultRule(kind="raise",
-                                                 match="canl",
-                                                 attempts=99)),
-                       supervisor=SupervisorConfig(retries=0,
-                                                   fail_fast=True))
+            run_sweep(runner, WIDE)
         on_disk = json.load(open(cache))
         assert on_disk  # completed cells flushed before the abort
         assert all(payload_ok(p) for p in on_disk.values())
@@ -273,22 +264,22 @@ class TestInterruptAndResume:
             if done == 2:
                 raise KeyboardInterrupt
 
-        engine = SweepEngine(FAST, cache_path=cache, jobs=2,
-                             progress=interrupt_after_two)
+        runner = ExperimentRunner(FAST, cache_path=cache, jobs=2,
+                                  progress=interrupt_after_two)
         with pytest.raises(SweepInterrupted) as info:
-            engine.run(WIDE)
+            run_sweep(runner, WIDE)
         assert len(info.value.payloads) == 2
         on_disk = json.load(open(cache))
         assert len(on_disk) == 2
         assert all(payload_ok(p) for p in on_disk.values())
 
-        # Resume: a fresh engine recalls the flushed cells and only
+        # Resume: a fresh runner recalls the flushed cells and only
         # simulates the rest; the final cache matches a clean run.
-        engine2 = SweepEngine(FAST, cache_path=cache, jobs=2)
-        results = engine2.run(WIDE)
+        results = run_sweep(ExperimentRunner(FAST, cache_path=cache,
+                                             jobs=2), WIDE)
         assert len(results) == 4
         clean = str(tmp_path / "clean.json")
-        SweepEngine(FAST, cache_path=clean, jobs=2).run(WIDE)
+        run_sweep(ExperimentRunner(FAST, cache_path=clean, jobs=2), WIDE)
         assert canonical_cache_text(cache) == canonical_cache_text(clean)
 
     def test_checkpoints_flush_every_result(self, tmp_path):
@@ -299,9 +290,9 @@ class TestInterruptAndResume:
             sizes.append(len(json.load(open(cache)))
                          if os.path.exists(cache) else 0)
 
-        engine = SweepEngine(FAST, cache_path=cache, jobs=2,
-                             progress=watch)
-        engine.run(WIDE, checkpoint_every=1)
+        runner = ExperimentRunner(FAST, cache_path=cache, jobs=2,
+                                  progress=watch, checkpoint_every=1)
+        run_sweep(runner, WIDE)
         # The cache grew during the run, not only at the end.
         assert sizes[-1] >= 3
 

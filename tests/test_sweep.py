@@ -1,4 +1,5 @@
-"""Tests for the parallel sweep engine and the lock-safe result cache."""
+"""Tests for sweep specs, :func:`run_sweep` and the lock-safe result
+cache."""
 
 import json
 import multiprocessing
@@ -25,10 +26,9 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweep import (
     SWEEP_AXES,
-    SweepEngine,
     SweepProgress,
     SweepSpec,
-    run_jobs,
+    run_sweep,
 )
 
 FAST = RunSettings(n_events=1500, footprint_scale=0.01, seed=3)
@@ -99,51 +99,31 @@ class TestSweepSpec:
                          ("canl", "e-fam", "default")]
 
 
-class TestRunJobs:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigError, match="jobs must be >= 1"):
-            run_jobs([], 0)
-
-    def test_results_in_input_order(self):
-        jobs = [SweepJob("mcf", arch, default_config(), FAST)
-                for arch in ("e-fam", "i-fam", "deact-n")]
-        payloads = run_jobs(jobs, 2)
-        assert [p["architecture"] for p in payloads] == \
-            ["e-fam", "i-fam", "deact-n"]
-
-    def test_progress_callback_counts_up(self):
-        jobs = [SweepJob("mcf", "e-fam", default_config(), FAST)]
-        seen = []
-        run_jobs(jobs, 1, progress=lambda done, total: seen.append(
-            (done, total)))
-        assert seen == [(1, 1)]
-
-
-class TestSweepEngine:
+class TestRunSweep:
     def test_rejects_zero_jobs(self):
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
-            SweepEngine(FAST, jobs=0)
+            ExperimentRunner(FAST, jobs=0)
 
     def test_returns_every_cell(self):
-        engine = SweepEngine(FAST, jobs=1)
+        runner = ExperimentRunner(FAST, jobs=1)
         spec = SweepSpec.build(benchmarks=["mcf"],
                                architectures=["e-fam", "i-fam"])
-        results = engine.run(spec)
+        results = run_sweep(runner, spec)
         assert set(results) == {("mcf", "e-fam", "default"),
                                 ("mcf", "i-fam", "default")}
         assert results[("mcf", "e-fam", "default")].benchmark == "mcf"
 
     def test_duplicate_cells_share_one_run(self):
         # Two variants with structurally identical configs produce the
-        # same cache key; the engine must execute the run only once.
+        # same cache key; the runner must execute the run only once.
         config = default_config()
         spec = SweepSpec(benchmarks=("mcf",), architectures=("e-fam",),
                          variants=(("a", config), ("b", config)))
         executed = []
-        engine = SweepEngine(FAST, jobs=1,
-                             progress=lambda done, total: executed.append(
-                                 (done, total)))
-        results = engine.run(spec)
+        runner = ExperimentRunner(FAST, jobs=1,
+                                  progress=lambda done, total: executed.append(
+                                      (done, total)))
+        results = run_sweep(runner, spec)
         assert executed == [(1, 1)]
         assert _result_to_dict(results[("mcf", "e-fam", "a")]) == \
             _result_to_dict(results[("mcf", "e-fam", "b")])
@@ -152,16 +132,16 @@ class TestSweepEngine:
         cache = str(tmp_path / "cache.json")
         spec = SweepSpec.build(benchmarks=["mcf"],
                                architectures=["e-fam"])
-        SweepEngine(FAST, cache_path=cache, jobs=1).run(spec)
+        run_sweep(ExperimentRunner(FAST, cache_path=cache, jobs=1), spec)
         with open(cache) as handle:
             on_disk = json.load(handle)
         job = SweepJob("mcf", "e-fam", default_config(), FAST)
         assert job_key(job) in on_disk
 
         executed = []
-        engine = SweepEngine(FAST, cache_path=cache, jobs=1,
-                             progress=lambda d, t: executed.append(d))
-        recalled = engine.run(spec)
+        runner = ExperimentRunner(FAST, cache_path=cache, jobs=1,
+                                  progress=lambda d, t: executed.append(d))
+        recalled = run_sweep(runner, spec)
         assert executed == []  # everything came from the cache
         assert recalled[("mcf", "e-fam", "default")].benchmark == "mcf"
 
@@ -169,7 +149,8 @@ class TestSweepEngine:
         cache = str(tmp_path / "cache.json")
         spec = SweepSpec.build(benchmarks=["mcf", "canl"],
                                architectures=["e-fam", "i-fam"])
-        results = SweepEngine(FAST, cache_path=cache, jobs=2).run(spec)
+        results = run_sweep(ExperimentRunner(FAST, cache_path=cache,
+                                             jobs=2), spec)
         assert len(results) == 4
         assert len(load_cache(cache)) == 4
 
@@ -431,13 +412,3 @@ class TestSweepProgress:
         assert lines[0].startswith("[sweep] 1/4 runs done")
         assert "eta" in lines[0]
         assert lines[-1].startswith("[sweep] 4/4 runs done")
-
-    def test_final_update_ignores_min_interval(self):
-        import io
-
-        stream = io.StringIO()
-        progress = SweepProgress(stream=stream, min_interval_s=3600.0)
-        progress(1, 2)
-        progress(2, 2)
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == 2  # first + final always emit
