@@ -55,7 +55,8 @@ class AcmStore:
         self._entries: Dict[int, AcmEntry] = {}
         self._bitmaps: Dict[int, SharedPageBitmap] = {}
         # One frozen entry per (owner, permission class), shared by
-        # every page :meth:`set_owner` gives that pair.
+        # every page given that pair (by :meth:`set_owner`, or in place
+        # by the broker's first-touch grant once the entry exists).
         self._owned: Dict[Tuple[int, int], AcmEntry] = {}
         # Layout geometry and the shared marker, hoisted for check().
         self._usable_end = layout.metadata_base

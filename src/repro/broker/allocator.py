@@ -14,7 +14,10 @@ Two placement policies, selected by
 The random policy uses a lazy Fisher-Yates shuffle (a sparse swap map
 over the virtual permutation), so constructing an allocator over a
 16 GB pool costs O(1) instead of shuffling four million entries up
-front.
+front.  Every first touch of a FAM-zone page draws one frame, so
+:meth:`FrameAllocator.allocate` makes the random draw in line;
+:meth:`FrameAllocator._draw_fresh` keeps the contiguous policy and the
+out-of-frames error.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ class FrameAllocator:
         self.policy = policy
         self.total_frames = n_frames
         self._rng = random.Random(seed)
+        # The random policy's draw, hoisted for allocate(): for a
+        # positive bound, randrange(n) is exactly _randbelow(n).
+        self._randbelow = (self._rng._randbelow if policy == "random"
+                           else None)
         # Virtual permutation state (random policy): indices
         # [0, _remaining) are the not-yet-drawn frames; _swaps patches
         # the identity permutation where draws displaced entries.
@@ -96,6 +103,11 @@ class FrameAllocator:
     def allocate(self) -> int:
         """Hand out one frame (byte address).
 
+        A recycled frame goes first; otherwise the random policy's
+        lazy Fisher-Yates draw runs in line, the same draw as
+        :meth:`_draw_fresh`'s, which serves the contiguous policy and
+        raises on an exhausted pool.
+
         Raises
         ------
         AllocationError
@@ -103,10 +115,19 @@ class FrameAllocator:
         """
         if self._recycled:
             index = self._recycled.pop()
+        elif self._randbelow is not None and self._remaining > 0:
+            remaining = self._remaining
+            slot = self._randbelow(remaining)
+            swaps = self._swaps
+            index = swaps.pop(slot, slot)
+            last = remaining - 1
+            if slot != last:
+                swaps[slot] = swaps.pop(last, last)
+            self._remaining = last
         else:
             index = self._draw_fresh()
         self._allocated.add(index)
-        return self.frame_address(index)
+        return self.base + index * self.page_bytes
 
     def allocate_contiguous_run(self, count: int) -> List[int]:
         """Allocate ``count`` physically consecutive frames.

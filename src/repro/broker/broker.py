@@ -77,8 +77,11 @@ class MemoryBroker:
             seed=allocation.seed, name=f"{name}.fam")
         self._tables: Dict[int, FourLevelPageTable] = {}
         self.stats = Stats(name)
-        # Counter dict hoisted off the first-touch grant.
+        # Counter dict and the ACM store's entry maps, hoisted off the
+        # first-touch grant.
         self._counters = self.stats._counters
+        self._acm_entries = self.acm._entries
+        self._acm_owned = self.acm._owned
 
     # ------------------------------------------------------------------
     # Node lifecycle
@@ -125,7 +128,9 @@ class MemoryBroker:
 
         A node's first touch of a FAM-zone page lands here, so the
         grant is done in one call: one probe of the table's leaf index,
-        then :meth:`allocate_for_node`'s body.
+        then :meth:`allocate_for_node`'s body, with the ACM store's
+        shared ``(owner, perm)`` entry stored in place once
+        :meth:`~repro.acm.store.AcmStore.set_owner` has built it.
         """
         table = self._tables.get(node_id)
         if table is None:
@@ -135,7 +140,11 @@ class MemoryBroker:
             return entry.frame
         fam_page = self.fam_allocator.allocate() // PAGE_BYTES
         table.map(node_page, fam_page)
-        self.acm.set_owner(fam_page, node_id, perm_code)
+        owned = self._acm_owned.get((node_id, perm_code))
+        if owned is None:
+            self.acm.set_owner(fam_page, node_id, perm_code)
+        else:
+            self._acm_entries[fam_page] = owned
         self._counters["pages_granted"] += 1.0
         return fam_page
 

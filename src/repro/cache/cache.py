@@ -27,6 +27,15 @@ selection memoizes a bitmask when the set count is a power of two
 Replacement is LRU, the policy of every structure but one.  The
 in-DRAM translation cache (Section III-C) evicts a seeded-random
 victim instead; it asks for that with ``random_seed``.
+
+A set's ``OrderedDict`` is built on the set's first fill.  Until then
+its slot in the set list holds the store's one :class:`_UnbuiltRow`,
+an empty dict to every probe, so constructing a store costs one list
+whatever its set count (the DeACT translation cache has 16,384 sets),
+and probing a never-filled set is a miss that allocates nothing.  The
+first ``lines[key] = value`` on a set builds its row; every fill,
+in place or through :meth:`SetAssociativeCache.fill_line`, stores that
+way, so no fill site needs to know.
 """
 
 from __future__ import annotations
@@ -41,6 +50,29 @@ from repro.errors import ConfigError
 __all__ = ["SetAssociativeCache"]
 
 V = TypeVar("V")
+
+
+class _UnbuiltRow(dict):
+    """Every never-filled set of one store.
+
+    Probes see an empty row (``in``, ``get``, ``len``, iteration and
+    ``pop`` with a default are the inherited ``dict`` methods, on no
+    entries).  The first store into a set, ``lines[key] = value``,
+    builds the set's real row in the store's set list and stores into
+    it; this shared object stays empty.
+    """
+
+    __slots__ = ("_sets", "_n_sets")
+
+    def __init__(self, n_sets: int) -> None:
+        super().__init__()
+        self._n_sets = n_sets
+        # The store's set list, every slot this row until filled.
+        self._sets: List[dict] = [self] * n_sets
+
+    def __setitem__(self, key: int, value) -> None:
+        row = self._sets[key % self._n_sets] = OrderedDict()
+        row[key] = value
 
 
 class SetAssociativeCache(Generic[V]):
@@ -72,8 +104,8 @@ class SetAssociativeCache(Generic[V]):
         # ``None`` means LRU; random replacement draws its victims here.
         self._rng = (None if random_seed is None
                      else random.Random(random_seed))
-        self._sets: List["OrderedDict[int, V]"] = [
-            OrderedDict() for _ in range(n_sets)]
+        # Every set starts unbuilt; its first fill builds its row.
+        self._sets: List["OrderedDict[int, V]"] = _UnbuiltRow(n_sets)._sets
         # Power-of-two set counts (all of Table II) index with a mask;
         # -1 marks the rare general case that needs a modulo.
         self._mask = n_sets - 1 if (n_sets & (n_sets - 1)) == 0 else -1

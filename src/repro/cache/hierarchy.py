@@ -99,14 +99,18 @@ class CacheHierarchy:
 
         The L2 and L3 probes and the refill are one pass over the
         levels' sets, with ``get_line``'s hit/miss accounting and
-        ``fill_line``'s body inlined.  ``block`` is absent from every level the
-        refill writes (each was just probed and missed), so the fills
-        skip the replace-in-place check.  A full miss (level 0) fills
-        L3, L2 and L1 in that order: an L3 victim is back-invalidated
-        from L1 and L2 and, if dirty, written back; a dirty L2 or L1
-        victim is absorbed by the next level out.  An L2 or L3 hit
-        refills the inner levels and drops their victims unexamined
-        (see the module docstring).
+        ``fill_line``'s LRU body inlined, and no call into a tag store.
+        ``block`` is absent from every level the refill writes (each
+        was just probed and missed), so the fills skip the
+        replace-in-place check.  A full miss (level 0) fills L3, L2 and
+        L1 in that order: an L3 victim is back-invalidated from L1 and
+        L2 and, if dirty, written back; a dirty L2 or L1 victim is
+        absorbed in place by the next level out, with the full
+        ``fill_line`` body, since the victim may already be resident
+        there (it is marked dirty and moved to the MRU end) or not (it
+        is installed dirty, and a line it displaces is dropped
+        unexamined).  An L2 or L3 hit refills the inner levels and
+        drops their victims unexamined (see the module docstring).
         """
         writebacks = _NO_WRITEBACKS
         l2 = self._l2
@@ -152,7 +156,17 @@ class CacheHierarchy:
             if len(l2_lines) >= l2.associativity:
                 victim, dirty = l2_lines.popitem(False)
                 if dirty and not level:
-                    l3.fill_line(victim, True)
+                    # Absorb the dirty L2 victim into L3 in place.
+                    mask = l3._mask
+                    lines = l3._sets[victim & mask if mask >= 0
+                                     else victim % l3.n_sets]
+                    if victim in lines:
+                        lines[victim] = True
+                        lines.move_to_end(victim)
+                    else:
+                        if len(lines) >= l3.associativity:
+                            lines.popitem(False)
+                        lines[victim] = True
             l2_lines[block] = write
         l1 = self._l1
         mask = l1._mask
@@ -161,7 +175,17 @@ class CacheHierarchy:
         if len(l1_lines) >= l1.associativity:
             victim, dirty = l1_lines.popitem(False)
             if dirty and not level:
-                l2.fill_line(victim, True)
+                # Absorb the dirty L1 victim into L2 in place.
+                mask = l2._mask
+                lines = l2._sets[victim & mask if mask >= 0
+                                 else victim % l2.n_sets]
+                if victim in lines:
+                    lines[victim] = True
+                    lines.move_to_end(victim)
+                else:
+                    if len(lines) >= l2.associativity:
+                        lines.popitem(False)
+                    lines[victim] = True
         l1_lines[block] = write
         return level, latency, writebacks
 

@@ -24,7 +24,11 @@ translator — so one instance can serve every node in a system.
 Each fabric crossing is a call to one of the fabric's four hop
 primitives (a response is ``fam_to_stu_arrival`` then
 ``stu_to_node_arrival``), not to its composite paths, which only the
-:mod:`repro.core.refpath` oracle uses.
+:mod:`repro.core.refpath` oracle uses, and every FAM access is one
+positional ``NvmDevice.access`` call.  E-FAM reads the system table's
+leaf index in place (``MemoryBroker.translate`` only raises for it),
+and I-FAM takes its allow/deny decision from ``AcmStore.check``,
+calling ``AcmStore.verify`` only to raise a denial.
 """
 
 from __future__ import annotations
@@ -118,11 +122,18 @@ class EFam(Architecture):
     def fam_access_fast(self, node: Node, npa: int, now: float,
                         is_write: bool, kind: RequestKind) -> float:
         fabric = node.fabric
-        fam_page = node.broker.translate(node.node_id, npa >> _PAGE_SHIFT)
+        broker = node.broker
+        node_page = npa >> _PAGE_SHIFT
+        # The system table's leaf index, probed in place; an unknown
+        # node or unmapped page goes to broker.translate for its raise.
+        try:
+            fam_page = broker._tables[node.node_id]._leaves[node_page].frame
+        except KeyError:
+            fam_page = broker.translate(node.node_id, node_page)
         fam_addr = (fam_page << _PAGE_SHIFT) | (npa & _PAGE_MASK)
         depart = fabric.stu_to_fam_arrival(fabric.node_to_stu_arrival(now))
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        served = node.fam.access(fam_addr, depart, is_write, kind,
+                                 node.node_id)
         if is_write:
             return served
         return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
@@ -155,12 +166,15 @@ class IFam(Architecture):
         fam_addr = (fam_page << _PAGE_SHIFT) | (npa & _PAGE_MASK)
         # Access control rides along with the cached mapping; the
         # decision itself is checked functionally against the
-        # authoritative store.
-        node.broker.acm.verify(node.node_id, fam_addr,
-                               _PERM_WRITE if is_write else _PERM_READ)
+        # authoritative store, and only a denial calls verify, which
+        # raises.
+        acm = node.broker.acm
+        needed = _PERM_WRITE if is_write else _PERM_READ
+        if not acm.check(node.node_id, fam_addr, needed)[0]:
+            acm.verify(node.node_id, fam_addr, needed)
         depart = fabric.stu_to_fam_arrival(t)
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        served = node.fam.access(fam_addr, depart, is_write, kind,
+                                 node.node_id)
         if is_write:
             return served
         return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))
@@ -206,7 +220,7 @@ class _DeactBase(Architecture):
             if skip_verification:
                 node._stat_counters["stu.reads_unverified"] += 1.0
             else:
-                t = stu.verify_access_fast(fam_addr, t, needed=needed)
+                t = stu.verify_access_fast(fam_addr, t, needed)
         else:
             # V=0 path: the STU walks the system page table on behalf
             # of the FAM translator, then verifies.
@@ -217,8 +231,7 @@ class _DeactBase(Architecture):
                 node._stat_counters["stu.reads_unverified"] += 1.0
                 t = walk_done
             else:
-                t = stu.verify_access_fast(fam_addr, walk_done,
-                                           needed=needed)
+                t = stu.verify_access_fast(fam_addr, walk_done, needed)
             # Mapping response: the STU ships {node page -> FAM page}
             # back; the translator read-modify-writes its DRAM row.
             # Off the data's critical path but real DRAM bank work.
@@ -226,8 +239,8 @@ class _DeactBase(Architecture):
             translator.install(node_page, fam_page, mapping_at_node)
 
         depart = fabric.stu_to_fam_arrival(t)
-        served = node.fam.access(fam_addr, depart, is_write=is_write,
-                                 kind=kind, node_id=node.node_id)
+        served = node.fam.access(fam_addr, depart, is_write, kind,
+                                 node.node_id)
         if is_write:
             return served
         return fabric.stu_to_node_arrival(fabric.fam_to_stu_arrival(served))

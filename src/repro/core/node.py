@@ -27,9 +27,11 @@ kept picking it.  :meth:`Node.step_fast` is a one-event
 the layer that owns it — a walk step into the cache hierarchy, an LLC
 miss or write-back into local DRAM or the architecture's FAM access
 procedure — with no node-level helper in between.  A first touch is
-one broker grant.  Boxed :class:`~repro.workloads.trace.TraceEvent`
-objects and the seed's composed page fault survive only in the
-:mod:`repro.core.refpath` oracle.
+straight-line code in :meth:`Node._handle_page_fault`: the placement
+draw, then a local frame or one broker grant, then one map.  Boxed
+:class:`~repro.workloads.trace.TraceEvent` objects and the seed's
+composed page fault survive only in the :mod:`repro.core.refpath`
+oracle.
 """
 
 from __future__ import annotations
@@ -106,11 +108,14 @@ class Node:
 
         # --- OS layer -------------------------------------------------
         self._rng = random.Random(seed)
-        # Placement draw and split hoisted off the first-touch path.
+        # Placement draw, split, broker grant and map hoisted off the
+        # first-touch path.
         self._draw = self._rng.random
         self._local_fraction = config.allocation.local_fraction
+        self._grant = broker.ensure_mapped
         self.page_table = FourLevelPageTable(self._allocate_os_frame,
                                              name=f"{self.name}.pt")
+        self._map = self.page_table.map
         self.mmu = Mmu(self.page_table, config.tlb, config.ptw,
                        name=f"{self.name}.mmu")
 
@@ -144,13 +149,15 @@ class Node:
     # OS: frame allocation and demand paging
     # ------------------------------------------------------------------
     def _allocate_os_frame(self) -> int:
-        """Allocate a node-physical frame (byte address).
+        """Allocate a node-physical frame (byte address) for an
+        interior page-table page: the page table's frame callback.
 
         Applies the paper's placement split: ``local_fraction`` of
         pages from node DRAM, the rest from the FAM zone (footnote 3:
         20 % local / 80 % FAM).  FAM-zone pages are backed by the
         broker immediately — the Opal grant that also installs the
-        system-page-table entry and the ACM.
+        system-page-table entry and the ACM.  A first touch makes the
+        same choice in line (:meth:`_handle_page_fault`).
         """
         if (self._draw() < self._local_fraction
                 and self._local_frames_free > 0):
@@ -167,10 +174,27 @@ class Node:
 
     def _handle_page_fault(self, vpn: int) -> None:
         """First touch of a virtual page: allocate and map a frame.
-        The seed body is :func:`repro.core.refpath._ref_page_fault`."""
-        frame_addr = self._allocate_os_frame()
-        self.page_table.map(vpn, frame_addr >> self._page_shift)
-        self._stat_counters["page_faults"] += 1.0
+
+        The placement draw and the local vs FAM-zone choice are made
+        here, as :meth:`_allocate_os_frame` makes them; a FAM-zone
+        frame is one broker grant, and the map one call, whose
+        interior tables still come from :meth:`_allocate_os_frame`.
+        The seed body is :func:`repro.core.refpath._ref_page_fault`.
+        """
+        counters = self._stat_counters
+        if (self._draw() < self._local_fraction
+                and self._local_frames_free > 0):
+            frame = self._next_local_frame
+            self._next_local_frame = frame + 1
+            self._local_frames_free -= 1
+            counters["frames.local"] += 1.0
+        else:
+            frame = self._next_fam_zone_page
+            self._next_fam_zone_page = frame + 1
+            self._grant(self.node_id, frame)
+            counters["frames.fam"] += 1.0
+        self._map(vpn, frame)
+        counters["page_faults"] += 1.0
 
     # ------------------------------------------------------------------
     # Per-event path

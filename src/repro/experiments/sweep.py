@@ -206,18 +206,17 @@ class SweepProgress:
     """Line-per-update progress reporter with a running ETA.
 
     Writes to ``stream`` (default stderr) so figure/table output on
-    stdout stays machine-readable.
+    stdout stays machine-readable.  The clock starts when the reporter
+    is built, so build one as its batch starts: elapsed time and the
+    ETA then count the time before the first result too.
     """
 
     def __init__(self, stream=None) -> None:
         self.stream = stream if stream is not None else sys.stderr
-        self._start: Optional[float] = None
+        self._start = time.monotonic()
 
     def __call__(self, done: int, total: int) -> None:
-        now = time.monotonic()
-        if self._start is None:
-            self._start = now
-        elapsed = now - self._start
+        elapsed = time.monotonic() - self._start
         eta = (elapsed / done) * (total - done) if done else float("inf")
         self.stream.write(
             f"[sweep] {done}/{total} runs done, "

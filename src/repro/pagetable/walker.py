@@ -12,9 +12,11 @@ page table".
 :meth:`PageTableWalker.walk` runs on every TLB miss (and every STU
 walk), so it is a ``@hot_path``: one probe of the table's walk store
 yields the leaf entry and the four entry addresses, and the walk
-caches are probed in line, with
+caches are probed and filled in line, with
 :meth:`~repro.cache.cache.SetAssociativeCache.get_line`'s body and
-counters; only walk-cache fills call ``fill_line``.  It returns
+counters and ``fill_line``'s LRU body: a level the walk traverses is
+one whose probe just missed, so its fill skips the replace-in-place
+check.  It returns
 ``(frame, addrs)``, where ``addrs`` is the tuple of entry addresses
 the walk must still read, root to leaf.  The composed seed body,
 which descends the tree, is
@@ -58,14 +60,10 @@ class PageTableWalker:
         self._caches: Tuple[SetAssociativeCache, ...] = tuple(caches)
         # Completing interior level L (0: PGD .. 2: PMD) resolves depth
         # L + 1, cached in caches[L] under the key vpn >> 9 * (3 - L).
-        fills = tuple((cache, _BITS_PER_LEVEL * (3 - level))
-                      for level, cache in enumerate(caches))
         # Probes run deepest first, as (cache, key shift, depth).
-        self._probes = tuple((cache, shift, level + 1) for level,
-                             (cache, shift) in enumerate(fills))[::-1]
-        # _fills_from[skipped]: the levels a walk that skipped
-        # ``skipped`` of them still traverses.
-        self._fills_from = tuple(fills[skipped:] for skipped in range(4))
+        self._probes = tuple(
+            (cache, _BITS_PER_LEVEL * (3 - level), level + 1)
+            for level, cache in enumerate(caches))[::-1]
 
     # ------------------------------------------------------------------
     @hot_path
@@ -74,7 +72,8 @@ class PageTableWalker:
         holds the entry addresses that touch memory, root to leaf.
 
         Walk caches are probed deepest-first; every interior level the
-        walk does traverse is installed into its cache.
+        walk does traverse is installed into its cache as its probe
+        misses.
 
         Raises
         ------
@@ -89,23 +88,25 @@ class PageTableWalker:
             raise
 
         # Deepest interior level first: a PMD hit (depth 3) jumps
-        # straight to the PTE access.
+        # straight to the PTE access.  Every level probed before the
+        # hit (all three on no hit) is one the walk traverses, so its
+        # miss installs the key in place (LRU; the key is absent, and
+        # the levels' caches are distinct stores).
         skipped = 0
         for cache, shift, depth in self._probes:
             key = vpn >> shift
             mask = cache._mask
             lines = cache._sets[key & mask if mask >= 0
                                 else key % cache.n_sets]
-            if lines.get(key) is None:
-                cache.misses += 1
-                continue
-            cache.hits += 1
-            lines.move_to_end(key)
-            skipped = depth
-            break
-        # Install the interior levels the walk traversed.
-        for cache, shift in self._fills_from[skipped]:
-            cache.fill_line(vpn >> shift, True)
+            if key in lines:
+                cache.hits += 1
+                lines.move_to_end(key)
+                skipped = depth
+                break
+            cache.misses += 1
+            if len(lines) >= cache.associativity:
+                lines.popitem(False)
+            lines[key] = True
         return entry.frame, addrs[skipped:]
 
     # ------------------------------------------------------------------

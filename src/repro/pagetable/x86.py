@@ -154,7 +154,7 @@ class FourLevelPageTable:
         pte = pmd.slots.get(i2)
         if pte is None:
             pte = pmd.slots[i2] = _Table(self._allocate_frame())
-        entry = PageTableEntry(frame=frame, flags=flags)
+        entry = PageTableEntry(frame, flags)
         pte.slots[i3] = entry
         self._leaves[vpn] = entry
         self._walks[vpn] = (entry, (root.base_addr + i0 * _ENTRY_BYTES,

@@ -21,8 +21,15 @@ strategies in :mod:`repro.core.architectures`:
 the organization's tag store in place, as
 :meth:`~repro.pagetable.walker.PageTableWalker.walk` does its walk
 caches: one call per modeled operation, with no call into the
-organization or the store.  :mod:`repro.core.refpath` composes the
-seed calls instead: the organization's ``lookup`` and ``install``.
+organization or the store.  The miss paths are straight-line too:
+:meth:`walk_system_table_fast` bumps its counters in the hoisted dict
+and makes each dependent FAM read three calls (the two hop primitives
+and a positional ``NvmDevice.access``), and an ACM miss computes the
+metadata-block address from the layout constants hoisted at
+construction (``FamLayout.acm_block_addr``'s arithmetic, after the
+usable-range check).  :mod:`repro.core.refpath` composes the seed
+calls instead: the organization's ``lookup`` and ``install``, and the
+layout's address derivation.
 
 :meth:`verify_access` runs the same verification and also reports its
 outcome as a :class:`VerificationResult`, for callers outside the
@@ -46,6 +53,10 @@ from repro.sim.stats import Stats
 from repro.stu.organizations import DeactNAcmCache, DeactWAcmCache, IFamStuCache
 
 __all__ = ["Stu", "VerificationResult"]
+
+#: Enum attribute lookups hoisted off the miss paths.
+_KIND_FAM_PTW = RequestKind.FAM_PTW
+_KIND_ACM = RequestKind.ACM
 
 
 @dataclass
@@ -93,8 +104,14 @@ class Stu:
         self._acm_key_bytes = acm_store.layout.page_bytes * (
             organization.pages_per_way
             if isinstance(organization, DeactWAcmCache) else 1)
-        # FAM layout geometry for the inline usable-range check.
-        self._usable_end = acm_store.layout.metadata_base
+        # FAM layout geometry for the inline usable-range check and
+        # the ACM-miss metadata-block address.
+        # The usable region is [0, metadata_base).
+        layout = acm_store.layout
+        self._metadata_base = layout.metadata_base
+        self._page_bytes = layout.page_bytes
+        self._acm_bits = layout.acm_bits
+        self._block_bytes = layout.block_bytes
         # The STU has a single FAM-PTW unit (Figure 6): concurrent
         # translation misses from one node serialize behind it.  This
         # is the mechanism that lets translation misses destroy
@@ -148,20 +165,25 @@ class Stu:
 
         The walker hands back the entry addresses that survive the
         STU's walk caches; each is a dependent FAM read: router -> FAM
-        port -> NVM bank -> router.
+        port -> NVM bank -> router, one call to each hop primitive and
+        to ``NvmDevice.access``, looked up once per walk.
         """
         fam_page, addrs = self.walker.walk(node_page)
         # Queue behind any walk already in flight at this STU's PTW
         # unit, then hold the unit for the whole walk.
-        t = now if now > self._ptw_busy_until else self._ptw_busy_until
+        t = self._ptw_busy_until
         if t > now:
-            self.stats.incr("ptw_queue_time", t - now)
+            self._counters["ptw_queue_time"] += t - now
+        else:
+            t = now
+        fabric = self.fabric
+        to_fam = fabric.stu_to_fam_arrival
+        to_stu = fabric.fam_to_stu_arrival
+        fam_access = self.fam.access
+        node_id = self.node_id
         for addr in addrs:
-            depart = self.fabric.stu_to_fam_arrival(t)
-            served = self.fam.access(addr, depart, is_write=False,
-                                     kind=RequestKind.FAM_PTW,
-                                     node_id=self.node_id)
-            t = self.fabric.fam_to_stu_arrival(served)
+            t = to_stu(fam_access(addr, to_fam(t), False, _KIND_FAM_PTW,
+                                  node_id))
         self._ptw_busy_until = t
         self._counters["walks"] += 1.0
         return fam_page, t
@@ -188,9 +210,8 @@ class Stu:
         if cache is None:
             raise ProtocolError(
                 f"{self.name}: verify_access needs a DeACT ACM cache")
-        layout = self.acm_store.layout
-        if not 0 <= fam_addr < self._usable_end:
-            layout._check_usable(fam_addr)
+        if not 0 <= fam_addr < self._metadata_base:
+            self.acm_store.layout._check_usable(fam_addr)
         t = now + self._lookup_ns
         # The ACM cache, probed and filled in place (LRU; the key is
         # absent when the fill runs, since the fetch touches no STU
@@ -205,12 +226,15 @@ class Stu:
         else:
             cache.misses += 1
             self._counters["acm.misses"] += 1.0
-            block_addr = layout.acm_block_addr(fam_addr)
-            depart = self.fabric.stu_to_fam_arrival(t)
-            served = self.fam.access(block_addr, depart, is_write=False,
-                                     kind=RequestKind.ACM,
-                                     node_id=self.node_id)
-            t = self.fabric.fam_to_stu_arrival(served)
+            # FamLayout.acm_block_addr's arithmetic; fam_addr passed
+            # the usable-range check above.
+            entry_addr = self._metadata_base + (
+                fam_addr // self._page_bytes * self._acm_bits) // 8
+            block_addr = entry_addr - entry_addr % self._block_bytes
+            fabric = self.fabric
+            t = fabric.fam_to_stu_arrival(self.fam.access(
+                block_addr, fabric.stu_to_fam_arrival(t), False, _KIND_ACM,
+                self.node_id))
             if len(lines) >= cache.associativity:
                 lines.popitem(False)
             lines[key] = True
@@ -220,11 +244,11 @@ class Stu:
         if consulted_bitmap:
             # Shared page: fetch the region bitmap block covering this
             # node's bits.
-            bitmap_addr = layout.bitmap_block_addr(fam_addr, self.node_id)
+            bitmap_addr = self.acm_store.layout.bitmap_block_addr(
+                fam_addr, self.node_id)
             depart = self.fabric.stu_to_fam_arrival(t)
-            served = self.fam.access(bitmap_addr, depart, is_write=False,
-                                     kind=RequestKind.ACM,
-                                     node_id=self.node_id)
+            served = self.fam.access(bitmap_addr, depart, False, _KIND_ACM,
+                                     self.node_id)
             t = self.fabric.fam_to_stu_arrival(served)
             self.stats.incr("bitmap_fetches")
 

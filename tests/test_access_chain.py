@@ -3,11 +3,16 @@
 ``NvmDevice.access``, ``DramDevice.access``, ``AcmStore.check`` and
 ``PageTableWalker.walk`` inline the primitives they compose, and the
 page table answers ``lookup`` / ``in`` from a leaf index and walks
-from a walk store.  The catalog equivalence suite covers what the
-benchmark workloads reach; this file covers the branches they never
-take (a full FAM window, odd bank counts, metadata-region addresses,
-shared pages, remaps between walks) by running each fused leaf next
-to its composition in :mod:`repro.core.refpath` on twin state.
+from a walk store.  A first touch (``Node._handle_page_fault``), the
+allocator's random draw, the walk-cache fills and the hierarchy's
+dirty-victim absorption are straight-line code too.  The catalog
+equivalence suite covers what the benchmark workloads reach; this file
+covers the branches they never take (a full FAM window, odd bank
+counts, metadata-region addresses, shared pages, remaps between walks,
+exhausted local frames and frame pools, walk-cache evictions, victims
+absent from the next level) by running each fused leaf next to its
+composition in :mod:`repro.core.refpath`, or the seed body it
+replaced, on twin state.
 """
 
 import itertools
@@ -18,23 +23,30 @@ import pytest
 from repro.acm.layout import FamLayout
 from repro.acm.metadata import PERM_RO, PERM_RW, PERM_RWX, PERM_RX, Permission
 from repro.acm.store import AcmStore
+from repro.broker.allocator import FrameAllocator
 from repro.broker.broker import MemoryBroker
+from repro.cache.hierarchy import CacheHierarchy
 from repro.config.presets import small_config, with_nodes
 from repro.config.system import (
     GIB,
+    KIB,
     AllocationConfig,
+    CacheConfig,
     FamConfig,
     LocalMemoryConfig,
 )
+from repro.core import refpath
 from repro.core.refpath import (
     _ref_acm_check,
     _ref_dram_access,
     _ref_fam_access,
+    _ref_hier_access,
     _ref_nvm_access,
+    _ref_page_fault,
     _ref_walker_walk,
 )
 from repro.core.system import FamSystem
-from repro.errors import AccessViolationError, ConfigError
+from repro.errors import AccessViolationError, AllocationError, ConfigError
 from repro.mem.device import DramDevice, NvmDevice
 from repro.mem.request import RequestKind
 from repro.pagetable.walker import PageTableWalker
@@ -361,3 +373,247 @@ class TestWalkStoreAfterMigration:
         assert src._walks[0x900] == before[0x900]
         walker = PageTableWalker(dst, cache_entries=0)
         assert walker.walk(0x100)[0] == before[0x100][0].frame
+
+
+class TestWalkCacheEvictions:
+    @pytest.mark.parametrize("cache_entries", [3, 6])
+    def test_in_place_fills_match_composed_walk(self, cache_entries):
+        """One- and two-entry walk caches over pages spread across PGD,
+        PUD and PMD regions: nearly every fill evicts, and every walk
+        and the final stores match the composed walk's."""
+        rng = random.Random(cache_entries)
+        vpns = [(pgd << 27) | (pud << 18) | (pmd << 9) | pte
+                for pgd in (0, 1) for pud in (0, 3) for pmd in (0, 5, 9)
+                for pte in (0, 7)]
+        fused_table, composed_table = _table(), _table()
+        for vpn in vpns:
+            fused_table.map(vpn, vpn & 0xFFF)
+            composed_table.map(vpn, vpn & 0xFFF)
+        fused = PageTableWalker(fused_table, cache_entries=cache_entries)
+        composed = PageTableWalker(composed_table,
+                                   cache_entries=cache_entries)
+        for _ in range(300):
+            vpn = rng.choice(vpns)
+            assert fused.walk(vpn) == _ref_outcome(composed, vpn)
+        assert _walker_state(fused) == _walker_state(composed)
+        # The PMD level has more keys than ways: cached keys were
+        # evicted and missed again.
+        pmd_cache = fused._caches[2]
+        keys = {vpn >> 9 for vpn in vpns}
+        assert len(keys) > pmd_cache.n_sets * pmd_cache.associativity
+        assert pmd_cache.misses > len(keys)
+
+
+# ----------------------------------------------------------------------
+# Frame allocator
+# ----------------------------------------------------------------------
+def _seed_allocate(allocator):
+    """The seed ``FrameAllocator.allocate``: a recycled frame, else
+    ``_draw_fresh``."""
+    if allocator._recycled:
+        index = allocator._recycled.pop()
+    else:
+        index = allocator._draw_fresh()
+    allocator._allocated.add(index)
+    return allocator.frame_address(index)
+
+
+def _allocator_state(allocator):
+    return (allocator._remaining, dict(allocator._swaps),
+            list(allocator._recycled), sorted(allocator._allocated),
+            allocator._rng.getstate())
+
+
+class TestAllocatorDraw:
+    @pytest.mark.parametrize("policy", ["random", "contiguous"])
+    def test_draws_match_seed_until_exhausted(self, policy):
+        """Allocations with frees in between (recycled frames), then
+        allocations until the pool runs out on both twins."""
+        n_frames = 40
+        fused, composed = (FrameAllocator(PAGE * 8, n_frames, PAGE,
+                                          policy=policy, seed=11)
+                           for _ in range(2))
+        rng = random.Random(5)
+        live = []
+        for step in range(60):
+            if live and step % 3 == 2:
+                frame = live.pop(rng.randrange(len(live)))
+                fused.free(frame)
+                composed.free(frame)
+            else:
+                frame = fused.allocate()
+                assert frame == _seed_allocate(composed)
+                live.append(frame)
+            assert _allocator_state(fused) == _allocator_state(composed)
+        assert fused._recycled or fused._remaining < n_frames - len(live)
+        while len(fused):
+            assert fused.allocate() == _seed_allocate(composed)
+        assert _allocator_state(fused) == _allocator_state(composed)
+        assert fused._remaining == 0
+        with pytest.raises(AllocationError):
+            fused.allocate()
+        with pytest.raises(AllocationError):
+            _seed_allocate(composed)
+        assert _allocator_state(fused) == _allocator_state(composed)
+
+    def test_random_draw_is_randrange(self):
+        """The in-line draw consumes the generator exactly as
+        ``randrange`` over the remaining slots does."""
+        allocator = FrameAllocator(0, 1 << 20, PAGE, seed=3)
+        twin = random.Random(3)
+        for drawn in range(50):
+            allocator.allocate()
+            twin.randrange((1 << 20) - drawn)
+        assert allocator._rng.getstate() == twin.getstate()
+
+
+# ----------------------------------------------------------------------
+# First touch
+# ----------------------------------------------------------------------
+#: Pages spread over PGD / PUD / PMD regions, so first touches also
+#: allocate interior page-table frames.
+FIRST_TOUCH_VPNS = [(pgd << 27) | (pud << 18) | (pmd << 9) | pte
+                    for pgd in (0, 2) for pud in (0, 1, 6) for pmd in (0, 4)
+                    for pte in (0, 1, 300)]
+
+
+def _first_touch_config(local_pages):
+    """``small_config`` with ``local_pages`` usable local frames (on top
+    of the translation cache's reserved region) and a placement split
+    that prefers local frames, so they run out."""
+    config = small_config()
+    reserved = config.translation_cache.size_bytes
+    return config.replace(
+        local_memory=LocalMemoryConfig(size_bytes=reserved
+                                       + local_pages * PAGE),
+        allocation=AllocationConfig(local_fraction=0.7))
+
+
+def _first_touch_state(system):
+    node, broker = system.nodes[0], system.broker
+    allocator = broker.fam_allocator
+    table = node.page_table
+    return (node.stats.snapshot(), broker.stats.snapshot(),
+            node._next_local_frame, node._local_frames_free,
+            node._next_fam_zone_page, node._rng.getstate(),
+            {vpn: (entry.frame, entry.flags, addrs)
+             for vpn, (entry, addrs) in table._walks.items()},
+            {page: (entry.frame, addrs) for page, (entry, addrs)
+             in broker.system_table(0)._walks.items()},
+            {page: (entry.owner, entry.perm_code)
+             for page, entry in broker.acm._entries.items()},
+            _allocator_state(allocator))
+
+
+class TestFirstTouch:
+    @pytest.mark.parametrize("arch", ["e-fam", "i-fam", "deact-n"])
+    def test_matches_seed_page_fault(self, arch):
+        config = _first_touch_config(local_pages=6)
+        fused, composed = (FamSystem(config, arch, seed=9)
+                           for _ in range(2))
+        node = fused.nodes[0]
+        for vpn in FIRST_TOUCH_VPNS:
+            node._handle_page_fault(vpn)
+            _ref_page_fault(composed.nodes[0], vpn)
+            assert _first_touch_state(fused) == _first_touch_state(composed)
+        counters = node.stats.snapshot()
+        # Local frames ran out, FAM-zone frames were granted, and the
+        # maps built interior tables (more frames than first touches).
+        assert node._local_frames_free == 0
+        assert counters["frames.local"] == node._next_local_frame
+        assert counters["frames.fam"] > 0
+        assert (counters["frames.local"] + counters["frames.fam"]
+                > counters["page_faults"] == len(FIRST_TOUCH_VPNS))
+        assert fused.broker.stats.get("pages_granted") \
+            == counters["frames.fam"]
+
+    def test_deact_never_places_in_translation_cache_region(self):
+        config = _first_touch_config(local_pages=6)
+        system = FamSystem(config, "deact-w", seed=4)
+        node = system.nodes[0]
+        for vpn in FIRST_TOUCH_VPNS:
+            node._handle_page_fault(vpn)
+        local_end = node.fam_translator.region_base // PAGE
+        zone_start = node.fam_zone_base // PAGE
+        assert local_end == 6
+        pages = {entry.frame for entry in node.page_table._leaves.values()}
+        pages |= {addr // PAGE for _entry, addrs
+                  in node.page_table._walks.values() for addr in addrs}
+        assert all(page < local_end or page >= zone_start for page in pages)
+        assert any(page < local_end for page in pages)
+
+
+# ----------------------------------------------------------------------
+# Dirty-victim absorption
+# ----------------------------------------------------------------------
+def _hierarchy_state(hierarchy):
+    return [(cache.hits, cache.misses,
+             [list(lines.items()) for lines in cache._sets])
+            for cache in hierarchy.levels]
+
+
+def _absorption_hierarchy():
+    """L1 with more sets than L2, so an L2 eviction can leave a dirty
+    line in L1 that L2 no longer holds."""
+    return CacheHierarchy(
+        CacheConfig("L1", 256, associativity=1, latency_ns=1.0),
+        CacheConfig("L2", 512, associativity=4, latency_ns=3.0),
+        CacheConfig("L3", 2 * KIB, associativity=4, latency_ns=10.0),
+    )
+
+
+class TestDirtyVictimAbsorption:
+    def test_matches_composed_hierarchy(self, monkeypatch):
+        """Random writes and reads on twin hierarchies, with the
+        reference twin's absorbed victims recorded by whether the next
+        level already held them."""
+        seen = set()
+        ref_fill = refpath._ref_fill
+
+        def recording_fill(cache, key, value):
+            result = ref_fill(cache, key, value)
+            if cache is not composed._l1 and key != block:
+                # A fill of another block than the accessed one is an
+                # absorbed victim (the refill fills only ``block``).
+                seen.add((cache.name, result.hit))
+            return result
+
+        monkeypatch.setattr(refpath, "_ref_fill", recording_fill)
+        fused, composed = _absorption_hierarchy(), _absorption_hierarchy()
+        rng = random.Random(17)
+        for _ in range(3000):
+            block = rng.randrange(48)
+            write = rng.random() < 0.4
+            got = fused.access_fast(block, write)
+            want = _ref_hier_access(composed, block * 64, write)
+            assert got == (want.level, want.latency_ns, want.writebacks)
+        assert _hierarchy_state(fused) == _hierarchy_state(composed)
+        # L2 absorbed L1 victims it held and victims it did not; L3
+        # absorbed L2 victims, which it always holds (L3 evictions
+        # back-invalidate L2, so L2 stays a subset of L3).
+        assert seen == {("node.L2", True), ("node.L2", False),
+                        ("node.L3", True)}
+
+    def test_absent_victim_is_installed_dirty(self):
+        hierarchy = _absorption_hierarchy()
+        l1, l2 = hierarchy._l1, hierarchy._l2
+        hierarchy.access_fast(0, True)  # L1 set 0, L2 set 0
+        for block in (2, 6, 10, 14):  # L2 set 0 only: evicts 0 from L2
+            hierarchy.access_fast(block, False)
+        assert 0 not in l2 and l1.probe(0) is True
+        # A full miss in L1 set 0 displaces dirty 0 into L2's full set.
+        assert hierarchy.access_fast(4, False)[0] == 0
+        assert 0 not in l1 and l2.probe(0) is True
+        assert list(l2._sets[0])[-1] == 0
+
+    def test_resident_victim_turns_dirty_and_recent(self):
+        hierarchy = _absorption_hierarchy()
+        l1, l2 = hierarchy._l1, hierarchy._l2
+        hierarchy.access_fast(0, False)
+        hierarchy.access_fast(2, False)
+        hierarchy.access_fast(0, True)  # dirty in L1 only
+        assert l1.probe(0) is True and l2.probe(0) is False
+        assert list(l2._sets[0]) == [0, 2]
+        assert hierarchy.access_fast(4, False)[0] == 0
+        assert l2.probe(0) is True
+        assert list(l2._sets[0]) == [2, 4, 0]

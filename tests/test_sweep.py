@@ -412,3 +412,21 @@ class TestSweepProgress:
         assert lines[0].startswith("[sweep] 1/4 runs done")
         assert "eta" in lines[0]
         assert lines[-1].startswith("[sweep] 4/4 runs done")
+
+    def test_clock_starts_with_the_batch(self, monkeypatch):
+        # The first result lands 6 s after the batch started: the first
+        # update counts those 6 s, and the ETA extrapolates from them.
+        import io
+
+        from repro.experiments import sweep
+
+        clock = iter([100.0, 106.0, 112.0])
+        monkeypatch.setattr(sweep.time, "monotonic", lambda: next(clock))
+        stream = io.StringIO()
+        progress = SweepProgress(stream=stream)
+        progress(1, 4)
+        progress(2, 4)
+        assert stream.getvalue().splitlines() == [
+            "[sweep] 1/4 runs done, elapsed 6.0s, eta 18.0s",
+            "[sweep] 2/4 runs done, elapsed 12.0s, eta 12.0s",
+        ]
