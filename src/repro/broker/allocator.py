@@ -15,9 +15,7 @@ The random policy uses a lazy Fisher-Yates shuffle (a sparse swap map
 over the virtual permutation), so constructing an allocator over a
 16 GB pool costs O(1) instead of shuffling four million entries up
 front.  Every first touch of a FAM-zone page draws one frame, so
-:meth:`FrameAllocator.allocate` makes the random draw in line;
-:meth:`FrameAllocator._draw_fresh` keeps the contiguous policy and the
-out-of-frames error.
+:meth:`FrameAllocator.allocate` makes that draw in line.
 """
 
 from __future__ import annotations
@@ -50,11 +48,11 @@ class FrameAllocator:
         self.name = name
         self.base = base
         self.page_bytes = page_bytes
-        self.policy = policy
         self.total_frames = n_frames
         self._rng = random.Random(seed)
-        # The random policy's draw, hoisted for allocate(): for a
-        # positive bound, randrange(n) is exactly _randbelow(n).
+        # The random policy's draw, hoisted for allocate() (for a
+        # positive bound, randrange(n) is exactly _randbelow(n));
+        # None under the contiguous policy.
         self._randbelow = (self._rng._randbelow if policy == "random"
                            else None)
         # Virtual permutation state (random policy): indices
@@ -80,33 +78,25 @@ class FrameAllocator:
 
     # ------------------------------------------------------------------
     def _draw_fresh(self) -> int:
-        """Draw a never-allocated frame index per the policy."""
+        """The contiguous policy's next never-allocated frame index;
+        raises on an exhausted pool, under either policy."""
         if self._remaining <= 0:
             raise AllocationError(f"{self.name}: out of frames "
                                   f"({self.total_frames} total)")
-        if self.policy == "contiguous":
-            # Lowest unused index: the permutation is untouched, so the
-            # next fresh frame is simply total - remaining.
-            index = self.total_frames - self._remaining
-            self._remaining -= 1
-            return index
-        # Lazy Fisher-Yates: pick a random slot among the remaining,
-        # then fill the hole with the (virtual) last remaining slot.
-        slot = self._rng.randrange(self._remaining)
-        index = self._swaps.pop(slot, slot)
-        last = self._remaining - 1
-        if slot != last:
-            self._swaps[slot] = self._swaps.pop(last, last)
+        # Lowest unused index: the permutation is untouched, so the
+        # next fresh frame is simply total - remaining.
+        index = self.total_frames - self._remaining
         self._remaining -= 1
         return index
 
     def allocate(self) -> int:
         """Hand out one frame (byte address).
 
-        A recycled frame goes first; otherwise the random policy's
-        lazy Fisher-Yates draw runs in line, the same draw as
-        :meth:`_draw_fresh`'s, which serves the contiguous policy and
-        raises on an exhausted pool.
+        A recycled frame goes first.  Otherwise the random policy draws
+        in line: a lazy Fisher-Yates step, picking a random slot among
+        the remaining ones and filling the hole with the (virtual) last
+        remaining slot.  :meth:`_draw_fresh` serves the contiguous
+        policy and the out-of-frames error.
 
         Raises
         ------
@@ -115,7 +105,9 @@ class FrameAllocator:
         """
         if self._recycled:
             index = self._recycled.pop()
-        elif self._randbelow is not None and self._remaining > 0:
+        elif self._randbelow is None or self._remaining <= 0:
+            index = self._draw_fresh()
+        else:
             remaining = self._remaining
             slot = self._randbelow(remaining)
             swaps = self._swaps
@@ -124,8 +116,6 @@ class FrameAllocator:
             if slot != last:
                 swaps[slot] = swaps.pop(last, last)
             self._remaining = last
-        else:
-            index = self._draw_fresh()
         self._allocated.add(index)
         return self.base + index * self.page_bytes
 

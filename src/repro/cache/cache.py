@@ -41,6 +41,7 @@ way, so no fill site needs to know.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import OrderedDict
 from itertools import islice
 from typing import Generic, List, Optional, Tuple, TypeVar
@@ -59,19 +60,20 @@ class _UnbuiltRow(dict):
     ``pop`` with a default are the inherited ``dict`` methods, on no
     entries).  The first store into a set, ``lines[key] = value``,
     builds the set's real row in the store's set list and stores into
-    it; this shared object stays empty.
+    it; this shared object stays empty.  It holds its store weakly, so
+    a store is freed by reference counting, not left to the cyclic
+    garbage collector.
     """
 
-    __slots__ = ("_sets", "_n_sets")
+    __slots__ = ("_store", "_n_sets")
 
-    def __init__(self, n_sets: int) -> None:
+    def __init__(self, store: "SetAssociativeCache") -> None:
         super().__init__()
-        self._n_sets = n_sets
-        # The store's set list, every slot this row until filled.
-        self._sets: List[dict] = [self] * n_sets
+        self._store = weakref.ref(store)
+        self._n_sets = store.n_sets
 
     def __setitem__(self, key: int, value) -> None:
-        row = self._sets[key % self._n_sets] = OrderedDict()
+        row = self._store()._sets[key % self._n_sets] = OrderedDict()
         row[key] = value
 
 
@@ -90,7 +92,7 @@ class SetAssociativeCache(Generic[V]):
     """
 
     __slots__ = ("name", "n_sets", "associativity", "_rng", "_sets",
-                 "_mask", "hits", "misses")
+                 "_mask", "hits", "misses", "__weakref__")
 
     def __init__(self, name: str, n_sets: int, associativity: int,
                  random_seed: Optional[int] = None) -> None:
@@ -105,7 +107,7 @@ class SetAssociativeCache(Generic[V]):
         self._rng = (None if random_seed is None
                      else random.Random(random_seed))
         # Every set starts unbuilt; its first fill builds its row.
-        self._sets: List["OrderedDict[int, V]"] = _UnbuiltRow(n_sets)._sets
+        self._sets: List["OrderedDict[int, V]"] = [_UnbuiltRow(self)] * n_sets
         # Power-of-two set counts (all of Table II) index with a mask;
         # -1 marks the rare general case that needs a modulo.
         self._mask = n_sets - 1 if (n_sets & (n_sets - 1)) == 0 else -1

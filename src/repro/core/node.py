@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Tuple, TYPE_CHECKING
 
@@ -113,7 +114,11 @@ class Node:
         self._draw = self._rng.random
         self._local_fraction = config.allocation.local_fraction
         self._grant = broker.ensure_mapped
-        self.page_table = FourLevelPageTable(self._allocate_os_frame,
+        # The table's interior-frame callback holds the node weakly, so
+        # a dropped system is freed by reference counting instead of
+        # waiting, with all its tag stores, for the cyclic collector.
+        allocate_frame = weakref.WeakMethod(self._allocate_os_frame)
+        self.page_table = FourLevelPageTable(lambda: allocate_frame()(),
                                              name=f"{self.name}.pt")
         self._map = self.page_table.map
         self.mmu = Mmu(self.page_table, config.tlb, config.ptw,

@@ -408,12 +408,20 @@ class TestWalkCacheEvictions:
 # Frame allocator
 # ----------------------------------------------------------------------
 def _seed_allocate(allocator):
-    """The seed ``FrameAllocator.allocate``: a recycled frame, else
-    ``_draw_fresh``."""
+    """The seed ``FrameAllocator.allocate``: a recycled frame, else the
+    random policy's ``randrange`` draw, else ``_draw_fresh`` (the
+    contiguous policy, or an exhausted pool)."""
     if allocator._recycled:
         index = allocator._recycled.pop()
-    else:
+    elif allocator._randbelow is None or allocator._remaining <= 0:
         index = allocator._draw_fresh()
+    else:
+        slot = allocator._rng.randrange(allocator._remaining)
+        index = allocator._swaps.pop(slot, slot)
+        last = allocator._remaining - 1
+        if slot != last:
+            allocator._swaps[slot] = allocator._swaps.pop(last, last)
+        allocator._remaining -= 1
     allocator._allocated.add(index)
     return allocator.frame_address(index)
 

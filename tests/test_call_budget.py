@@ -33,10 +33,10 @@ BENCHMARK = "cactus"
 #: Python-level calls made by one run of :data:`SETTINGS`, per
 #: architecture (2,000 events each).
 BUDGET = {
-    "e-fam": 24_222,
-    "i-fam": 38_521,
-    "deact-w": 49_541,
-    "deact-n": 49_541,
+    "e-fam": 24_248,
+    "i-fam": 38_547,
+    "deact-w": 49_567,
+    "deact-n": 49_567,
 }
 
 
