@@ -35,7 +35,10 @@ whatever its set count (the DeACT translation cache has 16,384 sets),
 and probing a never-filled set is a miss that allocates nothing.  The
 first ``lines[key] = value`` on a set builds its row; every fill,
 in place or through :meth:`SetAssociativeCache.fill_line`, stores that
-way, so no fill site needs to know.
+way, so no fill site needs to know.  A ``lines`` fetched before that
+store still names the unbuilt row, so code that stores into one set
+twice fetches the set again in between (the hierarchy's victim
+absorption does).
 """
 
 from __future__ import annotations
