@@ -17,6 +17,10 @@ generator draws, per event, which pattern produces the address:
 * ``hotcold`` — a small hot page set absorbing most accesses, the rest
   uniform over the footprint.
 
+A page-reuse post-pass then points a share of events at the page of a
+recent event, resolving whole reuse chains with pointer jumping over
+index arrays rather than one event at a time.
+
 Everything is generated with seeded NumPy for determinism and speed,
 then materialized to plain lists in one ``tolist`` pass per column
 (the simulator's per-event loop is pure Python and consumes the
@@ -81,6 +85,44 @@ def _zipf_page_sampler(rng: np.random.Generator, n_pages: int,
     return permutation[pages_by_rank]
 
 
+def _resolve_page_reuse(vaddrs: np.ndarray, reuse_mask: np.ndarray,
+                        distances: np.ndarray,
+                        fresh_blocks: np.ndarray) -> None:
+    """Point each reused event at a recent event's page, in place.
+
+    Event ``i`` with ``reuse_mask[i]`` takes the page of event
+    ``i - distances[i]`` (when that index exists) at block
+    ``fresh_blocks[i]``.  Reuse revisits a recent *page* at a fresh
+    block: block-granular reuse would be absorbed by the data caches
+    and never reach the translation structures, while page-granular
+    reuse gives the TLB/STU/ACM stream its temporal locality while the
+    cache hierarchy still misses.
+
+    A source may itself be reused, so reuse forms chains that must end
+    on the page the chain's first non-reused event (its *root*) had
+    before the pass, as resolving the events one at a time in order
+    would leave them.  Pointer jumping (``root = root[root]`` until
+    nothing changes) takes every event to its root in about
+    log2(longest chain) whole-array passes.
+    """
+    n_events = len(vaddrs)
+    index = np.arange(n_events, dtype=np.int32)
+    # A distance past the trace start means no source; clipping it to
+    # ``n_events`` keeps it negative after the int32 subtraction.
+    sources = index - np.minimum(distances, n_events).astype(np.int32)
+    reused = reuse_mask & (sources >= 0)
+    root = np.where(reused, sources, index)
+    del index, sources
+    while True:
+        hop = root[root]
+        if np.array_equal(hop, root):
+            break
+        root = hop
+    origins = vaddrs[root[reused]]
+    vaddrs[reused] = (origins - origins % _PAGE
+                      + fresh_blocks[reused] * _BLOCK)
+
+
 def generate_trace(name: str, n_events: int, footprint_pages: int,
                    patterns: Sequence[PatternSpec], gap_mean: float,
                    write_fraction: float, dependent_fraction: float,
@@ -118,6 +160,13 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
         raise TraceError("need at least one pattern")
     if gap_mean < 0:
         raise TraceError("gap mean cannot be negative")
+    for label, fraction in (("write", write_fraction),
+                            ("dependent", dependent_fraction),
+                            ("reuse", reuse_fraction)):
+        if not 0.0 <= fraction <= 1.0:
+            raise TraceError(f"{label} fraction must be within [0, 1]")
+    if reuse_fraction > 0.0 and reuse_window <= 0:
+        raise TraceError("reuse window must be positive")
 
     rng = np.random.default_rng(seed)
     weights = np.array([p.weight for p in patterns], dtype=np.float64)
@@ -176,25 +225,10 @@ def generate_trace(name: str, n_events: int, footprint_pages: int,
     vaddrs = _HEAP_BASE + pages * _PAGE + blocks * _BLOCK
 
     if reuse_fraction > 0.0 and n_events > 1:
-        if not 0.0 <= reuse_fraction <= 1.0:
-            raise TraceError("reuse fraction must be within [0, 1]")
-        if reuse_window <= 0:
-            raise TraceError("reuse window must be positive")
         reuse_mask = rng.random(n_events) < reuse_fraction
-        reuse_mask[0] = False
         distances = rng.integers(1, reuse_window + 1, size=n_events)
         fresh_blocks = rng.integers(0, _BLOCKS_PER_PAGE, size=n_events)
-        # Reuse revisits a recent *page* at a fresh block: block-
-        # granular reuse would be absorbed by the data caches and never
-        # reach the translation structures, while page-granular reuse
-        # gives the TLB/STU/ACM stream its temporal locality while the
-        # cache hierarchy still misses.  Sequential resolution so reuse
-        # chains land on final values.
-        for i in np.flatnonzero(reuse_mask):
-            j = i - distances[i]
-            if j >= 0:
-                page_base = vaddrs[j] - (vaddrs[j] % _PAGE)
-                vaddrs[i] = page_base + fresh_blocks[i] * _BLOCK
+        _resolve_page_reuse(vaddrs, reuse_mask, distances, fresh_blocks)
 
     if gap_mean > 0:
         # Geometric gaps with the requested mean, shifted to allow 0.

@@ -1,7 +1,8 @@
 """Tests for traces, synthetic generators, and the benchmark catalog."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import TraceError
 from repro.workloads.catalog import (
@@ -10,7 +11,11 @@ from repro.workloads.catalog import (
     benchmark_names,
     get_profile,
 )
-from repro.workloads.synthetic import PatternSpec, generate_trace
+from repro.workloads.synthetic import (
+    PatternSpec,
+    _resolve_page_reuse,
+    generate_trace,
+)
 from repro.workloads.trace import Trace, TraceEvent
 
 
@@ -130,6 +135,32 @@ class TestGenerateTrace:
         with pytest.raises(TraceError):
             PatternSpec("zipf", 0.0)
 
+    @pytest.mark.parametrize("n_events", [1, 10])
+    @pytest.mark.parametrize("kwargs", [
+        {"write_fraction": -0.1},
+        {"write_fraction": 1.1},
+        {"dependent_fraction": -0.1},
+        {"dependent_fraction": 1.1},
+        {"reuse_fraction": -0.1},
+        {"reuse_fraction": 1.1},
+        {"reuse_fraction": float("nan")},
+        {"reuse_fraction": 0.5, "reuse_window": 0},
+        {"reuse_fraction": 0.5, "reuse_window": -3},
+    ])
+    def test_out_of_range_knobs_rejected(self, n_events, kwargs):
+        # Rejected whatever the trace length, before any draw.
+        knobs = {"write_fraction": 0.0, "dependent_fraction": 0.0}
+        knobs.update(kwargs)
+        with pytest.raises(TraceError):
+            generate_trace("t", n_events, 10, [PatternSpec("zipf", 1.0)],
+                           0.0, **knobs)
+
+    def test_window_unused_without_reuse(self):
+        trace = generate_trace("t", 10, 10, [PatternSpec("zipf", 1.0)],
+                               0.0, 1.0, 1.0, reuse_fraction=0.0,
+                               reuse_window=0)
+        assert len(trace) == 10
+
     @given(st.integers(min_value=1, max_value=2000),
            st.integers(min_value=1, max_value=500))
     @settings(max_examples=25, deadline=None)
@@ -141,6 +172,54 @@ class TestGenerateTrace:
         base = 0x1000_0000
         limit = base + footprint * 4096
         assert all(base <= addr < limit for addr in trace.vaddrs)
+
+
+def _sequential_page_reuse(vaddrs, reuse_mask, distances, fresh_blocks):
+    """The generator's original one-event-at-a-time reuse pass."""
+    reuse_mask = reuse_mask.copy()
+    reuse_mask[0] = False
+    for i in np.flatnonzero(reuse_mask):
+        j = i - distances[i]
+        if j >= 0:
+            page_base = vaddrs[j] - (vaddrs[j] % 4096)
+            vaddrs[i] = page_base + fresh_blocks[i] * 64
+
+
+def _reuse_inputs(n_events, reuse_fraction, reuse_window, seed):
+    rng = np.random.default_rng(seed)
+    vaddrs = (0x1000_0000 + rng.integers(0, 500, size=n_events) * 4096
+              + rng.integers(0, 64, size=n_events) * 64)
+    reuse_mask = rng.random(n_events) < reuse_fraction
+    distances = rng.integers(1, reuse_window + 1, size=n_events)
+    fresh_blocks = rng.integers(0, 64, size=n_events)
+    return vaddrs, reuse_mask, distances, fresh_blocks
+
+
+class TestPageReuse:
+    @given(n_events=st.integers(min_value=1, max_value=3000),
+           reuse_fraction=st.floats(min_value=0.0, max_value=1.0),
+           reuse_window=st.integers(min_value=1, max_value=4096),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(n_events=3000, reuse_fraction=1.0, reuse_window=1, seed=0)
+    @example(n_events=3000, reuse_fraction=1.0, reuse_window=4096, seed=1)
+    @example(n_events=7, reuse_fraction=0.9, reuse_window=4096, seed=2)
+    @example(n_events=1, reuse_fraction=1.0, reuse_window=1, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_loop(self, n_events, reuse_fraction,
+                                     reuse_window, seed):
+        vaddrs, mask, distances, fresh = _reuse_inputs(
+            n_events, reuse_fraction, reuse_window, seed)
+        expected = vaddrs.copy()
+        _sequential_page_reuse(expected, mask, distances, fresh)
+        _resolve_page_reuse(vaddrs, mask, distances, fresh)
+        assert vaddrs.tolist() == expected.tolist()
+
+    def test_single_chain_lands_on_one_page(self):
+        # Every event reuses its predecessor: one chain of n events.
+        spec = [PatternSpec("zipf", 1.0, {"alpha": 0.2})]
+        trace = generate_trace("t", 3000, 3000, spec, 0.0, 0.0, 0.0,
+                               seed=1, reuse_fraction=1.0, reuse_window=1)
+        assert trace.footprint_pages() == 1
 
 
 class TestCatalog:
