@@ -134,26 +134,21 @@ class TestGenerateTrace:
             PatternSpec("mystery", 1.0)
         with pytest.raises(TraceError):
             PatternSpec("zipf", 0.0)
-
-    @pytest.mark.parametrize("n_events", [1, 10])
-    @pytest.mark.parametrize("kwargs", [
-        {"write_fraction": -0.1},
-        {"write_fraction": 1.1},
-        {"dependent_fraction": -0.1},
-        {"dependent_fraction": 1.1},
-        {"reuse_fraction": -0.1},
-        {"reuse_fraction": 1.1},
-        {"reuse_fraction": float("nan")},
-        {"reuse_fraction": 0.5, "reuse_window": 0},
-        {"reuse_fraction": 0.5, "reuse_window": -3},
-    ])
-    def test_out_of_range_knobs_rejected(self, n_events, kwargs):
-        # Rejected whatever the trace length, before any draw.
-        knobs = {"write_fraction": 0.0, "dependent_fraction": 0.0}
-        knobs.update(kwargs)
-        with pytest.raises(TraceError):
-            generate_trace("t", n_events, 10, [PatternSpec("zipf", 1.0)],
-                           0.0, **knobs)
+        # Out-of-range knobs are rejected whatever the trace length.
+        for n_events in (1, 10):
+            for knobs in ({"write_fraction": -0.1},
+                          {"write_fraction": 1.1},
+                          {"dependent_fraction": -0.1},
+                          {"dependent_fraction": 1.1},
+                          {"reuse_fraction": -0.1},
+                          {"reuse_fraction": 1.1},
+                          {"reuse_fraction": float("nan")},
+                          {"reuse_fraction": 0.5, "reuse_window": 0},
+                          {"reuse_fraction": 0.5, "reuse_window": -3}):
+                args = {"write_fraction": 0.0, "dependent_fraction": 0.0,
+                        **knobs}
+                with pytest.raises(TraceError):
+                    generate_trace("t", n_events, 10, spec, 0.0, **args)
 
     def test_window_unused_without_reuse(self):
         trace = generate_trace("t", 10, 10, [PatternSpec("zipf", 1.0)],
