@@ -56,7 +56,9 @@ class CacheHierarchy:
             for cfg in self.configs
         ]
         self._l1, self._l2, self._l3 = self.levels
-        self.latencies = tuple(cfg.latency_ns for cfg in self.configs)
+        # Floats, whatever the configs hold: the node-side pass records
+        # an on-chip event as the bare latency, told apart by its type.
+        self.latencies = tuple(float(cfg.latency_ns) for cfg in self.configs)
         self._lat1 = self.latencies[0]
         self._lat12 = self.latencies[0] + self.latencies[1]
         self._lat123 = sum(self.latencies)

@@ -17,21 +17,31 @@ and stall the core only when the trace marks them dependent (pointer
 chasing) or the window fills — reproducing memory-level parallelism
 without cycle-accurate out-of-order simulation.
 
-The production path is the allocation-free fast loop
-:meth:`Node.run_events`.  :meth:`Node.run_decoded` drains a whole
-trace through it on a single node; the multi-node interleaved driver
-calls it with an ``until`` bound, the heap's next key, so each call
-runs the node for as long as the seed's per-event heap would have
-kept picking it.  :meth:`Node.step_fast` is a one-event
-``run_events``.  The loop makes each modeled operation one call into
-the layer that owns it — a walk step into the cache hierarchy, an LLC
-miss or write-back into local DRAM or the architecture's FAM access
-procedure — with no node-level helper in between.  A first touch is
-straight-line code in :meth:`Node._handle_page_fault`: the placement
-draw, then a local frame or one broker grant, then one map.  Boxed
-:class:`~repro.workloads.trace.TraceEvent` objects and the seed's
-composed page fault survive only in the :mod:`repro.core.refpath`
-oracle.
+The production path runs in two parts.  :meth:`Node.node_pass` is the
+node side: one run over the node's whole decoded trace that probes the
+TLB, walks the node page table, probes the data caches and places
+frames, and turns the trace into a compact :class:`NodeStream` — per
+event, the on-chip latencies in the order they add up and the ordered
+memory requests (walk-step misses, dirty write-backs, the data miss),
+with the broker grants a first touch needs recorded, not issued.  An
+event that never leaves the chip is recorded as the bare latency the
+hierarchy returned.  :meth:`Node.run_events` is the memory side: it
+replays a stream through the core window, local DRAM, the grants and
+the architecture's FAM access procedure (translator, fabric, STU/ACM,
+FAM), stopping at an ``until`` bound for the multi-node driver.  Since
+the node side reads no clock and nothing past the last-level cache,
+one stream serves every cell that shares the node-side inputs (see
+:class:`NodeStream`), and a node that replays a stream another node
+built takes its counters (:meth:`Node.adopt`).  :meth:`Node.step_fast`
+is a one-event pass and replay.  Each modeled operation is one call
+into the layer that owns it — a walk step into the cache hierarchy, an
+LLC miss or write-back into local DRAM or the architecture's FAM
+access procedure — with no node-level helper in between.  A first
+touch is straight-line code in :meth:`Node._handle_page_fault`: the
+placement draw, then a local frame or one deferred broker grant, then
+one map.  Boxed :class:`~repro.workloads.trace.TraceEvent` objects, the
+seed's composed page fault and its one-call-per-event step survive only
+in the :mod:`repro.core.refpath` oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +50,9 @@ import math
 import random
 import weakref
 from heapq import heappop, heappush
-from typing import Iterable, Optional, Tuple, TYPE_CHECKING
+from operator import attrgetter
+from typing import (Callable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, TYPE_CHECKING)
 
 from repro.broker.broker import MemoryBroker
 from repro.cache.hierarchy import CacheHierarchy
@@ -54,14 +66,14 @@ from repro.sim.resource import OutstandingWindow
 from repro.sim.stats import Stats
 from repro.tlb.mmu import Mmu
 from repro.translator.fam_translator import FamTranslator
+from repro.workloads.trace import DecodedTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.architectures import Architecture
     from repro.core.results import NodeMetrics
     from repro.stu.stu import Stu
-    from repro.workloads.trace import DecodedTrace
 
-__all__ = ["Node"]
+__all__ = ["Node", "NodeStream"]
 
 #: Enum attribute lookups hoisted off the per-event path.
 _KIND_DATA = RequestKind.DATA
@@ -69,6 +81,42 @@ _KIND_NODE_PTW = RequestKind.NODE_PTW
 _KIND_WRITEBACK = RequestKind.WRITEBACK
 
 _INF = math.inf
+
+#: The :attr:`Node.stats` counters the node-side pass keeps.
+_NODE_SIDE_COUNTERS = ("page_faults", "frames.local", "frames.fam",
+                       "mem.local", "mem.fam", "mem.fam_data")
+_ZEROS = (0.0,) * len(_NODE_SIDE_COUNTERS)
+_HITS_MISSES = attrgetter("hits", "misses")
+
+
+class NodeStream(NamedTuple):
+    """One node's trace after its node-side pass
+    (:meth:`Node.node_pass`): what the memory side replays.
+
+    A stream is a pure function of the node-side inputs: the node's
+    trace, its index (which seeds its placement draws), the L1/L2/L3,
+    TLB and node page-walk configurations, the local DRAM size and
+    ``local_fraction``, and the system seed.  It reads no clock and
+    nothing past the last-level cache, so every cell that shares those
+    inputs can replay one stream, whatever its architecture, STU, ACM,
+    translation cache, fabric or FAM (see :meth:`Node.can_adopt` for
+    the one exception).  Nothing mutates a stream once built.
+    """
+
+    #: The trace's gap column: non-memory instructions before each
+    #: event.
+    gaps: Sequence[int]
+    #: One record per event (see :meth:`Node._pass_events`).
+    records: List[object]
+    #: ``(instructions, memory_events, walks, store_counts, counters)``
+    #: as the pass left them: the hits and misses of each node-side
+    #: tag store and the node-side :attr:`Node.stats` counters (0.0
+    #: for one the node never counted).
+    totals: Tuple
+    #: Local frames free when the pass began.
+    budget: int
+    #: Local frames the pass placed.
+    local_frames: int
 
 
 class Node:
@@ -114,6 +162,10 @@ class Node:
         self._draw = self._rng.random
         self._local_fraction = config.allocation.local_fraction
         self._grant = broker.ensure_mapped
+        # Grants a first touch makes, in order, until the pass hands
+        # them to the replay (see _pass_events).
+        self._grants_due: List[int] = []
+        self._defer_grant = self._grants_due.append
         # The table's interior-frame callback holds the node weakly, so
         # a dropped system is freed by reference counting instead of
         # waiting, with all its tag stores, for the cyclic collector.
@@ -121,8 +173,17 @@ class Node:
         self.page_table = FourLevelPageTable(lambda: allocate_frame()(),
                                              name=f"{self.name}.pt")
         self._map = self.page_table.map
+        # The root table's frame is placed now, so a FAM-zone root is
+        # granted now, as every node's is, in node order.
+        for node_page in self._grants_due:
+            self._grant(node_id, node_page)
+        self._grants_due.clear()
         self.mmu = Mmu(self.page_table, config.tlb, config.ptw,
                        name=f"{self.name}.mmu")
+        #: The tag stores the node-side pass probes, in the order of
+        #: :attr:`NodeStream.totals`.
+        self._node_stores = (*self.caches.levels, self.mmu.tlb.l1,
+                             self.mmu.tlb.l2, *self.mmu.walker._caches)
 
         # --- DeACT attachments (populated per architecture) -----------
         self.fam_translator: Optional[FamTranslator] = None
@@ -159,10 +220,11 @@ class Node:
 
         Applies the paper's placement split: ``local_fraction`` of
         pages from node DRAM, the rest from the FAM zone (footnote 3:
-        20 % local / 80 % FAM).  FAM-zone pages are backed by the
-        broker immediately — the Opal grant that also installs the
-        system-page-table entry and the ACM.  A first touch makes the
-        same choice in line (:meth:`_handle_page_fault`).
+        20 % local / 80 % FAM).  A FAM-zone page needs the broker's
+        grant — the Opal grant that also installs the system-page-table
+        entry and the ACM — which is deferred to the replay, in order
+        (:meth:`_pass_events`).  A first touch makes the same choice in
+        line (:meth:`_handle_page_fault`).
         """
         if (self._draw() < self._local_fraction
                 and self._local_frames_free > 0):
@@ -173,7 +235,7 @@ class Node:
             return frame * PAGE_BYTES
         node_page = self._next_fam_zone_page
         self._next_fam_zone_page += 1
-        self.broker.ensure_mapped(self.node_id, node_page)
+        self._defer_grant(node_page)
         self._stat_counters["frames.fam"] += 1.0
         return node_page * PAGE_BYTES
 
@@ -182,9 +244,10 @@ class Node:
 
         The placement draw and the local vs FAM-zone choice are made
         here, as :meth:`_allocate_os_frame` makes them; a FAM-zone
-        frame is one broker grant, and the map one call, whose
+        frame is one deferred broker grant, and the map one call, whose
         interior tables still come from :meth:`_allocate_os_frame`.
-        The seed body is :func:`repro.core.refpath._ref_page_fault`.
+        The seed body is :func:`repro.core.refpath._ref_page_fault`,
+        which grants at once.
         """
         counters = self._stat_counters
         if (self._draw() < self._local_fraction
@@ -196,18 +259,84 @@ class Node:
         else:
             frame = self._next_fam_zone_page
             self._next_fam_zone_page = frame + 1
-            self._grant(self.node_id, frame)
+            self._defer_grant(frame)
             counters["frames.fam"] += 1.0
         self._map(vpn, frame)
         counters["page_faults"] += 1.0
 
     # ------------------------------------------------------------------
-    # Per-event path
+    # Per-event path: the node-side pass, then the memory-side replay
     # ------------------------------------------------------------------
+    def node_pass(self, decoded: "DecodedTrace") -> "NodeStream":
+        """Run the node side of a whole decoded trace; returns the
+        stream the memory side replays (:meth:`run_events`).
+
+        The pass probes the TLB, walks the node page table, probes the
+        data caches and places frames, event by event, and counts
+        everything it decides; broker grants are recorded, in order,
+        for the replay to issue.  The stream's :attr:`NodeStream.totals`
+        are the node-side counters the pass left, so a node that
+        replays a stream built by another node's pass can
+        :meth:`adopt` them instead of running the pass itself.
+        """
+        budget = self._local_frames_free
+        records: List[object] = []
+        self._pass_events(zip(decoded.vpns, decoded.offsets, decoded.blocks,
+                              decoded.writes, decoded.dependents),
+                          records.append, {}.setdefault)
+        events = len(decoded.gaps)
+        self.instructions += events + sum(decoded.gaps)
+        self.memory_events += events
+        counters = self._stat_counters
+        totals = (self.instructions, self.memory_events, self.mmu.walks,
+                  tuple(map(_HITS_MISSES, self._node_stores)),
+                  tuple(map(counters.get, _NODE_SIDE_COUNTERS, _ZEROS)))
+        return NodeStream(decoded.gaps, records, totals, budget,
+                          budget - self._local_frames_free)
+
+    def can_adopt(self, stream: "NodeStream") -> bool:
+        """Whether this node, which has run nothing yet, may replay
+        ``stream`` without running its own pass.
+
+        Every node-side input but one is in the key a stream is shared
+        under; the exception is the local frame budget, which is
+        smaller when the architecture reserves a translation cache.
+        The stream's placements hold for this node when the budget is
+        the one the pass ran with, or when the pass never found the
+        local pool empty and this node has at least as many frames:
+        then every placement draw that chose local DRAM found a frame
+        here too.
+        """
+        if self.memory_events:
+            return False
+        budget = self._local_frames_free
+        return (budget == stream.budget
+                or stream.local_frames < stream.budget
+                and budget >= stream.local_frames)
+
+    def adopt(self, stream: "NodeStream") -> None:
+        """Take ``stream``'s node-side totals in place of running the
+        pass (see :meth:`can_adopt`).  The pass ran on a node built
+        like this one, so the totals are this node's as the pass would
+        leave them, the root table's frame included.  The node's tag
+        stores and page table stay empty; their counters, the
+        instruction and event counts and the node-side :attr:`stats`
+        read as if the pass had run here."""
+        instructions, events, walks, stores, counters = stream.totals
+        self.instructions = instructions
+        self.memory_events = events
+        self.mmu.walks = walks
+        for store, (hits, misses) in zip(self._node_stores, stores):
+            store.hits = hits
+            store.misses = misses
+        for key, value in zip(_NODE_SIDE_COUNTERS, counters):
+            if value:
+                self._stat_counters[key] = value
+
     def step_fast(self, gap: int, vpn: int, offset: int, blk: int,
                   is_write: bool, dependent: bool) -> float:
         """Advance the core over one pre-decoded trace event (a
-        one-event :meth:`run_events`); returns the new core time.
+        one-event pass and replay); returns the new core time.
 
         ``vpn`` / ``offset`` / ``blk`` are the event's virtual page
         number, page offset and block-within-page, as decomposed by
@@ -215,49 +344,50 @@ class Node:
         path calls this; it stays as the named one-event entry point
         that ``perfbench/layers.py`` wraps.
         """
-        return self.run_events(((gap, vpn, offset, blk, is_write,
-                                 dependent),))
+        stream = self.node_pass(DecodedTrace(
+            (gap,), (vpn,), (offset,), (blk,), (is_write,), (dependent,)))
+        return self.run_events(zip(stream.gaps, stream.records))
 
     @hot_path
-    def run_decoded(self, decoded: "DecodedTrace") -> float:
-        """Run a whole pre-decoded trace on this node via the inlined
-        scalar loop; returns the core time."""
-        return self.run_events(decoded.events())
+    def _pass_events(self, events: "Iterable[Tuple]",
+                     emit: "Callable[[object], None]",
+                     intern: "Callable[[Tuple, Tuple], Tuple]") -> None:
+        """The node-side loop of :meth:`node_pass`: ``emit`` one record
+        per ``(vpn, offset, block, is_write, dependent)`` event.
 
-    @hot_path
-    def run_events(self, events: "Iterable[Tuple]",
-                   until: float = _INF) -> float:
-        """Drain ``events`` — an iterable of pre-decoded
-        ``(gap, vpn, offset, block, is_write, dependent)`` tuples —
-        through the fast loop; returns the core time.
+        A record is, by the work the event leaves for the memory side
+        (``miss`` is a data miss, ``npa << 2 | code`` with ``npa`` the
+        node-physical data address and ``code`` 2 for a write, 1 for a
+        dependent read and 0 for an independent one, or ``None`` when
+        the data was served on chip):
 
-        The loop stops early, right after the first event that leaves
-        the core time above ``until``; when ``events`` is an iterator,
-        the events not yet taken stay in it.  The multi-node driver
-        derives ``until`` from its heap's next key, so one call runs a
-        node for as long as the per-event heap would have kept picking
-        it.
+        * a ``float`` — the event hit the L1 TLB and a data cache
+          level: its on-chip latency, the object the hierarchy
+          returned (shared between events);
+        * an ``int`` — it hit the L1 TLB and missed every data cache
+          level with no write-back: its ``miss`` (the latency is the
+          full lookup);
+        * a pair ``(latencies, miss)`` — it missed the L1 TLB, granted
+          nothing, every walk step was served on chip and nothing was
+          written back: the on-chip latencies in the order they add
+          up (TLB, walk steps, data).  Equal latency tuples, and equal
+          pairs without a miss, are one object (``intern``);
+        * otherwise ``(prefix, latency, writebacks, miss)``:
+          ``prefix`` is ``None`` on an L1 TLB hit, else ``(grants,
+          tlb_latency, steps)``, with the FAM-zone pages the event's
+          first touch granted and one ``(latency, writebacks, addr)``
+          per surviving walk step, ``addr`` ``None`` when the step was
+          served on chip.
 
-        Every per-event attribute lookup is hoisted into a local, and
-        the L1 TLB probe, the L1 data-cache probe and the core
-        window's not-full ``admit`` and ``record`` are inlined.  Each
-        modeled operation below that is one call into the layer that
-        owns it: a page-walk step is one
-        :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, and
-        an LLC miss or write-back is one ``DramDevice.access`` below
-        :attr:`fam_zone_base` or one ``Architecture.fam_access_fast``
-        from it on.  Those callees are looked up once per call, so a
-        wrapper installed on their class before the call sees them.
-        Taking an iterator lets :meth:`run_decoded` feed a ``zip`` over
-        the decoded trace columns, so events never materialize as boxed
-        objects.  Counter write-back happens in ``finally`` so a
-        mid-trace access violation still leaves instruction/event
-        counts sane.
+        Grants ride on the prefix because a first touch always misses
+        the L1 TLB: nothing maps a page twice, so no TLB holds a page
+        before its first touch.  The L1 TLB and L1 data-cache probes
+        are inlined; a walk step is one
+        :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, an
+        L1 data miss one ``access_after_l1_miss``.  The ``mem.*``
+        counters count the requests the records leave for local DRAM
+        and the FAM zone.
         """
-        window = self.window
-        admit = window.admit
-        completions = window._completions
-        capacity = window.capacity
         mmu = self.mmu
         translate_l1_missed = mmu.translate_after_l1_miss
         tlb_l1 = mmu.tlb.l1
@@ -274,31 +404,18 @@ class Node:
         lat1 = caches._lat1
         mapped = self.page_table._leaves  # demand-paging check
         page_fault = self._handle_page_fault
-        dram_access = self.dram.access
-        fam_access = self.architecture.fam_access_fast
+        grants_due = self._grants_due
         fam_zone_base = self.fam_zone_base
-        counters = self._stat_counters
-        slot_ns = self._slot_ns
         block_shift = self._block_shift
         frame_block_shift = self._frame_block_shift
         page_shift = self._page_shift
-        core_time = self.core_time_ns
-        instructions = self.instructions
         tlb_l1_hits = 0
         data_l1_hits = 0
-        consumed = 0
+        local = 0
+        fam = 0
+        fam_data = 0
         try:
-            for gap, vpn, offset, blk, is_write, dependent in events:
-                consumed += 1
-                instructions += gap + 1
-                core_time += gap * slot_ns
-
-                # --- issue: the window's not-full admit inlined ------
-                while completions and completions[0] <= core_time:
-                    heappop(completions)
-                issue = (core_time if len(completions) < capacity
-                         else admit(core_time))
-
+            for vpn, offset, blk, is_write, dependent in events:
                 # --- translate: L1 TLB probe inlined (always LRU) ----
                 if vpn not in mapped:
                     page_fault(vpn)
@@ -308,36 +425,44 @@ class Node:
                 if frame is not None:
                     tlb_l1_hits += 1
                     lines.move_to_end(vpn)
-                    t = issue  # + 0.0 ns L1 latency
+                    prefix = None
                 else:
                     tlb_l1.misses += 1
                     frame, _lvl, tlb_latency, walk_addrs = \
                         translate_l1_missed(vpn)
-                    t = issue + tlb_latency
                     # Each surviving walk step reads its entry through
                     # the caches and, on a full miss, from memory.
+                    # ``lats`` holds the latencies while every step so
+                    # far stayed on chip; ``steps`` holds them all.
+                    lats = (tlb_latency,)
+                    steps = ()
                     for addr in walk_addrs:
                         level, latency, writebacks = access_block(
                             addr >> block_shift, False)
-                        t += latency
                         if writebacks:
+                            lats = None
                             for wb_addr in writebacks:
                                 if wb_addr < fam_zone_base:
-                                    counters["mem.local"] += 1.0
-                                    dram_access(wb_addr, t)
+                                    local += 1
                                 else:
-                                    counters["mem.fam"] += 1.0
-                                    fam_access(self, wb_addr, t, True,
-                                               _KIND_WRITEBACK)
+                                    fam += 1
                         if level:
-                            continue
-                        if addr < fam_zone_base:
-                            counters["mem.local"] += 1.0
-                            t = dram_access(addr, t)
+                            steps += ((latency, writebacks, None),)
+                            if lats is not None:
+                                lats += (latency,)
                         else:
-                            counters["mem.fam"] += 1.0
-                            t = fam_access(self, addr, t, False,
-                                           _KIND_NODE_PTW)
+                            lats = None
+                            if addr < fam_zone_base:
+                                local += 1
+                            else:
+                                fam += 1
+                            steps += ((latency, writebacks, addr),)
+                    if grants_due:
+                        lats = None
+                        prefix = (tuple(grants_due), tlb_latency, steps)
+                        grants_due.clear()
+                    else:
+                        prefix = ((), tlb_latency, steps)
 
                 # --- data reference: L1 cache probe inlined ----------
                 block = (frame << frame_block_shift) | blk
@@ -349,49 +474,174 @@ class Node:
                     if is_write:
                         lines[block] = True
                     lines.move_to_end(block)
-                    core_time = t + lat1
-                else:
-                    data_l1.misses += 1
-                    level, latency, writebacks = hier_l1_missed(block,
-                                                                is_write)
-                    t += latency
-                    if writebacks:
-                        for wb_addr in writebacks:
-                            if wb_addr < fam_zone_base:
-                                counters["mem.local"] += 1.0
-                                dram_access(wb_addr, t)
-                            else:
-                                counters["mem.fam"] += 1.0
-                                fam_access(self, wb_addr, t, True,
-                                           _KIND_WRITEBACK)
-                    if level:
-                        core_time = t
+                    if prefix is None:
+                        emit(lat1)
+                    elif lats is not None:
+                        lats = intern(lats + (lat1,), lats + (lat1,))
+                        emit(intern((lats, None), (lats, None)))
                     else:
-                        npa = (frame << page_shift) | offset
-                        if npa < fam_zone_base:
-                            counters["mem.local"] += 1.0
-                            completion = dram_access(npa, t)
+                        emit((prefix, lat1, (), None))
+                    continue
+                data_l1.misses += 1
+                level, latency, writebacks = hier_l1_missed(block, is_write)
+                if level:
+                    if prefix is None:
+                        emit(latency)
+                    elif lats is not None:
+                        lats = intern(lats + (latency,), lats + (latency,))
+                        emit(intern((lats, None), (lats, None)))
+                    else:
+                        emit((prefix, latency, (), None))
+                    continue
+                npa = (frame << page_shift) | offset
+                if npa < fam_zone_base:
+                    local += 1
+                else:
+                    fam += 1
+                    fam_data += 1
+                miss = npa << 2 | (2 if is_write else dependent)
+                if writebacks:
+                    for wb_addr in writebacks:
+                        if wb_addr < fam_zone_base:
+                            local += 1
                         else:
-                            counters["mem.fam"] += 1.0
-                            counters["mem.fam_data"] += 1.0
-                            completion = fam_access(self, npa, t, is_write,
-                                                    _KIND_DATA)
-                        heappush(completions, completion)
-                        if dependent and not is_write:
-                            if completion > core_time:
-                                core_time = completion
+                            fam += 1
+                    emit((prefix, latency, writebacks, miss))
+                elif prefix is None:
+                    emit(miss)
+                elif lats is not None:
+                    lats = intern(lats + (latency,), lats + (latency,))
+                    emit((lats, miss))
+                else:
+                    emit((prefix, latency, (), miss))
+        finally:
+            tlb_l1.hits += tlb_l1_hits
+            data_l1.hits += data_l1_hits
+            counters = self._stat_counters
+            if local:
+                counters["mem.local"] += local
+            if fam:
+                counters["mem.fam"] += fam
+            if fam_data:
+                counters["mem.fam_data"] += fam_data
+
+    @hot_path
+    def run_events(self, events: "Iterator[Tuple]",
+                   until: float = _INF) -> float:
+        """The memory-side replay: drain ``events`` — ``(gap, record)``
+        pairs, ``zip(stream.gaps, stream.records)`` of a
+        :class:`NodeStream` — through the core window,
+        local DRAM and the architecture's FAM access procedure; returns
+        the core time.
+
+        The loop stops early, right after the first event that leaves
+        the core time above ``until``; the events not yet taken stay
+        in the iterator.  The multi-node driver derives ``until`` from
+        its heap's next key, so one call runs a node for as long as the
+        per-event heap would have kept picking it.
+
+        The replay adds each on-chip latency of a record in the order
+        the pass met it, so every simulated time is the float the
+        fused loop computed.  The window's not-full ``admit`` and
+        ``record`` are inlined; each memory request is one
+        ``DramDevice.access`` below :attr:`fam_zone_base` or one
+        ``Architecture.fam_access_fast`` from it on, and each grant one
+        ``MemoryBroker.ensure_mapped``, issued before the event's first
+        request.  Those callees are looked up once per call, so a
+        wrapper installed on their class before the call sees them.
+        The core time is written back in ``finally``, so a mid-trace
+        access violation still leaves it sane.
+        """
+        window = self.window
+        admit = window.admit
+        completions = window._completions
+        capacity = window.capacity
+        full_miss_ns = self.caches._lat123
+        dram_access = self.dram.access
+        fam_access = self.architecture.fam_access_fast
+        grant = self._grant
+        node_id = self.node_id
+        fam_zone_base = self.fam_zone_base
+        slot_ns = self._slot_ns
+        core_time = self.core_time_ns
+        try:
+            for gap, record in events:
+                core_time += gap * slot_ns
+
+                # --- issue: the window's not-full admit inlined ------
+                while completions and completions[0] <= core_time:
+                    heappop(completions)
+                issue = (core_time if len(completions) < capacity
+                         else admit(core_time))
+
+                kind = record.__class__
+                if kind is float:  # served on chip
+                    core_time = issue + record
+                    if core_time > until:
+                        break
+                    continue
+                if kind is int:  # L1 TLB hit, full data miss
+                    t = issue + full_miss_ns
+                    miss = record
+                elif len(record) == 2:  # every latency on chip
+                    lats, miss = record
+                    t = issue
+                    for latency in lats:
+                        t += latency
+                else:
+                    prefix, latency, writebacks, miss = record
+                    t = issue
+                    if prefix is not None:
+                        grants, tlb_latency, steps = prefix
+                        for page in grants:
+                            grant(node_id, page)
+                        t += tlb_latency
+                        for step_ns, step_writebacks, addr in steps:
+                            t += step_ns
+                            for wb_addr in step_writebacks:
+                                if wb_addr < fam_zone_base:
+                                    dram_access(wb_addr, t)
+                                else:
+                                    fam_access(self, wb_addr, t, True,
+                                               _KIND_WRITEBACK)
+                            if addr is None:
+                                continue
+                            if addr < fam_zone_base:
+                                t = dram_access(addr, t)
+                            else:
+                                t = fam_access(self, addr, t, False,
+                                               _KIND_NODE_PTW)
+                    t += latency
+                    for wb_addr in writebacks:
+                        if wb_addr < fam_zone_base:
+                            dram_access(wb_addr, t)
                         else:
-                            floor = issue + slot_ns
-                            if floor > core_time:
-                                core_time = floor
+                            fam_access(self, wb_addr, t, True,
+                                       _KIND_WRITEBACK)
+
+                # --- the data miss, if any: ``npa << 2 | code`` -------
+                if miss is None:
+                    core_time = t
+                else:
+                    npa = miss >> 2
+                    code = miss & 3
+                    if npa < fam_zone_base:
+                        completion = dram_access(npa, t)
+                    else:
+                        completion = fam_access(self, npa, t, code == 2,
+                                                _KIND_DATA)
+                    heappush(completions, completion)
+                    if code == 1:  # a dependent read stalls the core
+                        if completion > core_time:
+                            core_time = completion
+                    else:
+                        floor = issue + slot_ns
+                        if floor > core_time:
+                            core_time = floor
                 if core_time > until:
                     break
         finally:
             self.core_time_ns = core_time
-            self.instructions = instructions
-            self.memory_events += consumed
-            tlb_l1.hits += tlb_l1_hits
-            data_l1.hits += data_l1_hits
         return core_time
 
     def drain(self) -> float:

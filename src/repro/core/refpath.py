@@ -1,8 +1,11 @@
 """The seed per-event simulation path, kept as a frozen reference.
 
-The production hot path (``Trace.decoded`` + ``Node.run_events`` and
-the allocation-free probe entry points underneath it) replaced the
-seed implementation, which boxed every intermediate outcome into a
+The production hot path (``Trace.decoded``, then each node's
+node-side pass ``Node.node_pass`` and the memory-side replay
+``Node.run_events`` of the stream it builds, over the allocation-free
+probe entry points underneath them) replaced the seed implementation,
+which runs each event through the node side and the memory side in
+one composed step and boxed every intermediate outcome into a
 dataclass (``AccessResult`` per fill, ``TlbLookup`` per TLB probe,
 ``WalkResult`` per page walk, ``TranslationOutcome`` per translation,
 ``HierarchyResult`` per cache access, ``TranslatorLookup`` /
@@ -14,7 +17,12 @@ identical state.  It is the one oracle (``FamSystem.run(reference=
 True)``): the hot-path equivalence suite
 (``tests/test_hot_path_equivalence``) and perfbench's prefix check
 prove the production path produces **bit-identical** run stats
-against it.
+against it, including runs that replay a stream another cell's pass
+built.  The one production change this mirror absorbs is the deferred
+grant: the page table's interior-frame callback
+(``Node._allocate_os_frame``) records a FAM-zone frame's grant for the
+replay, so ``_ref_page_fault`` issues the recorded grants, in the
+seed's order, as soon as its map returns.
 
 Random replacement draws the same ``_randbelow`` deviate whether the
 victim is picked by ``rng.choice(list(...))`` (here, as the seed did)
@@ -553,11 +561,22 @@ def _ref_cached_access(node: Node, npa: int, now: float, is_write: bool,
     return _ref_memory_access(node, npa, t, is_write, kind), 0
 
 
+def _ref_grant(node: Node, node_page: int) -> None:
+    """The seed FAM-zone grant: system-table probe, then
+    ``allocate_for_node``."""
+    broker = node.broker
+    if broker.system_table(node.node_id).lookup(node_page) is None:
+        broker.allocate_for_node(node.node_id, node_page)
+
+
 def _ref_page_fault(node: Node, vpn: int) -> None:
     """The seed first touch: the placement draw, then a local frame or
-    a broker grant (system-table probe, then ``allocate_for_node``),
-    then the node's map.  Interior table frames the map needs still
-    come from the table's allocator callback."""
+    a broker grant, then the node's map.  Interior table frames the
+    map needs still come from the table's allocator callback, which
+    defers their grants for the production replay; the seed granted
+    each as it was allocated, so they are granted here, in order, as
+    soon as the map returns (nothing else reaches the broker in
+    between)."""
     want_local = node._rng.random() < node.config.allocation.local_fraction
     if want_local and node._local_frames_free > 0:
         frame = node._next_local_frame
@@ -568,12 +587,13 @@ def _ref_page_fault(node: Node, vpn: int) -> None:
     else:
         node_page = node._next_fam_zone_page
         node._next_fam_zone_page += 1
-        broker = node.broker
-        if broker.system_table(node.node_id).lookup(node_page) is None:
-            broker.allocate_for_node(node.node_id, node_page)
+        _ref_grant(node, node_page)
         node.stats.incr("frames.fam")
         frame_addr = node_page * PAGE_BYTES
     node.page_table.map(vpn, frame_addr // PAGE_BYTES)
+    for node_page in node._grants_due:
+        _ref_grant(node, node_page)
+    node._grants_due.clear()
     node.stats.incr("page_faults")
 
 

@@ -68,6 +68,10 @@ def render_telemetry(summary: Dict[str, float]) -> str:
     lines.append(f"  runs measured      : {with_telemetry} of {runs}")
     lines.append(f"  trace events       : {summary.get('events', 0.0):,.0f}")
     lines.append(f"  simulation wall    : {summary.get('wall_s', 0.0):.2f} s")
+    lines.append(f"  node-side passes   : "
+                 f"{summary.get('node_pass_s', 0.0):.2f} s")
+    lines.append(f"  trace builds       : "
+                 f"{summary.get('trace_build_s', 0.0):.2f} s")
     lines.append(f"  events per second  : "
                  f"{summary.get('events_per_sec', 0.0):,.0f}")
     lines.append(f"  tag-store probes   : "

@@ -9,7 +9,18 @@ work.
 
 Execution itself is a pure function of a :class:`SweepJob` —
 :func:`execute_job` builds the traces, runs the system, and returns a
-plain serialized dict.  The runner executes every run the same way:
+plain serialized dict.  Within one process it memoizes two things, each
+in a bounded LRU: the traces, keyed by benchmark, node count and trace
+settings, and each node's node-side stream
+(:class:`~repro.core.node.NodeStream`), keyed by
+:func:`node_side_key` — the benchmark, the trace settings (which fix
+the system seed too), the node's index, the L1/L2/L3, TLB and node
+page-walk configurations, the local DRAM size and ``local_fraction``.
+Every figure's cells that differ only past the last-level cache share
+a key, so they share one node-side pass, and node ``k`` of an
+``n``-node cell shares node ``k``'s stream with every other node count.
+:meth:`ExperimentRunner.prewarm` orders its jobs by that key so that
+cells sharing a stream run back to back.  The runner executes every run the same way:
 :meth:`ExperimentRunner.prewarm` hands it to the supervisor
 (:mod:`repro.experiments.supervisor`), which calls :func:`execute_job`
 in-process or on a worker pool.  That one path is what makes
@@ -37,8 +48,8 @@ if TYPE_CHECKING:
     from repro.experiments.supervisor import FailureReport, SupervisorConfig
 
 __all__ = ["RunSettings", "SweepJob", "ExperimentRunner", "execute_job",
-           "job_key", "build_traces", "fingerprint_keys", "payload_ok",
-           "require_jobs"]
+           "job_key", "node_side_key", "build_traces", "fingerprint_keys",
+           "payload_ok", "require_jobs"]
 
 
 def require_jobs(n: int, flag: str = "jobs") -> int:
@@ -123,47 +134,94 @@ def job_key(job: SweepJob) -> str:
 
 def build_traces(benchmark: str, nodes: int, settings: RunSettings) -> List:
     """Materialize the deterministic per-node traces for a benchmark."""
-    profile = get_profile(benchmark)
-    return [
-        profile.build_trace(
-            n_events=settings.n_events,
-            seed=settings.seed + 1009 * node,
-            footprint_scale=settings.footprint_scale)
-        for node in range(nodes)
-    ]
+    return [build_node_trace(benchmark, node, settings)
+            for node in range(nodes)]
 
 
-#: Trace memo for :func:`execute_job`.  Pool workers persist across
-#: jobs, so without it a sweep regenerates a benchmark's traces once
-#: per (benchmark, architecture, variant) job instead of once per
+def build_node_trace(benchmark: str, node: int, settings: RunSettings):
+    """Node ``node``'s trace, the same at every node count."""
+    return get_profile(benchmark).build_trace(
+        n_events=settings.n_events,
+        seed=settings.seed + 1009 * node,
+        footprint_scale=settings.footprint_scale)
+
+
+#: Trace memo for :func:`execute_job`, one node's trace per
+#: ``(benchmark, settings, node)``.  Pool workers persist across jobs,
+#: so without it a sweep regenerates a benchmark's traces once per
+#: (benchmark, architecture, variant) job instead of once per
 #: benchmark per worker.  LRU-bounded, so many distinct settings cannot
-#: pin every trace for the life of the process.
-_TRACE_MEMO = BoundedMemo(32)
+#: pin every trace for the life of the process; the bound holds the
+#: eight traces of the largest Fig. 16 cell.
+_TRACE_MEMO = BoundedMemo(10)
+
+#: Stream memo for :func:`execute_job`: one node's node-side stream
+#: per :func:`node_side_key`.  A stream of a 150k-event harness trace
+#: takes 5-22 MB, and the largest cell, 8-node Fig. 16, needs eight at
+#: once; :meth:`ExperimentRunner.prewarm` runs the cells that share
+#: streams back to back, so the bound costs few passes.  Never reached
+#: by a bare ``FamSystem.run``, which always runs its own passes.
+_STREAM_MEMO = BoundedMemo(10)
+
+
+def _system_seed(settings: RunSettings) -> int:
+    return settings.seed * 31 + 5
+
+
+def node_side_key(job: SweepJob, node: int) -> tuple:
+    """The inputs that fix node ``node``'s node-side stream in
+    ``job``: what :class:`~repro.core.node.NodeStream` depends on.
+    ``settings`` fixes both the node's trace and the system seed; the
+    architecture and every configuration past the last-level cache are
+    left out, since the node side never reads them."""
+    config = job.config
+    return (job.benchmark, job.settings, node, config.l1, config.l2,
+            config.l3, config.tlb, config.ptw,
+            config.local_memory.size_bytes,
+            config.allocation.local_fraction)
 
 
 def execute_job(job: SweepJob) -> dict:
     """Execute one job from scratch and return the serialized result.
 
-    Pure apart from a deterministic trace memo, and picklable: no open
-    handles — a worker process rebuilds the traces itself (trace
-    generation is a deterministic function of the job) and ships back
-    a plain dict.  The payload carries a ``telemetry`` key (wall time,
-    events/sec, tag-store probes, trace-build time) — measurement
-    metadata, never compared: comparisons of run *results* use
-    :func:`_result_to_dict`, which excludes it.
+    Pure apart from the deterministic trace and stream memos, and
+    picklable: no open handles — a worker process rebuilds the traces
+    itself (trace generation is a deterministic function of the job)
+    and ships back a plain dict.  A node whose stream is memoized
+    adopts it instead of running its pass
+    (:meth:`~repro.core.system.FamSystem.node_streams`), which leaves
+    the result and the tag-store probe count as a fresh pass would.
+    The payload carries a ``telemetry`` key (wall time, events/sec,
+    tag-store probes, trace-build time, node-side pass time; the wall
+    time includes the passes) — measurement metadata, never compared:
+    comparisons of run *results* use :func:`_result_to_dict`, which
+    excludes it.
     """
-    key = (job.benchmark, job.config.nodes, job.settings)
-    traces = _TRACE_MEMO.get(key)
+    traces = []
     build_s = 0.0
-    if traces is None:
-        build_start = time.perf_counter()
-        traces = build_traces(job.benchmark, job.config.nodes, job.settings)
-        build_s = time.perf_counter() - build_start
-        _TRACE_MEMO.put(key, traces)
+    for node in range(job.config.nodes):
+        key = (job.benchmark, job.settings, node)
+        trace = _TRACE_MEMO.get(key)
+        if trace is None:
+            build_start = time.perf_counter()
+            trace = build_node_trace(job.benchmark, node, job.settings)
+            build_s += time.perf_counter() - build_start
+            _TRACE_MEMO.put(key, trace)
+        traces.append(trace)
     system = FamSystem(job.config, job.architecture,
-                       seed=job.settings.seed * 31 + 5)
+                       seed=_system_seed(job.settings))
+    stream_keys = [node_side_key(job, node)
+                   for node in range(job.config.nodes)]
+    memoized = [_STREAM_MEMO.get(stream_key) for stream_key in stream_keys]
     start = time.perf_counter()
-    result = system.run(traces, benchmark=job.benchmark)
+    streams = system.node_streams(traces, memoized)
+    pass_s = time.perf_counter() - start
+    passes = 0
+    for stream_key, stream, old in zip(stream_keys, streams, memoized):
+        if stream is not old:
+            passes += 1
+            _STREAM_MEMO.put(stream_key, stream)
+    result = system.run(traces, benchmark=job.benchmark, streams=streams)
     wall_s = time.perf_counter() - start
     events = sum(len(trace) for trace in traces)
     probes = system.tag_store_probes()
@@ -175,6 +233,7 @@ def execute_job(job: SweepJob) -> dict:
         "tag_probes": float(probes),
         "probes_per_event": probes / events if events else 0.0,
         "trace_build_s": build_s,
+        "node_pass_s": pass_s if passes else 0.0,
     }
     return payload
 
@@ -274,7 +333,14 @@ class ExperimentRunner:
                 pending.setdefault(key, job)
         if not pending:
             return 0
-        keys = list(pending)
+        # Cells that share node-side streams run back to back, so a
+        # worker's stream memo hits; groups keep the order of their
+        # first cell (sorted() is stable).
+        groups: Dict[tuple, int] = {}
+        for job in pending.values():
+            groups.setdefault(node_side_key(job, 0), len(groups))
+        keys = sorted(pending,
+                      key=lambda key: groups[node_side_key(pending[key], 0)])
         unflushed: Dict[str, dict] = {}
 
         def checkpoint(index: int, payload: dict) -> None:
@@ -286,7 +352,7 @@ class ExperimentRunner:
 
         try:
             run = run_supervised(
-                list(pending.values()), self.jobs,
+                [pending[key] for key in keys], self.jobs,
                 config=self.supervisor or SupervisorConfig(fail_fast=True),
                 progress=self.progress, on_result=checkpoint)
         except (SweepFailure, SweepInterrupted) as exc:
@@ -315,6 +381,10 @@ class ExperimentRunner:
         Only runs that carry telemetry (executed or recalled from a
         cache written by this version) contribute; results recalled
         from older caches count toward ``runs`` but not the rates.
+        ``trace_build_s`` and ``node_pass_s`` sum the per-cell trace
+        builds and node-side passes (0 for a cell whose traces or
+        streams came from a worker's memo); ``wall_s`` includes the
+        passes but not the builds.
         """
         runs = len(self._memo)
         telemetries = [result.telemetry for result in self._memo.values()
@@ -323,6 +393,10 @@ class ExperimentRunner:
         total_wall = sum(t.get("wall_s", 0.0) for t in telemetries)
         total_probes = sum(t.get("tag_probes", 0.0) for t in telemetries)
         return {
+            "trace_build_s": sum(t.get("trace_build_s", 0.0)
+                                 for t in telemetries),
+            "node_pass_s": sum(t.get("node_pass_s", 0.0)
+                               for t in telemetries),
             "runs": float(runs),
             "runs_with_telemetry": float(len(telemetries)),
             "events": total_events,

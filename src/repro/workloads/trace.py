@@ -19,7 +19,7 @@ items, so the loop consumes lists).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,13 +48,6 @@ class DecodedTrace(NamedTuple):
 
     def __len__(self) -> int:
         return len(self.gaps)
-
-    def events(self) -> Iterator[Tuple]:
-        """An iterator of per-event ``(gap, vpn, offset, block,
-        is_write, dependent)`` tuples — the input of
-        :meth:`repro.core.node.Node.run_events`."""
-        return zip(self.gaps, self.vpns, self.offsets, self.blocks,
-                   self.writes, self.dependents)
 
 
 class TraceEvent(NamedTuple):

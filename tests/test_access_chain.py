@@ -522,6 +522,11 @@ class TestFirstTouch:
         node = fused.nodes[0]
         for vpn in FIRST_TOUCH_VPNS:
             node._handle_page_fault(vpn)
+            # The first touch defers its grants; the replay issues
+            # them, in order, before the event's first request.
+            for node_page in node._grants_due:
+                node._grant(node.node_id, node_page)
+            node._grants_due.clear()
             _ref_page_fault(composed.nodes[0], vpn)
             assert _first_touch_state(fused) == _first_touch_state(composed)
         counters = node.stats.snapshot()

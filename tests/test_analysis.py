@@ -679,7 +679,7 @@ class TestRepoTreeIsClean:
                   for qualname, func in functions(module.tree)
                   if marked_hot(func)}
         assert {"repro/core/node.py:Node.run_events",
-                "repro/core/node.py:Node.run_decoded",
+                "repro/core/node.py:Node._pass_events",
                 "repro/tlb/mmu.py:Mmu.translate_after_l1_miss",
                 "repro/cache/hierarchy.py:CacheHierarchy.access_after_l1_miss",
                 "repro/mem/device.py:NvmDevice.access",

@@ -1,10 +1,12 @@
 """The hot-path equivalence guarantee.
 
-The production execution tier — the scalar fast path (vectorized
-``Trace.decoded`` front-end plus the allocation-free probe entry
-points behind ``Node.run_events``) — must
-produce **bit-identical** run stats to the seed implementation
-preserved in :mod:`repro.core.refpath`.  This
+The production execution tier — the vectorized ``Trace.decoded``
+front-end, each node's node-side pass (``Node.node_pass``) and the
+memory-side replay of its stream (``Node.run_events``), over the
+allocation-free probe entry points — must produce **bit-identical**
+run stats to the seed implementation preserved in
+:mod:`repro.core.refpath`, and so must a run whose nodes replay
+streams other cells built (``TestStreamReuse``).  This
 suite pins that down across every catalog benchmark, every
 architecture, and the multi-node interleaved driver — comparing full
 serialized result dicts, so a single drifting counter anywhere in the
@@ -20,7 +22,8 @@ import heapq
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
-from repro.config.presets import default_config, with_nodes
+from repro.config.presets import default_config, with_nodes, \
+    with_stu_entries
 from repro.core.refpath import _ref_fill
 from repro.core.system import FamSystem
 from repro.experiments.runner import (
@@ -52,13 +55,14 @@ def _tag_stores(node):
     return stores
 
 
-def _outcome(system, bench, traces, reference=False):
+def _outcome(system, bench, traces, reference=False, streams=None):
     """Run ``system``; return its serialized result plus the state the
     result does not carry: each tag store's (hits, misses), the
     system's tag-store probe total, and where each node's placement
     draws stand."""
     outcome = _result_to_dict(system.run(traces, benchmark=bench,
-                                         reference=reference))
+                                         reference=reference,
+                                         streams=streams))
     outcome["tag_stores"] = [
         [(store.name, store.hits, store.misses)
          for store in _tag_stores(node)]
@@ -238,17 +242,118 @@ class TestMultiNodeOrdering:
         assert fast["nodes"][1]["memory_accesses"] == 0
 
 
+def _reuse_outcome(system, bench, traces, reuse):
+    """Run ``system`` on ``traces``, each node offered ``reuse[i]``;
+    return the outcome (without the placement draws, which a node that
+    adopts a stream never makes) and the streams the run replayed."""
+    streams = system.node_streams(traces, reuse)
+    outcome = _outcome(system, bench, traces, streams=streams)
+    del outcome["placement_draws"]
+    return outcome, streams
+
+
+def _fresh_outcome(config, architecture, bench, traces, seed):
+    outcome = _outcome(FamSystem(config, architecture, seed=seed), bench,
+                       traces)
+    del outcome["placement_draws"]
+    return outcome
+
+
+class TestStreamReuse:
+    """A node-side stream built by one cell replays in any cell with the
+    same node-side inputs: the result, every tag store's counts and the
+    probe total equal a run that made its own passes."""
+
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_stream_of_another_cell(self, architecture):
+        traces = build_traces("canl", 1, FAST)
+        seed = FAST.seed * 31 + 5
+        fresh = _fresh_outcome(default_config(), architecture, "canl",
+                               traces, seed)
+        other_arch = ARCHITECTURES[(ARCHITECTURES.index(architecture) + 1)
+                                   % len(ARCHITECTURES)]
+        donors = (
+            (default_config(), other_arch),
+            (with_stu_entries(default_config(), 256), architecture),
+        )
+        for donor_config, donor_arch in donors:
+            donor = FamSystem(donor_config, donor_arch, seed=seed)
+            (stream,) = donor.node_streams(traces)
+            reused, (replayed,) = _reuse_outcome(
+                FamSystem(default_config(), architecture, seed=seed),
+                "canl", traces, [stream])
+            assert replayed is stream
+            assert reused == fresh
+
+    def test_two_node_streams_replay_in_eight_nodes(self):
+        # build_traces seeds node k alike at every node count, so nodes
+        # 0 and 1 of an 8-node run can replay a 2-node run's streams.
+        traces = build_traces("dc", 8, SHORT)
+        two = FamSystem(with_nodes(default_config(), 2), "i-fam", seed=11)
+        donated = two.node_streams(traces[:2])
+        config = with_nodes(default_config(), 8)
+        fresh = _fresh_outcome(config, "deact-n", "dc", traces, 11)
+        reused, replayed = _reuse_outcome(
+            FamSystem(config, "deact-n", seed=11), "dc", traces,
+            donated + [None] * 6)
+        assert replayed[:2] == donated
+        assert reused == fresh
+
+    def test_local_frames_run_out(self):
+        # Local DRAM with room for 16 frames besides DeACT's
+        # translation cache: DeACT-N's pass runs out of local frames
+        # and E-FAM's places more than DeACT-N has, so neither node may
+        # adopt the other's stream.
+        config = default_config()
+        config = config.replace(local_memory=dataclasses.replace(
+            config.local_memory,
+            size_bytes=config.translation_cache.size_bytes + 16 * 4096))
+        traces = build_traces("mcf", 1, FAST)
+        seed = FAST.seed * 31 + 5
+        streams = {}
+        for architecture in ("e-fam", "deact-n"):
+            system = FamSystem(config, architecture, seed=seed)
+            (streams[architecture],) = system.node_streams(traces)
+        assert streams["deact-n"].local_frames == streams["deact-n"].budget
+        assert streams["e-fam"].local_frames > streams["deact-n"].budget
+        for architecture, donor in (("e-fam", "deact-n"),
+                                    ("deact-n", "e-fam")):
+            node = FamSystem(config, architecture, seed=seed).nodes[0]
+            assert not node.can_adopt(streams[donor])
+            reused, (replayed,) = _reuse_outcome(
+                FamSystem(config, architecture, seed=seed), "mcf", traces,
+                [streams[donor]])
+            assert replayed is not streams[donor]
+            fast, reference = _run_both("mcf", architecture, config)
+            del fast["placement_draws"]
+            assert reused == fast
+            del reference["placement_draws"]
+            assert reused == reference
+
+    def test_budget_that_never_ran_out_is_shared(self):
+        # At Table II sizes the pool never runs dry, so E-FAM's stream
+        # serves DeACT-N, whose translation cache leaves fewer frames.
+        traces = build_traces("mcf", 1, FAST)
+        seed = FAST.seed * 31 + 5
+        (stream,) = FamSystem(default_config(), "e-fam",
+                              seed=seed).node_streams(traces)
+        node = FamSystem(default_config(), "deact-n", seed=seed).nodes[0]
+        assert node._local_frames_free < stream.budget
+        assert node.can_adopt(stream)
+
+
 class TestStepFast:
     def test_step_fast_is_a_one_event_run(self):
         # Node.step_fast per event must leave a node exactly as one
-        # run_events over the whole trace does.
+        # pass and one replay over the whole trace do.
         trace = build_traces("mcf", 1, SHORT)[0]
         decoded = trace.decoded()
         whole = FamSystem(default_config(), "deact-n", seed=3)
-        whole.nodes[0].run_decoded(decoded)
+        stream = whole.nodes[0].node_pass(decoded)
+        whole.nodes[0].run_events(zip(stream.gaps, stream.records))
         stepped = FamSystem(default_config(), "deact-n", seed=3)
         node = stepped.nodes[0]
-        for event in decoded.events():
+        for event in zip(*decoded):
             assert node.step_fast(*event) == node.core_time_ns
         for system in (whole, stepped):
             system.nodes[0].drain()

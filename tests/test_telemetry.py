@@ -1,7 +1,8 @@
 """Per-job timing telemetry: capture, persistence, aggregation.
 
-Telemetry (wall time, events/sec, tag-store probe counts) is
-measurement metadata attached to every executed run.  It must flow
+Telemetry (wall time, events/sec, tag-store probe counts, trace-build
+and node-side pass time) is measurement metadata attached to every
+executed run.  It must flow
 into the on-disk result cache and back out on recall, surface in the
 CLI and reports, and — critically — never participate in result
 equality: two runs of the same job serialize bit-identically even
@@ -48,6 +49,7 @@ class TestCapture:
         for key in TELEMETRY_KEYS:
             assert key in telemetry
         assert telemetry["trace_build_s"] >= 0.0
+        assert telemetry["node_pass_s"] >= 0.0
 
     def test_tag_probe_census_counts_translation_structures(self):
         from repro.core.system import FamSystem
@@ -120,6 +122,25 @@ class TestAggregation:
         assert summary["events"] == 2.0 * FAST.n_events
         assert summary["wall_s"] > 0
         assert summary["events_per_sec"] > 0
+
+    def test_summary_sums_trace_builds_and_node_passes(self, monkeypatch):
+        from repro.experiments import runner as runner_module
+        from repro.memo import BoundedMemo
+
+        monkeypatch.setattr(runner_module, "_TRACE_MEMO", BoundedMemo(4))
+        monkeypatch.setattr(runner_module, "_STREAM_MEMO", BoundedMemo(4))
+        runner = ExperimentRunner(FAST)
+        built = runner.run("mg", "e-fam").telemetry
+        # Same node side: the traces and the stream come from the memos.
+        reused = runner.run("mg", "deact-n").telemetry
+        assert built["trace_build_s"] > 0 and built["node_pass_s"] > 0
+        assert reused["trace_build_s"] == reused["node_pass_s"] == 0.0
+        summary = runner.telemetry_summary()
+        assert summary["trace_build_s"] == built["trace_build_s"]
+        assert summary["node_pass_s"] == built["node_pass_s"]
+        text = render_telemetry(summary)
+        assert f"node-side passes   : {built['node_pass_s']:.2f} s" in text
+        assert f"trace builds       : {built['trace_build_s']:.2f} s" in text
 
     def test_render_telemetry(self):
         runner = ExperimentRunner(FAST)
