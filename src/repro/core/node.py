@@ -372,17 +372,16 @@ class Node:
           written back: the on-chip latencies in the order they add
           up (TLB, walk steps, data).  Equal latency tuples, and equal
           pairs without a miss, are one object (``intern``);
-        * otherwise ``(prefix, latency, writebacks, miss)``:
-          ``prefix`` is ``None`` on an L1 TLB hit, else ``(grants,
-          tlb_latency, steps)``, with the FAM-zone pages the event's
-          first touch granted and one ``(latency, writebacks, addr)``
-          per surviving walk step, ``addr`` ``None`` when the step was
-          served on chip.
+        * otherwise ``(grants, ops, miss)``: the FAM-zone pages the
+          event's first touch granted, then its work up to the data
+          miss in order, one op each: a ``float`` latency to add, an
+          ``int`` address ``>= 0`` a walk step's read from memory, and
+          ``~addr`` (``< 0``) a dirty victim's write-back.
 
-        Grants ride on the prefix because a first touch always misses
-        the L1 TLB: nothing maps a page twice, so no TLB holds a page
-        before its first touch.  The L1 TLB and L1 data-cache probes
-        are inlined; a walk step is one
+        Grants ride on an L1 TLB miss because a first touch always
+        misses the L1 TLB: nothing maps a page twice, so no TLB holds
+        a page before its first touch.  The L1 TLB and L1 data-cache
+        probes are inlined; a walk step is one
         :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`, an
         L1 data miss one ``access_after_l1_miss``.  The ``mem.*``
         counters count the requests the records leave for local DRAM
@@ -425,44 +424,40 @@ class Node:
                 if frame is not None:
                     tlb_l1_hits += 1
                     lines.move_to_end(vpn)
-                    prefix = None
+                    ops = None
+                    grants = ()
                 else:
                     tlb_l1.misses += 1
                     frame, _lvl, tlb_latency, walk_addrs = \
                         translate_l1_missed(vpn)
                     # Each surviving walk step reads its entry through
                     # the caches and, on a full miss, from memory.
-                    # ``lats`` holds the latencies while every step so
-                    # far stayed on chip; ``steps`` holds them all.
-                    lats = (tlb_latency,)
-                    steps = ()
+                    ops = (tlb_latency,)
+                    on_chip = True
                     for addr in walk_addrs:
                         level, latency, writebacks = access_block(
                             addr >> block_shift, False)
-                        if writebacks:
-                            lats = None
-                            for wb_addr in writebacks:
-                                if wb_addr < fam_zone_base:
-                                    local += 1
-                                else:
-                                    fam += 1
-                        if level:
-                            steps += ((latency, writebacks, None),)
-                            if lats is not None:
-                                lats += (latency,)
-                        else:
-                            lats = None
+                        ops += (latency,)
+                        for wb_addr in writebacks:
+                            on_chip = False
+                            ops += (~wb_addr,)
+                            if wb_addr < fam_zone_base:
+                                local += 1
+                            else:
+                                fam += 1
+                        if not level:
+                            on_chip = False
+                            ops += (addr,)
                             if addr < fam_zone_base:
                                 local += 1
                             else:
                                 fam += 1
-                            steps += ((latency, writebacks, addr),)
                     if grants_due:
-                        lats = None
-                        prefix = (tuple(grants_due), tlb_latency, steps)
+                        on_chip = False
+                        grants = tuple(grants_due)
                         grants_due.clear()
                     else:
-                        prefix = ((), tlb_latency, steps)
+                        grants = ()
 
                 # --- data reference: L1 cache probe inlined ----------
                 block = (frame << frame_block_shift) | blk
@@ -474,46 +469,38 @@ class Node:
                     if is_write:
                         lines[block] = True
                     lines.move_to_end(block)
-                    if prefix is None:
-                        emit(lat1)
-                    elif lats is not None:
-                        lats = intern(lats + (lat1,), lats + (lat1,))
-                        emit(intern((lats, None), (lats, None)))
-                    else:
-                        emit((prefix, lat1, (), None))
-                    continue
-                data_l1.misses += 1
-                level, latency, writebacks = hier_l1_missed(block, is_write)
-                if level:
-                    if prefix is None:
-                        emit(latency)
-                    elif lats is not None:
-                        lats = intern(lats + (latency,), lats + (latency,))
-                        emit(intern((lats, None), (lats, None)))
-                    else:
-                        emit((prefix, latency, (), None))
-                    continue
-                npa = (frame << page_shift) | offset
-                if npa < fam_zone_base:
-                    local += 1
+                    latency = lat1
+                    miss = None
+                    writebacks = ()
                 else:
-                    fam += 1
-                    fam_data += 1
-                miss = npa << 2 | (2 if is_write else dependent)
-                if writebacks:
+                    data_l1.misses += 1
+                    level, latency, writebacks = hier_l1_missed(block,
+                                                                is_write)
+                    if level:
+                        miss = None
+                    else:
+                        npa = (frame << page_shift) | offset
+                        miss = npa << 2 | (2 if is_write else dependent)
+                        if npa < fam_zone_base:
+                            local += 1
+                        else:
+                            fam += 1
+                            fam_data += 1
+                if ops is None and not writebacks:
+                    emit(latency if miss is None else miss)
+                elif ops is not None and on_chip and not writebacks:
+                    ops = intern(ops + (latency,), ops + (latency,))
+                    emit(intern((ops, None), (ops, None)) if miss is None
+                         else (ops, miss))
+                else:
+                    ops = (ops or ()) + (latency,)
                     for wb_addr in writebacks:
+                        ops += (~wb_addr,)
                         if wb_addr < fam_zone_base:
                             local += 1
                         else:
                             fam += 1
-                    emit((prefix, latency, writebacks, miss))
-                elif prefix is None:
-                    emit(miss)
-                elif lats is not None:
-                    lats = intern(lats + (latency,), lats + (latency,))
-                    emit((lats, miss))
-                else:
-                    emit((prefix, latency, (), miss))
+                    emit((grants, ops, miss))
         finally:
             tlb_l1.hits += tlb_l1_hits
             data_l1.hits += data_l1_hits
@@ -588,36 +575,27 @@ class Node:
                     t = issue
                     for latency in lats:
                         t += latency
-                else:
-                    prefix, latency, writebacks, miss = record
+                else:  # grants, then any op off chip
+                    grants, ops, miss = record
+                    for page in grants:
+                        grant(node_id, page)
                     t = issue
-                    if prefix is not None:
-                        grants, tlb_latency, steps = prefix
-                        for page in grants:
-                            grant(node_id, page)
-                        t += tlb_latency
-                        for step_ns, step_writebacks, addr in steps:
-                            t += step_ns
-                            for wb_addr in step_writebacks:
-                                if wb_addr < fam_zone_base:
-                                    dram_access(wb_addr, t)
-                                else:
-                                    fam_access(self, wb_addr, t, True,
-                                               _KIND_WRITEBACK)
-                            if addr is None:
-                                continue
-                            if addr < fam_zone_base:
-                                t = dram_access(addr, t)
+                    for op in ops:
+                        if op.__class__ is float:
+                            t += op
+                        elif op >= 0:  # a walk step's read
+                            if op < fam_zone_base:
+                                t = dram_access(op, t)
                             else:
-                                t = fam_access(self, addr, t, False,
+                                t = fam_access(self, op, t, False,
                                                _KIND_NODE_PTW)
-                    t += latency
-                    for wb_addr in writebacks:
-                        if wb_addr < fam_zone_base:
-                            dram_access(wb_addr, t)
-                        else:
-                            fam_access(self, wb_addr, t, True,
-                                       _KIND_WRITEBACK)
+                        else:  # a write-back
+                            op = ~op
+                            if op < fam_zone_base:
+                                dram_access(op, t)
+                            else:
+                                fam_access(self, op, t, True,
+                                           _KIND_WRITEBACK)
 
                 # --- the data miss, if any: ``npa << 2 | code`` -------
                 if miss is None:

@@ -58,7 +58,9 @@ class TwoLevelTlb:
             _level_geometry(f"{name}.L2", config.l2_entries,
                             config.l2_associativity),
             config.l2_associativity)
-        self._l2_latency_ns = config.l2_latency_ns
+        # A float, whatever the config holds: the node-side pass tells
+        # a latency from an address in its records by type.
+        self._l2_latency_ns = float(config.l2_latency_ns)
 
     def lookup_fast(self, vpn: int) -> Tuple[int, int, float]:
         """Probe L1 then L2: ``(level, frame, latency_ns)``.
