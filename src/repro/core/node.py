@@ -113,8 +113,9 @@ class NodeStream(NamedTuple):
     #: tag store and the node-side :attr:`Node.stats` counters (0.0
     #: for one the node never counted).
     totals: Tuple
-    #: Local frames free when the pass began.
-    budget: int
+    #: ``(free local frames, next local frame, next FAM-zone page)``
+    #: when the pass began, after the root table's placement.
+    start: Tuple[int, int, int]
     #: Local frames the pass placed.
     local_frames: int
 
@@ -280,6 +281,7 @@ class Node:
         :meth:`adopt` them instead of running the pass itself.
         """
         budget = self._local_frames_free
+        start = (budget, self._next_local_frame, self._next_fam_zone_page)
         records: List[object] = []
         self._pass_events(zip(decoded.vpns, decoded.offsets, decoded.blocks,
                               decoded.writes, decoded.dependents),
@@ -291,7 +293,7 @@ class Node:
         totals = (self.instructions, self.memory_events, self.mmu.walks,
                   tuple(map(_HITS_MISSES, self._node_stores)),
                   tuple(map(counters.get, _NODE_SIDE_COUNTERS, _ZEROS)))
-        return NodeStream(decoded.gaps, records, totals, budget,
+        return NodeStream(decoded.gaps, records, totals, start,
                           budget - self._local_frames_free)
 
     def can_adopt(self, stream: "NodeStream") -> bool:
@@ -301,17 +303,19 @@ class Node:
         Every node-side input but one is in the key a stream is shared
         under; the exception is the local frame budget, which is
         smaller when the architecture reserves a translation cache.
-        The stream's placements hold for this node when the budget is
-        the one the pass ran with, or when the pass never found the
-        local pool empty and this node has at least as many frames:
-        then every placement draw that chose local DRAM found a frame
-        here too.
+        The stream's placements hold for this node when the root table
+        went where the pass's node put it and the budget is the one
+        the pass ran with, or the pass never found the local pool
+        empty and this node has at least as many frames: then every
+        placement draw that chose local DRAM found a frame here too.
         """
-        if self.memory_events:
+        free, next_local, next_fam = stream.start
+        if (self.memory_events or self._next_local_frame != next_local
+                or self._next_fam_zone_page != next_fam):
             return False
         budget = self._local_frames_free
-        return (budget == stream.budget
-                or stream.local_frames < stream.budget
+        return (budget == free
+                or stream.local_frames < free
                 and budget >= stream.local_frames)
 
     def adopt(self, stream: "NodeStream") -> None:

@@ -10,17 +10,19 @@ work.
 Execution itself is a pure function of a :class:`SweepJob` —
 :func:`execute_job` builds the traces, runs the system, and returns a
 plain serialized dict.  Within one process it memoizes two things, each
-in a bounded LRU: the traces, keyed by benchmark, node count and trace
-settings, and each node's node-side stream
+in a bounded LRU: each node's trace, keyed by benchmark, trace
+settings and node index, and each node's node-side stream
 (:class:`~repro.core.node.NodeStream`), keyed by
 :func:`node_side_key` — the benchmark, the trace settings (which fix
 the system seed too), the node's index, the L1/L2/L3, TLB and node
 page-walk configurations, the local DRAM size and ``local_fraction``.
 Every figure's cells that differ only past the last-level cache share
 a key, so they share one node-side pass, and node ``k`` of an
-``n``-node cell shares node ``k``'s stream with every other node count.
-:meth:`ExperimentRunner.prewarm` orders its jobs by that key so that
-cells sharing a stream run back to back.  The runner executes every run the same way:
+``n``-node cell shares node ``k``'s trace and stream with every other
+node count.  :meth:`ExperimentRunner.prewarm` orders its jobs by that
+key so that cells sharing a stream run back to back.
+
+The runner executes every run the same way:
 :meth:`ExperimentRunner.prewarm` hands it to the supervisor
 (:mod:`repro.experiments.supervisor`), which calls :func:`execute_job`
 in-process or on a worker pool.  That one path is what makes
@@ -164,10 +166,6 @@ _TRACE_MEMO = BoundedMemo(10)
 _STREAM_MEMO = BoundedMemo(10)
 
 
-def _system_seed(settings: RunSettings) -> int:
-    return settings.seed * 31 + 5
-
-
 def node_side_key(job: SweepJob, node: int) -> tuple:
     """The inputs that fix node ``node``'s node-side stream in
     ``job``: what :class:`~repro.core.node.NodeStream` depends on.
@@ -209,7 +207,7 @@ def execute_job(job: SweepJob) -> dict:
             _TRACE_MEMO.put(key, trace)
         traces.append(trace)
     system = FamSystem(job.config, job.architecture,
-                       seed=_system_seed(job.settings))
+                       seed=job.settings.seed * 31 + 5)
     stream_keys = [node_side_key(job, node)
                    for node in range(job.config.nodes)]
     memoized = [_STREAM_MEMO.get(stream_key) for stream_key in stream_keys]

@@ -1,9 +1,9 @@
 """A small bounded LRU memo.
 
-It caps the trace memo of
+It caps the trace and node-side stream memos of
 :func:`~repro.experiments.runner.execute_job`, so a long sweep over many
-benchmarks and settings cannot keep every trace alive for the life of
-the process.
+benchmarks and settings cannot keep every trace and stream alive for
+the life of the process.
 :class:`BoundedMemo` is an ``OrderedDict`` in least- to
 most-recently-used order that evicts the coldest entry when full.
 

@@ -314,8 +314,9 @@ class TestStreamReuse:
         for architecture in ("e-fam", "deact-n"):
             system = FamSystem(config, architecture, seed=seed)
             (streams[architecture],) = system.node_streams(traces)
-        assert streams["deact-n"].local_frames == streams["deact-n"].budget
-        assert streams["e-fam"].local_frames > streams["deact-n"].budget
+        (deact_free, _, _) = streams["deact-n"].start
+        assert streams["deact-n"].local_frames == deact_free
+        assert streams["e-fam"].local_frames > deact_free
         for architecture, donor in (("e-fam", "deact-n"),
                                     ("deact-n", "e-fam")):
             node = FamSystem(config, architecture, seed=seed).nodes[0]
@@ -338,7 +339,7 @@ class TestStreamReuse:
         (stream,) = FamSystem(default_config(), "e-fam",
                               seed=seed).node_streams(traces)
         node = FamSystem(default_config(), "deact-n", seed=seed).nodes[0]
-        assert node._local_frames_free < stream.budget
+        assert node._local_frames_free < stream.start[0]
         assert node.can_adopt(stream)
 
 
