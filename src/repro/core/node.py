@@ -521,9 +521,8 @@ class Node:
                    until: float = _INF) -> float:
         """The memory-side replay: drain ``events`` — ``(gap, record)``
         pairs, ``zip(stream.gaps, stream.records)`` of a
-        :class:`NodeStream` — through the core window,
-        local DRAM and the architecture's FAM access procedure; returns
-        the core time.
+        :class:`NodeStream` — through the core window, local DRAM and
+        the architecture's FAM access procedure; returns the core time.
 
         The loop stops early, right after the first event that leaves
         the core time above ``until``; the events not yet taken stay
@@ -532,8 +531,8 @@ class Node:
         per-event heap would have kept picking it.
 
         The replay adds each on-chip latency of a record in the order
-        the pass met it, so every simulated time is the float the
-        fused loop computed.  The window's not-full ``admit`` and
+        the pass met it, one addition each, so every simulated time is
+        the float the one-step-per-event reference path computes.  The window's not-full ``admit`` and
         ``record`` are inlined; each memory request is one
         ``DramDevice.access`` below :attr:`fam_zone_base` or one
         ``Architecture.fam_access_fast`` from it on, and each grant one
