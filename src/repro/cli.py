@@ -181,7 +181,6 @@ def _parse_axes(parser: argparse.ArgumentParser, specs) -> dict:
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import faults
     from repro.experiments.runner import ExperimentRunner
     from repro.experiments.shardfile import manifest_path, shard_cache_path
     from repro.experiments.supervisor import SupervisorConfig
@@ -201,16 +200,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         cache_path = shard_cache_path(cache_path, *shard)
     from repro.errors import CacheError, SweepFailure, SweepInterrupted
 
-    try:
-        plan = faults.load_fault_plan(args.inject_faults) \
-            if args.inject_faults else faults.plan_from_env()
-    except ConfigError as exc:
-        parser.error(str(exc))
-    if plan is not None:
-        # The supervisor reads the active plan for execution faults;
-        # activating also arms the torn-write hook in *this* process,
-        # which performs the cache merges the write faults target.
-        faults.activate(plan)
     supervisor = SupervisorConfig(job_timeout_s=args.job_timeout,
                                   retries=args.retries,
                                   fail_fast=args.fail_fast)
@@ -406,13 +395,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                    "--cache every N jobs so a killed "
                                    "sweep resumes from disk (default "
                                    "25; 0 disables)")
-    sweep_parser.add_argument("--inject-faults", default=None,
-                              metavar="PLAN",
-                              help="chaos testing: a fault-plan JSON "
-                                   "file (or inline JSON) making "
-                                   "chosen jobs crash/hang/corrupt or "
-                                   "tearing cache writes; also read "
-                                   "from $REPRO_FAULT_PLAN")
 
     cache_parser = sub.add_parser(
         "cache", help="merge, validate, and inspect sharded result "

@@ -20,7 +20,6 @@ __all__ = [
     "CacheError",
     "CacheLockTimeout",
     "CacheMergeConflict",
-    "FaultInjected",
     "SweepFailure",
     "SweepInterrupted",
 ]
@@ -107,16 +106,6 @@ class CacheMergeConflict(CacheError):
     def __init__(self, message: str, keys: tuple = ()) -> None:
         super().__init__(message)
         self.keys = tuple(keys)
-
-
-class FaultInjected(ReproError):
-    """A deterministic injected fault fired (chaos testing, not a bug).
-
-    Raised by :mod:`repro.experiments.faults` when an active fault plan
-    selects a job attempt.  The supervised pool treats it exactly like
-    any worker exception — retry, then quarantine — which is the point:
-    chaos runs exercise the production failure paths, not special ones.
-    """
 
 
 class SweepFailure(ReproError):

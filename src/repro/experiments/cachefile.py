@@ -41,7 +41,7 @@ import random
 import socket
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import CacheLockTimeout, CacheMergeConflict
 
@@ -246,16 +246,6 @@ def payloads_equivalent(ours: dict, theirs: dict) -> bool:
     return strip_telemetry(ours) == strip_telemetry(theirs)
 
 
-#: Fault-injection hook for the atomic write path, installed only by
-#: :mod:`repro.experiments.faults` (chaos tests) and ``None`` in every
-#: production run.  Called as ``hook(phase, path, text, handle)`` with
-#: ``phase="pre"`` before the temp-file write and ``"post"`` after the
-#: ``os.replace`` — the two points a real crash can interleave with.
-#: A torn-write hook kills the process outright (``os._exit``), so the
-#: normal write below must remain correct when the hook returns.
-_WRITE_FAULT_HOOK: Optional[Callable[[str, str, str, object], None]] = None
-
-
 def write_json_atomic(path: str, obj: object,
                       **dump_kwargs: object) -> None:
     """Atomically replace the JSON file at ``path`` with ``obj``.
@@ -270,7 +260,8 @@ def write_json_atomic(path: str, obj: object,
     Serializing to text before opening the temp file means a crash at
     *any* byte of the write leaves only a dead ``.tmp.`` file behind —
     never a half-written ``path`` — which the torn-write property
-    suite verifies offset by offset through ``_WRITE_FAULT_HOOK``.
+    suite verifies offset by offset, killing a child process inside
+    this function's ``write`` and around its ``os.replace``.
     """
     text = json.dumps(obj, **dump_kwargs)
     directory = os.path.dirname(os.path.abspath(path))
@@ -286,12 +277,8 @@ def write_json_atomic(path: str, obj: object,
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
-            if _WRITE_FAULT_HOOK is not None:
-                _WRITE_FAULT_HOOK("pre", path, text, handle)
             handle.write(text)
         os.replace(tmp, path)
-        if _WRITE_FAULT_HOOK is not None:
-            _WRITE_FAULT_HOOK("post", path, text, None)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

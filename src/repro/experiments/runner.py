@@ -440,7 +440,7 @@ def payload_ok(payload: object) -> bool:
     :class:`RunResult`.
 
     The supervisor validates every payload a worker returns before
-    accepting it (a fault-injected or memory-corrupted worker can send
+    accepting it (a buggy or memory-corrupted worker can send
     garbage without raising), and ``deact cache validate --repair``
     uses the same predicate to quarantine corrupt cells — one
     definition of "well-formed" for both layers.

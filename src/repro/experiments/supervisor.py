@@ -16,7 +16,7 @@ it with a small, explicit pool:
 * failed jobs retry with **seeded jittered exponential backoff** up to
   a bounded attempt budget, after which they are **quarantined** as a
   structured :class:`JobFailure` instead of poisoning the run;
-* worker death (crash, OOM-kill, injected ``os._exit``) is detected by
+* worker death (crash, OOM-kill, ``os._exit``) is detected by
   ``Process.is_alive`` and the worker respawned;
 * every returned payload is structurally validated
   (:func:`~repro.experiments.runner.payload_ok`) before acceptance —
@@ -30,8 +30,9 @@ Determinism note: retries, respawns, backoff, and completion order all
 stay on the *scheduling* side.  Results are produced by the same pure
 :func:`~repro.experiments.runner.execute_job` and keyed by input
 index, so a sweep that limped through crashes and timeouts yields a
-cache byte-identical to a clean run — the invariant the chaos suite
-asserts via ``canonical_cache_text``.
+cache byte-identical to a clean run — the invariant
+``tests/test_supervisor.py`` asserts via ``canonical_cache_text``
+after patching ``execute_job`` to crash, hang or corrupt.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SweepFailure, SweepInterrupted
-from repro.experiments.faults import FaultPlan, active_plan, run_with_faults
 from repro.experiments.runner import (
     SweepJob,
+    execute_job,
     job_key,
     payload_ok,
     require_jobs,
@@ -107,7 +108,7 @@ def retry_delay_s(key: str, attempt: int) -> float:
     just failed, 0-based): exponential, capped, with seeded jitter so
     co-failing jobs (e.g. all victims of one dead worker) do not retry
     in lockstep.  Seeded from (seed, job key, attempt) — pure, so a
-    re-run of the same chaos plan schedules identically.
+    re-run that fails the same attempts schedules identically.
     """
     base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** min(attempt, 16)))
     rng = random.Random(f"{BACKOFF_SEED}|{key}|{attempt}")
@@ -165,7 +166,7 @@ class SupervisedRun:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(conn, plan: Optional[FaultPlan]) -> None:
+def _worker_main(conn) -> None:
     """One pool worker: receive ``(index, attempt, job)``, run it, send
     ``(index, attempt, status, payload_or_detail)``; ``None`` means
     shut down.
@@ -182,15 +183,12 @@ def _worker_main(conn, plan: Optional[FaultPlan]) -> None:
     worker forked later holds a copy of this worker's parent-side pipe
     fd, so parent death does not reliably surface as EOF here.  The
     getppid watchdog catches it instead — an orphaned worker (parent
-    crashed, e.g. an injected torn-write ``os._exit``) exits on its
-    own within a poll interval instead of lingering forever.
+    killed, or dead of ``os._exit`` mid-checkpoint) exits on its own
+    within a poll interval instead of lingering forever.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     parent_pid = os.getppid()
-    if plan is not None:
-        from repro.experiments import faults
-        faults.activate(plan)
     while True:
         try:
             if not conn.poll(1.0):
@@ -204,7 +202,7 @@ def _worker_main(conn, plan: Optional[FaultPlan]) -> None:
             return
         index, attempt, job = task
         try:
-            payload = run_with_faults(job, attempt)
+            payload = execute_job(job)
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             message = f"{type(exc).__name__}: {exc}"
             with contextlib.suppress(OSError, ValueError):
@@ -230,10 +228,10 @@ def _pool_context():
 class _Worker:
     """A worker process plus its pipe and in-flight bookkeeping."""
 
-    def __init__(self, context, plan: Optional[FaultPlan]) -> None:
+    def __init__(self, context) -> None:
         self.conn, child_conn = multiprocessing.Pipe(duplex=True)
         self.proc = context.Process(target=_worker_main,
-                                    args=(child_conn, plan), daemon=True)
+                                    args=(child_conn,), daemon=True)
         self.proc.start()
         child_conn.close()  # the worker holds the only child end now
         self.busy: Optional[Tuple[int, int]] = None  # (index, attempt)
@@ -403,7 +401,7 @@ def run_supervised(jobs: Sequence[SweepJob], n_workers: int,
                    config: Optional[SupervisorConfig] = None,
                    progress: Optional[Callable[[int, int], None]] = None,
                    on_result: Optional[Callable[[int, dict], None]] = None,
-                   fault_plan: Optional[FaultPlan] = None) -> SupervisedRun:
+                   ) -> SupervisedRun:
     """Execute ``jobs`` under supervision, in input-index order.
 
     Returns a :class:`SupervisedRun` whose ``payloads`` align with
@@ -417,28 +415,24 @@ def run_supervised(jobs: Sequence[SweepJob], n_workers: int,
     """
     require_jobs(n_workers)
     config = (config or SupervisorConfig()).validate()
-    plan = fault_plan if fault_plan is not None else active_plan()
     state = _RunState(jobs, config)
     if not jobs:
         return SupervisedRun(payloads=[], report=state.report)
     inline = ((n_workers == 1 or len(jobs) <= 1)
-              and config.job_timeout_s is None
-              and (plan is None or not plan.execution_rules()))
+              and config.job_timeout_s is None)
     with _sigterm_as_interrupt():
         if inline:
-            _run_inline(state, plan, progress, on_result)
+            _run_inline(state, progress, on_result)
         else:
-            _run_pool(state, n_workers, plan, progress, on_result)
+            _run_pool(state, n_workers, progress, on_result)
     return SupervisedRun(payloads=state.payloads, report=state.report)
 
 
-def _run_inline(state: _RunState, plan: Optional[FaultPlan],
-                progress, on_result) -> None:
+def _run_inline(state: _RunState, progress, on_result) -> None:
     """Single-process path: same retry/quarantine semantics, no pool.
 
-    Only taken when the plan has no execution faults (a crash fault
-    would ``os._exit`` the parent) and no wall-clock timeout is set (a
-    hang cannot be reaped in-process).
+    Only taken when no wall-clock timeout is set: a hang cannot be
+    reaped in-process.
     """
     try:
         while True:
@@ -451,7 +445,7 @@ def _run_inline(state: _RunState, plan: Optional[FaultPlan],
                 continue
             index, attempt = item
             try:
-                payload = run_with_faults(state.jobs[index], attempt, plan)
+                payload = execute_job(state.jobs[index])
             except Exception as exc:
                 state.fail(index, attempt, "error",
                            f"{type(exc).__name__}: {exc}", progress)
@@ -469,12 +463,12 @@ def _run_inline(state: _RunState, plan: Optional[FaultPlan],
 
 
 def _run_pool(state: _RunState, n_workers: int,
-              plan: Optional[FaultPlan], progress, on_result) -> None:
+              progress, on_result) -> None:
     context = _pool_context()
     count = min(n_workers, len(state.jobs))
     workers: List[_Worker] = []
     try:
-        workers = [_Worker(context, plan) for _ in range(count)]
+        workers = [_Worker(context) for _ in range(count)]
         while state.resolved < len(state.jobs):
             now = time.monotonic()
             # Dispatch ready work to idle workers.
@@ -510,8 +504,7 @@ def _run_pool(state: _RunState, n_workers: int,
                     break  # pragma: no cover - resolved check exits first
                 if wakeup > 0:
                     time.sleep(min(wakeup, POLL_INTERVAL_S))
-            _health_pass(state, workers, context, plan, progress,
-                         on_result)
+            _health_pass(state, workers, context, progress, on_result)
     except KeyboardInterrupt:
         raise SweepInterrupted(
             f"sweep interrupted with {state.resolved}/{len(state.jobs)} "
@@ -544,7 +537,7 @@ def _handle_message(state: _RunState, worker: _Worker, message,
 
 
 def _health_pass(state: _RunState, workers: List[_Worker], context,
-                 plan: Optional[FaultPlan], progress, on_result) -> None:
+                 progress, on_result) -> None:
     """Reap dead and overdue workers, requeueing their in-flight job."""
     now = time.monotonic()
     for slot, worker in enumerate(workers):
@@ -564,7 +557,7 @@ def _health_pass(state: _RunState, workers: List[_Worker], context,
                            f"worker died with exit code {exitcode} "
                            f"while running the job", progress)
             worker.kill()
-            workers[slot] = _Worker(context, plan)
+            workers[slot] = _Worker(context)
         elif (state.config.job_timeout_s is not None
               and now - worker.started_at > state.config.job_timeout_s):
             worker.kill()
@@ -572,4 +565,4 @@ def _health_pass(state: _RunState, workers: List[_Worker], context,
             state.fail(index, attempt, "timeout",
                        f"job exceeded --job-timeout "
                        f"{state.config.job_timeout_s:.1f}s", progress)
-            workers[slot] = _Worker(context, plan)
+            workers[slot] = _Worker(context)

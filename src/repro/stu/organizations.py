@@ -15,9 +15,10 @@ ways of ``52 + 52 + 16`` bits organized as ``n_sets x associativity``
 * :class:`DeactNAcmCache` (Fig. 8c): tags shrink to 44 bits so each
   physical way splits into independent sub-ways, each holding one
   {tag, ACM} pair for an *arbitrary* page.  Default 2 sub-ways; the
-  Figure 14 ablation explores 1 and 3 (3 requires further tag
-  squeezing, possible only for 8-bit ACM in the paper and relaxed here
-  under a config flag).
+  Figure 14 ablation explores 1 and 3.  In the paper 3 sub-ways need
+  further tag squeezing that fits only an 8-bit ACM; this model does
+  not enforce that: ``StuConfig.subways_per_way`` accepts 1, 2 or 3 at
+  any ACM width.
 
 The caches model presence/recency only; the authoritative metadata
 values live in :class:`~repro.acm.store.AcmStore` (a simulator does

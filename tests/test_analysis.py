@@ -765,10 +765,6 @@ class TestRepoTreeIsClean:
             "hierarchy and node tests observe which level holds a block",
         "repro.config.presets.small_config":
             "the shrunken Table II config the unit tests run on",
-        "repro.experiments.faults.deactivate":
-            "fault tests clear the process-wide plan and write hook",
-        "repro.experiments.faults.install_torn_write_hook":
-            "the torn-write suite kills the cache writer at every byte",
         "repro.pagetable.x86.FourLevelPageTable.mapped_pages":
             "page-table tests observe the mapping count",
         "repro.sim.resource.TimedResource.busy_until":
@@ -847,7 +843,8 @@ class TestRepoTreeIsClean:
         # leaves the list.
         assert sorted(self.KEEP.keys() - unused) == []
         for module in ("repro.sim.engine", "repro.sim.clock",
-                       "repro.cache.replacement", "repro.workloads.traceio"):
+                       "repro.cache.replacement", "repro.workloads.traceio",
+                       "repro.experiments.faults"):
             assert find_spec(module) is None, module
 
     #: Attributes src/repro stores that no non-test code loads, each

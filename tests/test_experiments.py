@@ -9,9 +9,7 @@ import pytest
 from repro.config.presets import default_config, with_stu_entries
 from repro.errors import ConfigError, ReproError, SweepFailure, \
     SweepInterrupted
-from repro.experiments import faults
 from repro.experiments.cachefile import load_cache
-from repro.experiments.faults import FaultPlan, FaultRule
 from repro.experiments.figures import (
     ALL_FIGURES,
     figure3,
@@ -195,20 +193,14 @@ class TestSalvage:
     CELLS = [(bench, arch, default_config())
              for bench in ("mcf", "canl") for arch in ("e-fam", "i-fam")]
 
-    @pytest.fixture(autouse=True)
-    def no_leaked_plan(self):
-        yield
-        faults.deactivate()
-
     def _keys(self, indices):
         return {job_key(SweepJob(*self.CELLS[i], FAST)) for i in indices}
 
-    def test_fail_fast_abort_keeps_finished_cells(self, tmp_path):
+    def test_fail_fast_abort_keeps_finished_cells(self, faults, tmp_path):
         path = str(tmp_path / "cache.json")
         # Workers take the mcf cells first, so at least one finishes
         # before the canl cells fail for good.
-        faults.activate(FaultPlan(rules=(
-            FaultRule(kind="raise", match="canl", attempts=99),)))
+        faults.add("raise", match="canl", attempts=99)
         runner = ExperimentRunner(FAST, cache_path=path, jobs=2)
         with pytest.raises(SweepFailure) as info:
             runner.prewarm(self.CELLS)
@@ -229,9 +221,8 @@ class TestSalvage:
         assert len(info.value.payloads) == 2
         assert set(load_cache(path)) == self._keys(info.value.payloads)
 
-    def test_run_raises_for_a_quarantined_job(self):
-        faults.activate(FaultPlan(rules=(
-            FaultRule(kind="raise", match="mcf", attempts=99),)))
+    def test_run_raises_for_a_quarantined_job(self, faults):
+        faults.add("raise", match="mcf", attempts=99)
         runner = ExperimentRunner(FAST,
                                   supervisor=SupervisorConfig(retries=0))
         with pytest.raises(SweepFailure, match="mcf/e-fam"):

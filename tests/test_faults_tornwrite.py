@@ -5,9 +5,10 @@ that a writer dying at *any* instant leaves readers a complete cache —
 the old one or the new one, never a hybrid.  This suite proves it by
 brute force: for every byte offset of the serialized text (plus the
 write-complete-but-not-renamed and just-after-rename instants), a real
-child process installs the torn-write hook, attempts the write, and
-dies there with ``os._exit`` — no interpreter cleanup, exactly like a
-kill -9 — after which the parent asserts the on-disk state.
+child process patches its own ``os.fdopen`` / ``os.replace``, attempts
+the write, and dies there with ``os._exit`` — no interpreter cleanup,
+exactly like a kill -9 — after which the parent asserts the on-disk
+state.
 """
 
 import json
@@ -16,7 +17,6 @@ import os
 
 import pytest
 
-from repro.experiments import cachefile, faults
 from repro.experiments.cachefile import load_cache, write_cache_atomic
 
 OLD = {"cell-a": {"value": 1}, "cell-b": {"value": 2}}
@@ -25,19 +25,34 @@ NEW = {"cell-a": {"value": 1}, "cell-b": {"value": 2},
 
 #: What the new cache serializes to — offsets sweep over this text.
 NEW_TEXT = json.dumps(NEW, sort_keys=True)
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_hook():
-    yield
-    faults.deactivate()
+CRASH = 13
 
 
 def _torn_writer(path: str, entries: dict, cut: int) -> None:
-    """Child body: die at byte ``cut`` of an atomic cache write."""
-    faults.install_torn_write_hook(cut)
+    """Child body: die at byte ``cut`` of an atomic write of ``NEW``;
+    at ``len(NEW_TEXT) + 1`` before ``os.replace``, later just after."""
+    fdopen, replace = os.fdopen, os.replace
+
+    def torn_fdopen(fd, mode):
+        handle = fdopen(fd, mode)
+        write = handle.write
+
+        def torn_write(text):
+            write(text[:cut])
+            if cut <= len(text):
+                handle.flush()
+                os._exit(CRASH)
+        handle.write = torn_write
+        return handle
+
+    def torn_replace(src, dst):
+        if cut > len(NEW_TEXT) + 1:
+            replace(src, dst)
+        os._exit(CRASH)
+
+    os.fdopen, os.replace = torn_fdopen, torn_replace
     write_cache_atomic(path, entries)
-    os._exit(0)  # pragma: no cover - only reached when cut > len + 1
+    os._exit(0)  # pragma: no cover - every cut dies first
 
 
 def _die_at(path: str, cut: int) -> int:
@@ -55,7 +70,7 @@ class TestTornWrites:
     def test_death_mid_tmp_write_preserves_old_cache(self, tmp_path, cut):
         path = str(tmp_path / "cache.json")
         write_cache_atomic(path, OLD)
-        assert _die_at(path, cut) == faults.CRASH_EXIT_CODE
+        assert _die_at(path, cut) == CRASH
         # Reader sees the complete old cache; the torn bytes live only
         # in a dead .tmp. file.
         assert json.load(open(path)) == OLD
@@ -64,7 +79,7 @@ class TestTornWrites:
     def test_death_before_replace_preserves_old_cache(self, tmp_path):
         path = str(tmp_path / "cache.json")
         write_cache_atomic(path, OLD)
-        assert _die_at(path, len(NEW_TEXT) + 1) == faults.CRASH_EXIT_CODE
+        assert _die_at(path, len(NEW_TEXT) + 1) == CRASH
         assert json.load(open(path)) == OLD
         # The fully-written-but-unrenamed temp file is left behind —
         # exactly the debris `deact cache validate --repair` sweeps.
@@ -75,13 +90,13 @@ class TestTornWrites:
     def test_death_after_replace_lands_new_cache(self, tmp_path):
         path = str(tmp_path / "cache.json")
         write_cache_atomic(path, OLD)
-        assert _die_at(path, len(NEW_TEXT) + 2) == faults.CRASH_EXIT_CODE
+        assert _die_at(path, len(NEW_TEXT) + 2) == CRASH
         assert json.load(open(path)) == OLD | NEW
 
     def test_death_with_no_prior_cache_leaves_nothing_or_new(self,
                                                              tmp_path):
         path = str(tmp_path / "fresh.json")
-        assert _die_at(path, 3) == faults.CRASH_EXIT_CODE
+        assert _die_at(path, 3) == CRASH
         assert not os.path.exists(path)
         assert load_cache(path) == {}
 
@@ -96,43 +111,3 @@ class TestTornWrites:
             assert on_disk in (OLD, OLD | NEW), \
                 f"hybrid cache after death at byte {cut}: {on_disk}"
 
-
-class TestHookPlumbing:
-    def test_hook_cleared_by_deactivate(self, tmp_path):
-        faults.install_torn_write_hook(0)
-        assert cachefile._WRITE_FAULT_HOOK is not None
-        faults.deactivate()
-        assert cachefile._WRITE_FAULT_HOOK is None
-        # Writes work normally again in this process.
-        path = str(tmp_path / "ok.json")
-        write_cache_atomic(path, NEW)
-        assert load_cache(path) == NEW
-
-    def test_plan_write_fault_is_one_shot_via_state_dir(self, tmp_path):
-        """A plan torn-write spends its attempt marker even though the
-        writer died — the resume run's writes go through untouched."""
-        state = str(tmp_path / "state")
-        plan = faults.FaultPlan(
-            rules=(faults.FaultRule(kind="torn-write", attempts=1,
-                                    at_byte=5),),
-            seed=3, state_dir=state)
-        path = str(tmp_path / "cache.json")
-        write_cache_atomic(path, OLD)
-
-        def _plan_writer():
-            faults.activate(plan)
-            write_cache_atomic(path, NEW)
-            os._exit(0)  # pragma: no cover - first run dies in the hook
-
-        context = multiprocessing.get_context("fork")
-        first = context.Process(target=_plan_writer)
-        first.start()
-        first.join(timeout=30.0)
-        assert first.exitcode == faults.CRASH_EXIT_CODE
-        assert json.load(open(path)) == OLD
-
-        second = context.Process(target=_plan_writer)
-        second.start()
-        second.join(timeout=30.0)
-        assert second.exitcode == 0  # marker spent: write goes through
-        assert json.load(open(path)) == NEW

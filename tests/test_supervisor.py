@@ -4,19 +4,21 @@ determinism, interrupt salvage, and checkpoint resume.
 The paper-grade invariant under test throughout: a sweep that limps
 through injected crashes, hangs, and corrupt payloads produces a
 results cache **byte-identical** (``canonical_cache_text``) to a
-clean run — recovery is scheduling noise, never result noise.
+clean run — recovery is scheduling noise, never result noise.  Faults
+come from the ``faults`` fixture in ``conftest.py``, which patches
+the production job function, and from patching ``os.replace``.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
-from repro.errors import ConfigError, SweepFailure, SweepInterrupted
-from repro.experiments import faults
-from repro.experiments.faults import FaultPlan, FaultRule, load_fault_plan
+from repro.cli import main
+from repro.errors import SweepFailure, SweepInterrupted
 from repro.experiments.runner import ExperimentRunner, RunSettings, \
     payload_ok
 from repro.experiments.supervisor import (
@@ -44,74 +46,20 @@ def small_jobs():
     return [job for _cell, job in SMALL.jobs(FAST)]
 
 
-@pytest.fixture(autouse=True)
-def no_leaked_plan():
-    """No test may leave a fault plan (or write hook) active."""
-    yield
-    faults.deactivate()
+def _wait_until(done, timeout_s):
+    deadline = time.monotonic() + timeout_s
+    while not done() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return done()
 
 
-def plan(*rules, seed=7, state_dir=None):
-    return FaultPlan(rules=tuple(rules), seed=seed, state_dir=state_dir)
-
-
-# ----------------------------------------------------------------------
-# Fault plans
-# ----------------------------------------------------------------------
-class TestFaultPlans:
-    def test_inline_and_file_round_trip(self, tmp_path):
-        data = {"schema": 1, "seed": 11, "faults": [
-            {"kind": "crash", "match": "mcf", "attempts": 2}]}
-        inline = load_fault_plan(json.dumps(data))
-        assert inline.seed == 11
-        assert inline.rules[0].kind == "crash"
-        assert inline.rules[0].attempts == 2
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps(data))
-        from_file = load_fault_plan(str(path))
-        assert from_file.rules == inline.rules
-        # File plans get a default state dir next to the plan.
-        assert from_file.state_dir == f"{path}.state"
-
-    def test_bad_plans_are_config_errors(self, tmp_path):
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_fault_plan("{nope")
-        with pytest.raises(ConfigError, match="cannot read fault plan"):
-            load_fault_plan(str(tmp_path / "missing.json"))
-        with pytest.raises(ConfigError, match="unknown fault kind"):
-            load_fault_plan('{"faults": [{"kind": "meteor"}]}')
-        with pytest.raises(ConfigError, match="pick must be in"):
-            load_fault_plan('{"faults": [{"kind": "raise", "pick": 0}]}')
-        # Inline torn-write plans must name a state dir explicitly.
-        with pytest.raises(ConfigError, match="state_dir"):
-            load_fault_plan('{"faults": [{"kind": "torn-write"}]}')
-
-    def test_env_plan(self, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN",
-            '{"seed": 2, "faults": [{"kind": "raise", "match": "x"}]}')
-        env_plan = faults.plan_from_env()
-        assert env_plan is not None and env_plan.seed == 2
-        monkeypatch.delenv("REPRO_FAULT_PLAN")
-        assert faults.plan_from_env() is None
-
-    def test_pick_is_deterministic_and_thins(self):
-        rule = FaultRule(kind="raise", pick=0.5)
-        keys = [f"job-{i}" for i in range(200)]
-        hit = [k for k in keys
-               if faults.execution_fault(plan(rule), k, 0) is not None]
-        # Same plan, same keys -> same picks, and roughly half hit.
-        again = [k for k in keys
-                 if faults.execution_fault(plan(rule), k, 0) is not None]
-        assert hit == again
-        assert 40 < len(hit) < 160
-
-    def test_attempts_gate_when_faults_fire(self):
-        rule = FaultRule(kind="raise", attempts=2)
-        p = plan(rule)
-        assert faults.execution_fault(p, "k", 0) is rule
-        assert faults.execution_fault(p, "k", 1) is rule
-        assert faults.execution_fault(p, "k", 2) is None
+def _exited(pid):
+    """Whether process ``pid`` is gone, or a zombie nobody reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 # ----------------------------------------------------------------------
@@ -135,52 +83,49 @@ class TestConfig:
         assert not payload_ok(None)
         assert not payload_ok("text")
         assert not payload_ok({"__fault__": "injected"})
-        assert not payload_ok(faults.corrupt_payload())
 
 
 # ----------------------------------------------------------------------
 # Recovery paths (each failure kind, through the real pool)
 # ----------------------------------------------------------------------
 class TestRecovery:
-    def test_raise_is_retried_to_success(self):
+    def test_raise_is_retried_to_success(self, faults):
+        faults.add("raise", attempts=2)
         run = run_supervised(
             small_jobs(), n_workers=2,
-            config=SupervisorConfig(retries=2),
-            fault_plan=plan(FaultRule(kind="raise", attempts=2)))
+            config=SupervisorConfig(retries=2))
         assert not run.report
         assert all(payload_ok(p) for p in run.payloads)
 
-    def test_worker_crash_respawns_and_recovers(self):
+    def test_worker_crash_respawns_and_recovers(self, faults):
+        faults.add("crash")
         run = run_supervised(
             small_jobs(), n_workers=2,
-            config=SupervisorConfig(retries=2),
-            fault_plan=plan(FaultRule(kind="crash", attempts=1)))
+            config=SupervisorConfig(retries=2))
         assert not run.report
         assert all(payload_ok(p) for p in run.payloads)
 
-    def test_corrupt_payload_is_rejected_and_retried(self):
+    def test_corrupt_payload_is_rejected_and_retried(self, faults):
+        faults.add("corrupt")
         run = run_supervised(
             small_jobs(), n_workers=2,
-            config=SupervisorConfig(retries=1),
-            fault_plan=plan(FaultRule(kind="corrupt", attempts=1)))
+            config=SupervisorConfig(retries=1))
         assert not run.report
         assert all(payload_ok(p) for p in run.payloads)
 
-    def test_hang_is_reaped_by_timeout(self):
+    def test_hang_is_reaped_by_timeout(self, faults):
+        faults.add("hang")
         run = run_supervised(
             small_jobs(), n_workers=2,
-            config=SupervisorConfig(job_timeout_s=2.0, retries=1),
-            fault_plan=plan(FaultRule(kind="hang", attempts=1,
-                                      hang_s=300.0)))
+            config=SupervisorConfig(job_timeout_s=2.0, retries=1))
         assert not run.report
         assert all(payload_ok(p) for p in run.payloads)
 
-    def test_quarantine_after_retry_budget(self):
+    def test_quarantine_after_retry_budget(self, faults):
+        faults.add("raise", match="mcf", attempts=99)
         run = run_supervised(
             small_jobs(), n_workers=2,
-            config=SupervisorConfig(retries=1),
-            fault_plan=plan(FaultRule(kind="raise", match="mcf",
-                                      attempts=99)))
+            config=SupervisorConfig(retries=1))
         assert len(run.report) == 2  # both mcf cells poisoned
         assert all(f.attempts == 2 for f in run.report.failures)
         assert all(f.kind == "error" for f in run.report.failures)
@@ -190,14 +135,13 @@ class TestRecovery:
         assert "mcf" in rendered
         assert run.report.failures[0].attempts == 2
 
-    def test_fail_fast_raises_with_salvage(self):
+    def test_fail_fast_raises_with_salvage(self, faults):
+        faults.add("raise", match="canl", attempts=99)
         jobs = [job for _cell, job in WIDE.jobs(FAST)]
         with pytest.raises(SweepFailure) as info:
             run_supervised(
                 jobs, n_workers=2,
-                config=SupervisorConfig(retries=0, fail_fast=True),
-                fault_plan=plan(FaultRule(kind="raise", match="canl",
-                                          attempts=99)))
+                config=SupervisorConfig(retries=0, fail_fast=True))
         # The exception still carries whatever completed first.
         assert info.value.report
         assert all(payload_ok(p)
@@ -208,27 +152,29 @@ class TestRecovery:
 # Runner-level chaos determinism (the headline invariant)
 # ----------------------------------------------------------------------
 class TestChaosDeterminism:
-    def test_recovered_cache_is_byte_identical(self, tmp_path):
+    def test_recovered_cache_is_byte_identical(self, faults, tmp_path):
         clean = str(tmp_path / "clean.json")
         run_sweep(ExperimentRunner(FAST, cache_path=clean, jobs=2), WIDE)
 
+        # Each rule fires once per matching job: crash -> respawn,
+        # hang -> timeout reap, corrupt -> validation reject (the i-fam
+        # cells fail twice, the crash or hang first).
         chaos = str(tmp_path / "chaos.json")
-        faults.activate(plan(
-            FaultRule(kind="crash", match="mcf", attempts=1),
-            FaultRule(kind="raise", match="canl", attempts=2),
-            FaultRule(kind="corrupt", match="i-fam", attempts=1)))
-        runner = ExperimentRunner(FAST, cache_path=chaos, jobs=2,
-                                  supervisor=SupervisorConfig(),
-                                  checkpoint_every=1)
+        faults.add("crash", match="mcf")
+        faults.add("hang", match="canl")
+        faults.add("corrupt", match="i-fam")
+        runner = ExperimentRunner(
+            FAST, cache_path=chaos, jobs=2,
+            supervisor=SupervisorConfig(job_timeout_s=2.0, retries=3),
+            checkpoint_every=1)
         results = run_sweep(runner, WIDE)
         assert runner.failures is None
         assert len(results) == 4
         assert canonical_cache_text(clean) == canonical_cache_text(chaos)
 
-    def test_quarantined_cells_are_skipped(self, tmp_path):
+    def test_quarantined_cells_are_skipped(self, faults, tmp_path):
         cache = str(tmp_path / "partial.json")
-        faults.activate(plan(FaultRule(kind="raise", match="mcf",
-                                       attempts=99)))
+        faults.add("raise", match="mcf", attempts=99)
         runner = ExperimentRunner(FAST, cache_path=cache, jobs=2,
                                   supervisor=SupervisorConfig(retries=0))
         results = run_sweep(runner, WIDE)
@@ -237,10 +183,9 @@ class TestChaosDeterminism:
         # The healthy cells landed in the cache despite the failures.
         assert len(json.load(open(cache))) == 2
 
-    def test_fail_fast_salvages_completed_cells(self, tmp_path):
+    def test_fail_fast_salvages_completed_cells(self, faults, tmp_path):
         cache = str(tmp_path / "salvage.json")
-        faults.activate(plan(FaultRule(kind="raise", match="canl",
-                                       attempts=99)))
+        faults.add("raise", match="canl", attempts=99)
         runner = ExperimentRunner(
             FAST, cache_path=cache, jobs=2,
             supervisor=SupervisorConfig(retries=0, fail_fast=True))
@@ -249,6 +194,42 @@ class TestChaosDeterminism:
         on_disk = json.load(open(cache))
         assert on_disk  # completed cells flushed before the abort
         assert all(payload_ok(p) for p in on_disk.values())
+
+    def test_killed_sweep_resumes_byte_identical(self, faults, tmp_path,
+                                                 capsys):
+        # A sweep process dies (exit 13) just after its first
+        # checkpoint lands on the cache; re-running the same sweep
+        # resumes from that checkpoint and ends with the clean cache.
+        spec = ["--benchmark", "mcf", "--benchmark", "canl",
+                "--arch", "i-fam", "--arch", "deact-n",
+                "--events", "1500", "--footprint-scale", "0.01",
+                "--jobs", "2", "--checkpoint-every", "1"]
+        resumed = str(tmp_path / "resume.json")
+
+        def killed_sweep():
+            replace = os.replace
+            os.replace = lambda *paths: (replace(*paths), os._exit(13))
+            main(["sweep", *spec, "--cache", resumed])
+
+        killed = multiprocessing.get_context("fork").Process(
+            target=killed_sweep)
+        killed.start()
+        # Poll the exit code: join() would also wait for the orphaned
+        # workers, which inherit the child's sentinel pipe.
+        assert _wait_until(lambda: killed.exitcode is not None, 120.0)
+        assert killed.exitcode == 13
+        assert 0 < len(json.load(open(resumed))) < 4
+
+        # The dead sweep's workers notice they are orphaned and exit.
+        workers = faults.pids()
+        assert workers
+        assert _wait_until(lambda: all(map(_exited, workers)), 5.0)
+
+        assert main(["sweep", *spec, "--cache", resumed]) == 0
+        clean = str(tmp_path / "clean.json")
+        assert main(["sweep", *spec, "--cache", clean]) == 0
+        capsys.readouterr()
+        assert canonical_cache_text(clean) == canonical_cache_text(resumed)
 
 
 # ----------------------------------------------------------------------
@@ -347,37 +328,27 @@ class TestCliSurface:
     SPEC = ["--benchmark", "mcf", "--arch", "i-fam", "--arch", "deact-n",
             "--events", "1500", "--footprint-scale", "0.01", "--seed", "3"]
 
-    def test_sweep_recovers_under_inline_plan(self, tmp_path, capsys):
-        from repro.cli import main
-
+    def test_sweep_recovers_under_inline_plan(self, faults, tmp_path,
+                                              capsys):
+        faults.add("raise", match="mcf")
         cache = str(tmp_path / "cli-chaos.json")
         code = main(["sweep", *self.SPEC, "--jobs", "2", "--cache", cache,
-                     "--retries", "2", "--inject-faults",
-                     '{"seed": 5, "faults": '
-                     '[{"kind": "raise", "match": "mcf", "attempts": 1}]}'])
+                     "--retries", "2"])
         assert code == 0
         assert len(json.load(open(cache))) == 2
 
-    def test_sweep_quarantine_exits_nonzero_with_report(self, tmp_path,
-                                                        capsys):
-        from repro.cli import main
-
+    def test_sweep_quarantine_exits_nonzero_with_report(self, faults,
+                                                        tmp_path, capsys):
+        faults.add("raise", match="deact-n", attempts=99)
         cache = str(tmp_path / "cli-poison.json")
         code = main(["sweep", *self.SPEC, "--jobs", "2", "--cache", cache,
-                     "--retries", "0", "--inject-faults",
-                     '{"faults": '
-                     '[{"kind": "raise", "match": "deact-n", '
-                     '"attempts": 99}]}'])
+                     "--retries", "0"])
         captured = capsys.readouterr()
         assert code == 1
         assert "failed permanently" in captured.err
         assert len(json.load(open(cache))) == 1  # healthy cell cached
 
     def test_bad_plan_and_flag_validation(self, tmp_path, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["sweep", *self.SPEC, "--inject-faults", "{nope"])
         with pytest.raises(SystemExit):
             main(["sweep", *self.SPEC, "--retries", "-1"])
         with pytest.raises(SystemExit):
@@ -386,8 +357,6 @@ class TestCliSurface:
             main(["sweep", *self.SPEC, "--checkpoint-every", "-5"])
 
     def test_cache_validate_repair(self, tmp_path, capsys):
-        from repro.cli import main
-
         cache = str(tmp_path / "heal.json")
         assert main(["sweep", *self.SPEC, "--jobs", "1",
                      "--cache", cache]) == 0
