@@ -16,9 +16,17 @@ fig. 11 mean AT shares fall I-FAM > DeACT-W > DeACT-N, as at full
 scale.  At 16k events fig. 11's and fig. 12's outlier claims fail, and
 dc's fig. 16 speedup falls with node count.  The nightly ``harness``
 job checks the claims at full scale (``tests/test_validation.py``).
+
+``figure_digests.json`` pins every figure exactly: a change meant to
+move figure values regenerates it with
+``PYTHONPATH=src python tests/test_paper_claims.py --write``.
 """
 
+import hashlib
+import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +61,7 @@ from repro.experiments.tables import table3
 from repro.experiments.validation import check_figure
 
 SETTINGS = RunSettings(n_events=40_000, footprint_scale=0.06, seed=13)
+DIGESTS = Path(__file__).with_name("figure_digests.json")
 
 #: Trimmed sensitivity sweeps, over a PARSEC and a SPEC benchmark
 #: unless noted; the nightly harness runs the full ones.
@@ -125,6 +134,10 @@ def runner():
 
 @pytest.fixture(scope="module")
 def figures(runner):
+    return _figures(runner)
+
+
+def _figures(runner):
     return {
         "fig3": figure3(runner),
         "fig4": figure4(runner),
@@ -172,6 +185,19 @@ def ablations(runner):
             size: run("deact-n", _tcache(base, size)).translation_hit_rate
             for size in (16 * 1024, 1024 * 1024)},
     }
+
+
+def figure_digest(figure):
+    rows = [[row.label, row.values, row.paper] for row in figure.rows]
+    text = json.dumps([figure.figure_id, figure.series, figure.unit,
+                       figure.notes, rows], sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_figures_match_digests(figures):
+    digests = {name: figure_digest(figure)
+               for name, figure in figures.items()}
+    assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -290,3 +316,20 @@ def test_translation_cache_capacity_is_the_mechanism(ablations):
     # more than the paper's 1 MiB.
     rates = ablations["translation_hit_rate"]
     assert rates[1024 * 1024] >= rates[16 * 1024] - 0.01
+
+
+def main(argv):
+    if argv != ["--write"]:
+        print(__doc__)
+        return 2
+    runner = ExperimentRunner(SETTINGS, jobs=2)
+    runner.prewarm(_cells())
+    digests = {name: figure_digest(figure)
+               for name, figure in _figures(runner).items()}
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
