@@ -4,9 +4,12 @@
   (benchmark, architecture, config) combinations through the
   supervisor, memoized in process and in an optional on-disk cache so
   figures sharing baselines do not repeat work.
-* :mod:`repro.experiments.tables` — Tables I-III.
+* :mod:`repro.experiments.tables` — Tables I-III; Table III is a
+  figure spec over the E-FAM runs.
 * :mod:`repro.experiments.figures` — Figures 3, 4, 9-16 plus the
-  STU-associativity study the paper reports in text, each returning a
+  STU-associativity study the paper reports in text, each one
+  :class:`~repro.experiments.figures.FigureSpec`: the cells it reads,
+  and a ``build`` that turns them into a
   :class:`~repro.experiments.report.FigureResult` with paper-vs-
   measured rows.
 * :mod:`repro.experiments.sweep` — declarative sweep specs, run (or

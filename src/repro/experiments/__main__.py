@@ -20,12 +20,7 @@ import sys
 import time
 
 from repro.errors import ConfigError
-from repro.experiments.figures import (
-    ALL_FIGURES,
-    SWEEP_BENCHES,
-    SWEEP_FIGURES,
-    figure_matrix,
-)
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import render_paper_values, render_telemetry
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -33,7 +28,7 @@ from repro.experiments.runner import (
     require_jobs,
 )
 from repro.experiments.sweep import SweepProgress
-from repro.experiments.tables import table1, table2, table3, table3_matrix
+from repro.experiments.tables import TABLE3, table1, table2, table3
 from repro.experiments.validation import check_figure
 
 
@@ -80,17 +75,12 @@ def main(argv=None) -> int:
                               jobs=args.jobs, progress=SweepProgress(),
                               checkpoint_every=25)
 
-    # Run every wanted run matrix in one batch first; the figure
-    # builders below then assemble rows from the memo without
-    # executing anything new.
-    triples = []
-    for item in wanted:
-        if item == "t3":
-            triples.extend(table3_matrix())
-        elif item in ALL_FIGURES:
-            benches = SWEEP_BENCHES if item in SWEEP_FIGURES else None
-            triples.extend(figure_matrix(item, benches))
-    runner.prewarm(triples)
+    # Run the cells of every wanted spec in one batch first; building
+    # each spec below then reads them from the memo without executing
+    # anything new.
+    specs = {**ALL_FIGURES, "t3": TABLE3}
+    runner.prewarm([cell for item in wanted if item in specs
+                    for cell in specs[item].cells()])
 
     outcomes = []
     for item in wanted:
@@ -102,9 +92,7 @@ def main(argv=None) -> int:
         elif item == "t3":
             result = table3(runner)
         else:
-            builder = ALL_FIGURES[item]
-            benches = SWEEP_BENCHES if item in SWEEP_FIGURES else None
-            result = builder(runner, benchmarks=benches)
+            result = ALL_FIGURES[item].build(runner)
         print(result.render())
         paper = render_paper_values(result)
         if paper:

@@ -1,9 +1,10 @@
 """Run management, memoization and caching for the experiment harness.
 
-A figure is a set of (benchmark, architecture, config-variant) runs;
-several figures share runs (Figures 3, 4, 9-12 all consume the default
-configuration matrix), so :class:`ExperimentRunner` memoizes results by
-each run's cache key.  An optional on-disk JSON cache lets the figure
+A figure is a set of (benchmark, architecture, config-variant) runs,
+its spec's :meth:`~repro.experiments.figures.FigureSpec.cells`;
+several figures share runs (Figures 3, 4, 9-12 and Table III all
+consume the default configuration matrix), so :class:`ExperimentRunner`
+memoizes results by each run's cache key.  An optional on-disk JSON cache lets the figure
 harness, ``deact sweep`` and repeated CLI invocations skip completed
 work.
 

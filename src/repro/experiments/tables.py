@@ -2,29 +2,28 @@
 
 Table I is qualitative (architecture properties), Table II is the
 system configuration, Table III is the benchmark list with published
-and measured MPKI.
+and measured MPKI: a :class:`~repro.experiments.figures.FigureSpec`
+(:data:`TABLE3`) over the E-FAM runs, whose rows name each suite.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.config.presets import default_config
 from repro.core.architectures import ARCHITECTURES
+from repro.experiments.figures import FigureSpec
 from repro.experiments.report import FigureResult, Row
 from repro.experiments.runner import ExperimentRunner
-from repro.workloads.catalog import benchmark_names, get_profile
+from repro.workloads.catalog import get_profile
 
-__all__ = ["table1", "table2", "table3", "table3_matrix"]
+__all__ = ["table1", "table2", "table3", "TABLE3"]
 
-
-def table3_matrix(benchmarks: Optional[Sequence[str]] = None) -> list:
-    """The ``(benchmark, architecture, config)`` runs Table III needs,
-    for batch execution by a sweep pool (cf.
-    :func:`repro.experiments.figures.figure_matrix`)."""
-    base = default_config()
-    return [(bench, "e-fam", base)
-            for bench in (benchmarks or benchmark_names())]
+#: Table III's measured column: each benchmark's MPKI on E-FAM.
+TABLE3 = FigureSpec(
+    "table3", "Applications and MPKI",
+    series=(("MPKI", "e-fam", default_config()),),
+    metric=lambda result: result.mpki,
+    notes="paper MPKI from Table III; measured MPKI from the "
+          "synthetic traces on E-FAM")
 
 
 def table1() -> FigureResult:
@@ -59,28 +58,14 @@ def table2() -> FigureResult:
         rows=rows)
 
 
-def table3(runner: Optional[ExperimentRunner] = None,
-           benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def table3(runner: ExperimentRunner) -> FigureResult:
     """Table III: applications and MPKI (paper vs measured on E-FAM).
 
     The paper selects benchmarks with >= 5 MPKI; measured values come
     from our synthetic traces, so expect the same order of magnitude
     rather than equality.
     """
-    rows = []
-    for bench in (benchmarks or benchmark_names()):
-        profile = get_profile(bench)
-        values = {}
-        paper = {}
-        if profile.paper_mpki is not None:
-            paper["MPKI"] = float(profile.paper_mpki)
-        if runner is not None:
-            result = runner.run(bench, "e-fam")
-            values["MPKI"] = result.mpki
-        rows.append(Row(label=f"{bench} ({profile.suite})",
-                        values=values, paper=paper))
-    return FigureResult(
-        figure_id="table3", title="Applications and MPKI",
-        series=["MPKI"], rows=rows,
-        notes="paper MPKI from Table III; measured MPKI from the "
-              "synthetic traces on E-FAM")
+    result = TABLE3.build(runner)
+    for row in result.rows:
+        row.label = f"{row.label} ({get_profile(row.label).suite})"
+    return result

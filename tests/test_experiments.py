@@ -10,13 +10,7 @@ from repro.config.presets import default_config, with_stu_entries
 from repro.errors import ConfigError, ReproError, SweepFailure, \
     SweepInterrupted
 from repro.experiments.cachefile import load_cache
-from repro.experiments.figures import (
-    ALL_FIGURES,
-    figure3,
-    figure12,
-    figure16,
-    figure_matrix,
-)
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import (
     FigureResult,
     Row,
@@ -26,7 +20,7 @@ from repro.experiments.report import (
 from repro.experiments.runner import ExperimentRunner, RunSettings, \
     SweepJob, _result_to_dict, job_key
 from repro.experiments.supervisor import SupervisorConfig
-from repro.experiments.tables import table1, table2, table3, table3_matrix
+from repro.experiments.tables import TABLE3, table1, table2
 
 FAST = RunSettings(n_events=2500, footprint_scale=0.02, seed=3)
 
@@ -232,7 +226,8 @@ class TestSalvage:
 
 class TestFigures:
     def test_figure3_rows_and_paper_refs(self, runner):
-        result = figure3(runner, benchmarks=["mcf", "sssp"])
+        spec = dataclasses.replace(ALL_FIGURES["3"], benchmarks=("mcf", "sssp"))
+        result = spec.build(runner)
         assert result.figure_id == "fig3"
         assert [row.label for row in result.rows] == ["mcf", "sssp"]
         assert result.value("mcf", "I-FAM") > 1.0  # I-FAM always slower
@@ -240,13 +235,15 @@ class TestFigures:
         assert sssp_row.paper["I-FAM"] == 20.6
 
     def test_figure12_normalization(self, runner):
-        result = figure12(runner, benchmarks=["mcf"])
+        spec = dataclasses.replace(ALL_FIGURES["12"], benchmarks=("mcf",))
+        result = spec.build(runner)
         assert result.value("mcf", "E-FAM") == pytest.approx(1.0)
         assert result.value("mcf", "I-FAM") < 1.0
 
     def test_figure16_uses_node_counts(self, runner):
-        result = figure16(runner, benchmarks=["pf"],
-                          node_counts=(1, 2))
+        spec = ALL_FIGURES["16"]
+        result = dataclasses.replace(spec, benchmarks=("pf",),
+                                     series=spec.series[:2]).build(runner)
         assert result.series == ["1", "2"]
         assert result.rows[0].label == "pf"
 
@@ -254,6 +251,17 @@ class TestFigures:
         for fig in ("3", "4", "9", "10", "11", "12", "13", "13a", "14",
                     "14s", "15", "16"):
             assert fig in ALL_FIGURES
+
+    def test_group_row_rejects_a_zero_ipc_baseline(self, runner,
+                                                    monkeypatch):
+        # A speedup over a baseline with IPC 0 reads 0.0, a harness
+        # bug the group geomean must reject rather than plot.
+        spec = dataclasses.replace(ALL_FIGURES["13"], benchmarks=("pf",),
+                                   series=ALL_FIGURES["13"].series[:1])
+        baseline = runner.run("pf", "i-fam", spec.series[0][2])
+        monkeypatch.setattr(baseline.nodes[0], "cycles", 0.0)
+        with pytest.raises(ValueError, match="positive values, got 0.0"):
+            spec.build(runner)
 
 
 class _CountingRunner(ExperimentRunner):
@@ -268,33 +276,25 @@ class _CountingRunner(ExperimentRunner):
 
 
 class TestRunMatrices:
-    """``figure_matrix`` must cover exactly what each figure requests:
-    after prewarming the matrix, building the figure may not trigger a
-    single new simulation."""
+    """A spec's cells cover exactly what it builds from: after
+    prewarming them, building may not trigger a single new simulation
+    (the harness prewarms every wanted spec in one batch)."""
 
     TINY = RunSettings(n_events=1000, footprint_scale=0.01, seed=3)
-    BENCHES = ["mcf", "dc"]
+    SPECS = {**ALL_FIGURES, "table3": TABLE3}
 
     @pytest.fixture(scope="class")
     def shared(self):
         return _CountingRunner(self.TINY)
 
-    @pytest.mark.parametrize("fig_id", sorted(ALL_FIGURES))
+    @pytest.mark.parametrize("fig_id", sorted(SPECS))
     def test_matrix_covers_figure(self, shared, fig_id):
-        shared.prewarm(figure_matrix(fig_id, self.BENCHES))
+        spec = dataclasses.replace(self.SPECS[fig_id],
+                                   benchmarks=("mcf", "dc"))
+        shared.prewarm(spec.cells())
         executed_before = shared.executed
-        ALL_FIGURES[fig_id](shared, benchmarks=self.BENCHES)
+        spec.build(shared)
         assert shared.executed == executed_before
-
-    def test_matrix_covers_table3(self, shared):
-        shared.prewarm(table3_matrix(self.BENCHES))
-        executed_before = shared.executed
-        table3(shared, benchmarks=self.BENCHES)
-        assert shared.executed == executed_before
-
-    def test_unknown_figure_rejected(self):
-        with pytest.raises(KeyError):
-            figure_matrix("99")
 
 
 class TestTables:
@@ -315,14 +315,10 @@ class TestTables:
             assert fact in rendered
 
     def test_table3_with_runner_measures_mpki(self, runner):
-        result = table3(runner, benchmarks=["mcf"])
+        result = dataclasses.replace(TABLE3, benchmarks=("mcf",)).build(runner)
         row = result.rows[0]
         assert row.paper["MPKI"] == 73.0
         assert row.values["MPKI"] > 0
-
-    def test_table3_without_runner_paper_only(self):
-        result = table3(None, benchmarks=["mcf"])
-        assert "MPKI" not in result.rows[0].values
 
 
 class TestReport:

@@ -30,48 +30,35 @@ from pathlib import Path
 
 import pytest
 
-from repro.config.presets import (
-    default_config,
-    with_acm_bits,
-    with_acm_subways,
-    with_allocation_policy,
-    with_fabric_latency,
-    with_nodes,
-    with_stu_associativity,
-    with_stu_entries,
-)
+from repro.config.presets import default_config, with_allocation_policy
 from repro.config.system import TranslationCacheConfig
-from repro.experiments.figures import (
-    figure3,
-    figure4,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure13_assoc,
-    figure14,
-    figure14_subways,
-    figure15,
-    figure16,
-    figure_matrix,
-)
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import ExperimentRunner, RunSettings
-from repro.experiments.tables import table3
+from repro.experiments.tables import TABLE3, table3
 from repro.experiments.validation import check_figure
 
 SETTINGS = RunSettings(n_events=40_000, footprint_scale=0.06, seed=13)
 DIGESTS = Path(__file__).with_name("figure_digests.json")
 
-#: Trimmed sensitivity sweeps, over a PARSEC and a SPEC benchmark
-#: unless noted; the nightly harness runs the full ones.
-SWEEP_BENCHES = ["canl", "mcf"]
-FIG13_SIZES = (256, 1024, 4096)
-FIG13A_WAYS = (4, 32)
-FIG14_WIDTHS = (8, 32)
-FIG14S_SUBWAYS = (1, 2)  # canl only
-FIG15_LATENCIES_NS = (100.0, 6000.0)
-FIG16_NODES = (1, 4)  # dc only, as the paper's pf / dc pair is costly
+
+def _trimmed(figure_id, series, benchmarks=("canl", "mcf")):
+    """A sensitivity spec cut to some of its series, over a PARSEC and a
+    SPEC benchmark unless noted; the nightly harness runs the full ones."""
+    spec = ALL_FIGURES[figure_id]
+    return replace(spec, benchmarks=benchmarks,
+                   series=tuple(s for s in spec.series if s[0] in series))
+
+
+SPECS = [ALL_FIGURES[figure_id] for figure_id in ("3", "4", "9", "10", "11", "12")]
+SPECS += [
+    _trimmed("13", {"256", "1024", "4096"}),
+    _trimmed("13a", {"4", "32"}),
+    _trimmed("14", {"W/8", "N/8", "W/32", "N/32"}),
+    _trimmed("14s", {"1", "2"}, ("canl",)),
+    _trimmed("15", {"100", "6000"}),
+    # dc only, as the paper's pf / dc pair is costly.
+    _trimmed("16", {"1", "4"}, ("dc",)),
+]
 
 #: The benchmark every ablation runs: the translation-hostile outlier.
 ABLATION_BENCH = "canl"
@@ -92,25 +79,10 @@ def _tcache(config, size_bytes):
         translation_cache=TranslationCacheConfig(size_bytes=size_bytes))
 
 
-def _sweep(transform, values, benches=SWEEP_BENCHES,
-           archs=("i-fam", "deact-n")):
-    base = default_config()
-    return [(bench, arch, transform(base, value))
-            for value in values for bench in benches for arch in archs]
-
-
 def _cells():
     """Every ``(benchmark, architecture, config)`` run the checks read."""
     base = default_config()
-    cells = [cell for figure_id in ("3", "4", "9", "10", "11", "12")
-             for cell in figure_matrix(figure_id)]
-    cells += _sweep(with_stu_entries, FIG13_SIZES)
-    cells += _sweep(with_stu_associativity, FIG13A_WAYS)
-    cells += _sweep(with_acm_bits, FIG14_WIDTHS,
-                    archs=("i-fam", "deact-w", "deact-n"))
-    cells += _sweep(with_acm_subways, FIG14S_SUBWAYS, ["canl"])
-    cells += _sweep(with_fabric_latency, FIG15_LATENCIES_NS)
-    cells += _sweep(with_nodes, FIG16_NODES, ["dc"])
+    cells = [cell for spec in SPECS + [TABLE3] for cell in spec.cells()]
     for policy in ("random", "contiguous"):
         config = with_allocation_policy(base, policy)
         cells += [(ABLATION_BENCH, arch, config)
@@ -138,24 +110,9 @@ def figures(runner):
 
 
 def _figures(runner):
-    return {
-        "fig3": figure3(runner),
-        "fig4": figure4(runner),
-        "fig9": figure9(runner),
-        "fig10": figure10(runner),
-        "fig11": figure11(runner),
-        "fig12": figure12(runner),
-        "fig13": figure13(runner, SWEEP_BENCHES, sizes=FIG13_SIZES),
-        "fig13a": figure13_assoc(runner, SWEEP_BENCHES,
-                                 associativities=FIG13A_WAYS),
-        "fig14": figure14(runner, SWEEP_BENCHES, widths=FIG14_WIDTHS),
-        "fig14s": figure14_subways(runner, ["canl"],
-                                   subways=FIG14S_SUBWAYS),
-        "fig15": figure15(runner, SWEEP_BENCHES,
-                          latencies_ns=FIG15_LATENCIES_NS),
-        "fig16": figure16(runner, ["dc"], node_counts=FIG16_NODES),
-        "table3": table3(runner),
-    }
+    figures = {spec.figure_id: spec.build(runner) for spec in SPECS}
+    figures["table3"] = table3(runner)
+    return figures
 
 
 @pytest.fixture(scope="module")

@@ -5,18 +5,7 @@ import os
 
 import pytest
 
-from repro.experiments.figures import (
-    SWEEP_BENCHES,
-    figure3,
-    figure4,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure15,
-    figure16,
-)
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import FigureResult, Row
 from repro.experiments.runner import ExperimentRunner, RunSettings
 from repro.experiments.validation import (
@@ -100,17 +89,9 @@ class TestFullScaleClaims:
 
     @pytest.fixture(scope="class")
     def figures(self, runner):
-        return {
-            "fig3": figure3(runner),
-            "fig4": figure4(runner),
-            "fig9": figure9(runner),
-            "fig10": figure10(runner),
-            "fig11": figure11(runner),
-            "fig12": figure12(runner),
-            "fig13": figure13(runner, benchmarks=SWEEP_BENCHES),
-            "fig15": figure15(runner, benchmarks=SWEEP_BENCHES),
-            "fig16": figure16(runner),
-        }
+        return {f"fig{fig_id}": ALL_FIGURES[fig_id].build(runner)
+                for fig_id in ("3", "4", "9", "10", "11", "12", "13", "15",
+                               "16")}
 
     def test_all_claims_hold(self, figures):
         assert sorted(figures) == sorted(CLAIMS)
