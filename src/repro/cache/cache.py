@@ -6,16 +6,21 @@ organizations in :mod:`repro.stu`) the STU cache.  The store maps a
 counts hits and misses.  Timing is the caller's concern —
 this class is purely functional state.
 
-Implementation note: each set is an ``OrderedDict`` mapping key ->
-payload directly, ordered from least- to most-recently-used; LRU
-promotion is ``move_to_end`` and eviction is ``popitem(last=False)``.
+Implementation note: each set is a plain ``dict`` mapping key ->
+payload directly, in insertion order from least- to most-recently-used
+(a dict keeps no per-key link node, so it is small and cheap to probe).
+LRU promotion pops the key and stores it again; the victim is the
+first key.  The per-event refills find it with ``for victim in lines:
+break``, which calls nothing; rarer sites use ``next(iter(lines))``.
 There is no per-line container: a fill stores the payload itself, so
 it allocates nothing.  The TLBs store the frame, the walk and ACM
 caches ``True``, the translation caches the FAM page.  The data caches
 are the only stores that track dirtiness, so their payload *is* the
 dirty bit: a write probe (``get_line(key, write=True)``) sets it to
 ``True`` and a victim's payload says whether it needs a write-back.
-``None`` means "absent" and is never a valid payload.
+``None`` means "absent" and is never a valid payload; a clean line's
+``False`` and a frame or page number 0 are payloads, so a probe tests
+``is not None``, never truthiness.
 
 This sits on the simulator's hottest path (a dozen probes per trace
 event), so the store's probe and fill, :meth:`get_line` and
@@ -28,26 +33,27 @@ Replacement is LRU, the policy of every structure but one.  The
 in-DRAM translation cache (Section III-C) evicts a seeded-random
 victim instead; it asks for that with ``random_seed``.
 
-A set's ``OrderedDict`` is built on the set's first fill.  Until then
-its slot in the set list holds the store's one :class:`_UnbuiltRow`,
-an empty dict to every probe, so constructing a store costs one list
-whatever its set count (the DeACT translation cache has 16,384 sets),
-and probing a never-filled set is a miss that allocates nothing.  The
-first ``lines[key] = value`` on a set builds its row; every fill,
-in place or through :meth:`SetAssociativeCache.fill_line`, stores that
-way, so no fill site needs to know.  A ``lines`` fetched before that
-store still names the unbuilt row, so code that stores into one set
-twice fetches the set again in between (the hierarchy's victim
-absorption does).
+A set's dict is built on the set's first fill.  Until then its slot
+in the set list holds the store's one :class:`_UnbuiltRow`, an empty
+dict to every probe, so constructing a store costs one list whatever
+its set count (the DeACT translation cache has 16,384 sets: an empty
+dict each would add about 1 ms per node to every ``FamSystem``
+construction), and probing a never-filled set, even with
+``pop(key, None)``, is a miss that allocates nothing.  The first
+``lines[key] = value`` on a set builds its row; every fill, in place
+or through :meth:`SetAssociativeCache.fill_line`, stores that way, so
+no fill site needs to know.  A ``lines`` fetched before that store
+still names the unbuilt row, so code that stores into one set twice
+fetches the set again in between (the hierarchy's victim absorption
+does).
 """
 
 from __future__ import annotations
 
 import random
 import weakref
-from collections import OrderedDict
 from itertools import islice
-from typing import Generic, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.errors import ConfigError
 
@@ -76,8 +82,7 @@ class _UnbuiltRow(dict):
         self._n_sets = store.n_sets
 
     def __setitem__(self, key: int, value) -> None:
-        row = self._store()._sets[key % self._n_sets] = OrderedDict()
-        row[key] = value
+        self._store()._sets[key % self._n_sets] = {key: value}
 
 
 class SetAssociativeCache(Generic[V]):
@@ -110,14 +115,14 @@ class SetAssociativeCache(Generic[V]):
         self._rng = (None if random_seed is None
                      else random.Random(random_seed))
         # Every set starts unbuilt; its first fill builds its row.
-        self._sets: List["OrderedDict[int, V]"] = [_UnbuiltRow(self)] * n_sets
+        self._sets: List[Dict[int, V]] = [_UnbuiltRow(self)] * n_sets
         # Power-of-two set counts (all of Table II) index with a mask;
         # -1 marks the rare general case that needs a modulo.
         self._mask = n_sets - 1 if (n_sets & (n_sets - 1)) == 0 else -1
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, key: int) -> "OrderedDict[int, V]":
+    def _set_for(self, key: int) -> Dict[int, V]:
         mask = self._mask
         return self._sets[key & mask if mask >= 0 else key % self.n_sets]
 
@@ -130,15 +135,19 @@ class SetAssociativeCache(Generic[V]):
         line dirty (its payload becomes ``True``)."""
         mask = self._mask
         lines = self._sets[key & mask if mask >= 0 else key % self.n_sets]
-        payload = lines.get(key)
+        if self._rng is None:
+            # LRU: a hit is stored again below, at the MRU end.
+            payload = lines.pop(key, None)
+        else:
+            payload = lines.get(key)
         if payload is None:
             self.misses += 1
             return None
         self.hits += 1
         if write:
             payload = lines[key] = True
-        if self._rng is None:
-            lines.move_to_end(key)
+        elif self._rng is None:
+            lines[key] = payload
         return payload
 
     def fill_line(self, key: int, value: V) -> Optional[Tuple[int, V]]:
@@ -160,18 +169,19 @@ class SetAssociativeCache(Generic[V]):
         mask = self._mask
         lines = self._sets[key & mask if mask >= 0 else key % self.n_sets]
         if key in lines:
+            del lines[key]
             lines[key] = value
-            lines.move_to_end(key)
             return None
         evicted = None
         if len(lines) >= self.associativity:
             rng = self._rng
             if rng is None:
-                evicted = lines.popitem(last=False)
+                for victim in lines:
+                    break
             else:
                 victim = next(islice(iter(lines),
                                      rng.randrange(len(lines)), None))
-                evicted = victim, lines.pop(victim)
+            evicted = victim, lines.pop(victim)
         lines[key] = value
         return evicted
 

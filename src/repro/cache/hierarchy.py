@@ -82,11 +82,10 @@ class CacheHierarchy:
         l1 = self._l1
         mask = l1._mask
         lines = l1._sets[block & mask if mask >= 0 else block % l1.n_sets]
-        if block in lines:
+        dirty = lines.pop(block, None)
+        if dirty is not None:
             l1.hits += 1
-            if write:
-                lines[block] = True
-            lines.move_to_end(block)
+            lines[block] = True if write else dirty
             return 1, self._lat1, _NO_WRITEBACKS
         l1.misses += 1
         return self.access_after_l1_miss(block, write)
@@ -119,11 +118,10 @@ class CacheHierarchy:
         mask = l2._mask
         l2_lines = l2._sets[block & mask if mask >= 0
                             else block % l2.n_sets]
-        if block in l2_lines:
+        dirty = l2_lines.pop(block, None)
+        if dirty is not None:
             l2.hits += 1
-            if write:
-                l2_lines[block] = True
-            l2_lines.move_to_end(block)
+            l2_lines[block] = True if write else dirty
             level = 2
             latency = self._lat12
         else:
@@ -133,17 +131,18 @@ class CacheHierarchy:
             l3_lines = l3._sets[block & mask if mask >= 0
                                 else block % l3.n_sets]
             latency = self._lat123
-            if block in l3_lines:
+            dirty = l3_lines.pop(block, None)
+            if dirty is not None:
                 l3.hits += 1
-                if write:
-                    l3_lines[block] = True
-                l3_lines.move_to_end(block)
+                l3_lines[block] = True if write else dirty
                 level = 3
             else:
                 l3.misses += 1
                 level = 0
                 if len(l3_lines) >= l3.associativity:
-                    victim, dirty = l3_lines.popitem(False)
+                    for victim in l3_lines:
+                        break
+                    dirty = l3_lines.pop(victim)
                     # Anything leaving L3 leaves L1 and L2 too.
                     l1 = self._l1
                     mask = l1._mask
@@ -156,38 +155,36 @@ class CacheHierarchy:
                         writebacks = (victim * self.block_bytes,)
                 l3_lines[block] = write
             if len(l2_lines) >= l2.associativity:
-                victim, dirty = l2_lines.popitem(False)
+                for victim in l2_lines:
+                    break
+                dirty = l2_lines.pop(victim)
                 if dirty and not level:
                     # Absorb the dirty L2 victim into L3 in place.
                     mask = l3._mask
                     lines = l3._sets[victim & mask if mask >= 0
                                      else victim % l3.n_sets]
-                    if victim in lines:
-                        lines[victim] = True
-                        lines.move_to_end(victim)
-                    else:
-                        if len(lines) >= l3.associativity:
-                            lines.popitem(False)
-                        lines[victim] = True
+                    if lines.pop(victim, None) is None and \
+                            len(lines) >= l3.associativity:
+                        del lines[next(iter(lines))]
+                    lines[victim] = True
             l2_lines[block] = write
         l1 = self._l1
         mask = l1._mask
         l1_lines = l1._sets[block & mask if mask >= 0
                             else block % l1.n_sets]
         if len(l1_lines) >= l1.associativity:
-            victim, dirty = l1_lines.popitem(False)
+            for victim in l1_lines:
+                break
+            dirty = l1_lines.pop(victim)
             if dirty and not level:
                 # Absorb the dirty L1 victim into L2 in place.
                 mask = l2._mask
                 lines = l2._sets[victim & mask if mask >= 0
                                  else victim % l2.n_sets]
-                if victim in lines:
-                    lines[victim] = True
-                    lines.move_to_end(victim)
-                else:
-                    if len(lines) >= l2.associativity:
-                        lines.popitem(False)
-                    lines[victim] = True
+                if lines.pop(victim, None) is None and \
+                        len(lines) >= l2.associativity:
+                    del lines[next(iter(lines))]
+                lines[victim] = True
         l1_lines[block] = write
         return level, latency, writebacks
 

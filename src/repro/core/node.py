@@ -424,10 +424,10 @@ class Node:
                     page_fault(vpn)
                 lines = tlb_l1_sets[vpn & tlb_l1_mask if tlb_l1_mask >= 0
                                     else vpn % tlb_l1_n_sets]
-                frame = lines.get(vpn)
+                frame = lines.pop(vpn, None)
                 if frame is not None:
                     tlb_l1_hits += 1
-                    lines.move_to_end(vpn)
+                    lines[vpn] = frame
                     ops = None
                     grants = ()
                 else:
@@ -468,11 +468,10 @@ class Node:
                 lines = data_l1_sets[block & data_l1_mask
                                      if data_l1_mask >= 0
                                      else block % data_l1_n_sets]
-                if block in lines:
+                dirty = lines.pop(block, None)
+                if dirty is not None:
                     data_l1_hits += 1
-                    if is_write:
-                        lines[block] = True
-                    lines.move_to_end(block)
+                    lines[block] = True if is_write else dirty
                     latency = lat1
                     miss = None
                     writebacks = ()

@@ -193,17 +193,16 @@ def _ref_fill(cache: SetAssociativeCache, key: int, value) -> AccessResult:
     dirty-bit OR."""
     lines = cache._sets[key % cache.n_sets]
     if key in lines:
+        del lines[key]
         lines[key] = value
-        lines.move_to_end(key)
         return AccessResult(hit=True, value=value)
     evicted_key = evicted_value = None
     if len(lines) >= cache.associativity:
         if cache._rng is not None:
             victim_key = cache._rng.choice(list(lines))
-            victim = lines.pop(victim_key)
         else:
-            victim_key, victim = lines.popitem(last=False)
-        evicted_key, evicted_value = victim_key, victim
+            victim_key = next(iter(lines))
+        evicted_key, evicted_value = victim_key, lines.pop(victim_key)
     lines[key] = value
     return AccessResult(hit=False, value=value,
                         evicted_key=evicted_key,

@@ -37,7 +37,7 @@ def main(argv=None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("--figure", action="append", default=[],
-                        choices=sorted(ALL_FIGURES) + ["t1", "t2", "t3"],
+                        choices=list(ALL_FIGURES) + ["t1", "t2", "t3"],
                         help="figure/table id (repeatable)")
     parser.add_argument("--all", action="store_true",
                         help="run every table and figure")
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
 
     wanted = list(args.figure)
     if args.all:
-        wanted = ["t1", "t2", "t3"] + sorted(ALL_FIGURES)
+        wanted = ["t1", "t2", "t3"] + list(ALL_FIGURES)
     if not wanted:
         parser.error("pick --figure IDs or --all")
 

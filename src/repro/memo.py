@@ -4,8 +4,9 @@ It caps the trace and node-side stream memos of
 :func:`~repro.experiments.runner.execute_job`, so a long sweep over many
 benchmarks and settings cannot keep every trace and stream alive for
 the life of the process.
-:class:`BoundedMemo` is an ``OrderedDict`` in least- to
-most-recently-used order that evicts the coldest entry when full.
+:class:`BoundedMemo` is a plain insertion-ordered ``dict`` in least- to
+most-recently-used order (a hit is deleted and stored again) that
+evicts its first, coldest entry when full.
 
 This is a *memo*, not a simulated structure: eviction only costs a
 recompute and can never change simulation results (everything stored
@@ -14,8 +15,7 @@ here is a pure function of its key).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import ConfigError
 
@@ -32,25 +32,24 @@ class BoundedMemo:
             raise ConfigError(
                 f"memo capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self._entries: Dict[Any, Any] = {}
 
     def get(self, key: Any, default: Any = None) -> Any:
         """Return the memoized value (refreshing its recency), or
         ``default`` when absent."""
         entries = self._entries
-        value = entries.get(key, _MISSING)
+        value = entries.pop(key, _MISSING)
         if value is _MISSING:
             return default
-        entries.move_to_end(key)
+        entries[key] = value
         return value
 
     def put(self, key: Any, value: Any) -> None:
         """Insert ``key`` -> ``value``, evicting the LRU entry if full."""
         entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        elif len(entries) >= self.capacity:
-            entries.popitem(last=False)
+        if entries.pop(key, _MISSING) is _MISSING and \
+                len(entries) >= self.capacity:
+            del entries[next(iter(entries))]
         entries[key] = value
 
     def pop(self, key: Any, default: Any = None) -> Any:

@@ -98,14 +98,16 @@ class PageTableWalker:
             mask = cache._mask
             lines = cache._sets[key & mask if mask >= 0
                                 else key % cache.n_sets]
-            if key in lines:
+            if lines.pop(key, None) is not None:
                 cache.hits += 1
-                lines.move_to_end(key)
+                lines[key] = True
                 skipped = depth
                 break
             cache.misses += 1
             if len(lines) >= cache.associativity:
-                lines.popitem(False)
+                for victim in lines:
+                    break
+                del lines[victim]
             lines[key] = True
         return entry.frame, addrs[skipped:]
 

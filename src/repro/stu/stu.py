@@ -141,17 +141,17 @@ class Stu:
         mask = cache._mask
         lines = cache._sets[node_page & mask if mask >= 0
                             else node_page % cache.n_sets]
-        fam_page = lines.get(node_page)
+        fam_page = lines.pop(node_page, None)
         if fam_page is not None:
             cache.hits += 1
-            lines.move_to_end(node_page)
+            lines[node_page] = fam_page
             self._counters["mapping.hits"] += 1.0
             return fam_page, t, True
         cache.misses += 1
         self._counters["mapping.misses"] += 1.0
         fam_page, completion = self.walk_system_table_fast(node_page, t)
         if len(lines) >= cache.associativity:
-            lines.popitem(False)
+            del lines[next(iter(lines))]
         lines[node_page] = fam_page
         return fam_page, completion, False
 
@@ -219,9 +219,9 @@ class Stu:
         key = fam_addr // self._acm_key_bytes
         mask = cache._mask
         lines = cache._sets[key & mask if mask >= 0 else key % cache.n_sets]
-        if key in lines:
+        if lines.pop(key, None) is not None:
             cache.hits += 1
-            lines.move_to_end(key)
+            lines[key] = True
             self._counters["acm.hits"] += 1.0
         else:
             cache.misses += 1
@@ -236,7 +236,7 @@ class Stu:
                 block_addr, fabric.stu_to_fam_arrival(t), False, _KIND_ACM,
                 self.node_id))
             if len(lines) >= cache.associativity:
-                lines.popitem(False)
+                del lines[next(iter(lines))]
             lines[key] = True
 
         allowed, consulted_bitmap = self.acm_store.check(

@@ -96,30 +96,30 @@ class Mmu:
         l2 = tlb.l2
         mask = l2._mask
         lines = l2._sets[vpn & mask if mask >= 0 else vpn % l2.n_sets]
-        frame = lines.get(vpn)
+        frame = lines.pop(vpn, None)
         if frame is not None:
             l2.hits += 1
-            lines.move_to_end(vpn)
-            l1 = tlb.l1
-            mask = l1._mask
-            lines = l1._sets[vpn & mask if mask >= 0 else vpn % l1.n_sets]
-            if len(lines) >= l1.associativity:
-                lines.popitem(False)
-            lines[vpn] = frame
-            return frame, 2, tlb._l2_latency_ns, self._NO_ADDRS
-        l2.misses += 1
-        self.walks += 1
-        frame, walk_addrs = self.walker.walk(vpn)
-        if len(lines) >= l2.associativity:
-            lines.popitem(False)
+            level = 2
+            walk_addrs = self._NO_ADDRS
+        else:
+            l2.misses += 1
+            self.walks += 1
+            level = 0
+            frame, walk_addrs = self.walker.walk(vpn)
+            if len(lines) >= l2.associativity:
+                for victim in lines:
+                    break
+                del lines[victim]
         lines[vpn] = frame
         l1 = tlb.l1
         mask = l1._mask
         lines = l1._sets[vpn & mask if mask >= 0 else vpn % l1.n_sets]
         if len(lines) >= l1.associativity:
-            lines.popitem(False)
+            for victim in lines:
+                break
+            del lines[victim]
         lines[vpn] = frame
-        return frame, 0, tlb._l2_latency_ns, walk_addrs
+        return frame, level, tlb._l2_latency_ns, walk_addrs
 
     def shootdown(self, vpn: int) -> None:
         """Invalidate one page everywhere the MMU caches it."""

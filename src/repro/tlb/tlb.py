@@ -75,10 +75,10 @@ class TwoLevelTlb:
         l1 = self.l1
         mask = l1._mask
         lines = l1._sets[vpn & mask if mask >= 0 else vpn % l1.n_sets]
-        frame = lines.get(vpn)
+        frame = lines.pop(vpn, None)
         if frame is not None:
             l1.hits += 1
-            lines.move_to_end(vpn)
+            lines[vpn] = frame
             return 1, frame, 0.0
         l1.misses += 1
         frame = self.l2.get_line(vpn)

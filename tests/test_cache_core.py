@@ -1,5 +1,7 @@
 """Tests for the set-associative cache core."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,3 +206,69 @@ class TestReplaceInPlace:
         cache.get_line(11)
         cache.get_line(12)  # 10 is now the least recently used
         assert cache.fill_line(13, "d") == (10, True)
+
+
+def _typed(value):
+    """``value`` with its type, so ``True`` / ``1`` and ``False`` / ``0``
+    compare unequal."""
+    if isinstance(value, tuple):
+        return tuple(_typed(item) for item in value)
+    return type(value).__name__, value
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("get"), st.integers(0, 15), st.booleans()),
+    st.tuples(st.just("fill"), st.integers(0, 15),
+              st.sampled_from([True, False, 0, 1, 7]))),
+    max_size=60)
+
+
+class TestStoreAgainstModel:
+    """Every ``get_line`` / ``fill_line`` sequence agrees with a plain
+    per-set list model: returned payloads and victims, ``hits`` and
+    ``misses``, and each set's key order (least- to most-recently-used
+    under LRU; positional, which a random victim draw reads, under
+    random replacement)."""
+
+    @given(n_sets=st.integers(1, 4), assoc=st.integers(1, 4),
+           seed=st.one_of(st.none(), st.integers(0, 1000)), ops=_OPS)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_list_model(self, n_sets, assoc, seed, ops):
+        cache = SetAssociativeCache("c", n_sets, assoc, random_seed=seed)
+        rng = None if seed is None else random.Random(seed)
+        model = [[] for _ in range(n_sets)]  # [key, payload] per line
+        hits = misses = 0
+        for op, key, arg in ops:
+            lines = model[key % n_sets]
+            index = next((i for i, line in enumerate(lines)
+                          if line[0] == key), None)
+            if op == "get":
+                got = cache.get_line(key, write=arg)
+                if index is None:
+                    misses += 1
+                    expected = None
+                else:
+                    hits += 1
+                    if arg:
+                        lines[index][1] = True
+                    if rng is None:
+                        lines.append(lines.pop(index))
+                    expected = lines[-1 if rng is None else index][1]
+            else:
+                got = cache.fill_line(key, arg)
+                expected = None
+                if index is not None:
+                    lines.pop(index)
+                elif len(lines) >= assoc:
+                    # LRU takes the first line; random replacement is
+                    # refpath's draw, a choice over the key list.
+                    keys = [line[0] for line in lines]
+                    victim = 0 if rng is None else keys.index(
+                        rng.choice(keys))
+                    expected = tuple(lines.pop(victim))
+                lines.append([key, arg])
+            assert _typed(got) == _typed(expected), (op, key, arg)
+            assert (cache.hits, cache.misses) == (hits, misses)
+            for row, lines in zip(cache._sets, model):
+                assert ([_typed(item) for item in row.items()]
+                        == [_typed(tuple(line)) for line in lines])

@@ -297,6 +297,44 @@ class TestRunMatrices:
         assert shared.executed == executed_before
 
 
+class TestHarnessOrder:
+    """``python -m repro.experiments`` prints figures in the paper's
+    order, not in the string order of their ids.  Nothing is
+    simulated: prewarm, every spec's build and Table III are stubs."""
+
+    PAPER_ORDER = ["3", "4", "9", "10", "11", "12", "13", "13a", "14",
+                   "14s", "15", "16"]
+
+    @pytest.fixture
+    def stubbed(self, monkeypatch):
+        from repro.experiments import __main__ as harness
+        from repro.experiments.figures import FigureSpec
+
+        def stub(figure_id):
+            return FigureResult(figure_id, "stub", [], [])
+
+        monkeypatch.setattr(ExperimentRunner, "prewarm",
+                            lambda self, triples: 0)
+        monkeypatch.setattr(FigureSpec, "build",
+                            lambda self, runner: stub(self.figure_id))
+        monkeypatch.setattr(harness, "table3",
+                            lambda runner: stub("table3"))
+        return harness
+
+    def test_all_prints_figures_in_paper_order(self, stubbed, capsys):
+        assert stubbed.main(["--all", "--events", "100"]) == 0
+        done = [line.split()[0][1:]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[") and " done in " in line]
+        assert done == ["t1", "t2", "t3"] + self.PAPER_ORDER
+
+    def test_figure_choices_in_paper_order(self, stubbed, capsys):
+        with pytest.raises(SystemExit):
+            stubbed.main(["--help"])
+        choices = "{" + ",".join(self.PAPER_ORDER + ["t1", "t2", "t3"]) + "}"
+        assert choices in capsys.readouterr().out
+
+
 class TestTables:
     def test_table1_matches_paper(self):
         result = table1()
