@@ -127,7 +127,7 @@ class MemoryBroker:
         """Idempotent grant: return the existing FAM page or allocate.
 
         A node's first touch of a FAM-zone page lands here, so the
-        grant is done in one call: one probe of the table's leaf index,
+        grant is done in one call: one probe of the table's walk store,
         then :meth:`allocate_for_node`'s body, with the ACM store's
         shared ``(owner, perm)`` entry stored in place once
         :meth:`~repro.acm.store.AcmStore.set_owner` has built it.
@@ -135,9 +135,9 @@ class MemoryBroker:
         table = self._tables.get(node_id)
         if table is None:
             raise ConfigError(f"node {node_id} not registered with broker")
-        entry = table._leaves.get(node_page)
-        if entry is not None:
-            return entry.frame
+        walk = table._walks.get(node_page)
+        if walk is not None:
+            return walk[0]
         fam_page = self.fam_allocator.allocate() // PAGE_BYTES
         table.map(node_page, fam_page)
         owned = self._acm_owned.get((node_id, perm_code))
@@ -150,23 +150,22 @@ class MemoryBroker:
 
     def translate(self, node_id: int, node_page: int) -> int:
         """System-level translation (functional view, no timing)."""
-        table = self.system_table(node_id)
-        entry = table.lookup(node_page)
-        if entry is None:
+        fam_page = self.system_table(node_id).lookup(node_page)
+        if fam_page is None:
             raise TranslationFault(
                 f"node {node_id} page {node_page:#x} not FAM-backed")
-        return entry.frame
+        return fam_page
 
     def release_page(self, node_id: int, node_page: int) -> None:
         """Return a page to the pool and scrub its metadata."""
         table = self.system_table(node_id)
-        entry = table.lookup(node_page)
-        if entry is None:
+        fam_page = table.lookup(node_page)
+        if fam_page is None:
             raise TranslationFault(
                 f"node {node_id} page {node_page:#x} not mapped")
         table.unmap(node_page)
-        self.acm.clear(entry.frame)
-        self.fam_allocator.free(entry.frame * PAGE_BYTES)
+        self.acm.clear(fam_page)
+        self.fam_allocator.free(fam_page * PAGE_BYTES)
         self.stats.incr("pages_released")
 
     # ------------------------------------------------------------------
@@ -237,19 +236,19 @@ class MemoryBroker:
         report = MigrationReport()
         mappings = list(src.iter_mappings())
         marker_shared = self.layout.acm_bits
-        for node_page, entry in mappings:
-            acm_entry = self.acm.entry_of(entry.frame)
+        for node_page, fam_page in mappings:
+            acm_entry = self.acm.entry_of(fam_page)
             if acm_entry is not None and acm_entry.is_shared(marker_shared):
                 continue  # shared pages are not owned; they stay put
             src.unmap(node_page)
-            dst.map(node_page, entry.frame)
+            dst.map(node_page, fam_page)
             report.table_updates += 2
             perm = acm_entry.perm_code if acm_entry else PERM_RW
-            self.acm.set_owner(entry.frame, to_node, perm)
+            self.acm.set_owner(fam_page, to_node, perm)
             report.acm_writes += 1
             report.pages_moved += 1
             if on_invalidate is not None:
-                on_invalidate(node_page, entry.frame)
+                on_invalidate(node_page, fam_page)
                 report.translation_cache_invalidations += 1
                 report.stu_invalidations += 1
         self.stats.incr("migrations")

@@ -26,7 +26,7 @@ primitives (a response is ``fam_to_stu_arrival`` then
 ``stu_to_node_arrival``), not to its composite paths, which only the
 :mod:`repro.core.refpath` oracle uses, and every FAM access is one
 positional ``NvmDevice.access`` call.  E-FAM reads the system table's
-leaf index in place (``MemoryBroker.translate`` only raises for it),
+walk store in place (``MemoryBroker.translate`` only raises for it),
 and I-FAM takes its allow/deny decision from ``AcmStore.check``,
 calling ``AcmStore.verify`` only to raise a denial.
 """
@@ -124,10 +124,10 @@ class EFam(Architecture):
         fabric = node.fabric
         broker = node.broker
         node_page = npa >> _PAGE_SHIFT
-        # The system table's leaf index, probed in place; an unknown
+        # The system table's walk store, probed in place; an unknown
         # node or unmapped page goes to broker.translate for its raise.
         try:
-            fam_page = broker._tables[node.node_id]._leaves[node_page].frame
+            fam_page = broker._tables[node.node_id]._walks[node_page][0]
         except KeyError:
             fam_page = broker.translate(node.node_id, node_page)
         fam_addr = (fam_page << _PAGE_SHIFT) | (npa & _PAGE_MASK)

@@ -405,7 +405,7 @@ class Node:
         data_l1_mask = data_l1._mask
         data_l1_n_sets = data_l1.n_sets
         lat1 = caches._lat1
-        mapped = self.page_table._leaves  # demand-paging check
+        mapped = self.page_table._walks  # demand-paging check
         page_fault = self._handle_page_fault
         grants_due = self._grants_due
         fam_zone_base = self.fam_zone_base
@@ -492,9 +492,13 @@ class Node:
                 if ops is None and not writebacks:
                     emit(latency if miss is None else miss)
                 elif ops is not None and on_chip and not writebacks:
-                    ops = intern(ops + (latency,), ops + (latency,))
-                    emit(intern((ops, None), (ops, None)) if miss is None
-                         else (ops, miss))
+                    ops += (latency,)
+                    ops = intern(ops, ops)
+                    if miss is None:
+                        pair = (ops, None)
+                        emit(intern(pair, pair))
+                    else:
+                        emit((ops, miss))
                 else:
                     ops = (ops or ()) + (latency,)
                     for wb_addr in writebacks:

@@ -145,7 +145,6 @@ class WalkResult:
     steps: List[WalkStep]
     skipped_levels: int
     frame: int
-    entry_flags: int = 0
 
 
 @dataclass
@@ -219,11 +218,7 @@ def _ref_nvm_access(fam: NvmDevice, addr: int, now: float,
     ``banks.reserve`` -> ``window.record``."""
     if is_write:
         fam.writes += 1
-    else:
-        fam.reads += 1
     fam.kind_counts[kind] += 1
-    if kind.is_translation:
-        fam.at_accesses += 1
     if node_id is not None:
         fam.node_counts[node_id] = fam.node_counts.get(node_id, 0) + 1
     issue = fam.window.admit(now)
@@ -313,7 +308,7 @@ def _ref_tlb_install(tlb: TwoLevelTlb, vpn: int, frame: int) -> None:
 
 
 def _ref_walker_walk(walker: PageTableWalker, vpn: int) -> WalkResult:
-    all_steps, entry = walker.table.walk_entries(vpn)
+    all_steps, frame = walker.table.walk_entries(vpn)
     skipped = 0
     if walker._caches:
         for depth in (3, 2, 1):
@@ -327,8 +322,7 @@ def _ref_walker_walk(walker: PageTableWalker, vpn: int) -> WalkResult:
             depth = step.level + 1
             key = vpn >> (_BITS_PER_LEVEL * (4 - depth))
             _ref_fill(walker._caches[depth - 1], key, True)
-    return WalkResult(steps=needed, skipped_levels=skipped,
-                      frame=entry.frame, entry_flags=entry.flags)
+    return WalkResult(steps=needed, skipped_levels=skipped, frame=frame)
 
 
 def _ref_mmu_translate(mmu: Mmu, vaddr: int) -> TranslationOutcome:

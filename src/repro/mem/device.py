@@ -6,9 +6,14 @@ Table II outstanding-request limit (128) and keeps the AT/non-AT
 request census behind Figures 4 and 11.  Node DRAM keeps no census:
 its banks' reservations are its only record.
 
-The FAM's counters are plain attributes (its ``access`` runs several
-times per trace event); :meth:`NvmDevice.snapshot` materializes them
-into the dict shape the experiment harness consumes.
+The FAM's census keeps only what it cannot derive (its ``access`` runs
+several times per trace event): ``access`` bumps ``writes`` on a
+write, ``kind_counts[kind]`` and ``node_counts[node_id]``, all plain
+attributes.  ``accesses`` (the sum of ``kind_counts``), ``reads``
+(``accesses - writes``) and ``at_accesses`` (the translation kinds'
+counts) are properties derived from them, and
+:meth:`NvmDevice.snapshot` materializes all of it into the dict shape
+the experiment harness consumes.
 
 Both ``access`` methods are ``@hot_path`` and are the one real call
 of their layer per access.  Each picks its bank in line (the arithmetic
@@ -77,9 +82,7 @@ class NvmDevice:
         self._capacity = config.max_outstanding
         self._read_ns = config.read_ns
         self._write_ns = config.write_ns
-        self.reads = 0
         self.writes = 0
-        self.at_accesses = 0
         self.kind_counts: Dict[RequestKind, int] = {
             kind: 0 for kind in RequestKind}
         self.node_counts: Dict[int, int] = {}
@@ -90,18 +93,16 @@ class NvmDevice:
                node_id: Optional[int] = None) -> float:
         """Issue one 64 B access; returns completion time.
 
-        Also maintains the AT/non-AT census of requests *observed at
-        the FAM* — the quantity plotted in Figures 4 and 11.
+        Also bumps the census of requests *observed at the FAM*, whose
+        AT/non-AT split is the quantity plotted in Figures 4 and 11:
+        ``writes`` on a write, the request's kind and its node.
         """
         if is_write:
             self.writes += 1
             service = self._write_ns
         else:
-            self.reads += 1
             service = self._read_ns
         self.kind_counts[kind] += 1
-        if kind.is_translation:
-            self.at_accesses += 1
         if node_id is not None:
             node_counts = self.node_counts
             node_counts[node_id] = node_counts.get(node_id, 0) + 1
@@ -122,7 +123,16 @@ class NvmDevice:
 
     @property
     def accesses(self) -> int:
-        return self.reads + self.writes
+        return sum(self.kind_counts.values())
+
+    @property
+    def reads(self) -> int:
+        return self.accesses - self.writes
+
+    @property
+    def at_accesses(self) -> int:
+        return sum(count for kind, count in self.kind_counts.items()
+                   if kind.is_translation)
 
     @property
     def stats(self) -> "_StatsView":
@@ -131,12 +141,15 @@ class NvmDevice:
         return _StatsView(self)
 
     def snapshot(self) -> Dict[str, float]:
+        # Each derived counter is summed once.
+        accesses = self.accesses
+        at_accesses = self.at_accesses
         counters: Dict[str, float] = {
-            "accesses": float(self.accesses),
-            "reads": float(self.reads),
+            "accesses": float(accesses),
+            "reads": float(accesses - self.writes),
             "writes": float(self.writes),
-            "at_accesses": float(self.at_accesses),
-            "non_at_accesses": float(self.accesses - self.at_accesses),
+            "at_accesses": float(at_accesses),
+            "non_at_accesses": float(accesses - at_accesses),
         }
         for kind, count in self.kind_counts.items():
             counters[f"kind.{kind.value}"] = float(count)

@@ -15,15 +15,10 @@ walks generate genuine memory traffic to wherever those frames live
 show up at the FAM in Figures 4 and 11.
 """
 
-from repro.pagetable.entry import PageTableEntry, PTE_PRESENT, PTE_WRITE, PTE_EXEC
 from repro.pagetable.x86 import FourLevelPageTable, LEVEL_NAMES, WalkStep
 from repro.pagetable.walker import PageTableWalker
 
 __all__ = [
-    "PageTableEntry",
-    "PTE_PRESENT",
-    "PTE_WRITE",
-    "PTE_EXEC",
     "FourLevelPageTable",
     "WalkStep",
     "LEVEL_NAMES",

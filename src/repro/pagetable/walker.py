@@ -11,7 +11,7 @@ page table".
 
 :meth:`PageTableWalker.walk` runs on every TLB miss (and every STU
 walk), so it is a ``@hot_path``: one probe of the table's walk store
-yields the leaf entry and the four entry addresses, and the walk
+yields the frame and the four entry addresses, and the walk
 caches are probed and filled in line, with
 :meth:`~repro.cache.cache.SetAssociativeCache.get_line`'s body and
 counters and ``fill_line``'s LRU body: a level the walk traverses is
@@ -81,7 +81,7 @@ class PageTableWalker:
             If ``vpn`` is unmapped.
         """
         try:
-            entry, addrs = self.table._walks[vpn]
+            frame, addrs = self.table._walks[vpn]
         except KeyError:
             # Unmapped: the tree descent raises TranslationFault.
             self.table.walk_entries(vpn)
@@ -109,7 +109,7 @@ class PageTableWalker:
                     break
                 del lines[victim]
             lines[key] = True
-        return entry.frame, addrs[skipped:]
+        return frame, addrs[skipped:]
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:

@@ -6,19 +6,18 @@ tables are allocated lazily from a frame-allocator callback, so the
 *addresses* of the entries touched during a walk are real simulated
 physical addresses — the walker charges memory accesses against them.
 
-Besides the radix tree the table keeps two exact indexes, both
-maintained by :meth:`FourLevelPageTable.map` and
-:meth:`FourLevelPageTable.unmap`:
-
-* a leaf index, ``vpn -> PageTableEntry``, so
-  :meth:`~FourLevelPageTable.lookup` and ``in`` are one dict probe (the
-  broker translates through it on every E-FAM access, and a node
-  checks it for demand paging on every event);
-* a walk store, ``vpn -> (PageTableEntry, (a0, a1, a2, a3))``, where
-  ``a0``..``a3`` are the byte addresses of the PGD, PUD, PMD and PTE
-  entries a walk reads.  :meth:`map` records them during its descent,
-  so :class:`~repro.pagetable.walker.PageTableWalker` resolves every
-  walk with one dict probe.
+A leaf slot of the radix tree holds the mapped frame number itself: no
+paging policy reads flags or reference bits, so an entry is its frame.
+Besides the tree the table keeps one exact store of plain ints, the
+walk store ``vpn -> (frame, (a0, a1, a2, a3))``, where ``a0``..``a3``
+are the byte addresses of the PGD, PUD, PMD and PTE entries a walk
+reads.  :meth:`FourLevelPageTable.map` records them during its descent
+and :meth:`FourLevelPageTable.unmap` drops them, so the store's keys
+are exactly the tree's mapped leaves.  :meth:`~FourLevelPageTable.lookup`
+and ``in`` answer from it, and the hot readers probe it in place, once
+each: :class:`~repro.pagetable.walker.PageTableWalker` per walk, a
+node's demand-paging check per event, the broker's first-touch grant
+and E-FAM's system-table probe per FAM access.
 
 :meth:`~FourLevelPageTable.walk_entries` still descends the tree and
 returns :class:`WalkStep` records; the reference path
@@ -30,7 +29,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import TranslationFault
-from repro.pagetable.entry import PageTableEntry, PTE_PRESENT, PTE_WRITE
 
 __all__ = ["FourLevelPageTable", "WalkStep", "LEVEL_NAMES"]
 
@@ -70,7 +68,8 @@ class WalkStep(NamedTuple):
 
 
 class _Table:
-    """One 4 KB table page: 512 slots pointing at child tables or PTEs."""
+    """One 4 KB table page: 512 slots holding child tables (interior
+    levels) or frame numbers (the PTE level)."""
 
     __slots__ = ("base_addr", "slots")
 
@@ -102,15 +101,11 @@ class FourLevelPageTable:
         self.name = name
         self._allocate_frame = frame_allocator
         self._root = _Table(self._allocate_frame())
-        # Leaf index: every mapped VPN's entry, the same objects the
-        # tree's leaf slots hold.
-        self._leaves: Dict[int, PageTableEntry] = {}
-        # Walk store: every mapped VPN's leaf entry and the addresses of
-        # the four entries its walk reads.  Interior tables are never
+        # Walk store: every mapped VPN's frame and the addresses of the
+        # four entries its walk reads.  Interior tables are never
         # freed, so those addresses hold until the VPN is remapped
         # (map() replaces them) or unmapped (unmap() drops them).
-        self._walks: Dict[int, Tuple[PageTableEntry,
-                                     Tuple[int, int, int, int]]] = {}
+        self._walks: Dict[int, Tuple[int, Tuple[int, int, int, int]]] = {}
 
     # ------------------------------------------------------------------
     # Index math
@@ -126,17 +121,16 @@ class FourLevelPageTable:
     @property
     def mapped_pages(self) -> int:
         """Number of mapped VPNs."""
-        return len(self._leaves)
+        return len(self._walks)
 
     # ------------------------------------------------------------------
     # Mapping
     # ------------------------------------------------------------------
-    def map(self, vpn: int, frame: int,
-            flags: int = PTE_PRESENT | PTE_WRITE) -> PageTableEntry:
+    def map(self, vpn: int, frame: int) -> None:
         """Install ``vpn -> frame``; builds interior tables on demand.
 
-        Returns the installed :class:`PageTableEntry`.  Remapping an
-        existing page replaces its entry (as an OS would on COW etc.).
+        Remapping an existing page replaces its frame (as an OS would
+        on COW etc.).
         """
         # Unrolled descent: interior tables are allocated root to leaf,
         # and the entry address read at each level goes to the store.
@@ -154,24 +148,20 @@ class FourLevelPageTable:
         pte = pmd.slots.get(i2)
         if pte is None:
             pte = pmd.slots[i2] = _Table(self._allocate_frame())
-        entry = PageTableEntry(frame, flags)
-        pte.slots[i3] = entry
-        self._leaves[vpn] = entry
-        self._walks[vpn] = (entry, (root.base_addr + i0 * _ENTRY_BYTES,
+        pte.slots[i3] = frame
+        self._walks[vpn] = (frame, (root.base_addr + i0 * _ENTRY_BYTES,
                                     pud.base_addr + i1 * _ENTRY_BYTES,
                                     pmd.base_addr + i2 * _ENTRY_BYTES,
                                     pte.base_addr + i3 * _ENTRY_BYTES))
-        return entry
 
     def unmap(self, vpn: int) -> bool:
         """Remove the mapping for ``vpn``; returns whether it existed.
 
         Interior tables are retained (real OSes rarely free them
-        either); only the leaf entry is dropped.
+        either); only the leaf slot is dropped.
         """
-        if self._leaves.pop(vpn, None) is None:
+        if self._walks.pop(vpn, None) is None:
             return False
-        del self._walks[vpn]
         indices = self.split_vpn(vpn)
         table = self._root
         for index in indices[:3]:
@@ -179,19 +169,21 @@ class FourLevelPageTable:
         del table.slots[indices[3]]
         return True
 
-    def lookup(self, vpn: int) -> Optional[PageTableEntry]:
-        """The leaf entry for ``vpn``, or ``None`` when unmapped."""
-        return self._leaves.get(vpn)
+    def lookup(self, vpn: int) -> Optional[int]:
+        """The frame ``vpn`` maps to, or ``None`` when unmapped."""
+        walk = self._walks.get(vpn)
+        return None if walk is None else walk[0]
 
     def __contains__(self, vpn: int) -> bool:
-        return vpn in self._leaves
+        return vpn in self._walks
 
     # ------------------------------------------------------------------
     # Walking
     # ------------------------------------------------------------------
-    def walk_entries(self, vpn: int) -> Tuple[List[WalkStep], PageTableEntry]:
+    def walk_entries(self, vpn: int) -> Tuple[List[WalkStep], int]:
         """Descend the tree for ``vpn``: the four :class:`WalkStep`
-        reads a hardware walker performs, and the leaf entry.
+        reads a hardware walker performs, and the frame the leaf slot
+        holds.
 
         Raises
         ------
@@ -213,27 +205,26 @@ class FourLevelPageTable:
             table = child
         steps.append(WalkStep(3, table.entry_addr(indices[3]),
                               table.base_addr))
-        entry = table.slots.get(indices[3])
-        if not isinstance(entry, PageTableEntry):
+        frame = table.slots.get(indices[3])
+        if frame is None:
             raise TranslationFault(f"{self.name}: vpn {vpn:#x} has no PTE")
-        return steps, entry
+        return steps, frame
 
     def translate(self, vpn: int) -> int:
         """Frame number for ``vpn`` (raises on unmapped)."""
-        entry = self.lookup(vpn)
-        if entry is None or not entry.present:
+        frame = self.lookup(vpn)
+        if frame is None:
             raise TranslationFault(f"{self.name}: vpn {vpn:#x} not present")
-        return entry.frame
+        return frame
 
     # ------------------------------------------------------------------
-    def iter_mappings(self) -> Iterator[tuple]:
-        """Yield every ``(vpn, PageTableEntry)`` pair (test helper)."""
+    def iter_mappings(self) -> Iterator[Tuple[int, int]]:
+        """Yield every ``(vpn, frame)`` pair, descending the tree."""
         def _recurse(table: _Table, prefix: int, level: int):
             for index, slot in table.slots.items():
                 vpn_part = (prefix << _BITS_PER_LEVEL) | index
                 if level == 3:
-                    if isinstance(slot, PageTableEntry):
-                        yield vpn_part, slot
-                elif isinstance(slot, _Table):
+                    yield vpn_part, slot
+                else:
                     yield from _recurse(slot, vpn_part, level + 1)
         yield from _recurse(self._root, 0, 0)

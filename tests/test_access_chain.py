@@ -2,17 +2,17 @@
 
 ``NvmDevice.access``, ``DramDevice.access``, ``AcmStore.check`` and
 ``PageTableWalker.walk`` inline the primitives they compose, and the
-page table answers ``lookup`` / ``in`` from a leaf index and walks
-from a walk store.  A first touch (``Node._handle_page_fault``), the
-allocator's random draw, the walk-cache fills and the hierarchy's
-dirty-victim absorption are straight-line code too.  The catalog
-equivalence suite covers what the benchmark workloads reach; this file
-covers the branches they never take (a full FAM window, odd bank
-counts, metadata-region addresses, shared pages, remaps between walks,
-exhausted local frames and frame pools, walk-cache evictions, victims
-absent from the next level) by running each fused leaf next to its
-composition in :mod:`repro.core.refpath`, or the seed body it
-replaced, on twin state.
+page table answers ``lookup``, ``in`` and walks from one walk store.
+A first touch (``Node._handle_page_fault``), the allocator's random
+draw, the walk-cache fills and the hierarchy's dirty-victim absorption
+are straight-line code too.  The catalog equivalence suite covers
+what the benchmark workloads reach; this file covers the branches
+they never take (a full FAM window, odd bank counts, metadata-region
+addresses, shared pages, remaps between walks, exhausted local frames
+and frame pools, walk-cache evictions, victims absent from the next
+level) by running each fused leaf next to its composition in
+:mod:`repro.core.refpath`, or the seed body it replaced, on twin
+state.
 """
 
 import itertools
@@ -255,7 +255,7 @@ class TestWalker:
             vpn = rng.choice(vpns)
             assert fused.walk(vpn) == _ref_outcome(composed, vpn)
             if remap_every and step % remap_every == remap_every - 1:
-                # Remap a page (fresh entry), or unmap one and map a new
+                # Remap a page (fresh frame), or unmap one and map a new
                 # VPN that may need new interior tables.
                 victim = rng.choice(vpns)
                 if step // remap_every % 2:
@@ -295,13 +295,21 @@ class TestWalker:
 
 
 # ----------------------------------------------------------------------
-# Page-table leaf index
+# Page-table walk store: the one store every reader probes
 # ----------------------------------------------------------------------
-def _assert_index_matches_tree(table, also_absent=()):
+def _assert_store_matches_tree(table, also_absent=()):
+    """The one-store invariant: the walk store's keys are the tree's
+    leaves, each with the frame its leaf slot holds and the entry
+    addresses the tree's descent reads, and ``lookup``, ``in`` and
+    ``mapped_pages`` answer from it."""
     tree = dict(table.iter_mappings())
-    assert table._leaves.keys() == tree.keys()
-    for vpn, entry in tree.items():
-        assert table.lookup(vpn) is entry
+    assert table._walks.keys() == tree.keys()
+    for vpn, frame in tree.items():
+        stored, addrs = table._walks[vpn]
+        steps, descended = table.walk_entries(vpn)
+        assert stored == descended == frame
+        assert addrs == tuple(step.entry_addr for step in steps)
+        assert table.lookup(vpn) == frame
         assert vpn in table
     assert table.mapped_pages == len(tree)
     for vpn in also_absent:
@@ -310,46 +318,39 @@ def _assert_index_matches_tree(table, also_absent=()):
 
 
 class TestLeafIndex:
+    """``lookup`` and ``in`` read the walk store, which stays equal to
+    the tree's leaves through maps, remaps, unmaps, releases and
+    migrations."""
+
     def test_map_remap_unmap(self):
         table = _table()
         vpns = [0x0, 0x1, 0x1FF, 0x200, 0x12345, (1 << 36) - 1]
         for vpn in vpns:
             table.map(vpn, vpn + 1)
-        _assert_index_matches_tree(table, also_absent=(0x2, 0x12346))
-        remapped = table.map(0x1FF, 77)
-        assert table.lookup(0x1FF) is remapped
-        assert table.lookup(0x1FF).frame == 77
-        _assert_index_matches_tree(table)
+        _assert_store_matches_tree(table, also_absent=(0x2, 0x12346))
+        table.map(0x1FF, 77)
+        assert table.lookup(0x1FF) == 77
+        _assert_store_matches_tree(table)
         assert table.unmap(0x200)
         assert not table.unmap(0x200)
         assert not table.unmap(0x7654321)
-        _assert_index_matches_tree(table, also_absent=(0x200,))
+        _assert_store_matches_tree(table, also_absent=(0x200,))
 
     def test_broker_release_and_migration(self):
         broker, _owned, _released, segment = _populated_broker()
         broker.map_shared_into_node(0, 0x900, segment)
         broker.release_page(0, 0x101)
         for node_id in range(3):
-            _assert_index_matches_tree(broker.system_table(node_id))
+            _assert_store_matches_tree(broker.system_table(node_id))
         assert 0x101 not in broker.system_table(0)
         broker.migrate_node_pages(0, 2)
         for node_id in range(3):
-            _assert_index_matches_tree(broker.system_table(node_id))
+            _assert_store_matches_tree(broker.system_table(node_id))
         # Owned pages moved; the shared mapping stayed with node 0.
-        assert sorted(broker.system_table(0)._leaves) == [0x900, 0x901]
+        assert sorted(broker.system_table(0)._walks) == [0x900, 0x901]
         assert 0x100 in broker.system_table(2)
         assert broker.translate(2, 0x100) == \
-            broker.system_table(2).lookup(0x100).frame
-
-
-def _assert_walk_store_matches_tree(table):
-    tree = dict(table.iter_mappings())
-    assert table._walks.keys() == tree.keys()
-    for vpn, leaf in tree.items():
-        entry, addrs = table._walks[vpn]
-        steps, descended = table.walk_entries(vpn)
-        assert entry is descended is leaf
-        assert addrs == tuple(step.entry_addr for step in steps)
+            broker.system_table(2).lookup(0x100)
 
 
 class TestWalkStoreAfterMigration:
@@ -357,22 +358,22 @@ class TestWalkStoreAfterMigration:
         broker, _owned, _released, segment = _populated_broker()
         broker.map_shared_into_node(0, 0x900, segment)
         for node_id in range(3):
-            _assert_walk_store_matches_tree(broker.system_table(node_id))
+            _assert_store_matches_tree(broker.system_table(node_id))
         before = dict(broker.system_table(0)._walks)
         report = broker.migrate_node_pages(0, 2)
         assert report.pages_moved == 4
         src, dst = broker.system_table(0), broker.system_table(2)
-        _assert_walk_store_matches_tree(src)
-        _assert_walk_store_matches_tree(dst)
+        _assert_store_matches_tree(src)
+        _assert_store_matches_tree(dst)
         # Moved pages now resolve through the destination's own tree;
-        # the shared mapping kept its source entry and addresses.
+        # the shared mapping kept its source frame and addresses.
         for vpn in range(0x100, 0x104):
             assert vpn not in src._walks
-            assert dst._walks[vpn][0].frame == before[vpn][0].frame
+            assert dst._walks[vpn][0] == before[vpn][0]
             assert dst._walks[vpn][1] != before[vpn][1]
         assert src._walks[0x900] == before[0x900]
         walker = PageTableWalker(dst, cache_entries=0)
-        assert walker.walk(0x100)[0] == before[0x100][0].frame
+        assert walker.walk(0x100)[0] == before[0x100][0]
 
 
 class TestWalkCacheEvictions:
@@ -500,14 +501,13 @@ def _first_touch_config(local_pages):
 def _first_touch_state(system):
     node, broker = system.nodes[0], system.broker
     allocator = broker.fam_allocator
-    table = node.page_table
+    table, system_table = node.page_table, broker.system_table(0)
+    _assert_store_matches_tree(table)
+    _assert_store_matches_tree(system_table)
     return (node.stats.snapshot(), broker.stats.snapshot(),
             node._next_local_frame, node._local_frames_free,
             node._next_fam_zone_page, node._rng.getstate(),
-            {vpn: (entry.frame, entry.flags, addrs)
-             for vpn, (entry, addrs) in table._walks.items()},
-            {page: (entry.frame, addrs) for page, (entry, addrs)
-             in broker.system_table(0)._walks.items()},
+            dict(table._walks), dict(system_table._walks),
             {page: (entry.owner, entry.perm_code)
              for page, entry in broker.acm._entries.items()},
             _allocator_state(allocator))
@@ -549,8 +549,8 @@ class TestFirstTouch:
         local_end = node.fam_translator.region_base // PAGE
         zone_start = node.fam_zone_base // PAGE
         assert local_end == 6
-        pages = {entry.frame for entry in node.page_table._leaves.values()}
-        pages |= {addr // PAGE for _entry, addrs
+        pages = {frame for frame, _addrs in node.page_table._walks.values()}
+        pages |= {addr // PAGE for _frame, addrs
                   in node.page_table._walks.values() for addr in addrs}
         assert all(page < local_end or page >= zone_start for page in pages)
         assert any(page < local_end for page in pages)

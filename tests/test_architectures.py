@@ -136,7 +136,7 @@ class TestDeactPath:
         assert system.fam.snapshot()["kind.fam_ptw"] >= 4
         # The mapping response installed the translation.
         vpn = 0x5000_0000 // PAGE
-        frame = node.page_table.lookup(vpn).frame
+        frame = node.page_table.lookup(vpn)
         assert node.fam_translator.cache.lookup(frame) is not None
 
     def test_acm_fetches_reach_fam(self):

@@ -6,9 +6,11 @@ that, but a wall clock cannot gate a tier-1 test, so this test counts
 instead: ``sys.setprofile`` sees every Python-level function call
 (``"call"`` events; calls into C are ``"c_call"`` and are not counted)
 made by one ``FamSystem.run`` of cactus, the most fault-heavy Fig. 3
-outlier, on each architecture.  The count is deterministic for a given
-interpreter version, so a change that adds a call per first touch or
-per FAM access fails here, with no timing noise.
+outlier, on each architecture, and by one 8-node run of dc on DeACT-N,
+which takes the interleaved multi-node driver of the Fig. 16 cells.
+The count is deterministic for a given interpreter version, so a
+change that adds a call per first touch or per FAM access fails here,
+with no timing noise.
 
 :data:`BUDGET` holds the counts measured under CPython 3.11 (the CI
 interpreter).  A change that removes calls may lower them; one that
@@ -23,7 +25,7 @@ import sys
 
 import pytest
 
-from repro.config.presets import default_config
+from repro.config.presets import default_config, with_nodes
 from repro.core.system import FamSystem
 from repro.experiments.runner import RunSettings, build_traces
 
@@ -33,18 +35,29 @@ BENCHMARK = "cactus"
 #: Python-level calls made by one run of :data:`SETTINGS`, per
 #: architecture (2,000 events each).
 BUDGET = {
-    "e-fam": 24_248,
-    "i-fam": 38_547,
-    "deact-w": 49_567,
-    "deact-n": 49_567,
+    "e-fam": 23_158,
+    "i-fam": 37_457,
+    "deact-w": 48_477,
+    "deact-n": 48_477,
 }
 
+#: The interleaved-driver cell: ``(benchmark, nodes, architecture)``,
+#: run at :data:`INTERLEAVED_SETTINGS` (300 events per node).
+INTERLEAVED = ("dc", 8, "deact-n")
+INTERLEAVED_SETTINGS = RunSettings(n_events=300, footprint_scale=0.06,
+                                   seed=7)
+#: Python-level calls made by one run of :data:`INTERLEAVED`.
+INTERLEAVED_BUDGET = 118_965
 
-def count_calls(architecture):
-    """Python-level calls made by one cactus run on ``architecture``
-    (trace generation and system construction are not counted)."""
-    traces = build_traces(BENCHMARK, 1, SETTINGS)
-    system = FamSystem(default_config(), architecture, seed=5)
+
+def count_calls(architecture, benchmark=BENCHMARK, nodes=1,
+                settings=SETTINGS):
+    """Python-level calls made by one run of ``benchmark`` on ``nodes``
+    nodes of ``architecture`` (trace generation and system
+    construction are not counted)."""
+    traces = build_traces(benchmark, nodes, settings)
+    system = FamSystem(with_nodes(default_config(), nodes), architecture,
+                       seed=5)
     calls = 0
 
     def profile(_frame, event, _arg):
@@ -61,7 +74,7 @@ def count_calls(architecture):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        system.run(traces, benchmark=BENCHMARK)
+        system.run(traces, benchmark=benchmark)
     finally:
         sys.setprofile(previous)
         if was_enabled:
@@ -78,8 +91,24 @@ def test_calls_within_budget(architecture):
         f"the budget of {BUDGET[architecture]}")
 
 
+def count_interleaved_calls():
+    benchmark, nodes, architecture = INTERLEAVED
+    return count_calls(architecture, benchmark, nodes, INTERLEAVED_SETTINGS)
+
+
+def test_interleaved_calls_within_budget():
+    calls = count_interleaved_calls()
+    benchmark, nodes, architecture = INTERLEAVED
+    per_event = calls / (nodes * INTERLEAVED_SETTINGS.n_events)
+    assert calls <= INTERLEAVED_BUDGET, (
+        f"{benchmark} on {nodes} {architecture} nodes: {calls} calls "
+        f"({per_event:.2f} per event) over the budget of "
+        f"{INTERLEAVED_BUDGET}")
+
+
 if __name__ == "__main__":
     print("BUDGET = {")
     for arch in BUDGET:
         print(f'    "{arch}": {count_calls(arch):_},')
     print("}")
+    print(f"INTERLEAVED_BUDGET = {count_interleaved_calls():_}")

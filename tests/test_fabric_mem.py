@@ -187,3 +187,34 @@ class TestEveryWaitIsACall:
         for hop in HOPS:
             assert calls[hop] == system.fabric.stats.get(hop), hop
         assert all(calls.values()), calls
+
+
+class TestFamCensus:
+    """``NvmDevice.access`` bumps only ``writes``, ``kind_counts`` and
+    ``node_counts``; ``accesses``, ``reads`` and ``at_accesses`` are
+    derived.  On whole runs the derived counters still agree with what
+    the FAM did: every access is one bank reservation, and every AT
+    access is one of the three translation kinds."""
+
+    @pytest.mark.parametrize("nodes", (1, 2))
+    @pytest.mark.parametrize("architecture",
+                             ("e-fam", "i-fam", "deact-w", "deact-n"))
+    def test_derived_counters_match_reservations(self, architecture, nodes):
+        settings = RunSettings(n_events=1000, footprint_scale=0.01, seed=5)
+        traces = build_traces("canl", nodes, settings)
+        system = FamSystem(with_nodes(default_config(), nodes),
+                           architecture, seed=5)
+        result = system.run(traces, benchmark="canl")
+        fam = system.fam
+        reservations = sum(bank.reservations for bank in fam.banks._banks)
+        assert fam.reads + fam.writes == fam.accesses == reservations > 0
+        kinds = fam.kind_counts
+        assert fam.at_accesses == (kinds[RequestKind.NODE_PTW]
+                                   + kinds[RequestKind.FAM_PTW]
+                                   + kinds[RequestKind.ACM])
+        counters = result.fam_counters
+        assert counters["accesses"] == fam.accesses
+        assert counters["reads"] == fam.reads
+        assert counters["at_accesses"] == fam.at_accesses
+        assert counters["non_at_accesses"] == \
+            fam.accesses - fam.at_accesses

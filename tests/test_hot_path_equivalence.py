@@ -8,8 +8,9 @@ run stats to the seed implementation preserved in
 :mod:`repro.core.refpath`, and so must a run whose nodes replay
 streams other cells built (``TestStreamReuse``).  This
 suite pins that down across every catalog benchmark, every
-architecture, and the multi-node interleaved driver — comparing full
-serialized result dicts, so a single drifting counter anywhere in the
+architecture, the multi-node interleaved driver and configurations
+drawn across the sweep figures' space (``TestConfigSpace``) —
+comparing full serialized result dicts, so a single drifting counter anywhere in the
 system fails loudly.  Each comparison also covers what the result
 dict does not carry: every tag store's hit and miss counts, the
 system's tag-store probe total, and the state of each node's
@@ -20,16 +21,29 @@ import dataclasses
 import heapq
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config.presets import default_config, with_nodes, \
     with_stu_entries
+from repro.config.system import (
+    KIB,
+    MIB,
+    AllocationConfig,
+    FabricConfig,
+    FamConfig,
+    LocalMemoryConfig,
+    StuConfig,
+    TranslationCacheConfig,
+)
 from repro.core.refpath import _ref_fill
 from repro.core.system import FamSystem
 from repro.experiments.runner import (
     RunSettings,
+    SweepJob,
     _result_to_dict,
     build_traces,
+    node_side_key,
 )
 from repro.workloads.catalog import benchmark_names
 
@@ -341,6 +355,95 @@ class TestStreamReuse:
         node = FamSystem(default_config(), "deact-n", seed=seed).nodes[0]
         assert node._local_frames_free < stream.start[0]
         assert node.can_adopt(stream)
+
+
+@st.composite
+def _memory_side(draw):
+    """An architecture, the configuration past the last-level cache and
+    the FAM frame policy: everything a node-side stream does not depend
+    on.  Contiguous frames put neighbouring pages in one DeACT-W ACM
+    group, which random frames across 16 GB almost never do."""
+    architecture = draw(st.sampled_from(ARCHITECTURES))
+    stu = StuConfig(
+        entries=draw(st.sampled_from((256, 1024, 4096))),
+        associativity=draw(st.sampled_from((4, 8, 16, 32))),
+        acm_bits=draw(st.sampled_from((8, 16, 32))),
+        subways_per_way=draw(st.sampled_from((1, 2, 3))),
+        walk_cache_entries=draw(st.sampled_from((0, 8, 32))),
+        encrypted_memory_mode=draw(st.booleans()))
+    fabric = FabricConfig.with_total_latency(
+        draw(st.sampled_from((100.0, 500.0, 2000.0, 6000.0))))
+    fam = FamConfig(read_ns=draw(st.sampled_from((30.0, 60.0, 300.0))),
+                    write_ns=draw(st.sampled_from((75.0, 150.0, 600.0))),
+                    max_outstanding=draw(st.sampled_from((16, 128))))
+    translation_cache = TranslationCacheConfig(
+        size_bytes=draw(st.sampled_from((64 * KIB, 256 * KIB, MIB))))
+    fam_policy = draw(st.sampled_from(("random", "contiguous")))
+    return architecture, fam_policy, dict(
+        stu=stu, fabric=fabric, fam=fam,
+        translation_cache=translation_cache)
+
+
+@st.composite
+def _config_cases(draw):
+    """A benchmark, 1-3 nodes and a node side (local DRAM size and
+    placement split), then two memory sides over it: the cell's, and a
+    donor cell's that shares every node-side input; returns their
+    jobs."""
+    bench = draw(st.sampled_from(benchmark_names()))
+    nodes = draw(st.integers(min_value=1, max_value=3))
+    run = RunSettings(n_events=draw(st.sampled_from((1000, 1500, 2000)))
+                      // nodes, footprint_scale=0.01, seed=5)
+    # Room for the largest translation cache plus a few frames, so the
+    # local pool can run dry, or Table II's 1 GB.
+    local_pages = draw(st.sampled_from((16, 64, None)))
+    local_memory = (LocalMemoryConfig() if local_pages is None else
+                    LocalMemoryConfig(size_bytes=MIB + local_pages * 4096))
+    local_fraction = draw(st.sampled_from((0.0, 0.2, 0.5, 0.9)))
+    node_side = with_nodes(default_config(), nodes).replace(
+        local_memory=local_memory)
+    cell, donor = draw(_memory_side()), draw(_memory_side())
+    return tuple(
+        SweepJob(bench, architecture, node_side.replace(
+            allocation=AllocationConfig(local_fraction=local_fraction,
+                                        fam_policy=fam_policy),
+            **memory), run)
+        for architecture, fam_policy, memory in (cell, donor))
+
+
+class TestConfigSpace:
+    """The fast path against refpath, and stream adoption against a
+    fresh pass, across the configuration space the sweep figures
+    cover: STU entries, ways, ACM bits, pairs per way and walk caches,
+    the translation-cache size, fabric and FAM latencies, the FAM
+    window, local DRAM size, the placement split, the FAM frame policy
+    and encrypted-memory mode, at 1-3 nodes."""
+
+    @settings(derandomize=True, max_examples=50, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_config_cases())
+    def test_fast_matches_seed_path_and_adoption(self, case):
+        job, donor_job = case
+        bench, config = job.benchmark, job.config
+        traces = build_traces(bench, config.nodes, job.settings)
+        seed = job.settings.seed * 31 + 5
+        fast = _outcome(FamSystem(config, job.architecture, seed=seed),
+                        bench, traces)
+        reference = _outcome(FamSystem(config, job.architecture, seed=seed),
+                             bench, traces, reference=True)
+        assert fast == reference
+        # The donor's streams are keyed as this cell's, so the harness
+        # memo would offer them; each node adopts one only when its
+        # local frame budget allows (Node.can_adopt).
+        for node in range(config.nodes):
+            assert node_side_key(job, node) == node_side_key(donor_job, node)
+        donor = FamSystem(donor_job.config, donor_job.architecture,
+                          seed=seed)
+        reused, _streams = _reuse_outcome(
+            FamSystem(config, job.architecture, seed=seed), bench, traces,
+            donor.node_streams(traces))
+        del fast["placement_draws"]
+        assert reused == fast
 
 
 class TestStepFast:

@@ -77,7 +77,7 @@ class TestDemandPaging:
         node, system = make_node(local_fraction=0.0)
         node.step_fast(*event(0x5000_0000))
         vpn = 0x5000_0000 // PAGE_BYTES
-        frame = node.page_table.lookup(vpn).frame
+        frame = node.page_table.lookup(vpn)
         node_page = frame  # frame number == node page number
         assert system.broker.translate(0, node_page) is not None
 

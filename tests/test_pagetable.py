@@ -32,9 +32,7 @@ class TestMapping:
     def test_map_then_lookup(self):
         table = make_table()
         table.map(0x123, 77)
-        entry = table.lookup(0x123)
-        assert entry is not None
-        assert entry.frame == 77
+        assert table.lookup(0x123) == 77
 
     def test_unmapped_lookup_is_none(self):
         assert make_table().lookup(0x999) is None
@@ -49,7 +47,7 @@ class TestMapping:
         table = make_table()
         table.map(5, 1)
         table.map(5, 2)
-        assert table.lookup(5).frame == 2
+        assert table.lookup(5) == 2
         assert table.mapped_pages == 1
 
     def test_unmap(self):
@@ -78,8 +76,7 @@ class TestMapping:
         table.map(7, 70)
         table.map(1 << 20, 71)
         found = dict(table.iter_mappings())
-        assert found[7].frame == 70
-        assert found[1 << 20].frame == 71
+        assert found == {7: 70, 1 << 20: 71}
 
 
 class TestSplitVpn:
@@ -131,12 +128,11 @@ class TestWalk:
         """The tree descent and the walker's store read agree, and both
         give the hand-computed addresses."""
         table = make_table()
-        installed = table.map(0x55, 3)
-        steps, entry = table.walk_entries(0x55)
+        table.map(0x55, 3)
+        steps, frame = table.walk_entries(0x55)
         expected = (ROOT, PUD, PMD, PTE + 0x55 * 8)
         assert tuple(entry_addrs(steps)) == expected
-        assert entry is installed
-        assert entry.frame == 3
+        assert frame == 3
         walker = PageTableWalker(table, cache_entries=0)
         assert walker.walk(0x55) == (3, expected)
 
@@ -200,22 +196,24 @@ class TestWalker:
 
 
 class TestWalkStore:
-    """The table's walk store, ``vpn -> (leaf, entry addresses)``,
-    which :class:`PageTableWalker` reads in place of a tree descent."""
+    """The table's one store, ``vpn -> (frame, entry addresses)``,
+    which :class:`PageTableWalker`, ``lookup`` and ``in`` read in place
+    of a tree descent."""
 
     @staticmethod
     def assert_store_matches_descent(table):
-        assert table._walks.keys() == table._leaves.keys()
-        for vpn, (entry, addrs) in table._walks.items():
+        tree = dict(table.iter_mappings())
+        assert table._walks.keys() == tree.keys()
+        for vpn, (frame, addrs) in table._walks.items():
             steps, leaf = table.walk_entries(vpn)
             assert addrs == tuple(entry_addrs(steps))
-            assert entry is leaf
+            assert frame == leaf == tree[vpn]
 
     def test_map_records_its_descent(self):
         table = make_table()
-        installed = table.map(0xABC, 9)
-        entry, addrs = table._walks[0xABC]
-        assert entry is installed
+        table.map(0xABC, 9)
+        frame, addrs = table._walks[0xABC]
+        assert frame == 9
         assert addrs == (ROOT, PUD, PMD + 5 * 8, PTE + 0xBC * 8)
 
     def test_map_allocates_interior_tables_root_to_leaf(self):
@@ -239,11 +237,11 @@ class TestWalkStore:
 
     def test_remap_replaces_entry_keeps_addresses(self):
         table = make_table()
-        first = table.map(0x12345, 99)
+        table.map(0x12345, 99)
         addrs = table._walks[0x12345][1]
-        remapped = table.map(0x12345, 100)
-        entry, kept = table._walks[0x12345]
-        assert entry is remapped is not first
+        table.map(0x12345, 100)
+        frame, kept = table._walks[0x12345]
+        assert frame == 100
         assert kept == addrs
         assert PageTableWalker(table, cache_entries=0).walk(0x12345) == \
             (100, addrs)
@@ -275,9 +273,9 @@ class TestWalkStore:
         table.unmap(0x700)
         assert not table.unmap(0x700)
         pages = len(frames)
-        again = table.map(0x700, 6)
+        table.map(0x700, 6)
         assert len(frames) == pages
-        assert table._walks[0x700] == (again, addrs)
+        assert table._walks[0x700] == (6, addrs)
 
     def test_matches_descent_over_seeded_ops(self):
         rng = random.Random(16)
@@ -301,7 +299,7 @@ class TestWalkStore:
                 vpn = rng.choice(sorted(mapped))
                 frame, addrs = walker.walk(vpn)
                 steps, leaf = table.walk_entries(vpn)
-                assert frame == leaf.frame
+                assert frame == leaf
                 assert addrs == tuple(entry_addrs(steps))[-len(addrs):]
             if op % 50 == 49:
                 self.assert_store_matches_descent(table)
@@ -316,7 +314,7 @@ class TestWalkStore:
             table.map(vpn, vpn + 1)
         assert len(table._walks) == count
         for vpn in (0, 1, 511, 512, count - 1):
-            entry, addrs = table._walks[vpn]
+            frame, addrs = table._walks[vpn]
             steps, leaf = table.walk_entries(vpn)
-            assert entry is leaf
+            assert frame == leaf == vpn + 1
             assert addrs == tuple(entry_addrs(steps))

@@ -75,10 +75,10 @@ def test_translation_consistency(trace):
     node = system.nodes[0]
     table = system.broker.system_table(0)
     cache = node.fam_translator.cache
-    for node_page, entry in table.iter_mappings():
+    for node_page, fam_page in table.iter_mappings():
         cached = cache.lookup(node_page)
         if cached is not None:
-            assert cached == entry.frame
+            assert cached == fam_page
 
 
 @settings(max_examples=10, deadline=None,
@@ -90,9 +90,9 @@ def test_two_tenants_never_share_frames(trace_a, trace_b):
     from repro.config.presets import with_nodes
     system = FamSystem(with_nodes(small_config(), 2), "i-fam", seed=11)
     system.run([trace_a, trace_b], benchmark="prop")
-    frames_a = {e.frame for _v, e in
+    frames_a = {frame for _v, frame in
                 system.broker.system_table(0).iter_mappings()}
-    frames_b = {e.frame for _v, e in
+    frames_b = {frame for _v, frame in
                 system.broker.system_table(1).iter_mappings()}
     assert not frames_a & frames_b
 

@@ -94,7 +94,7 @@ class TestMultiNodeRuns:
         frames = [set(), set()]
         for node_id in range(2):
             table = system.broker.system_table(node_id)
-            frames[node_id] = {e.frame for _v, e in table.iter_mappings()}
+            frames[node_id] = {frame for _v, frame in table.iter_mappings()}
         assert not frames[0] & frames[1]
 
     def test_contention_slows_shared_fam(self):
